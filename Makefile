@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-stress short fuzz-seeds bench bench-smoke bench-compare chaos chaos-recovery chaos-failover chaos-coordinator experiments examples cover clean
+.PHONY: all build vet lint test race race-stress short fuzz-seeds bench bench-smoke bench-compare bench-e2e loc chaos chaos-recovery chaos-failover chaos-coordinator experiments examples cover clean
 
 # Seed for the fault-injection suite; override to replay a sequence:
 #   make chaos CHAOS_SEED=42
@@ -69,10 +69,22 @@ bench-smoke:
 # order-of-magnitude cliffs, not percent-level drift. For the tight
 # version run `make bench` on both commits and
 # `benchjson -compare -threshold 1.2 old.json new.json`.
-BENCH_BASE ?= BENCH_PR8.json
+BENCH_BASE ?= BENCH_PR9.json
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchtime 100x -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -compare -threshold 10 $(BENCH_BASE) /tmp/bench-head.json
+
+# The federation benchmark (bench/, contract in BENCHMARK.json): four
+# multi-process workloads, end-to-end and per-layer metrics; ~25 s each.
+bench-e2e:
+	$(GO) run ./bench -workload all -seed 1
+
+# Non-test, non-testdata Go lines per package (bench/ excluded), then the
+# total — the size trend ROADMAP item 3 wants as visible as ns/op.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race ./internal/chaos -count=1

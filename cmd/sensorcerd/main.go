@@ -68,23 +68,10 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  sensorcerd lus -listen host:port [-codec binary|json]
-  sensorcerd esp -name <name> -lus host:port [-seed n] [-interval 1s]
-  sensorcerd shard -name <shard> -listen host:port [-dir path] [-codec binary|json]`)
+  sensorcerd lus -listen host:port [-lease-max 30s] [-token secret] [-announce host:port] [-groups g1,g2]
+  sensorcerd esp -name <name> -lus host:port [-listen host:port] [-seed n] [-interval 1s] [-lease 10s] [-token secret] [-push]
+  sensorcerd shard -name <shard> -listen host:port [-dir path] [-lease-max 30s] [-token secret]`)
 	os.Exit(2)
-}
-
-// parseCodec resolves a -codec flag value or exits with usage help. The
-// flag exists for ablation: "json" pins a component to the legacy
-// line-delimited protocol (it never sends the binary preamble, so every
-// peer negotiates down), "binary" is the default length-prefixed codec.
-func parseCodec(v string) srpc.Codec {
-	c, err := srpc.ParseCodec(v)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sensorcerd:", err)
-		os.Exit(2)
-	}
-	return c
 }
 
 func runLUS(args []string) {
@@ -94,7 +81,6 @@ func runLUS(args []string) {
 	token := fs.String("token", "", "shared secret required from clients (empty = open)")
 	announce := fs.String("announce", "", "UDP address to send discovery announcements to (optional)")
 	groups := fs.String("groups", discovery.PublicGroup, "comma-separated discovery groups")
-	codec := fs.String("codec", "binary", "wire codec to offer (binary|json)")
 	fs.Parse(args)
 
 	clock := clockwork.Real()
@@ -103,7 +89,6 @@ func runLUS(args []string) {
 	defer lus.Close()
 
 	server := srpc.NewServer()
-	server.SetCodec(parseCodec(*codec))
 	if *token != "" {
 		server.SetToken(*token)
 	}
@@ -161,7 +146,6 @@ func runESP(args []string) {
 	listen := fs.String("listen", "127.0.0.1:0", "srpc export address")
 	leaseDur := fs.Duration("lease", 10*time.Second, "registration lease to request")
 	token := fs.String("token", "", "shared secret for the deployment (empty = open)")
-	codec := fs.String("codec", "binary", "wire codec to offer (binary|json)")
 	push := fs.Bool("push", false, "serve push subscriptions (multiplexed streams) alongside polled reads")
 	fs.Parse(args)
 
@@ -177,7 +161,6 @@ func runESP(args []string) {
 	defer esp.Close()
 
 	server := srpc.NewServer()
-	server.SetCodec(parseCodec(*codec))
 	if *token != "" {
 		server.SetToken(*token)
 	}
@@ -244,7 +227,6 @@ func runShard(args []string) {
 	dir := fs.String("dir", "", "WAL directory for the replica (empty = fresh temp dir)")
 	leaseMax := fs.Duration("lease-max", 30*time.Second, "maximum entry lease on the hosted replica")
 	token := fs.String("token", "", "shared secret required from clients (empty = open)")
-	codec := fs.String("codec", "binary", "wire codec to offer (binary|json)")
 	fs.Parse(args)
 
 	clock := clockwork.Real()
@@ -262,7 +244,6 @@ func runShard(args []string) {
 	defer node.Close()
 
 	server := srpc.NewServer()
-	server.SetCodec(parseCodec(*codec))
 	if *token != "" {
 		server.SetToken(*token)
 	}

@@ -72,20 +72,17 @@ func startCountingProxy(b *testing.B, backend string) *countingProxy {
 
 func (p *countingProxy) addr() string { return p.ln.Addr().String() }
 
-// codecBenchmarks runs fn once per wire codec: the json sub-benchmark is
-// the pre-binary baseline (the server refuses to negotiate, so the whole
-// connection runs the legacy protocol), binary is the negotiated fast
-// path. Comparing the two sub-benchmarks in one run is the PR 9
-// acceptance measurement.
-func codecBenchmarks(b *testing.B, fn func(b *testing.B, codec srpc.Codec)) {
-	b.Run("json", func(b *testing.B) { fn(b, srpc.CodecJSON) })
-	b.Run("binary", func(b *testing.B) { fn(b, srpc.CodecBinary) })
+// codecBenchmarks runs fn as the "binary" sub-benchmark. The name keeps
+// these benchmarks' keys lined up with BENCH_PR8/PR9.json, where a
+// "json" leg — the since-retired line protocol — ran beside it.
+func codecBenchmarks(b *testing.B, fn func(b *testing.B)) {
+	b.Run("binary", fn)
 }
 
 // benchmarkWriteAckSRPC acks writes against a loopback-srpc follower,
 // synchronously or in async-ship mode depending on the node options,
 // reporting wire bytes per acknowledged write alongside ns/op.
-func benchmarkWriteAckSRPC(b *testing.B, codec srpc.Codec, opts ...repl.NodeOption) {
+func benchmarkWriteAckSRPC(b *testing.B, opts ...repl.NodeOption) {
 	policy := lease.Policy{Max: 24 * time.Hour}
 	primary, err := repl.NewNode("p", clockwork.Real(), policy, b.TempDir(),
 		append([]repl.NodeOption{repl.WithWALOptions(wal.WithSyncEveryAppend(false))}, opts...)...)
@@ -101,7 +98,6 @@ func benchmarkWriteAckSRPC(b *testing.B, codec srpc.Codec, opts ...repl.NodeOpti
 	b.Cleanup(func() { _ = backup.Close() })
 
 	server := srpc.NewServer()
-	server.SetCodec(codec)
 	if err := server.Listen("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
@@ -145,25 +141,20 @@ func benchmarkWriteAckSRPC(b *testing.B, codec srpc.Codec, opts ...repl.NodeOpti
 
 // BenchmarkWriteAckReplicatedSRPC is the wire variant of the repl
 // package's write-ack benchmarks: every ack waits for a synchronous
-// ShipBatch across a loopback srpc connection, so the delta between the
-// json and binary sub-benchmarks is what the codec overhaul buys per
-// acknowledged write.
+// ShipBatch across a loopback srpc connection.
 func BenchmarkWriteAckReplicatedSRPC(b *testing.B) {
-	codecBenchmarks(b, func(b *testing.B, codec srpc.Codec) {
-		benchmarkWriteAckSRPC(b, codec)
-	})
+	codecBenchmarks(b, func(b *testing.B) { benchmarkWriteAckSRPC(b) })
 }
 
 // BenchmarkWriteAckAsyncShipSRPC is where async-ship pays: the wire ship
 // leaves the ack path, so acks run at local-journal speed while the
 // shipper streams coalesced batches behind, backlog bounded by the lag
-// parameter. The lag sweep shows the latency/durability dial; the codec
-// split shows how much of the residual cost is encoding.
+// parameter. The lag sweep shows the latency/durability dial.
 func BenchmarkWriteAckAsyncShipSRPC(b *testing.B) {
 	for _, lag := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("lag-%d", lag), func(b *testing.B) {
-			codecBenchmarks(b, func(b *testing.B, codec srpc.Codec) {
-				benchmarkWriteAckSRPC(b, codec, repl.WithAsyncShip(lag))
+			codecBenchmarks(b, func(b *testing.B) {
+				benchmarkWriteAckSRPC(b, repl.WithAsyncShip(lag))
 			})
 		})
 	}
@@ -171,11 +162,11 @@ func BenchmarkWriteAckAsyncShipSRPC(b *testing.B) {
 
 // BenchmarkRegistrarLookupSRPC measures the discovery hot path end to
 // end: a remote template lookup returning 16 matches (types + attribute
-// entries) across the wire, json vs binary. Items carry no proxy
+// entries) across the wire. Items carry no proxy
 // descriptors so the client's stub materialization cost stays out of the
 // RPC measurement.
 func BenchmarkRegistrarLookupSRPC(b *testing.B) {
-	codecBenchmarks(b, func(b *testing.B, codec srpc.Codec) {
+	codecBenchmarks(b, func(b *testing.B) {
 		lus := registry.New("bench-lus", clockwork.Real())
 		b.Cleanup(func() { lus.Close() })
 		for i := 0; i < 32; i++ {
@@ -191,7 +182,6 @@ func BenchmarkRegistrarLookupSRPC(b *testing.B) {
 			}
 		}
 		server := srpc.NewServer()
-		server.SetCodec(codec)
 		if err := server.Listen("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +215,7 @@ func BenchmarkRegistrarLookupSRPC(b *testing.B) {
 // shows up in end-to-end job latency, not just in microbenchmarks.
 func BenchmarkSpacerBatchSRPC(b *testing.B) {
 	const tasks = 8
-	codecBenchmarks(b, func(b *testing.B, codec srpc.Codec) {
+	codecBenchmarks(b, func(b *testing.B) {
 		policy := lease.Policy{Max: 24 * time.Hour}
 		primary, err := repl.NewNode("p", clockwork.Real(), policy, b.TempDir(),
 			repl.WithWALOptions(wal.WithSyncEveryAppend(false)))
@@ -240,7 +230,6 @@ func BenchmarkSpacerBatchSRPC(b *testing.B) {
 		}
 		b.Cleanup(func() { _ = backup.Close() })
 		server := srpc.NewServer()
-		server.SetCodec(codec)
 		if err := server.Listen("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}

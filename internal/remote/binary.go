@@ -2,9 +2,9 @@
 // ship batches (the write-ack path), registry lookups (the discovery
 // path), accessor readings and exertion envelopes. Each wire struct
 // implements srpc.BinaryMarshaler on its value form and
-// srpc.BinaryUnmarshaler on its pointer form, so the codec picks the
-// fast path automatically on negotiated-binary connections and the same
-// structs still fall back to their JSON tags against legacy peers.
+// srpc.BinaryUnmarshaler on its pointer form, so srpc picks the fast
+// path automatically; a shape-0 payload still decodes into the same
+// structs through their JSON tags.
 //
 // Layouts build on internal/wire's Append/Consume primitives. Dynamic
 // values (attr fields, exertion context values) are tagged scalars —

@@ -63,9 +63,6 @@ type Spacer struct {
 	// crashed holding it, or the write was lost) and waits again. Pull
 	// federation thereby gets at-least-once delivery; see WithAwaitPolicy.
 	await resilience.Policy
-	// perEnvelope reverts parallel jobs to one Write/Take per task (see
-	// WithPerEnvelopeDispatch). Default is batched dispatch.
-	perEnvelope bool
 }
 
 // SpacerOption customizes a Spacer.
@@ -96,15 +93,6 @@ func WithAwaitPolicy(p resilience.Policy) SpacerOption {
 		}
 		s.await = p
 	}
-}
-
-// WithPerEnvelopeDispatch makes parallel jobs write one envelope and take
-// one result at a time instead of batching through WriteBatch/TakeAny —
-// the pre-batching behavior, kept for comparison benchmarks and as an
-// escape hatch. Semantics are identical either way; batching only changes
-// how many lock acquisitions and journal fsyncs a job costs.
-func WithPerEnvelopeDispatch() SpacerOption {
-	return func(s *Spacer) { s.perEnvelope = true }
 }
 
 // NewSpacer creates a pull-mode coordinator over the tuple space (a
@@ -211,30 +199,13 @@ func (s *Spacer) runSequential(job *Job, tasks []*Task, tx *txn.Transaction) err
 	return nil
 }
 
-func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
-	if s.perEnvelope {
-		for _, t := range tasks {
-			if err := s.dispatch(t, tx); err != nil {
-				return err
-			}
-		}
-		for _, t := range tasks {
-			if err := s.awaitResult(t, tx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.runParallelBatch(tasks, tx)
-}
-
-// runParallelBatch floods every component envelope into the space as one
+// runParallel floods every component envelope into the space as one
 // WriteBatch (one lock, one journal group commit) and collects results
 // with TakeAny against a job-unique batch tag, so an n-task job costs a
 // couple of space operations instead of 2n. The at-least-once contract is
 // unchanged: on a timed-out attempt, every pending task whose envelope
 // vanished without a result is redispatched — again as one batch.
-func (s *Spacer) runParallelBatch(tasks []*Task, tx *txn.Transaction) error {
+func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
 	batchID := ids.NewServiceID().String()
 	pending := make(map[string]*Task, len(tasks))
 	for _, t := range tasks {
@@ -361,44 +332,25 @@ type SpaceWorker struct {
 	space       SpaceOps
 	servicer    Servicer
 	serviceType string
-	batch       int
 	stop        chan struct{}
 	done        chan struct{}
 }
 
-// WorkerOption customizes a SpaceWorker.
-type WorkerOption func(*SpaceWorker)
-
-// DefaultWorkerBatch is how many envelopes a worker drains per space
-// visit when WithWorkerBatch is not given.
-const DefaultWorkerBatch = 8
-
-// WithWorkerBatch sets how many envelopes the worker takes per space
-// visit (and how many results it writes back as one batch). 1 reproduces
-// the historical one-envelope-at-a-time loop; larger values amortize the
-// space's lock and — on a durable space — its journal fsync across the
-// batch. Envelopes in a batch still execute sequentially, so a worker
-// never holds more work than it can finish before its results land.
-func WithWorkerBatch(n int) WorkerOption {
-	return func(w *SpaceWorker) {
-		if n > 0 {
-			w.batch = n
-		}
-	}
-}
+// workerBatch is how many envelopes a worker takes per space visit (and
+// how many results it writes back as one batch), amortizing the space's
+// lock and — on a durable space — its journal fsync across the batch.
+// Envelopes in a batch still execute sequentially, so a worker never
+// holds more work than it can finish before its results land.
+const workerBatch = 8
 
 // NewSpaceWorker starts a worker pulling envelopes of serviceType.
-func NewSpaceWorker(sp SpaceOps, servicer Servicer, serviceType string, opts ...WorkerOption) *SpaceWorker {
+func NewSpaceWorker(sp SpaceOps, servicer Servicer, serviceType string) *SpaceWorker {
 	w := &SpaceWorker{
 		space:       sp,
 		servicer:    servicer,
 		serviceType: serviceType,
-		batch:       DefaultWorkerBatch,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(w)
 	}
 	go w.loop()
 	return w
@@ -419,7 +371,7 @@ func (w *SpaceWorker) loop() {
 			return
 		default:
 		}
-		envs, err := w.space.TakeAny(tmpl, w.batch, nil, 50*time.Millisecond)
+		envs, err := w.space.TakeAny(tmpl, workerBatch, nil, 50*time.Millisecond)
 		if err != nil {
 			if errors.Is(err, space.ErrClosed) {
 				return

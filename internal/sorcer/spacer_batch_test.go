@@ -57,23 +57,6 @@ func TestSpacerBatchDispatchParallel(t *testing.T) {
 	}
 }
 
-// TestSpacerPerEnvelopeDispatch keeps the ablation path (one Write/Take
-// per task) working — it is the baseline the batch benchmarks compare
-// against.
-func TestSpacerPerEnvelopeDispatch(t *testing.T) {
-	sp := space.New(clockwork.Real(), lease.Policy{Max: time.Hour})
-	defer sp.Close()
-	w := NewSpaceWorker(sp, adderProvider("Adder-1"), "Adder", WithWorkerBatch(1))
-	defer w.Stop()
-	spacer := NewSpacer("Spacer-1", sp, WithTaskTimeout(5*time.Second), WithPerEnvelopeDispatch())
-
-	job := pullAdderJob(4)
-	if _, err := spacer.Service(job, nil); err != nil {
-		t.Fatal(err)
-	}
-	checkAdderJob(t, job, 4)
-}
-
 // TestSpacerBatchDispatchDurable runs the batched path over a journaled
 // space: envelopes and results are group-committed, and the job completes
 // with the same results as the volatile case.

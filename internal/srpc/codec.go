@@ -1,38 +1,32 @@
-// The binary frame protocol (ROADMAP item 3): length-prefixed frames
-// replace newline-delimited JSON on the hot wire paths, with per-frame
-// self-description so both codecs coexist on one connection.
+// The frame protocol: the one wire format srpc speaks.
 //
-// Negotiation. A binary-capable endpoint writes a 5-byte preamble —
-// 0xBF 's' 'b' '1' '\n' — immediately after the TCP connect (server at
-// accept, client at Dial). To a legacy JSON-only peer the preamble is one
-// garbage line, which the JSON loops have always dropped; to a
-// binary-capable peer it is the capability announcement. An endpoint
-// sends binary frames only after it has seen the peer's preamble, so a
-// binary client interoperates with a JSON-only server (and vice versa) by
-// construction: nothing binary is ever sent at a peer that has not proved
-// it can read it. Because TCP preserves order, the server always sees the
-// client preamble before request #1; the client's first request may still
-// race out as JSON before the server preamble arrives, which is legal —
-// frames are self-describing, and a response always mirrors the codec of
-// its request.
+// Opening. Each end writes a 5-byte magic — 0xBF 's' 'b' '1' '\n' —
+// immediately after the TCP connect (server at accept, client at Dial),
+// and each read loop checks it once: a peer whose first five bytes are
+// anything else (a legacy JSON line, an HTTP probe, a wrong port) is
+// dropped before another byte is read. Nobody waits for the peer's magic
+// before sending; TCP order already puts ours ahead of our first frame.
 //
-// Framing. Every binary frame is
+// Framing. Every frame is
 //
-//	tag (1B: 0xB1 request, 0xB2 response) | uvarint body length | body
+//	tag (1B: 0xB1 request, 0xB2 response, 0xB3–0xB6 streams, see
+//	stream.go) | uvarint body length | body
 //
-// Request body:  uvarint id | 1B method-prefix index (0 = none) |
-//	uvarint suffix len + suffix | uvarint auth len + auth |
-//	1B payload shape | payload (rest of body)
-// Response body: uvarint id | 1B status (0 ok, 1 error) |
-//	error: message (rest) — ok: 1B payload shape | payload (rest)
+// with bodies
 //
-// The first byte of every frame (0xB1/0xB2/0xBF) is outside the ASCII
-// range JSON frames start with ('{' = 0x7B), so the read loops dispatch
-// per frame on one peeked byte. Payload shape 0 is the reflection-free
-// generic fallback: the payload bytes are the same JSON the legacy codec
-// would have sent, wrapped in a binary frame. Non-zero shapes are the
-// hand-written fast paths (hot-shape encoders in internal/remote and
-// internal/wire) that never touch encoding/json.
+//	request:  uvarint id | 1B method-prefix index (0 = none) |
+//	          uvarint suffix len + suffix | uvarint auth len + auth |
+//	          1B payload shape | payload (rest of body)
+//	response: uvarint id | 1B status (0 ok, 1 error) |
+//	          error: message (rest) — ok: 1B payload shape | payload (rest)
+//
+// A tag outside 0xB1–0xB6, a frame kind the receiving end never
+// accepts, a body length past MaxFrame and an overlong length encoding
+// are all framing errors: the connection is dropped. Payload shape 0 is
+// the reflection-based generic fallback: the payload bytes are JSON.
+// Non-zero shapes are the hand-written fast paths (hot-shape encoders in
+// internal/remote, internal/wire and internal/subscribe) that never
+// touch encoding/json.
 //
 // Memory. Frames are encoded into and decoded from pooled []byte buffers
 // (oversize ones are discarded rather than pinned by the pool), and the
@@ -46,6 +40,7 @@ package srpc
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,62 +49,43 @@ import (
 	"sensorcer/internal/wire"
 )
 
-// Codec selects the wire encoding of a Server or Client.
-type Codec int
-
+// Frame tags. The stream kinds are laid out in stream.go.
 const (
-	// CodecBinary announces binary capability and uses binary frames with
-	// any peer that announces it back, JSON otherwise (the default).
-	CodecBinary Codec = iota
-	// CodecJSON speaks only newline-delimited JSON — bit-compatible with
-	// the pre-binary protocol, kept for ablation (-codec=json) and legacy
-	// peers.
-	CodecJSON
+	frameRequest      byte = 0xB1
+	frameResponse     byte = 0xB2
+	frameStreamOpen   byte = 0xB3
+	frameStreamData   byte = 0xB4
+	frameStreamCredit byte = 0xB5
+	frameStreamClose  byte = 0xB6
 )
 
-// String names the codec for flags and logs.
-func (c Codec) String() string {
-	if c == CodecJSON {
-		return "json"
+// magic is what each end of a connection writes first and expects first.
+var magic = [5]byte{0xBF, 's', 'b', '1', '\n'}
+
+// readMagic consumes the peer's opening bytes, which must be the magic.
+func readMagic(r *bufio.Reader) error {
+	var got [len(magic)]byte
+	if _, err := io.ReadFull(r, got[:]); err != nil {
+		return err
 	}
-	return "binary"
+	if got != magic {
+		return fmt.Errorf("srpc: peer opened with %q, not the srpc magic", got[:])
+	}
+	return nil
 }
 
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	}
-	return 0, fmt.Errorf("srpc: unknown codec %q (want binary or json)", s)
-}
-
-const (
-	// preambleByte opens the capability announcement line.
-	preambleByte byte = 0xBF
-	// frameRequest and frameResponse tag binary frames.
-	frameRequest  byte = 0xB1
-	frameResponse byte = 0xB2
-)
-
-// preamble is the capability announcement: a garbage line to a JSON-only
-// peer, a binary-capability proof to anyone else.
-var preamble = [5]byte{preambleByte, 's', 'b', '1', '\n'}
-
-// MaxFrame bounds a binary frame body (64 MiB) — snapshots ship well
+// MaxFrame bounds a frame body (64 MiB) — snapshots ship well
 // under it, and a hostile length prefix past it drops the connection
 // before a single byte of body is read.
 const MaxFrame = 64 << 20
 
 // ShapeJSON is the payload shape of the generic fallback: the payload is
-// the JSON the legacy codec would have sent.
+// JSON.
 const ShapeJSON byte = 0
 
 // BinaryMarshaler is the fast-path encode side of a hot message shape.
 // Implemented on value types passed as srpc params or returned as srpc
-// results; everything else falls back to JSON-in-a-binary-frame.
+// results; everything else falls back to a JSON payload, shape 0.
 type BinaryMarshaler interface {
 	// SrpcShape tags the payload (never ShapeJSON).
 	SrpcShape() byte
@@ -173,6 +149,25 @@ func finishFrame(buf []byte, tag byte) []byte {
 	buf[start] = tag
 	copy(buf[start+1:frameHeadroom], tmp[:n])
 	return buf[start:]
+}
+
+// readFrame reads one frame — tag, length, body — into a pooled buffer
+// the caller owns (putBuf when done). The buffer is taken only once the
+// tag has arrived, so an idle connection holds none. An unknown tag is a
+// framing error, reported before any of the length is read.
+func readFrame(r *bufio.Reader) (tag byte, buf *[]byte, err error) {
+	if tag, err = r.ReadByte(); err != nil {
+		return 0, nil, err
+	}
+	if tag < frameRequest || tag > frameStreamClose {
+		return 0, nil, fmt.Errorf("srpc: unknown frame tag %#x", tag)
+	}
+	buf = getBuf()
+	if err := readFrameBody(r, buf); err != nil {
+		putBuf(buf)
+		return 0, nil, err
+	}
+	return tag, buf, nil
 }
 
 // readFrameBody reads one uvarint-prefixed frame body into *buf after the
@@ -294,6 +289,41 @@ type binPayload struct {
 	data  []byte
 }
 
+// appendPayload appends v as shape byte + payload: the fast path when v
+// implements BinaryMarshaler, JSON as shape 0 otherwise (nil is an empty
+// shape-0 payload).
+func appendPayload(buf []byte, v any) ([]byte, error) {
+	if bm, ok := v.(BinaryMarshaler); ok {
+		return bm.AppendSrpc(append(buf, bm.SrpcShape()))
+	}
+	buf = append(buf, ShapeJSON)
+	if v == nil {
+		return buf, nil
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, js...), nil
+}
+
+// decodePayload materializes p into out, a non-nil pointer: through its
+// BinaryUnmarshaler for a fast-path shape, json.Unmarshal for shape 0
+// (an empty shape-0 payload leaves out untouched).
+func decodePayload(p binPayload, out any) error {
+	if p.shape != ShapeJSON {
+		u, ok := out.(BinaryUnmarshaler)
+		if !ok {
+			return fmt.Errorf("payload has shape %#x but %T has no binary decoder", p.shape, out)
+		}
+		return u.UnmarshalSrpc(p.shape, p.data)
+	}
+	if len(p.data) == 0 {
+		return nil
+	}
+	return json.Unmarshal(p.data, out)
+}
+
 // binRequest is a decoded request frame. method aliases the scratch
 // buffer passed to decodeRequest; auth and payload alias the frame body.
 type binRequest struct {
@@ -304,21 +334,14 @@ type binRequest struct {
 }
 
 // appendRequest encodes a request body after beginFrame; finishFrame with
-// frameRequest completes it. payload follows the fast path when params
-// implements BinaryMarshaler, otherwise jsonParams (pre-marshalled by the
-// caller) rides as ShapeJSON.
-func appendRequest(buf []byte, id uint64, method, auth string, params BinaryMarshaler, jsonParams []byte) ([]byte, error) {
+// frameRequest completes it.
+func appendRequest(buf []byte, id uint64, method, auth string, params any) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, id)
 	idx, suffix := splitMethod(method)
 	buf = append(buf, idx)
 	buf = wire.AppendString(buf, suffix)
 	buf = wire.AppendString(buf, auth)
-	if params != nil {
-		buf = append(buf, params.SrpcShape())
-		return params.AppendSrpc(buf)
-	}
-	buf = append(buf, ShapeJSON)
-	return append(buf, jsonParams...), nil
+	return appendPayload(buf, params)
 }
 
 // decodeRequest parses a request body. scratch backs the reassembled
@@ -361,21 +384,14 @@ type binResponse struct {
 }
 
 // appendResponse encodes a response body after beginFrame. On errMsg !=
-// "" the payload is ignored; otherwise result follows the fast path when
-// it implements BinaryMarshaler, else jsonResult rides as ShapeJSON.
-func appendResponse(buf []byte, id uint64, errMsg string, result BinaryMarshaler, jsonResult []byte) ([]byte, error) {
+// "" the result is ignored.
+func appendResponse(buf []byte, id uint64, errMsg string, result any) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, id)
 	if errMsg != "" {
 		buf = append(buf, 1)
 		return append(buf, errMsg...), nil
 	}
-	buf = append(buf, 0)
-	if result != nil {
-		buf = append(buf, result.SrpcShape())
-		return result.AppendSrpc(buf)
-	}
-	buf = append(buf, ShapeJSON)
-	return append(buf, jsonResult...), nil
+	return appendPayload(append(buf, 0), result)
 }
 
 // decodeResponse parses a response body.

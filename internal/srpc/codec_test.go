@@ -3,6 +3,8 @@ package srpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,27 +50,6 @@ func (p *pointShape) UnmarshalSrpc(shape byte, data []byte) error {
 	return nil
 }
 
-func TestParseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		err  bool
-	}{
-		{"binary", CodecBinary, false},
-		{"", CodecBinary, false},
-		{"json", CodecJSON, false},
-		{"protobuf", 0, true},
-	} {
-		got, err := ParseCodec(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if CodecBinary.String() != "binary" || CodecJSON.String() != "json" {
-		t.Fatal("Codec.String mismatch")
-	}
-}
-
 func TestSplitMethodLongestPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		method string
@@ -100,25 +81,20 @@ func TestSplitMethodLongestPrefix(t *testing.T) {
 
 // TestRequestFrameRoundTrip drives one request through the full encode
 // path (beginFrame → appendRequest → finishFrame) and back through the
-// wire-read path (readFrameBody → decodeRequest).
+// wire-read path (readFrame → decodeRequest).
 func TestRequestFrameRoundTrip(t *testing.T) {
 	b := beginFrame(nil)
-	b, err := appendRequest(b, 42, "repl.ship.s0", "secret", pointShape{X: -7, Y: 1 << 60}, nil)
+	b, err := appendRequest(b, 42, "repl.ship.s0", "secret", pointShape{X: -7, Y: 1 << 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := finishFrame(b, frameRequest)
 
-	r := bufio.NewReader(bytes.NewReader(frame))
-	tag, _ := r.ReadByte()
-	if tag != frameRequest {
-		t.Fatalf("tag = %#x", tag)
+	tag, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	if err != nil || tag != frameRequest {
+		t.Fatalf("readFrame = %#x, %v", tag, err)
 	}
-	var body []byte
-	if err := readFrameBody(r, &body); err != nil {
-		t.Fatal(err)
-	}
-	req, _, ok := decodeRequest(body, nil)
+	req, _, ok := decodeRequest(*body, nil)
 	if !ok {
 		t.Fatal("decodeRequest rejected a valid frame")
 	}
@@ -137,7 +113,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 func TestResponseFrameRoundTrip(t *testing.T) {
 	// Success payload.
 	b := beginFrame(nil)
-	b, err := appendResponse(b, 9, "", pointShape{X: 3, Y: 4}, nil)
+	b, err := appendResponse(b, 9, "", pointShape{X: 3, Y: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +124,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 	}
 	// Error response.
 	b = beginFrame(nil)
-	b, err = appendResponse(b, 10, "boom", nil, nil)
+	b, err = appendResponse(b, 10, "boom", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +140,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 // frame-length byte count makes most prefixes invalid bodies).
 func TestDecodeRequestTruncations(t *testing.T) {
 	b := beginFrame(nil)
-	b, err := appendRequest(b, 7, "registrar.lookup", "tok", nil, []byte(`{"n":1}`))
+	b, err := appendRequest(b, 7, "registrar.lookup", "tok", json.RawMessage(`{"n":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +184,9 @@ func TestReadFrameBodyBoundedByReceived(t *testing.T) {
 	}
 }
 
-// waitPeerBinary blocks until the client has processed the server's
-// preamble (bounded); after the first response arrives it always has,
-// since the preamble precedes all responses in stream order.
-func waitPeerBinary(t *testing.T, c *Client) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !c.peerBinary.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("client never saw the server preamble")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBinaryNegotiationAndFastPath is the end-to-end binary round trip:
-// both sides binary, second call guaranteed framed, fast-path encoders
-// engaged on both request and response payloads.
+// TestBinaryNegotiationAndFastPath is the end-to-end round trip: the very
+// first call on a fresh connection is framed, with the fast-path encoders
+// engaged on both the request and the response payload.
 func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	s := NewServer()
 	HandleFunc(s, "swap", func(p pointShape) (any, error) {
@@ -240,20 +202,11 @@ func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	}
 	defer c.Close()
 
-	var out pointShape
-	if err := c.Call("swap", pointShape{X: 1, Y: 2}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.X != 2 || out.Y != 1 {
-		t.Fatalf("out = %+v", out)
-	}
-	waitPeerBinary(t, c)
-
-	// From here every frame is binary. The fast-path counter must move by
-	// exactly two per call: request decode at the server, response decode
-	// at the client.
+	// The fast-path counter must move by exactly two per call: request
+	// decode at the server, response decode at the client.
 	before := pointFastDecodes.Load()
 	big := int64(1)<<60 + 3
+	var out pointShape
 	if err := c.Call("swap", pointShape{X: big, Y: -big}, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -265,21 +218,16 @@ func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	}
 }
 
-// TestBinaryJSONFallbackShapes: types without hot-shape encoders ride as
-// JSON payloads inside binary frames on the same negotiated connection.
+// TestBinaryJSONFallbackInsideFrames: types without hot-shape encoders
+// ride as shape-0 JSON payloads inside frames.
 func TestBinaryJSONFallbackInsideFrames(t *testing.T) {
 	s := newServer(t)
 	c := dial(t, s)
-	var warm float64
-	if err := c.Call("add", addParams{A: 1, B: 1}, &warm); err != nil {
-		t.Fatal(err)
-	}
-	waitPeerBinary(t, c)
 	var out float64
 	if err := c.Call("add", addParams{A: 20, B: 22}, &out); err != nil || out != 42 {
 		t.Fatalf("fallback call = %v, %v", out, err)
 	}
-	// Remote errors survive the binary framing too.
+	// Remote errors survive the framing too.
 	if err := c.Call("fail", struct{}{}, nil); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -288,51 +236,216 @@ func TestBinaryJSONFallbackInsideFrames(t *testing.T) {
 	}
 }
 
-// TestJSONClientAgainstBinaryServer: a legacy-codec client never sends
-// the preamble, so the binary-capable server keeps the whole conversation
-// in JSON (its own preamble is dropped as a garbage line).
-func TestJSONClientAgainstBinaryServer(t *testing.T) {
-	s := newServer(t)
-	c, err := DialCodec(s.Addr(), CodecJSON, 2*time.Second)
+// silentListener accepts TCP connections and never writes a byte; each
+// accepted connection is handed to the test.
+func silentListener(t *testing.T) (addr string, conns <-chan net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		var out float64
-		if err := c.Call("add", addParams{A: float64(i), B: 1}, &out); err != nil || out != float64(i+1) {
-			t.Fatalf("call %d = %v, %v", i, out, err)
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan net.Conn, 1)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			ch <- conn
 		}
-	}
-	if c.peerBinary.Load() {
-		t.Fatal("JSON client must ignore capability announcements")
+	}()
+	return ln.Addr().String(), ch
+}
+
+// TestClientFramesFromFirstByte: nothing waits for the server's magic.
+// Against a peer that never writes anything, the first bytes a fresh
+// Dial puts on the wire are the magic followed by a frame — a request
+// for Call, a stream open for OpenStream.
+func TestClientFramesFromFirstByte(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(c *Client) error
+		tag  byte
+	}{
+		{"call", func(c *Client) error {
+			err := c.CallWithTimeout("add", addParams{A: 1, B: 2}, nil, 50*time.Millisecond)
+			if !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("call against a mute peer = %v, want ErrTimeout", err)
+			}
+			return nil
+		}, frameRequest},
+		{"open stream", func(c *Client) error {
+			_, err := c.OpenStream("subscribe.ticks", ticksParams{Count: 1}, 4)
+			return err
+		}, frameStreamOpen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, conns := silentListener(t)
+			c, err := Dial(addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			start := time.Now()
+			if err := tc.send(c); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("send took %v: something waited for the peer", elapsed)
+			}
+			peer := <-conns
+			defer peer.Close()
+			peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+			r := bufio.NewReader(peer)
+			if err := readMagic(r); err != nil {
+				t.Fatalf("first bytes on the wire: %v", err)
+			}
+			tag, _, err := readFrame(r)
+			if err != nil || tag != tc.tag {
+				t.Fatalf("after the magic: tag %#x, %v; want %#x", tag, err, tc.tag)
+			}
+		})
 	}
 }
 
-// TestBinaryClientAgainstJSONServer: the server never announces, so the
-// binary-capable client never sends a frame and the connection stays on
-// the legacy protocol end to end.
-func TestBinaryClientAgainstJSONServer(t *testing.T) {
-	s := NewServer()
-	s.SetCodec(CodecJSON)
-	HandleFunc(s, "add", func(p addParams) (any, error) { return p.A + p.B, nil })
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+// readUntilClosed drains conn until the peer closes it (EOF, or a reset
+// when the peer closed with our bytes still unread) and returns what
+// arrived; a connection still open at the deadline fails the test.
+func readUntilClosed(t *testing.T, conn net.Conn) []byte {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	got, err := io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %d bytes: %v", len(got), err)
 	}
-	defer s.Close()
-	c, err := Dial(s.Addr(), 2*time.Second)
+	return got
+}
+
+// TestServerDropsNonMagicOpeners: a peer whose first five bytes are not
+// the magic is closed without a response and without the server reading
+// on in search of a line end.
+func TestServerDropsNonMagicOpeners(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opener []byte
+	}{
+		{"legacy JSON line", []byte(`{"id":1,"method":"add","params":{"a":1,"b":2}}` + "\n")},
+		{"1 MiB without a newline", bytes.Repeat([]byte{'x'}, 1<<20)},
+		{"HTTP probe", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")},
+		{"corrupted magic", []byte{0xBF, 's', 'b', '2', '\n'}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t)
+			raw, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			// The server may close while a large opener is still being
+			// written; that write error is the behaviour under test.
+			go raw.Write(tc.opener)
+			if got := readUntilClosed(t, raw); !bytes.HasPrefix(magic[:], got) {
+				t.Fatalf("server answered a non-srpc peer: %q", got)
+			}
+			// A well-behaved client still works.
+			c := dial(t, s)
+			var out float64
+			if err := c.Call("add", addParams{A: 2, B: 3}, &out); err != nil || out != 5 {
+				t.Fatalf("server wedged after a bad opener: %v %v", out, err)
+			}
+		})
+	}
+}
+
+// TestClientFailsFastOnBadMagic: a server whose first bytes are not the
+// magic fails the in-flight call promptly with ErrConnClosed naming the
+// opener — not after the call timeout — and later calls likewise.
+func TestClientFailsFastOnBadMagic(t *testing.T) {
+	addr, conns := silentListener(t)
+	c, err := Dial(addr, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
-		var out float64
-		if err := c.Call("add", addParams{A: float64(i), B: 2}, &out); err != nil || out != float64(i+2) {
-			t.Fatalf("call %d = %v, %v", i, out, err)
-		}
+	done := make(chan error, 1)
+	go func() { done <- c.Call("add", addParams{A: 1, B: 2}, nil) }()
+	peer := <-conns
+	defer peer.Close()
+	// Answer only once the request is on the wire, so the call is pending.
+	if _, err := io.ReadFull(peer, make([]byte, len(magic)+1)); err != nil {
+		t.Fatal(err)
 	}
-	if c.peerBinary.Load() {
-		t.Fatal("peerBinary flipped against a JSON-only server")
+	if _, err := peer.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrConnClosed) || !strings.Contains(err.Error(), `"HTTP/`) {
+			t.Fatalf("err = %v, want ErrConnClosed naming the opener", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending call waited for its deadline instead of failing on the bad magic")
+	}
+	err = c.Call("add", addParams{}, nil)
+	if !errors.Is(err, ErrConnClosed) || !strings.Contains(err.Error(), `"HTTP/`) {
+		t.Fatalf("post-loss call err = %v, want ErrConnClosed naming the opener", err)
+	}
+	// The client hung up on the impostor.
+	readUntilClosed(t, peer)
+}
+
+// TestUnknownFrameTagDropsConnection: after a good opening, anything
+// that is not a frame the server accepts — an unknown tag, a legacy JSON
+// line, a repeated magic, a frame kind only servers send — is a framing
+// error that closes the connection, like a bad length prefix.
+func TestUnknownFrameTagDropsConnection(t *testing.T) {
+	b, err := appendResponse(beginFrame(nil), 1, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		junk []byte
+	}{
+		{"unknown tag", []byte{0xB7, 0x00}},
+		{"legacy JSON line", []byte(`{"id":2,"method":"add"}` + "\n")},
+		{"repeated magic", magic[:]},
+		{"response frame sent to a server", finishFrame(b, frameResponse)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t)
+			raw, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			rb, err := appendRequest(beginFrame(nil), 1, "add", "", addParams{A: 4, B: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(opened(finishFrame(rb, frameRequest)...)); err != nil {
+				t.Fatal(err)
+			}
+			// The connection is healthy: the request is answered.
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			r := bufio.NewReader(raw)
+			if err := readMagic(r); err != nil {
+				t.Fatal(err)
+			}
+			if tag, _, err := readFrame(r); err != nil || tag != frameResponse {
+				t.Fatalf("response: tag %#x, %v", tag, err)
+			}
+			// Then the junk, and a request behind it that must never be
+			// answered.
+			if _, err := raw.Write(append(append([]byte(nil), tc.junk...), finishFrame(rb, frameRequest)...)); err != nil {
+				t.Fatal(err)
+			}
+			if got := readUntilClosed(t, raw); len(got) != 0 {
+				t.Fatalf("server kept talking after a framing error: %q", got)
+			}
+		})
 	}
 }
 
@@ -346,11 +459,11 @@ func TestServerDropsOversizeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	attack := append([]byte{frameRequest}, wire.AppendUvarint(nil, MaxFrame+1)...)
+	attack := wire.AppendUvarint(opened(frameRequest), MaxFrame+1)
 	if _, err := raw.Write(attack); err != nil {
 		t.Fatal(err)
 	}
-	// The server closes our end; drain until EOF (past its preamble).
+	// The server closes our end; drain until EOF (past its magic).
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := io.Copy(io.Discard, raw); err != nil {
 		t.Fatalf("connection not closed cleanly: %v", err)
@@ -363,9 +476,9 @@ func TestServerDropsOversizeFrame(t *testing.T) {
 	}
 }
 
-// TestMixedTrafficOnBinaryConnection: JSON garbage lines interleaved with
-// hand-built binary frames on one raw connection — the server must drop
-// the garbage and answer the frame.
+// TestMixedTrafficOnBinaryConnection: hand-built request and stream-open
+// frames back to back on one raw connection — the server writes its
+// magic first and answers both in frames.
 func TestMixedTrafficOnBinaryConnection(t *testing.T) {
 	s := newServer(t)
 	raw, err := net.Dial("tcp", s.Addr())
@@ -374,40 +487,48 @@ func TestMixedTrafficOnBinaryConnection(t *testing.T) {
 	}
 	defer raw.Close()
 
-	var msg []byte
-	msg = append(msg, preamble[:]...)                  // announce binary
-	msg = append(msg, []byte("this is not json\n")...) // garbage line
-	b := beginFrame(nil)
-	b, err = appendRequest(b, 1, "add", "", nil, []byte(`{"a":4,"b":5}`))
+	b, err := appendRequest(beginFrame(nil), 1, "add", "", json.RawMessage(`{"a":4,"b":5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg = append(msg, finishFrame(b, frameRequest)...)
+	msg := opened(finishFrame(b, frameRequest)...)
+	b, err = appendStreamOpen(beginFrame(nil), 7, "subscribe.nope", "", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg = append(msg, finishFrame(b, frameStreamOpen)...)
 	if _, err := raw.Write(msg); err != nil {
 		t.Fatal(err)
 	}
 
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	r := bufio.NewReader(raw)
-	// First the server preamble, then our binary response.
-	var pre [5]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil || pre != preamble {
-		t.Fatalf("server preamble = %v, %v", pre, err)
+	if err := readMagic(r); err != nil {
+		t.Fatalf("server opening: %v", err)
 	}
-	tag, err := r.ReadByte()
-	if err != nil || tag != frameResponse {
-		t.Fatalf("tag = %#x, %v", tag, err)
-	}
-	var body []byte
-	if err := readFrameBody(r, &body); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := decodeResponse(body)
-	if !ok || res.isErr || res.id != 1 || res.payload.shape != ShapeJSON {
-		t.Fatalf("res = %+v, ok=%v", res, ok)
-	}
-	if got := string(res.payload.data); got != "9" {
-		t.Fatalf("payload = %q", got)
+	// The response and the stream rejection come from separate goroutines,
+	// in either order.
+	seen := map[byte]bool{}
+	for len(seen) < 2 {
+		tag, body, err := readFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[tag] = true
+		switch tag {
+		case frameResponse:
+			res, ok := decodeResponse(*body)
+			if !ok || res.isErr || res.id != 1 || res.payload.shape != ShapeJSON || string(res.payload.data) != "9" {
+				t.Fatalf("res = %+v, ok=%v", res, ok)
+			}
+		case frameStreamClose:
+			cl, ok := decodeStreamClose(*body)
+			if !ok || cl.id != 7 || !cl.isErr || !strings.Contains(string(cl.errMsg), "unknown stream method") {
+				t.Fatalf("close = %+v, ok=%v", cl, ok)
+			}
+		default:
+			t.Fatalf("unexpected frame tag %#x", tag)
+		}
 	}
 }
 
@@ -428,10 +549,6 @@ func TestBinaryAuth(t *testing.T) {
 	if err := c.Call("ping", nil, nil); err == nil || !strings.Contains(err.Error(), "authentication failed") {
 		t.Fatalf("err = %v", err)
 	}
-	waitPeerBinary(t, c) // the rejections below travel as binary frames
-	if err := c.Call("ping", nil, nil); err == nil || !strings.Contains(err.Error(), "authentication failed") {
-		t.Fatalf("binary-framed unauthenticated call: err = %v", err)
-	}
 	c.SetToken("farm-secret")
 	var out string
 	if err := c.Call("ping", nil, &out); err != nil || out != "pong" {
@@ -448,14 +565,9 @@ func TestFinishFrameLengths(t *testing.T) {
 			b = append(b, 0xAB)
 		}
 		frame := finishFrame(b, frameRequest)
-		r := bufio.NewReader(bytes.NewReader(frame))
-		tag, _ := r.ReadByte()
-		if tag != frameRequest {
-			t.Fatalf("n=%d: tag = %#x", n, tag)
-		}
-		var body []byte
-		if err := readFrameBody(r, &body); err != nil || len(body) != n {
-			t.Fatalf("n=%d: body len %d, err %v", n, len(body), err)
+		tag, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+		if err != nil || tag != frameRequest || len(*body) != n {
+			t.Fatalf("n=%d: tag %#x, err %v", n, tag, err)
 		}
 	}
 }

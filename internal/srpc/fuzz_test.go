@@ -3,97 +3,87 @@ package srpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sensorcer/internal/wire"
 )
 
-// fuzzSeedFrames builds representative wire inputs for the seed corpus:
-// valid frames both ways, truncations, hostile length prefixes, and
-// mixed-codec garbage around the preamble byte. The same builders feed
-// f.Add so the checked-in corpus under testdata/fuzz and the in-code
-// seeds stay consistent.
+// opened returns what a peer writes on connect: the magic, then rest.
+func opened(rest ...byte) []byte { return append(magic[:len(magic):len(magic)], rest...) }
+
+// fuzzSeedFrames builds representative connection openings for the seed
+// corpus: the magic followed by valid frames both ways, truncations,
+// hostile length prefixes, and bad magics. The same builders feed f.Add
+// so the checked-in corpus under testdata/fuzz and the in-code seeds
+// stay consistent.
 func fuzzSeedFrames() [][]byte {
 	var seeds [][]byte
-	// A valid request frame (JSON-fallback payload).
-	b := beginFrame(nil)
-	b, _ = appendRequest(b, 1, "repl.ship.s0", "tok", nil, []byte(`{"n":1}`))
+	// A valid request frame (shape-0 payload).
+	b, _ := appendRequest(beginFrame(nil), 1, "repl.ship.s0", "tok", json.RawMessage(`{"n":1}`))
 	req := append([]byte(nil), finishFrame(b, frameRequest)...)
-	seeds = append(seeds, req)
+	seeds = append(seeds, opened(req...))
 	// A valid success response and a valid error response.
-	b = beginFrame(nil)
-	b, _ = appendResponse(b, 2, "", nil, []byte(`"ok"`))
-	seeds = append(seeds, append([]byte(nil), finishFrame(b, frameResponse)...))
-	b = beginFrame(nil)
-	b, _ = appendResponse(b, 3, "boom", nil, nil)
-	seeds = append(seeds, append([]byte(nil), finishFrame(b, frameResponse)...))
+	b, _ = appendResponse(beginFrame(nil), 2, "", "ok")
+	seeds = append(seeds, opened(finishFrame(b, frameResponse)...))
+	b, _ = appendResponse(beginFrame(nil), 3, "boom", nil)
+	seeds = append(seeds, opened(finishFrame(b, frameResponse)...))
 	// Truncations of the valid request at every interesting boundary.
 	for _, n := range []int{1, 2, 3, len(req) / 2, len(req) - 1} {
-		if n < len(req) {
-			seeds = append(seeds, append([]byte(nil), req[:n]...))
-		}
+		seeds = append(seeds, opened(req[:n]...))
 	}
 	// Hostile length prefixes: over MaxFrame, and huge-but-legal with no body.
-	seeds = append(seeds, append([]byte{frameRequest}, wire.AppendUvarint(nil, MaxFrame+1)...))
-	seeds = append(seeds, append([]byte{frameResponse}, wire.AppendUvarint(nil, MaxFrame-1)...))
+	seeds = append(seeds, wire.AppendUvarint(opened(frameRequest), MaxFrame+1))
+	seeds = append(seeds, wire.AppendUvarint(opened(frameResponse), MaxFrame-1))
 	// Overlong uvarint length encoding.
-	seeds = append(seeds, append([]byte{frameRequest}, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}...))
-	// Mixed-codec garbage on the preamble byte: the preamble itself, a
-	// corrupted preamble, and a preamble followed by a frame.
-	seeds = append(seeds, append([]byte(nil), preamble[:]...))
-	seeds = append(seeds, []byte{preambleByte, 'x', 'b', '1', '\n'})
-	seeds = append(seeds, append(append([]byte(nil), preamble[:]...), req...))
-	// Plain JSON line and binary junk.
+	seeds = append(seeds, opened(frameRequest, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02))
+	// Bad magics: none beyond the opening itself, a corrupted one ahead of
+	// a valid frame, a truncated one, and a legacy JSON line.
+	seeds = append(seeds, opened())
+	seeds = append(seeds, append([]byte{0xBF, 'x', 'b', '1', '\n'}, req...))
+	seeds = append(seeds, opened()[:3])
 	seeds = append(seeds, []byte(`{"id":1,"method":"add","params":{}}`+"\n"))
-	seeds = append(seeds, []byte{0xB1, 0xB2, 0xBF, 0x00, 0xFF})
+	// An unknown tag mid-connection: the magic again, after a valid frame.
+	seeds = append(seeds, append(opened(req...), magic[:]...))
 	return seeds
 }
 
 // FuzzDecodeFrame drives raw bytes through the exact read path a server
-// or client connection runs: peek the first byte, dispatch to binary
-// frame reading + body decoding or to the JSON line reader. Properties:
-// never panic, and never allocate more than the bytes actually received
-// (plus one read chunk) regardless of the claimed frame length.
+// or client connection runs: check the magic once, then readFrame and
+// decode each body until the first error. Properties: never panic, and
+// never hold a buffer larger than the bytes actually received (plus one
+// read chunk) or the largest the pool retains, regardless of the claimed
+// frame length.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range fuzzSeedFrames() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
+		if readMagic(r) != nil {
+			return
+		}
 		var scratch []byte
 		for {
-			first, err := r.Peek(1)
+			tag, buf, err := readFrame(r)
 			if err != nil {
 				return
 			}
-			switch first[0] {
-			case frameRequest, frameResponse:
-				_, _ = r.Discard(1)
-				var body []byte
-				if err := readFrameBody(r, &body); err != nil {
-					if len(body) != 0 {
-						t.Fatalf("failed read left %d bytes in the buffer", len(body))
-					}
-					return
-				}
-				if cap(body) > len(data)+(64<<10) {
-					t.Fatalf("claimed length allocated %d bytes for %d input bytes", cap(body), len(data))
-				}
-				if first[0] == frameRequest {
-					req, sc, ok := decodeRequest(body, scratch)
-					scratch = sc
-					if ok && len(req.method) > len(body)+len(methodPrefixes[len(methodPrefixes)-1])+32 {
-						t.Fatalf("method longer than any encodable name: %d", len(req.method))
-					}
-				} else {
-					_, _ = decodeResponse(body)
-				}
-			default:
-				// JSON path: consume one line like the connection loops do.
-				if _, err := r.ReadBytes('\n'); err != nil {
-					return
-				}
+			body := *buf
+			if cap(body) > len(data)+(64<<10) && cap(body) > maxPooledBuf {
+				t.Fatalf("claimed length allocated %d bytes for %d input bytes", cap(body), len(data))
 			}
+			switch tag {
+			case frameRequest:
+				req, sc, ok := decodeRequest(body, scratch)
+				scratch = sc
+				if ok && len(req.method) > len(body)+len(methodPrefixes[len(methodPrefixes)-1])+32 {
+					t.Fatalf("method longer than any encodable name: %d", len(req.method))
+				}
+			case frameResponse:
+				_, _ = decodeResponse(body)
+			}
+			putBuf(buf)
 		}
 	})
 }

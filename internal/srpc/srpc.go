@@ -1,26 +1,23 @@
 // Package srpc is the small RPC transport sensorcer uses for
-// cross-process deployments (cmd/sensorcerd): length-prefixed binary
-// frames (codec.go) with a newline-delimited JSON fallback, integer
-// correlation ids, concurrent calls multiplexed over one connection.
-// The codec is negotiated per connection — see codec.go for the frame
-// layout and the preamble handshake — so binary endpoints interoperate
-// with JSON-only peers. In-process federations never touch this package —
-// proxies registered in the lookup service are the provider objects
-// themselves — but the remote sensor browser and remote registrars are
-// srpc clients. Java dynamic proxies have no Go equivalent, so remote
-// interfaces get small hand-written stubs on top of Client.Call.
+// cross-process deployments (cmd/sensorcerd): one wire protocol of
+// length-prefixed frames (codec.go) carrying integer-correlated calls
+// and credit-controlled server-push streams (stream.go), all
+// multiplexed over one connection. Each end opens with a fixed 5-byte
+// magic and drops a peer that opens with anything else. In-process
+// federations never touch this package — proxies registered in the
+// lookup service are the provider objects themselves — but the remote
+// sensor browser and remote registrars are srpc clients. Java dynamic
+// proxies have no Go equivalent, so remote interfaces get small
+// hand-written stubs on top of Client.Call.
 package srpc
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sensorcer/internal/clockwork"
@@ -32,34 +29,9 @@ import (
 // waits out its deadline exactly like real message loss).
 const FaultSiteSend = "/send"
 
-// request is one JSON call frame.
-type request struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
-	// Auth carries the shared secret when the server requires one — the
-	// (deliberately simple) stand-in for the Jini security services the
-	// paper inherits (§VIII). Compared in constant time.
-	Auth string `json:"auth,omitempty"`
-}
-
-// response is one JSON reply frame.
-type response struct {
-	ID     uint64          `json:"id"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// Handler serves one method: params arrive as raw JSON, the return value
-// is marshalled as the result. Raw handlers only see the generic codec;
-// binary fast-path params are rejected before they reach one. The raw
-// bytes may alias a pooled frame buffer — valid only for the duration of
-// the call; retain a copy, not the slice.
-type Handler func(params json.RawMessage) (any, error)
-
-// handlerFunc is the internal, codec-agnostic handler shape: the payload
-// carries its shape tag, and its data alias the connection's frame
-// buffer for the duration of the call.
+// handlerFunc is the internal handler shape: the payload carries its
+// shape tag, and its data alias the connection's frame buffer for the
+// duration of the call.
 type handlerFunc func(p binPayload) (any, error)
 
 // Server dispatches srpc requests to registered handlers.
@@ -70,7 +42,6 @@ type Server struct {
 	listener       net.Listener
 	conns          map[net.Conn]bool
 	token          string
-	codec          Codec
 	clock          clockwork.Clock
 	closed         bool
 	wg             sync.WaitGroup
@@ -84,20 +55,13 @@ func (s *Server) SetClock(c clockwork.Clock) {
 	s.mu.Unlock()
 }
 
-// SetToken requires every request to carry the shared secret. Set before
-// Listen. An empty token disables authentication (the default).
+// SetToken requires every request to carry the shared secret — the
+// (deliberately simple) stand-in for the Jini security services the
+// paper inherits (§VIII), compared in constant time. Set before Listen.
+// An empty token disables authentication (the default).
 func (s *Server) SetToken(token string) {
 	s.mu.Lock()
 	s.token = token
-	s.mu.Unlock()
-}
-
-// SetCodec selects the wire codec for subsequently accepted connections
-// (default CodecBinary, which still serves JSON peers). Set before
-// Listen.
-func (s *Server) SetCodec(c Codec) {
-	s.mu.Lock()
-	s.codec = c
 	s.mu.Unlock()
 }
 
@@ -110,44 +74,21 @@ func NewServer() *Server {
 	}
 }
 
-// Handle registers a raw JSON method handler.
-func (s *Server) Handle(method string, h Handler) {
-	s.handle(method, func(p binPayload) (any, error) {
-		if p.shape != ShapeJSON {
-			return nil, fmt.Errorf("srpc: method %s accepts only JSON params (got shape %#x)", method, p.shape)
-		}
-		return h(json.RawMessage(p.data))
-	})
-}
-
-func (s *Server) handle(method string, h handlerFunc) {
-	s.mu.Lock()
-	s.handlers[method] = h
-	s.mu.Unlock()
-}
-
-// HandleFunc registers a typed handler: JSON params unmarshal into P, and
-// binary fast-path payloads decode through P's BinaryUnmarshaler (a
+// HandleFunc registers a typed handler: shape-0 (JSON) params unmarshal
+// into P, and fast-path payloads decode through P's BinaryUnmarshaler (a
 // shape-tagged payload for a P without one is an error back to the
 // caller). Decoded params own their memory — P may be retained freely.
 func HandleFunc[P any](s *Server, method string, fn func(P) (any, error)) {
-	s.handle(method, func(p binPayload) (any, error) {
+	h := func(p binPayload) (any, error) {
 		var v P
-		if p.shape != ShapeJSON {
-			u, ok := any(&v).(BinaryUnmarshaler)
-			if !ok {
-				return nil, fmt.Errorf("srpc: method %s has no binary decoder for payload shape %#x", method, p.shape)
-			}
-			if err := u.UnmarshalSrpc(p.shape, p.data); err != nil {
-				return nil, fmt.Errorf("srpc: bad params for %s: %w", method, err)
-			}
-		} else if len(p.data) > 0 {
-			if err := json.Unmarshal(p.data, &v); err != nil {
-				return nil, fmt.Errorf("srpc: bad params for %s: %w", method, err)
-			}
+		if err := decodePayload(p, &v); err != nil {
+			return nil, fmt.Errorf("srpc: bad params for %s: %w", method, err)
 		}
 		return fn(v)
-	})
+	}
+	s.mu.Lock()
+	s.handlers[method] = h
+	s.mu.Unlock()
 }
 
 // Listen binds addr ("127.0.0.1:0" for an ephemeral port) and serves until
@@ -200,8 +141,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connWriter serializes every reply — JSON or binary — onto one
-// connection. Writers never touch the socket: they append whole frames
+// connWriter serializes every outgoing frame onto one connection. Writers never touch the socket: they append whole frames
 // to a pending buffer under a short lock and nudge the flusher
 // goroutine, which swaps the buffer out and writes it with a single
 // syscall. Under stream fan-out the frames that accumulate while one
@@ -340,14 +280,6 @@ func (cw *connWriter) writeFrameLazy(frame []byte) {
 	}
 }
 
-func (cw *connWriter) writeJSON(resp response) {
-	line, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	cw.writeFrame(append(line, '\n'))
-}
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -357,18 +289,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	s.mu.RLock()
-	codec := s.codec
 	clock := s.clock
 	s.mu.RUnlock()
 	cw := newConnWriter(conn, clock)
 	defer cw.stop()
-	if codec != CodecJSON {
-		// Announce binary capability; a JSON-only client drops this as a
-		// garbage line. Written through the flusher like everything else —
-		// nothing else is queued yet, so it is the first bytes on the wire.
-		cw.writeFrame(preamble[:])
-	}
+	// Written through the flusher like everything else — nothing else is
+	// queued yet, so the magic is the first bytes on the wire.
+	cw.writeFrame(magic[:])
 	reader := bufio.NewReader(conn)
+	if err := readMagic(reader); err != nil {
+		return // not an srpc peer: a legacy JSON line, an HTTP probe, a wrong port
+	}
 	// streams tracks this connection's open server streams; whatever is
 	// still open when the connection drops is torn down so producers
 	// observe Done and release their subscriptions.
@@ -378,84 +309,54 @@ func (s *Server) serveConn(conn net.Conn) {
 	// lookup over it never allocates.
 	var scratch []byte
 	for {
-		first, err := reader.Peek(1)
+		tag, buf, err := readFrame(reader)
 		if err != nil {
-			return
+			return // framing is broken; drop the connection
 		}
-		if isServerFrame(first[0]) && codec != CodecJSON {
-			tag := first[0]
-			_, _ = reader.Discard(1)
-			buf := getBuf()
-			if err := readFrameBody(reader, buf); err != nil {
+		switch tag {
+		case frameRequest:
+			req, sc, ok := decodeRequest(*buf, scratch)
+			scratch = sc
+			if !ok {
 				putBuf(buf)
-				return // framing is broken; drop the connection
+				continue // malformed body inside a well-formed frame; skip it
 			}
-			switch tag {
-			case frameRequest:
-				req, sc, ok := decodeRequest(*buf, scratch)
-				scratch = sc
-				if !ok {
-					putBuf(buf)
-					continue // malformed body; drop the frame like garbage JSON
-				}
-				h, errMsg := s.lookupHandler(req.method, req.auth)
-				// Serve each request on its own goroutine so a slow handler
-				// doesn't head-of-line-block the connection. The goroutine owns
-				// the frame buffer (req.payload aliases it) and returns it to
-				// the pool when the response is on the wire.
-				s.wg.Add(1)
-				go s.serveBinRequest(cw, h, errMsg, req.id, req.payload, buf)
-			case frameStreamOpen:
-				op, sc, ok := decodeStreamOpen(*buf, scratch)
-				scratch = sc
-				if !ok {
-					putBuf(buf)
-					continue
-				}
-				// The handler goroutine owns the frame buffer (the open
-				// payload aliases it).
-				s.serveStreamOpen(cw, streams, op, buf)
-			case frameStreamCredit:
-				if id, n, ok := decodeStreamCredit(*buf); ok {
-					if st := streams.get(id); st != nil {
-						st.grant(n)
-					}
-				}
+			h, errMsg := s.lookupHandler(req.method, req.auth)
+			// Serve each request on its own goroutine so a slow handler
+			// doesn't head-of-line-block the connection. The goroutine owns
+			// the frame buffer (req.payload aliases it) and returns it to
+			// the pool when the response is on the wire.
+			s.wg.Add(1)
+			go s.serveRequest(cw, h, errMsg, req.id, req.payload, buf)
+		case frameStreamOpen:
+			op, sc, ok := decodeStreamOpen(*buf, scratch)
+			scratch = sc
+			if !ok {
 				putBuf(buf)
-			case frameStreamClose:
-				if cl, ok := decodeStreamClose(*buf); ok {
-					if st := streams.remove(cl.id); st != nil {
-						st.closeRemote()
-					}
-				}
-				putBuf(buf)
-			default:
-				putBuf(buf)
+				continue
 			}
-			continue
+			// The handler goroutine owns the frame buffer (the open
+			// payload aliases it).
+			s.serveStreamOpen(cw, streams, op, buf)
+		case frameStreamCredit:
+			if id, n, ok := decodeStreamCredit(*buf); ok {
+				if st := streams.get(id); st != nil {
+					st.grant(n)
+				}
+			}
+			putBuf(buf)
+		case frameStreamClose:
+			if cl, ok := decodeStreamClose(*buf); ok {
+				if st := streams.remove(cl.id); st != nil {
+					st.closeRemote()
+				}
+			}
+			putBuf(buf)
+		default:
+			putBuf(buf)
+			return // a frame kind only servers send; drop the connection
 		}
-		line, err := reader.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			continue // garbage frame (including the peer's preamble); drop
-		}
-		s.wg.Add(1)
-		go func(req request) {
-			defer s.wg.Done()
-			resp := s.dispatch(req)
-			cw.writeJSON(resp)
-		}(req)
 	}
-}
-
-// isServerFrame reports whether tag opens a binary frame kind a server
-// accepts (requests and the client-originated stream kinds).
-func isServerFrame(tag byte) bool {
-	return tag == frameRequest || tag == frameStreamOpen ||
-		tag == frameStreamCredit || tag == frameStreamClose
 }
 
 // authEqual compares a wire auth field against the configured token in
@@ -480,10 +381,9 @@ func (s *Server) lookupHandler(method, auth []byte) (handlerFunc, string) {
 	return h, ""
 }
 
-// serveBinRequest runs one binary-framed request to completion: handler,
-// response encode (fast path or JSON fallback), single write. A response
-// to a binary request is always binary — the peer proved it speaks it.
-func (s *Server) serveBinRequest(cw *connWriter, h handlerFunc, errMsg string, id uint64, p binPayload, buf *[]byte) {
+// serveRequest runs one request to completion: handler, response encode,
+// single write.
+func (s *Server) serveRequest(cw *connWriter, h handlerFunc, errMsg string, id uint64, p binPayload, buf *[]byte) {
 	defer s.wg.Done()
 	var result any
 	if errMsg == "" {
@@ -504,38 +404,14 @@ func (s *Server) serveBinRequest(cw *connWriter, h handlerFunc, errMsg string, i
 	putBuf(out)
 }
 
-// encodeResponseFrame builds a complete binary response frame in buf,
-// returning the (possibly regrown) buffer and the frame window into it.
+// encodeResponseFrame builds a complete response frame in buf, returning
+// the (possibly regrown) buffer and the frame window into it.
 func encodeResponseFrame(buf []byte, id uint64, errMsg string, result any) (full, frame []byte, err error) {
-	b := beginFrame(buf)
-	bm, _ := result.(BinaryMarshaler)
-	var jsonResult []byte
-	if errMsg == "" && bm == nil && result != nil {
-		if jsonResult, err = json.Marshal(result); err != nil {
-			return b, nil, err
-		}
-	}
-	if b, err = appendResponse(b, id, errMsg, bm, jsonResult); err != nil {
+	b, err := appendResponse(beginFrame(buf), id, errMsg, result)
+	if err != nil {
 		return b, nil, err
 	}
 	return b, finishFrame(b, frameResponse), nil
-}
-
-// dispatch serves one JSON request (the reply mirrors the request codec).
-func (s *Server) dispatch(req request) response {
-	h, errMsg := s.lookupHandler([]byte(req.Method), []byte(req.Auth))
-	if errMsg != "" {
-		return response{ID: req.ID, Error: errMsg}
-	}
-	result, err := h(binPayload{shape: ShapeJSON, data: req.Params})
-	if err != nil {
-		return response{ID: req.ID, Error: err.Error()}
-	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return response{ID: req.ID, Error: "srpc: marshalling result: " + err.Error()}
-	}
-	return response{ID: req.ID, Result: raw}
 }
 
 // Close stops accepting and closes every open connection.
@@ -575,14 +451,14 @@ var ErrConnClosed = errors.New("srpc: connection closed by peer")
 // ErrTimeout is wrapped by per-call deadline expiries.
 var ErrTimeout = errors.New("srpc: call timed out")
 
-// callResult is what the read loop (or failAll) delivers to a waiter.
-// Binary results carry the pooled frame buffer their slices alias; the
-// waiter returns it to the pool (an abandoned one is left to the GC).
+// callResult is what the read loop (or failAll) delivers to a waiter: a
+// response plus the pooled frame buffer its slices alias, which the
+// waiter returns to the pool (an abandoned one is left to the GC), or
+// the error that ended the connection.
 type callResult struct {
-	resp   response
-	bin    binResponse
-	binBuf *[]byte
-	err    error
+	resp binResponse
+	buf  *[]byte
+	err  error
 }
 
 // Client is a connection to an srpc server, safe for concurrent calls.
@@ -590,16 +466,6 @@ type Client struct {
 	conn    net.Conn
 	timeout time.Duration
 	clock   clockwork.Clock
-	codec   Codec
-	// peerBinary flips once the peer's preamble arrives; from then on
-	// requests go out as binary frames. Each frame reaches the wire as a
-	// single conn.Write (which net serializes), so no encode mutex is
-	// needed and concurrent callers never interleave frames.
-	peerBinary atomic.Bool
-
-	// binReady closes once the peer's preamble arrives — the gate
-	// OpenStream waits behind, since streams have no JSON fallback.
-	binReady chan struct{}
 
 	mu      sync.Mutex
 	token   string
@@ -610,9 +476,9 @@ type Client struct {
 	streams      map[uint64]*ClientStream
 	nextStreamID uint64
 	closed       bool
-	// lost records that the connection died underneath us (vs an
-	// explicit Close), so later calls fail with ErrConnClosed.
-	lost bool
+	// lost records why the connection died underneath us (nil after an
+	// explicit Close), so later calls fail with ErrConnClosed naming it.
+	lost error
 	done chan struct{}
 	// inj, when set, injects faults at site "<site>/send" before each
 	// request (chaos testing only; nil in production).
@@ -620,15 +486,8 @@ type Client struct {
 	injSite string
 }
 
-// Dial connects to an srpc server with the default binary-negotiating
-// codec. timeout bounds each call (0 = 10s).
+// Dial connects to an srpc server. timeout bounds each call (0 = 10s).
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialCodec(addr, CodecBinary, timeout)
-}
-
-// DialCodec is Dial with an explicit codec — CodecJSON forces the legacy
-// wire protocol for ablation and for probing old peers.
-func DialCodec(addr string, codec Codec, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -637,21 +496,17 @@ func DialCodec(addr string, codec Codec, timeout time.Duration) (*Client, error)
 		return nil, err
 	}
 	c := &Client{
-		conn:     conn,
-		timeout:  timeout,
-		clock:    clockwork.Real(),
-		codec:    codec,
-		pending:  make(map[uint64]chan callResult),
-		binReady: make(chan struct{}),
-		done:     make(chan struct{}),
+		conn:    conn,
+		timeout: timeout,
+		clock:   clockwork.Real(),
+		pending: make(map[uint64]chan callResult),
+		done:    make(chan struct{}),
 	}
-	if codec != CodecJSON {
-		// Announce binary capability; a JSON-only server drops this as a
-		// garbage line.
-		if _, err := conn.Write(preamble[:]); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	// TCP order puts the magic ahead of request #1, so nothing waits for
+	// the server's: calls and streams frame from the first byte.
+	if _, err := conn.Write(magic[:]); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	go c.readLoop()
 	return c, nil
@@ -676,75 +531,55 @@ func (c *Client) SetFaultInjector(inj *faults.Injector, site string) {
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	// Whatever ends the loop — EOF, a peer that is not an srpc server, a
+	// framing error — the connection is of no further use.
+	defer c.conn.Close()
 	reader := bufio.NewReader(c.conn)
+	if err := readMagic(reader); err != nil {
+		c.failAll(err)
+		return
+	}
 	for {
-		first, err := reader.Peek(1)
+		tag, buf, err := readFrame(reader)
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		if isClientFrame(first[0]) && c.codec != CodecJSON {
-			tag := first[0]
-			_, _ = reader.Discard(1)
-			buf := getBuf()
-			if err := readFrameBody(reader, buf); err != nil {
+		switch tag {
+		case frameResponse:
+			resp, ok := decodeResponse(*buf)
+			if !ok {
 				putBuf(buf)
-				c.failAll(err)
-				return
+				continue // malformed body inside a well-formed frame; skip it
 			}
-			switch tag {
-			case frameResponse:
-				resp, ok := decodeResponse(*buf)
-				if !ok {
-					putBuf(buf)
-					continue // malformed body; drop the frame
-				}
-				c.deliver(resp.id, callResult{bin: resp, binBuf: buf})
-			case frameStreamData:
-				d, ok := decodeStreamData(*buf)
-				if !ok {
-					putBuf(buf)
-					continue
-				}
-				// Ownership of buf transfers to the stream's queue.
-				c.deliverData(d, buf)
-			case frameStreamClose:
-				if cl, ok := decodeStreamClose(*buf); ok {
-					var err error
-					if cl.isErr {
-						err = &RemoteError{Message: string(cl.errMsg)}
-					}
-					c.finishStream(cl.id, err)
-				}
+			c.deliver(resp.id, callResult{resp: resp, buf: buf})
+		case frameStreamData:
+			d, ok := decodeStreamData(*buf)
+			if !ok {
 				putBuf(buf)
-			default:
-				putBuf(buf)
+				continue
 			}
-			continue
-		}
-		line, err := reader.ReadBytes('\n')
-		if err != nil {
-			c.failAll(err)
+			// Ownership of buf transfers to the stream's queue.
+			c.deliverData(d, buf)
+		case frameStreamClose:
+			if cl, ok := decodeStreamClose(*buf); ok {
+				var err error
+				if cl.isErr {
+					err = &RemoteError{Message: string(cl.errMsg)}
+				}
+				c.finishStream(cl.id, err)
+			}
+			putBuf(buf)
+		default:
+			putBuf(buf)
+			c.failAll(fmt.Errorf("srpc: frame tag %#x is not one a server sends", tag))
 			return
 		}
-		if line[0] == preambleByte {
-			if c.codec != CodecJSON && bytes.Equal(line, preamble[:]) {
-				if c.peerBinary.CompareAndSwap(false, true) {
-					close(c.binReady)
-				}
-			}
-			continue
-		}
-		var resp response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			continue
-		}
-		c.deliver(resp.ID, callResult{resp: resp})
 	}
 }
 
 // deliver hands a result to the waiter registered for id; an abandoned
-// binary result's frame buffer goes straight back to the pool.
+// result's frame buffer goes straight back to the pool.
 func (c *Client) deliver(id uint64, res callResult) {
 	c.mu.Lock()
 	ch, ok := c.pending[id]
@@ -754,15 +589,9 @@ func (c *Client) deliver(id uint64, res callResult) {
 	c.mu.Unlock()
 	if ok {
 		ch <- res
-	} else if res.binBuf != nil {
-		putBuf(res.binBuf)
+	} else {
+		putBuf(res.buf)
 	}
-}
-
-// isClientFrame reports whether tag opens a binary frame kind a client
-// accepts (responses and the server-originated stream kinds).
-func isClientFrame(tag byte) bool {
-	return tag == frameResponse || tag == frameStreamData || tag == frameStreamClose
 }
 
 // failAll runs when the read loop dies: every pending call and open
@@ -773,7 +602,7 @@ func (c *Client) failAll(err error) {
 	pending := c.pending
 	c.pending = make(map[uint64]chan callResult)
 	if !c.closed {
-		c.lost = true
+		c.lost = err
 	}
 	c.closed = true
 	c.mu.Unlock()
@@ -781,6 +610,15 @@ func (c *Client) failAll(err error) {
 		ch <- callResult{err: fmt.Errorf("%w: %v", ErrConnClosed, err)}
 	}
 	c.failStreams(err)
+}
+
+// closedErr says why a closed client cannot send what: the connection
+// was lost (lost is Client.lost), or the caller closed it.
+func closedErr(lost error, what string) error {
+	if lost != nil {
+		return fmt.Errorf("%w: %s not sent (%v)", ErrConnClosed, what, lost)
+	}
+	return ErrClientClosed
 }
 
 // Call invokes method with params, unmarshalling the result into out
@@ -799,10 +637,7 @@ func (c *Client) CallWithTimeout(method string, params any, out any, timeout tim
 	if c.closed {
 		lost := c.lost
 		c.mu.Unlock()
-		if lost {
-			return fmt.Errorf("%w: %s not sent", ErrConnClosed, method)
-		}
-		return ErrClientClosed
+		return closedErr(lost, method)
 	}
 	c.nextID++
 	id := c.nextID
@@ -813,44 +648,16 @@ func (c *Client) CallWithTimeout(method string, params any, out any, timeout tim
 	// Encode the whole frame before the call is registered: a marshalling
 	// failure must not leave an orphaned pending-map entry behind (the
 	// read loop would never resolve it, and failAll would signal a channel
-	// nobody is listening on). Binary frames carry the id inside the
-	// frame, so the id above is burnt on encode failure — ids only
-	// correlate, a gap is harmless.
-	var frame []byte
-	var fbuf *[]byte
-	if c.codec != CodecJSON && c.peerBinary.Load() {
-		bm, _ := params.(BinaryMarshaler)
-		var jsonParams []byte
-		if bm == nil && params != nil {
-			jp, err := json.Marshal(params)
-			if err != nil {
-				return fmt.Errorf("srpc: marshalling params: %w", err)
-			}
-			jsonParams = jp
-		}
-		fbuf = getBuf()
-		b, err := appendRequest(beginFrame(*fbuf), id, method, token, bm, jsonParams)
-		if err != nil {
-			putBuf(fbuf)
-			return fmt.Errorf("srpc: marshalling params: %w", err)
-		}
-		*fbuf = b
-		frame = finishFrame(b, frameRequest)
-	} else {
-		var raw json.RawMessage
-		if params != nil {
-			b, err := json.Marshal(params)
-			if err != nil {
-				return fmt.Errorf("srpc: marshalling params: %w", err)
-			}
-			raw = b
-		}
-		b, err := json.Marshal(request{ID: id, Method: method, Params: raw, Auth: token})
-		if err != nil {
-			return fmt.Errorf("srpc: marshalling params: %w", err)
-		}
-		frame = append(b, '\n')
+	// nobody is listening on). The id above is burnt on encode failure —
+	// ids only correlate, a gap is harmless.
+	fbuf := getBuf()
+	b, err := appendRequest(beginFrame(*fbuf), id, method, token, params)
+	if err != nil {
+		putBuf(fbuf)
+		return fmt.Errorf("srpc: marshalling params: %w", err)
 	}
+	*fbuf = b
+	frame := finishFrame(b, frameRequest)
 
 	ch := make(chan callResult, 1)
 	c.mu.Lock()
@@ -858,10 +665,7 @@ func (c *Client) CallWithTimeout(method string, params any, out any, timeout tim
 		lost := c.lost
 		c.mu.Unlock()
 		putBuf(fbuf)
-		if lost {
-			return fmt.Errorf("%w: %s not sent", ErrConnClosed, method)
-		}
-		return ErrClientClosed
+		return closedErr(lost, method)
 	}
 	c.pending[id] = ch
 	c.mu.Unlock()
@@ -894,52 +698,28 @@ func (c *Client) CallWithTimeout(method string, params any, out any, timeout tim
 	defer timer.Stop()
 	select {
 	case res := <-ch:
-		return decodeResult(method, res, out)
+		return decodeResult(res, out)
 	case <-timer.C():
 		c.abandon(id)
 		return fmt.Errorf("%w: %s after %v", ErrTimeout, method, timeout)
 	}
 }
 
-// decodeResult materializes one delivered result into out, returning the
-// binary frame buffer (if any) to the pool.
-func decodeResult(method string, res callResult, out any) error {
+// decodeResult materializes one delivered result into out (nil
+// discards), returning the frame buffer to the pool.
+func decodeResult(res callResult, out any) error {
 	if res.err != nil {
 		return res.err
 	}
-	if res.binBuf != nil {
-		defer putBuf(res.binBuf)
-		if res.bin.isErr {
-			return &RemoteError{Message: string(res.bin.errMsg)}
-		}
-		p := res.bin.payload
-		if out == nil {
-			return nil
-		}
-		if p.shape != ShapeJSON {
-			u, ok := out.(BinaryUnmarshaler)
-			if !ok {
-				return fmt.Errorf("srpc: result of %s has payload shape %#x but %T has no binary decoder", method, p.shape, out)
-			}
-			if err := u.UnmarshalSrpc(p.shape, p.data); err != nil {
-				return fmt.Errorf("srpc: unmarshalling result: %w", err)
-			}
-			return nil
-		}
-		if len(p.data) > 0 {
-			if err := json.Unmarshal(p.data, out); err != nil {
-				return fmt.Errorf("srpc: unmarshalling result: %w", err)
-			}
-		}
+	defer putBuf(res.buf)
+	if res.resp.isErr {
+		return &RemoteError{Message: string(res.resp.errMsg)}
+	}
+	if out == nil {
 		return nil
 	}
-	if res.resp.Error != "" {
-		return &RemoteError{Message: res.resp.Error}
-	}
-	if out != nil && len(res.resp.Result) > 0 {
-		if err := json.Unmarshal(res.resp.Result, out); err != nil {
-			return fmt.Errorf("srpc: unmarshalling result: %w", err)
-		}
+	if err := decodePayload(res.resp.payload, out); err != nil {
+		return fmt.Errorf("srpc: unmarshalling result: %w", err)
 	}
 	return nil
 }

@@ -210,10 +210,9 @@ func TestEchoComplexValue(t *testing.T) {
 
 func TestGarbageFrameIgnored(t *testing.T) {
 	s := newServer(t)
-	// Raw connection sending garbage, then a valid request.
 	c := dial(t, s)
-	// The garbage goes through a separate raw connection to the same
-	// server to prove the server survives it.
+	// The garbage goes through a separate connection to the same server
+	// (which drops that connection) to prove the server survives it.
 	raw, err := Dial(s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,7 @@ func TestAddrBeforeListen(t *testing.T) {
 
 func TestHandlerRawJSON(t *testing.T) {
 	s := NewServer()
-	s.Handle("raw", func(params json.RawMessage) (any, error) {
+	HandleFunc(s, "raw", func(params json.RawMessage) (any, error) {
 		return len(params), nil
 	})
 	if err := s.Listen("127.0.0.1:0"); err != nil {

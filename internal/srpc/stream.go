@@ -1,7 +1,7 @@
 // Stream multiplexing (ROADMAP item 2): many server-push streams share
-// one negotiated binary connection, so a subscriber fleet does not pay a
-// TCP connection (or a poll loop) per subscription. Streams ride the
-// same length-prefixed framing as requests/responses, with four new
+// one connection, so a subscriber fleet does not pay a TCP connection
+// (or a poll loop) per subscription. Streams ride the same
+// length-prefixed framing as requests/responses (codec.go), with four
 // frame kinds carrying a per-connection stream ID:
 //
 //	open   (0xB3, client→server): uvarint streamID | 1B method-prefix
@@ -22,14 +22,9 @@
 // connection. Bytes in flight are bounded by the sum of open windows,
 // which keeps a stalled peer's TCP backpressure from wedging the shared
 // connection writer for longer than one window.
-//
-// Streams exist only on binary connections: an endpoint opens a stream
-// only after the peer's preamble proved it speaks the framed protocol,
-// so JSON-only peers never see a stream frame.
 package srpc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,16 +32,6 @@ import (
 	"time"
 
 	"sensorcer/internal/wire"
-)
-
-const (
-	// frameStreamOpen..frameStreamClose tag the stream frame kinds; like
-	// the request/response tags they sit outside the ASCII range JSON
-	// frames start with.
-	frameStreamOpen   byte = 0xB3
-	frameStreamData   byte = 0xB4
-	frameStreamCredit byte = 0xB5
-	frameStreamClose  byte = 0xB6
 )
 
 // ErrNoCredit is returned by ServerStream.TrySend when the subscriber's
@@ -59,10 +44,6 @@ var ErrNoCredit = errors.New("srpc: stream credit exhausted")
 // closed by either end.
 var ErrStreamClosed = errors.New("srpc: stream closed")
 
-// ErrStreamsNeedBinary is returned by OpenStream when the peer never
-// announced binary capability — streams have no JSON fallback.
-var ErrStreamsNeedBinary = errors.New("srpc: streams require a binary-negotiated connection")
-
 // ErrStreamOverrun closes a client stream whose peer sent more data
 // frames than the granted credit allows — a protocol violation.
 var ErrStreamOverrun = errors.New("srpc: peer overran the stream credit window")
@@ -74,9 +55,9 @@ var ErrStreamOverrun = errors.New("srpc: peer overran the stream credit window")
 // with TrySend until either side closes.
 type streamHandlerFunc func(p binPayload, st *ServerStream) error
 
-// HandleStreamFunc registers a typed stream-open handler: JSON params
-// unmarshal into P, binary fast-path payloads decode through P's
-// BinaryUnmarshaler. The handler runs on its own goroutine per open.
+// HandleStreamFunc registers a typed stream-open handler; params decode
+// into P as for HandleFunc. The handler runs on its own goroutine per
+// open.
 func HandleStreamFunc[P any](s *Server, method string, fn func(P, *ServerStream) error) {
 	s.mu.Lock()
 	if s.streamHandlers == nil {
@@ -84,18 +65,8 @@ func HandleStreamFunc[P any](s *Server, method string, fn func(P, *ServerStream)
 	}
 	s.streamHandlers[method] = func(p binPayload, st *ServerStream) error {
 		var v P
-		if p.shape != ShapeJSON {
-			u, ok := any(&v).(BinaryUnmarshaler)
-			if !ok {
-				return fmt.Errorf("srpc: stream method %s has no binary decoder for payload shape %#x", method, p.shape)
-			}
-			if err := u.UnmarshalSrpc(p.shape, p.data); err != nil {
-				return fmt.Errorf("srpc: bad stream params for %s: %w", method, err)
-			}
-		} else if len(p.data) > 0 {
-			if err := json.Unmarshal(p.data, &v); err != nil {
-				return fmt.Errorf("srpc: bad stream params for %s: %w", method, err)
-			}
+		if err := decodePayload(p, &v); err != nil {
+			return fmt.Errorf("srpc: bad stream params for %s: %w", method, err)
 		}
 		return fn(v, st)
 	}
@@ -162,35 +133,15 @@ func (st *ServerStream) TrySend(payload any) error {
 	st.credit--
 	st.mu.Unlock()
 
-	bm, _ := payload.(BinaryMarshaler)
-	var jsonPayload []byte
-	if bm == nil && payload != nil {
-		jp, err := json.Marshal(payload)
-		if err != nil {
-			st.refund()
-			return fmt.Errorf("srpc: marshalling stream payload: %w", err)
-		}
-		jsonPayload = jp
-	}
 	buf := getBuf()
-	b := wire.AppendUvarint(beginFrame(*buf), st.id)
-	var err error
-	if bm != nil {
-		b = append(b, bm.SrpcShape())
-		b, err = bm.AppendSrpc(b)
-	} else {
-		b = append(b, ShapeJSON)
-		b = append(b, jsonPayload...)
-	}
+	defer putBuf(buf)
+	b, err := appendPayload(wire.AppendUvarint(beginFrame(*buf), st.id), payload)
+	*buf = b
 	if err != nil {
-		*buf = b
-		putBuf(buf)
 		st.refund()
 		return fmt.Errorf("srpc: marshalling stream payload: %w", err)
 	}
-	*buf = b
 	st.cw.writeFrameLazy(finishFrame(b, frameStreamData))
-	putBuf(buf)
 	return nil
 }
 
@@ -259,19 +210,14 @@ func (st *ServerStream) closeRemote() { st.finish() }
 // --- stream frame bodies ------------------------------------------------
 
 // appendStreamOpen encodes an open body after beginFrame.
-func appendStreamOpen(buf []byte, id uint64, method, auth string, credit uint64, params BinaryMarshaler, jsonParams []byte) ([]byte, error) {
+func appendStreamOpen(buf []byte, id uint64, method, auth string, credit uint64, params any) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, id)
 	idx, suffix := splitMethod(method)
 	buf = append(buf, idx)
 	buf = wire.AppendString(buf, suffix)
 	buf = wire.AppendString(buf, auth)
 	buf = wire.AppendUvarint(buf, credit)
-	if params != nil {
-		buf = append(buf, params.SrpcShape())
-		return params.AppendSrpc(buf)
-	}
-	buf = append(buf, ShapeJSON)
-	return append(buf, jsonParams...), nil
+	return appendPayload(buf, params)
 }
 
 // binStreamOpen is a decoded open body; method aliases the scratch
@@ -487,26 +433,11 @@ func (c *Client) OpenStream(method string, params any, window uint64) (*ClientSt
 	if window == 0 {
 		window = DefaultStreamWindow
 	}
-	if c.codec == CodecJSON {
-		return nil, ErrStreamsNeedBinary
-	}
-	// Wait for the peer's preamble: nothing framed may be sent at a peer
-	// that has not proved it reads frames.
-	timer := c.clock.NewTimer(c.timeout)
-	select {
-	case <-c.binReady:
-		timer.Stop()
-	case <-c.done:
-		timer.Stop()
-		return nil, ErrConnClosed
-	case <-timer.C():
-		return nil, ErrStreamsNeedBinary
-	}
-
 	c.mu.Lock()
 	if c.closed {
+		lost := c.lost
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return nil, closedErr(lost, "stream open "+method)
 	}
 	c.nextStreamID++
 	st := &ClientStream{
@@ -525,18 +456,8 @@ func (c *Client) OpenStream(method string, params any, window uint64) (*ClientSt
 	c.streams[st.id] = st
 	c.mu.Unlock()
 
-	bm, _ := params.(BinaryMarshaler)
-	var jsonParams []byte
-	if bm == nil && params != nil {
-		jp, err := json.Marshal(params)
-		if err != nil {
-			c.dropStream(st.id)
-			return nil, fmt.Errorf("srpc: marshalling stream params: %w", err)
-		}
-		jsonParams = jp
-	}
 	fbuf := getBuf()
-	b, err := appendStreamOpen(beginFrame(*fbuf), st.id, method, token, window, bm, jsonParams)
+	b, err := appendStreamOpen(beginFrame(*fbuf), st.id, method, token, window, params)
 	if err != nil {
 		putBuf(fbuf)
 		c.dropStream(st.id)
@@ -561,8 +482,8 @@ func (c *Client) dropStream(id uint64) {
 }
 
 // Recv waits for the next data frame and decodes it into out (a
-// BinaryUnmarshaler for fast-path shapes, any JSON target otherwise; nil
-// discards). It returns io.EOF after an orderly server close, a
+// BinaryUnmarshaler for fast-path shapes, any JSON target for shape 0;
+// nil discards). It returns io.EOF after an orderly server close, a
 // RemoteError for a server-reported stream error, and ErrConnClosed when
 // the connection died. timeout 0 means wait indefinitely — streams are
 // long-lived and silence is legal.
@@ -603,24 +524,11 @@ func (st *ClientStream) decodeMsg(msg streamMsg, out any) error {
 		return msg.err
 	}
 	defer putBuf(msg.buf)
-	p := msg.payload
 	if out == nil {
 		return nil
 	}
-	if p.shape != ShapeJSON {
-		u, ok := out.(BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("srpc: stream payload has shape %#x but %T has no binary decoder", p.shape, out)
-		}
-		if err := u.UnmarshalSrpc(p.shape, p.data); err != nil {
-			return fmt.Errorf("srpc: unmarshalling stream payload: %w", err)
-		}
-		return nil
-	}
-	if len(p.data) > 0 {
-		if err := json.Unmarshal(p.data, out); err != nil {
-			return fmt.Errorf("srpc: unmarshalling stream payload: %w", err)
-		}
+	if err := decodePayload(msg.payload, out); err != nil {
+		return fmt.Errorf("srpc: unmarshalling stream payload: %w", err)
 	}
 	return nil
 }

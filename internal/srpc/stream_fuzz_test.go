@@ -3,6 +3,7 @@ package srpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sensorcer/internal/wire"
@@ -20,11 +21,11 @@ func fuzzStreamSeedFrames() [][]byte {
 		return append([]byte(nil), finishFrame(b, kind)...)
 	}
 	// A valid open with a dictionary-prefixed method and JSON params.
-	ob, _ := appendStreamOpen(nil, 1, "subscribe.stream", "tok", 32, nil, []byte(`{"token":"t"}`))
+	ob, _ := appendStreamOpen(nil, 1, "subscribe.stream", "tok", 32, json.RawMessage(`{"token":"t"}`))
 	open := frame(frameStreamOpen, ob)
 	seeds = append(seeds, open)
 	// An open with an undictionaried method and no params.
-	ob2, _ := appendStreamOpen(nil, 7, "custom.feed", "", 4, nil, nil)
+	ob2, _ := appendStreamOpen(nil, 7, "custom.feed", "", 4, nil)
 	seeds = append(seeds, frame(frameStreamOpen, ob2))
 	// Data frames: JSON payload and an opaque binary shape.
 	db := wire.AppendUvarint(nil, 1)
@@ -70,11 +71,11 @@ func fuzzStreamSeedFrames() [][]byte {
 }
 
 // FuzzDecodeStreamFrame drives raw bytes through the stream-frame read
-// path a connection runs: peek the tag, read the length-prefixed body,
-// decode by kind. Properties: never panic, never allocate more than the
-// bytes actually received (plus one read chunk), and every successfully
-// decoded credit frame re-encodes to a frame that decodes to the same
-// values.
+// path a connection runs past its opening: readFrame, then decode by
+// kind until the first error. Properties: never panic, never hold a
+// buffer larger than the bytes actually received (plus one read chunk)
+// or the largest the pool retains, and every successfully decoded credit
+// frame re-encodes to a frame that decodes to the same values.
 func FuzzDecodeStreamFrame(f *testing.F) {
 	for _, s := range fuzzStreamSeedFrames() {
 		f.Add(s)
@@ -83,56 +84,39 @@ func FuzzDecodeStreamFrame(f *testing.F) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		var scratch []byte
 		for {
-			first, err := r.Peek(1)
+			kind, buf, err := readFrame(r)
 			if err != nil {
 				return
 			}
-			switch first[0] {
-			case frameStreamOpen, frameStreamData, frameStreamCredit, frameStreamClose:
-				kind := first[0]
-				_, _ = r.Discard(1)
-				var body []byte
-				if err := readFrameBody(r, &body); err != nil {
-					return
+			body := *buf
+			if cap(body) > len(data)+(64<<10) && cap(body) > maxPooledBuf {
+				t.Fatalf("claimed length allocated %d bytes for %d input bytes", cap(body), len(data))
+			}
+			switch kind {
+			case frameStreamOpen:
+				op, sc, ok := decodeStreamOpen(body, scratch)
+				scratch = sc
+				if ok && len(op.method) > len(body)+len(methodPrefixes[len(methodPrefixes)-1])+32 {
+					t.Fatalf("method longer than any encodable name: %d", len(op.method))
 				}
-				if cap(body) > len(data)+(64<<10) {
-					t.Fatalf("claimed length allocated %d bytes for %d input bytes", cap(body), len(data))
-				}
-				switch kind {
-				case frameStreamOpen:
-					op, sc, ok := decodeStreamOpen(body, scratch)
-					scratch = sc
-					if ok && len(op.method) > len(body)+len(methodPrefixes[len(methodPrefixes)-1])+32 {
-						t.Fatalf("method longer than any encodable name: %d", len(op.method))
-					}
-				case frameStreamData:
-					_, _ = decodeStreamData(body)
-				case frameStreamCredit:
-					id, n, ok := decodeStreamCredit(body)
-					if ok {
-						re := appendStreamCredit(nil, id, n)
-						id2, n2, ok2 := decodeStreamCredit(re)
-						if !ok2 || id2 != id || n2 != n {
-							t.Fatalf("credit (%d,%d) re-decode = (%d,%d,%v)", id, n, id2, n2, ok2)
-						}
-					}
-				case frameStreamClose:
-					cl, ok := decodeStreamClose(body)
-					if ok && len(cl.errMsg) > len(body) {
-						t.Fatalf("close message longer than the body: %d > %d", len(cl.errMsg), len(body))
+			case frameStreamData:
+				_, _ = decodeStreamData(body)
+			case frameStreamCredit:
+				id, n, ok := decodeStreamCredit(body)
+				if ok {
+					re := appendStreamCredit(nil, id, n)
+					id2, n2, ok2 := decodeStreamCredit(re)
+					if !ok2 || id2 != id || n2 != n {
+						t.Fatalf("credit (%d,%d) re-decode = (%d,%d,%v)", id, n, id2, n2, ok2)
 					}
 				}
-			case frameRequest, frameResponse:
-				_, _ = r.Discard(1)
-				var body []byte
-				if err := readFrameBody(r, &body); err != nil {
-					return
-				}
-			default:
-				if _, err := r.ReadBytes('\n'); err != nil {
-					return
+			case frameStreamClose:
+				cl, ok := decodeStreamClose(body)
+				if ok && len(cl.errMsg) > len(body) {
+					t.Fatalf("close message longer than the body: %d > %d", len(cl.errMsg), len(body))
 				}
 			}
+			putBuf(buf)
 		}
 	})
 }

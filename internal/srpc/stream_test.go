@@ -164,15 +164,28 @@ func TestStreamAuth(t *testing.T) {
 	}
 }
 
-func TestStreamNeedsBinary(t *testing.T) {
+// TestStreamOpenRightAfterDial: OpenStream is the first thing a fresh
+// connection sends — no call before it, no wait for the server's magic —
+// and data flows. Many fresh connections, so the open regularly reaches
+// the wire before the server's magic has arrived.
+func TestStreamOpenRightAfterDial(t *testing.T) {
 	s, _ := newStreamServer(t)
-	c, err := DialCodec(s.Addr(), CodecJSON, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.OpenStream("subscribe.ticks", ticksParams{Count: 1}, 4); !errors.Is(err, ErrStreamsNeedBinary) {
-		t.Fatalf("err = %v, want ErrStreamsNeedBinary", err)
+	for i := 0; i < 50; i++ {
+		c, err := Dial(s.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.OpenStream("subscribe.ticks", ticksParams{Count: 3}, 4)
+		if err != nil {
+			t.Fatalf("conn %d: %v", i, err)
+		}
+		for want := 0; want < 3; want++ {
+			var tk tick
+			if err := st.Recv(&tk, 2*time.Second); err != nil || tk.N != want {
+				t.Fatalf("conn %d recv %d: %+v, %v", i, want, tk, err)
+			}
+		}
+		c.Close()
 	}
 }
 
@@ -309,7 +322,7 @@ func TestStreamConnDropFailsClient(t *testing.T) {
 }
 
 // TestStreamManyOverOneConn multiplexes many concurrent streams over a
-// single negotiated connection — the fan-in shape the subscription plane
+// single connection — the fan-in shape the subscription plane
 // relies on.
 func TestStreamManyOverOneConn(t *testing.T) {
 	s, _ := newStreamServer(t)

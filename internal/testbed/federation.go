@@ -147,14 +147,6 @@ type FederationConfig struct {
 	Dir string
 	// Shards names the shard backup replicas to host, one process each.
 	Shards []string
-	// Codec pins every child's srpc wire codec ("binary" or "json";
-	// empty = the sensorcerd default, binary). Per-shard overrides in
-	// ShardCodecs win, so tests can run mixed-codec federations where
-	// some shards negotiate the binary protocol and others stay on the
-	// legacy JSON lines.
-	Codec string
-	// ShardCodecs overrides Codec per shard name.
-	ShardCodecs map[string]string
 	// StartTimeout bounds each child's startup announcement (default 30s).
 	StartTimeout time.Duration
 	// Clock defaults to the real clock (children always run real time;
@@ -202,11 +194,7 @@ func StartFederation(cfg FederationConfig) (*Federation, error) {
 		f.Bin = bin
 	}
 
-	lusArgs := []string{"lus", "-listen", "127.0.0.1:0"}
-	if cfg.Codec != "" {
-		lusArgs = append(lusArgs, "-codec", cfg.Codec)
-	}
-	lus, err := StartProc(cfg.Clock, f.Bin, lusArgs...)
+	lus, err := StartProc(cfg.Clock, f.Bin, "lus", "-listen", "127.0.0.1:0")
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -218,18 +206,10 @@ func StartFederation(cfg FederationConfig) (*Federation, error) {
 	}
 
 	for _, name := range cfg.Shards {
-		shardArgs := []string{"shard",
+		proc, err := StartProc(cfg.Clock, f.Bin, "shard",
 			"-name", name,
 			"-listen", "127.0.0.1:0",
-			"-dir", filepath.Join(f.dir, "shard-"+name)}
-		codec := cfg.Codec
-		if c, ok := cfg.ShardCodecs[name]; ok {
-			codec = c
-		}
-		if codec != "" {
-			shardArgs = append(shardArgs, "-codec", codec)
-		}
-		proc, err := StartProc(cfg.Clock, f.Bin, shardArgs...)
+			"-dir", filepath.Join(f.dir, "shard-"+name))
 		if err != nil {
 			f.Close()
 			return nil, err
