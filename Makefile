@@ -41,18 +41,22 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc fuzz targets over their seed corpora (the checked-in
-# testdata/fuzz files plus the in-code f.Add seeds): the never-panic /
-# bounded-allocation properties of the frame decoder, without paying for
-# open-ended fuzzing. For a real fuzz session:
+# Run the wire/srpc/subscribe fuzz targets over their seed corpora (the
+# checked-in testdata/fuzz files plus the in-code f.Add seeds): the
+# never-panic / bounded-allocation properties of the frame decoder and
+# of the stream-stateful update decoder, without paying for open-ended
+# fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
+#   go test ./internal/subscribe -fuzz FuzzUpdateDecode -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a
-# perf trajectory to compare against.
-BENCH_OUT ?= BENCH_PR9.json
+# perf trajectory to compare against. The default re-records the file
+# bench-compare gates on; a PR that starts a new baseline passes
+# BENCH_OUT=BENCH_PR<n>.json and points BENCH_BASE at it.
+BENCH_OUT ?= BENCH_PR13.json
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
@@ -69,7 +73,7 @@ bench-smoke:
 # order-of-magnitude cliffs, not percent-level drift. For the tight
 # version run `make bench` on both commits and
 # `benchjson -compare -threshold 1.2 old.json new.json`.
-BENCH_BASE ?= BENCH_PR9.json
+BENCH_BASE ?= BENCH_PR13.json
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchtime 100x -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -compare -threshold 10 $(BENCH_BASE) /tmp/bench-head.json

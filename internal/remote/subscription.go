@@ -46,14 +46,28 @@ const DefaultDurableTTL = time.Minute
 
 // streamSink adapts an srpc server stream to the hub's Sink contract,
 // translating credit exhaustion into the hub's blocked sentinel. Each
-// sink owns the stream's stateful update encoder.
+// sink owns the stream's stateful update encoder. The hub admits one
+// deliverer per subscription at a time, so the sink keeps one
+// WireUpdate and hands srpc its pointer instead of boxing a fresh one
+// into the payload interface on every delivery.
 type streamSink struct {
 	st  *srpc.ServerStream
 	enc subscribe.UpdateEncoder
+	w   subscribe.WireUpdate
 }
 
+func newStreamSink(st *srpc.ServerStream) *streamSink {
+	k := &streamSink{st: st}
+	k.w.Enc = &k.enc
+	return k
+}
+
+// TrySend encodes u into the connection's write buffer before it
+// returns, so nothing of u is retained.
 func (k *streamSink) TrySend(u *subscribe.Update) error {
-	err := k.st.TrySend(subscribe.WireUpdate{U: u, Enc: &k.enc})
+	k.w.U = u
+	err := k.st.TrySend(&k.w)
+	k.w.U = nil
 	switch {
 	case err == nil:
 		return nil
@@ -66,6 +80,9 @@ func (k *streamSink) TrySend(u *subscribe.Update) error {
 	}
 }
 
+// Flush ends a publish burst: the frames TrySend queued leave now.
+func (k *streamSink) Flush() { k.st.Flush() }
+
 func (k *streamSink) Ready() <-chan struct{} { return k.st.Ready() }
 func (k *streamSink) Done() <-chan struct{}  { return k.st.Done() }
 func (k *streamSink) Close(err error)        { k.st.Close(err) }
@@ -77,7 +94,7 @@ func (k *streamSink) Close(err error)        { k.st.Close(err) }
 // durable, cancelled otherwise.
 func ServeSubscriptions(server *srpc.Server, hub *subscribe.Hub) {
 	srpc.HandleStreamFunc(server, SubscribeMethod, func(p subscribeParams, st *srpc.ServerStream) error {
-		sink := &streamSink{st: st}
+		sink := newStreamSink(st)
 		if p.Resume {
 			if err := hub.Resume(p.Token, sink); err != nil {
 				return err
@@ -172,4 +189,7 @@ func (sc *SubscriberClient) Recv(timeout time.Duration) (subscribe.Update, error
 // provider-side; others are cancelled.
 func (sc *SubscriberClient) Close() { sc.st.Close() }
 
-var _ subscribe.Sink = (*streamSink)(nil)
+var (
+	_ subscribe.Sink    = (*streamSink)(nil)
+	_ subscribe.Flusher = (*streamSink)(nil)
+)

@@ -141,17 +141,28 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connWriter serializes every outgoing frame onto one connection. Writers never touch the socket: they append whole frames
-// to a pending buffer under a short lock and nudge the flusher
-// goroutine, which swaps the buffer out and writes it with a single
-// syscall. Under stream fan-out the frames that accumulate while one
-// write syscall is in flight all leave in the next one, so thousands
-// of small data frames cost a handful of writes — and a peer whose
-// socket has stalled never blocks a producer. The pending buffer stays
-// bounded without any explicit cap: stream data frames are credit-
-// gated by the peer's open windows and responses are matched to
-// in-flight requests, which is the same bound TCP backpressure
-// enforced when writers flushed inline.
+// connWriter serializes every outgoing frame onto one connection.
+// Writers never touch the socket: they append whole frames to a pending
+// buffer under a short lock and nudge the flusher goroutine, which swaps
+// the buffer out and writes it with a single syscall. Frames that
+// accumulate while one write syscall is in flight all leave in the next
+// one, and a peer whose socket has stalled never blocks a producer.
+//
+// There are two nudges. An eager kick (writeFrame: responses, stream
+// close frames, ServerStream.Flush) writes as soon as the flusher runs.
+// A lazy kick (writeFrameLazy: a stream data frame nobody flushed) lets
+// the flusher linger streamGatherWindow first, so frames from this
+// connection's other streams can join the same write. A fan-out burst
+// does not depend on that timer: the subscription hub appends every
+// frame of one Publish and then calls Flush, so the burst leaves in one
+// write per connection when the Publish ends. Only frames a
+// subscription's pump sends on its own — paced or credit-recovery
+// deliveries, already late by construction — wait out the window.
+//
+// The pending buffer stays bounded without any explicit cap: stream
+// data frames are credit-gated by the peer's open windows and responses
+// are matched to in-flight requests, which is the same bound TCP
+// backpressure enforced when writers flushed inline.
 type connWriter struct {
 	conn  net.Conn
 	clock clockwork.Clock
@@ -185,11 +196,12 @@ func newConnWriter(conn net.Conn, clock clockwork.Clock) *connWriter {
 const maxRetainedWriteBuf = 1 << 20
 
 // streamGatherWindow is how long the flusher lingers after a lazy kick
-// before writing: during a fan-out burst the frames for this
-// connection's other streams land inside the window and leave in the
-// same syscall. It is latency added to a pushed sensor update — three
-// orders of magnitude under any sensor cadence — and never delays a
-// response on a stream-free connection, where only eager kicks occur.
+// before writing, so the frames other pumps queue on this connection
+// meanwhile leave in the same syscall. It is a floor, not the observed
+// wait: an otherwise idle Go runtime fires a 200µs timer after about a
+// millisecond. An eager kick — a response sharing the connection, or
+// the Flush that ends a Publish — cuts the wait short, so only pump
+// deliveries ever pay it.
 const streamGatherWindow = 200 * time.Microsecond
 
 func (cw *connWriter) flusher() {
@@ -199,8 +211,6 @@ func (cw *connWriter) flusher() {
 		select {
 		case <-cw.kick:
 		case <-cw.lazy:
-			// Gather: an eager kick (a response sharing the connection)
-			// cuts the wait short.
 			t := cw.clock.NewTimer(streamGatherWindow)
 			select {
 			case <-cw.kick:
@@ -211,6 +221,13 @@ func (cw *connWriter) flusher() {
 		case <-cw.done:
 			cw.flushOnce(&spare) // final drain before the conn closes
 			return
+		}
+		// This flush takes every frame queued so far, lazy ones included
+		// (a lazy token is sent after its frame is appended), so a token
+		// still waiting would only start a gather timer for nothing.
+		select {
+		case <-cw.lazy:
+		default:
 		}
 		cw.flushOnce(&spare)
 	}
@@ -259,15 +276,22 @@ func (cw *connWriter) writeFrame(frame []byte) {
 		cw.pending = append(cw.pending, frame...)
 	}
 	cw.mu.Unlock()
+	cw.flush()
+}
+
+// flush wakes the flusher now (the eager kick), cutting short a gather
+// window it may be lingering in.
+func (cw *connWriter) flush() {
 	select {
 	case cw.kick <- struct{}{}:
 	default:
 	}
 }
 
-// writeFrameLazy queues a frame that tolerates the gather window —
-// stream data, where per-update latency is measured against sensor
-// cadence, not request round-trips.
+// writeFrameLazy queues a frame that leaves with the next eager kick or
+// after the gather window, whichever comes first — stream data, whose
+// sender either flushes at the end of its burst (ServerStream.Flush) or
+// is a pump delivery that may wait for company.
 func (cw *connWriter) writeFrameLazy(frame []byte) {
 	cw.mu.Lock()
 	if cw.err == nil {

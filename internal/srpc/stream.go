@@ -116,10 +116,11 @@ func (st *ServerStream) Ready() <-chan struct{} { return st.ready }
 // release the stream.
 func (st *ServerStream) Done() <-chan struct{} { return st.done }
 
-// TrySend pushes one data frame if the credit window allows, consuming
+// TrySend queues one data frame if the credit window allows, consuming
 // one credit. It returns ErrNoCredit with the window empty and
 // ErrStreamClosed after either side closed — it never blocks on the
-// subscriber's progress.
+// subscriber's progress. The frame leaves with the connection's next
+// write: at the latest one gather window later, at once after Flush.
 func (st *ServerStream) TrySend(payload any) error {
 	st.mu.Lock()
 	if st.closed {
@@ -144,6 +145,13 @@ func (st *ServerStream) TrySend(payload any) error {
 	st.cw.writeFrameLazy(finishFrame(b, frameStreamData))
 	return nil
 }
+
+// Flush makes the frames TrySend queued on this stream's connection leave
+// now instead of after the gather window. A producer that sends a burst
+// across many streams calls it once per stream after the last TrySend:
+// every frame is already queued by then, so the burst costs one write
+// per connection. It never blocks.
+func (st *ServerStream) Flush() { st.cw.flush() }
 
 // refund returns one consumed credit after a failed encode.
 func (st *ServerStream) refund() {

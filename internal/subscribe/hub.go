@@ -31,8 +31,9 @@ var ErrHubClosed = errors.New("subscribe: hub closed")
 const DefaultParkCapacity = 256
 
 // Hub owns the subscriber registry and the fan-out: Publish offers one
-// reading to every subscription's filter, and each subscription's pump
-// goroutine pushes conflated updates into its sink at the consumer's
+// reading to every subscription's filter and sends it straight into
+// every sink that can take it at once; each subscription's pump
+// goroutine delivers the rest — paced, conflated, at the consumer's
 // pace. Publish never blocks on any subscriber.
 type Hub struct {
 	clock   clockwork.Clock
@@ -47,6 +48,9 @@ type Hub struct {
 
 	wg        sync.WaitGroup
 	published atomic.Uint64
+	// flushBufs recycles the *[]Flusher scratch Publish collects into;
+	// a pool because Publish runs concurrently from several sources.
+	flushBufs sync.Pool
 }
 
 // HubOption configures a Hub.
@@ -78,6 +82,7 @@ func NewHub(opts ...HubOption) *Hub {
 		o(h)
 	}
 	h.mailbox = event.NewMailbox(h.clock, lease.Policy{Max: lease.DefaultMax}, h.parkCap)
+	h.flushBufs.New = func() any { return new([]Flusher) }
 	return h
 }
 
@@ -95,7 +100,10 @@ type subscription struct {
 	mu sync.Mutex
 	// Exactly one of sink (attached) or box (parked durable) is non-nil;
 	// both nil only transiently during resume.
-	sink     Sink
+	sink Sink
+	// flusher is sink's optional Flusher side (nil without one), resolved
+	// once at attach instead of per delivery.
+	flusher  Flusher
 	stop     chan struct{}
 	box      *event.Box
 	boxLease lease.Lease
@@ -118,8 +126,9 @@ type subscription struct {
 	// subscriptions always deliver through the pump.
 	paced bool
 	// delivering serializes delivery: at most one goroutine (the pump or
-	// an inline publisher) drains pending into the sink at a time, so
-	// updates leave in seq order.
+	// an inline publisher) takes updates and sends them into the sink at
+	// a time, so updates leave in seq order and an unsent one can be
+	// requeued as if it had never been taken.
 	delivering bool
 	// notify (capacity 1) wakes the pump when pending gains data.
 	notify chan struct{}
@@ -217,6 +226,7 @@ func (h *Hub) attach(s *subscription, sink Sink) {
 	stop := make(chan struct{})
 	s.mu.Lock()
 	s.sink = sink
+	s.flusher, _ = sink.(Flusher)
 	s.stop = stop
 	s.mu.Unlock()
 	h.wg.Add(1)
@@ -255,7 +265,7 @@ func (h *Hub) park(s *subscription) {
 		return
 	}
 	stop, sink := s.stop, s.sink
-	s.stop, s.sink = nil, nil
+	s.stop, s.sink, s.flusher = nil, nil, nil
 	s.box = box
 	s.boxLease = lse
 	for _, k := range s.order {
@@ -285,7 +295,7 @@ func (h *Hub) remove(token string) {
 	s.gone = true
 	stop, sink := s.stop, s.sink
 	box, lse := s.box, s.boxLease
-	s.stop, s.sink, s.box = nil, nil, nil
+	s.stop, s.sink, s.flusher, s.box = nil, nil, nil, nil
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)
@@ -305,20 +315,37 @@ func (h *Hub) remove(token string) {
 // dead sink — is handed to the subscription's pump, so a stalled or
 // parked subscriber costs the publisher nothing beyond the filter
 // check.
+//
+// The sends only queue (see Flusher), so Publish ends by flushing every
+// sink it delivered to: all of this reading's frames are queued before
+// the first flush, which is what makes the burst one write per
+// connection — by construction, not by a timer.
 func (h *Hub) Publish(r probe.Reading) {
 	// Expire lapsed park leases first, so offers to dead boxes fail and
 	// their subscriptions get reaped below.
 	h.mailbox.Sweep()
 	var expired []string
+	scratch := h.flushBufs.Get().(*[]Flusher)
+	flush := (*scratch)[:0]
 	h.mu.RLock()
 	for token, s := range h.subs {
-		if !s.offer(r) {
+		f, alive := s.offer(r)
+		if !alive {
 			expired = append(expired, token)
+		}
+		if f != nil {
+			flush = append(flush, f)
 		}
 	}
 	h.mu.RUnlock()
-	// Parked subscriptions whose lease lapsed are dropped outside the
-	// registry read lock.
+	// Flushing and reaping both happen outside the registry read lock.
+	for i, f := range flush {
+		f.Flush()
+		flush[i] = nil
+	}
+	*scratch = flush
+	h.flushBufs.Put(scratch)
+	// Parked subscriptions whose lease lapsed are dropped.
 	for _, token := range expired {
 		h.remove(token)
 	}
@@ -354,27 +381,29 @@ func (h *Hub) Close() {
 	h.wg.Wait()
 }
 
-// offer runs the filter chain and routes an accepted reading into the
-// conflation buffer (attached) or the parked box. It reports false when
-// the subscription is dead (parked lease expired) so Publish can reap
-// it.
+// offer runs the filter chain and routes an accepted reading: into the
+// sink, the conflation buffer (attached) or the parked box. alive is
+// false when the subscription is dead (parked lease expired) so Publish
+// can reap it; flush is the sink's Flusher when this offer sent into it.
 //
 // An attached, unpaced subscription whose sink is idle is delivered
 // inline on the publisher's goroutine: TrySend never blocks, so the
 // publisher pays an encode and a buffer append instead of waking the
 // pump — at fan-out scale that removes a goroutine handoff per
-// subscriber per reading. The pump keeps everything the inline path
-// declines: pacing, credit waits, and teardown.
-func (s *subscription) offer(r probe.Reading) bool {
+// subscriber per reading. With nothing pending, which is the steady
+// state, the reading does not visit the conflation buffer at all: the
+// update is built around it right here. The pump keeps everything the
+// inline path declines: pacing, credit waits, and teardown.
+func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	s.mu.Lock()
 	if s.gone {
 		s.mu.Unlock()
-		return false
+		return nil, false
 	}
 	last, have := s.lastVal[r.Sensor]
 	if !matches(s.filter, s.prog, r, last, have) {
 		s.mu.Unlock()
-		return true
+		return nil, true
 	}
 	s.lastVal[r.Sensor] = r.Value
 	if s.box != nil {
@@ -384,60 +413,89 @@ func (s *subscription) offer(r probe.Reading) bool {
 			// The park lease expired underneath us.
 			s.gone = true
 			s.mu.Unlock()
-			return false
+			return nil, false
 		}
 		s.mu.Unlock()
-		return true
+		return nil, true
 	}
-	s.mergeLocked(r)
 	sink := s.sink
 	if s.paced || s.delivering || sink == nil {
 		// Paced, mid-resume, or a deliverer is active — it rechecks
 		// pending before standing down, so the merge is covered.
+		s.mergeLocked(r)
 		if !s.delivering {
-			select {
-			case s.notify <- struct{}{}:
-			default:
-			}
+			s.signal()
 		}
 		s.mu.Unlock()
-		return true
+		return nil, true
 	}
 	s.delivering = true
+	var u *Update
+	if len(s.order) == 0 {
+		su := &singleUpdate{one: [1]probe.Reading{r}}
+		su.Update = s.stampLocked(su.one[:])
+		u = &su.Update
+	} else {
+		// Something is waiting for the pump (a resume backlog, a requeued
+		// snapshot): join it, so order and conflation hold.
+		s.mergeLocked(r)
+		u = s.takeLocked()
+	}
+	flusher := s.flusher
 	s.mu.Unlock()
-	s.deliverInline(sink)
-	return true
+	if !s.deliverInline(sink, u) {
+		return nil, true
+	}
+	return flusher, true
 }
 
-// deliverInline drains pending on the publisher's goroutine while the
-// sends stay trivially cheap. The moment a send cannot complete
-// immediately — no credit, sink closed — it stands down and hands the
-// subscription to the pump, which owns waiting and teardown.
+// singleUpdate is an Update and the one reading it carries, in one
+// allocation.
+type singleUpdate struct {
+	Update
+	one [1]probe.Reading
+}
+
+// deliverInline sends u, then whatever became pending meanwhile, on the
+// publisher's goroutine while the sends stay trivially cheap; it
+// reports whether the sink accepted anything. The moment a send cannot
+// complete immediately — no credit, sink closed — it stands down and
+// hands the subscription to the pump, which owns waiting and teardown.
 //
 //lint:blockok TrySend is contractually non-blocking (a credit check and a buffer append; an exhausted window returns ErrSinkBlocked instead of waiting), so the publisher holding Hub.mu is never coupled to a subscriber's progress
-func (s *subscription) deliverInline(sink Sink) {
+func (s *subscription) deliverInline(sink Sink, u *Update) (sent bool) {
 	for {
-		u, ok := s.take()
-		if !ok {
+		if err := sink.TrySend(u); err != nil {
+			if errors.Is(err, ErrSinkBlocked) {
+				s.requeue(u)
+			}
 			s.release()
-			return
+			s.signal()
+			return sent
 		}
-		err := sink.TrySend(u)
-		if err == nil {
-			continue
+		sent = true
+		if u = s.takeOrRelease(); u == nil {
+			return true
 		}
-		if errors.Is(err, ErrSinkBlocked) {
-			s.requeue(u)
-		}
-		s.release()
-		s.signal()
-		return
 	}
+}
+
+// takeOrRelease takes the next update, or — with nothing pending —
+// clears the delivering flag under the same lock, so no offer can merge
+// between the deliverer's last look and its standing down.
+func (s *subscription) takeOrRelease() *Update {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.order) == 0 {
+		s.delivering = false
+		return nil
+	}
+	return s.takeLocked()
 }
 
 // release clears the delivering flag, re-signalling the pump if an
-// offer merged new pending after the deliverer's last (empty) take —
-// that offer saw the flag and skipped its own wakeup.
+// offer merged new pending after the deliverer's last take — that offer
+// saw the flag and skipped its own wakeup.
 func (s *subscription) release() {
 	s.mu.Lock()
 	s.delivering = false
@@ -511,7 +569,7 @@ func (s *subscription) deliver(sink Sink, stop <-chan struct{}) bool {
 	// Pacing bookkeeping (two clock reads per delivery) is only worth
 	// paying when the filter actually asks for it; the unpaced fan-out
 	// path stays clock-free.
-	paced := s.filter.MinInterval() > 0
+	paced := s.paced
 	for {
 		// Pace before taking, so readings landing inside the min-interval
 		// window conflate instead of queueing.
@@ -565,22 +623,37 @@ func (s *subscription) take() (*Update, bool) {
 	if len(s.order) == 0 {
 		return nil, false
 	}
+	return s.takeLocked(), true
+}
+
+// takeLocked drains a non-empty pending into one Update.
+func (s *subscription) takeLocked() *Update {
 	readings := make([]probe.Reading, 0, len(s.order))
 	for _, k := range s.order {
 		readings = append(readings, s.pending[k])
 		delete(s.pending, k)
 	}
 	s.order = s.order[:0]
-	s.seq++
-	u := &Update{SeqNo: s.seq, Dropped: s.dropped, Readings: readings}
-	s.dropped = 0
-	return u, true
+	u := s.stampLocked(readings)
+	return &u
 }
 
-// requeue returns an undeliverable snapshot to pending. A sensor that
-// gained a newer reading while the snapshot was out keeps the newer one;
-// the snapshot's copy counts as dropped. Only the pump calls this, so
-// unwinding the seq it took is safe.
+// stampLocked makes readings the subscription's next update: the next
+// SeqNo, and the drops accrued since the previous one. requeue is its
+// inverse.
+func (s *subscription) stampLocked(readings []probe.Reading) Update {
+	s.seq++
+	u := Update{SeqNo: s.seq, Dropped: s.dropped, Readings: readings}
+	s.dropped = 0
+	return u
+}
+
+// requeue returns an undeliverable update to pending, as if it had never
+// been taken. A sensor that gained a newer reading while the update was
+// out keeps the newer one; the update's copy counts as dropped. Unwinding
+// seq is safe because the caller — the pump or an inline publisher —
+// holds the delivering flag: no other update was taken, let alone sent,
+// since this one, so u.SeqNo is still the latest.
 func (s *subscription) requeue(u *Update) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

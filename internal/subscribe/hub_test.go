@@ -2,6 +2,7 @@ package subscribe
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,9 +44,12 @@ func (k *testSink) TrySend(u *Update) error {
 		return ErrSinkBlocked
 	}
 	k.credit--
-	k.updates = append(k.updates, u)
+	// Record a copy: the Sink contract lets the hub reuse u and
+	// u.Readings once TrySend returns.
+	c := &Update{SeqNo: u.SeqNo, Dropped: u.Dropped, Readings: append([]probe.Reading(nil), u.Readings...)}
+	k.updates = append(k.updates, c)
 	select {
-	case k.delivered <- u:
+	case k.delivered <- c:
 	default:
 	}
 	return nil
@@ -124,9 +128,9 @@ func TestHubSensorAndExprFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Publish(reading("rtd-2", 99))  // wrong sensor
-	h.Publish(reading("rtd-1", 10))  // fails predicate
-	h.Publish(reading("rtd-1", 25))  // passes
+	h.Publish(reading("rtd-2", 99)) // wrong sensor
+	h.Publish(reading("rtd-1", 10)) // fails predicate
+	h.Publish(reading("rtd-1", 25)) // passes
 	u := sink.recv(t, 2*time.Second)
 	if len(u.Readings) != 1 || u.Readings[0].Value != 25 {
 		t.Fatalf("update = %+v", u)
@@ -465,3 +469,217 @@ func TestSourceSingleEval(t *testing.T) {
 type readerFunc func() (probe.Reading, error)
 
 func (f readerFunc) GetValue() (probe.Reading, error) { return f() }
+
+// flushLog records, across the sinks that share it, the order of TrySend
+// and Flush calls and whether any Flush ran under the hub's registry
+// lock.
+type flushLog struct {
+	hub *Hub
+
+	mu        sync.Mutex
+	events    []string // "send" | "flush"
+	underLock int
+}
+
+func (l *flushLog) add(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+// flushSink is a testSink that also implements Flusher.
+type flushSink struct {
+	*testSink
+	log *flushLog
+}
+
+func (k flushSink) TrySend(u *Update) error {
+	err := k.testSink.TrySend(u)
+	if err == nil {
+		k.log.add("send")
+	}
+	return err
+}
+
+func (k flushSink) Flush() {
+	// Publish holds h.mu for reading while it offers; a writer's TryLock
+	// fails exactly then.
+	if k.log.hub.mu.TryLock() {
+		k.log.hub.mu.Unlock()
+	} else {
+		k.log.mu.Lock()
+		k.log.underLock++
+		k.log.mu.Unlock()
+	}
+	k.log.add("flush")
+}
+
+// TestPublishFlushesAfterLastSend: one Publish sends into every ready
+// sink first and flushes afterwards, outside h.mu, once per sink it
+// delivered to — and not at all for sinks it handed to the pump.
+func TestPublishFlushesAfterLastSend(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	log := &flushLog{hub: h}
+	const n = 16
+	for i := 0; i < n; i++ {
+		if err := h.Subscribe("ready"+string(rune('a'+i)), Filter{}, flushSink{newTestSink(100), log}, false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Neither of these is delivered inline, so neither is flushed; they
+	// log apart from the ready sinks because the pump sends concurrently.
+	pumpLog := &flushLog{hub: h}
+	blocked := flushSink{newTestSink(0), pumpLog}
+	if err := h.Subscribe("blocked", Filter{}, blocked, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	paced := flushSink{newTestSink(100), pumpLog}
+	if err := h.Subscribe("paced", Filter{MinIntervalMS: 1}, paced, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, "send")
+	}
+	for i := 0; i < n; i++ {
+		want = append(want, "flush")
+	}
+	for round := 1; round <= 3; round++ {
+		log.events = log.events[:0] // Publish below is the only writer
+		h.Publish(reading("rtd-1", float64(round)))
+		if !slices.Equal(log.events, want) {
+			t.Fatalf("round %d: events %v, want %d sends then %d flushes", round, log.events, n, n)
+		}
+		paced.recv(t, 2*time.Second)
+	}
+	if log.underLock != 0 {
+		t.Fatalf("%d Flush calls ran while Publish held h.mu", log.underLock)
+	}
+	pumpLog.mu.Lock()
+	defer pumpLog.mu.Unlock()
+	if slices.Contains(pumpLog.events, "flush") {
+		t.Fatalf("Publish flushed a sink it did not deliver to: %v", pumpLog.events)
+	}
+	if got := len(blocked.all()); got != 0 {
+		t.Fatalf("blocked sink received %d updates", got)
+	}
+}
+
+// TestPublishToSinkWithoutFlusher pins the optional half of the
+// contract: a Sink with exactly its four methods (the benchmark's
+// nullSink is one) is delivered to like any other, beside one that
+// flushes.
+func TestPublishToSinkWithoutFlusher(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	plain := newTestSink(100)
+	if _, ok := Sink(plain).(Flusher); ok {
+		t.Fatal("testSink grew a Flush method; this test needs a sink without one")
+	}
+	log := &flushLog{hub: h}
+	flushing := flushSink{newTestSink(100), log}
+	if err := h.Subscribe("plain", Filter{}, plain, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Subscribe("flushing", Filter{}, flushing, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		h.Publish(reading("rtd-1", float64(i)))
+		for _, k := range []*testSink{plain, flushing.testSink} {
+			if u := k.recv(t, 2*time.Second); u.SeqNo != uint64(i) || u.Readings[0].Value != float64(i) {
+				t.Fatalf("publish %d: update = %+v", i, u)
+			}
+		}
+	}
+	if want := []string{"send", "flush", "send", "flush", "send", "flush"}; !slices.Equal(log.events, want) {
+		t.Fatalf("flushing sink saw %v, want %v", log.events, want)
+	}
+}
+
+// TestDirectPathConservesUnderBlocking drives one unpaced subscription
+// through every hand-off the direct single-reading path has — idle →
+// direct send, blocked → requeue → pump, credit back → pump drains →
+// idle again — with four sources publishing at once and credit arriving
+// in dribbles. Whatever the interleaving: SeqNo is contiguous from 1,
+// no sensor's value goes backwards, every sensor converges on its last
+// published value, and delivered + ΣDropped equals what was published.
+func TestDirectPathConservesUnderBlocking(t *testing.T) {
+	const sources, perSource = 4, 2000
+	h := NewHub()
+	defer h.Close()
+	sink := newTestSink(2)
+	if err := h.Subscribe("tok", Filter{}, sink, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	stopGrants := make(chan struct{})
+	var granter sync.WaitGroup
+	granter.Add(1)
+	go func() {
+		defer granter.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stopGrants:
+				return
+			default:
+			}
+			// Mostly starved, sometimes flush with credit, so both the
+			// blocked and the idle state recur.
+			sink.grant(1 + (i%7)*3)
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	var pubs sync.WaitGroup
+	for src := 0; src < sources; src++ {
+		pubs.Add(1)
+		go func(sensor string) {
+			defer pubs.Done()
+			for v := 1; v <= perSource; v++ {
+				h.Publish(reading(sensor, float64(v)))
+			}
+		}("s" + string(rune('0'+src)))
+	}
+	pubs.Wait()
+	close(stopGrants)
+	granter.Wait()
+	sink.grant(1 << 20)
+
+	const published = sources * perSource
+	var updates []*Update
+	var delivered, dropped uint64
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		updates = sink.all()
+		delivered, dropped = 0, 0
+		for _, u := range updates {
+			delivered += uint64(len(u.Readings))
+			dropped += u.Dropped
+		}
+		if delivered+dropped == published {
+			break
+		}
+		if delivered+dropped > published || time.Now().After(deadline) {
+			t.Fatalf("delivered %d + dropped %d = %d, want %d", delivered, dropped, delivered+dropped, published)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	last := map[string]float64{}
+	for i, u := range updates {
+		if u.SeqNo != uint64(i+1) {
+			t.Fatalf("update %d carries SeqNo %d", i, u.SeqNo)
+		}
+		for _, r := range u.Readings {
+			if r.Value < last[r.Sensor] {
+				t.Fatalf("update %d: %s went back from %v to %v", i, r.Sensor, last[r.Sensor], r.Value)
+			}
+			last[r.Sensor] = r.Value
+		}
+	}
+	for src := 0; src < sources; src++ {
+		if got := last["s"+string(rune('0'+src))]; got != perSource {
+			t.Fatalf("s%d converged on %v, want %d", src, got, perSource)
+		}
+	}
+	t.Logf("%d updates, %d readings delivered, %d dropped", len(updates), delivered, dropped)
+}

@@ -59,11 +59,14 @@ type Update struct {
 	Readings []probe.Reading
 }
 
-// Sink is where a subscription's pump pushes updates — in practice an
-// srpc server stream. TrySend must never block: it reports
-// ErrSinkBlocked when the consumer's credit window is empty (the pump
-// conflates and parks on Ready) and ErrSinkClosed once the consumer is
-// gone.
+// Sink is where a subscription pushes updates — in practice an srpc
+// server stream. TrySend must never block: it reports ErrSinkBlocked
+// when the consumer's credit window is empty (the pump conflates and
+// parks on Ready) and ErrSinkClosed once the consumer is gone.
+//
+// TrySend may not retain u or u.Readings after it returns: the hub is
+// free to reuse both for the subscription's next update. A sink that
+// needs the contents later encodes or copies them before returning.
 type Sink interface {
 	TrySend(u *Update) error
 	// Ready is signaled when a blocked sink may accept again.
@@ -72,6 +75,17 @@ type Sink interface {
 	Done() <-chan struct{}
 	// Close ends the sink from the producer side (nil = orderly).
 	Close(err error)
+}
+
+// Flusher is an optional Sink capability: a sink whose TrySend only
+// queues (an srpc stream shares its connection's write buffer with its
+// sibling streams) implements it, and Hub.Publish calls Flush once on
+// every such sink it delivered to, after the last TrySend of that
+// Publish — so a fan-out burst leaves when it ends rather than when a
+// timer fires. Flush must not block. A sink without it delivers on its
+// own schedule.
+type Flusher interface {
+	Flush()
 }
 
 // ErrSinkBlocked is returned by Sink.TrySend when the consumer has no
