@@ -56,7 +56,7 @@ fuzz-seeds:
 # perf trajectory to compare against. The default re-records the file
 # bench-compare gates on; a PR that starts a new baseline passes
 # BENCH_OUT=BENCH_PR<n>.json and points BENCH_BASE at it.
-BENCH_OUT ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR16.json
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
@@ -73,7 +73,7 @@ bench-smoke:
 # order-of-magnitude cliffs, not percent-level drift. For the tight
 # version run `make bench` on both commits and
 # `benchjson -compare -threshold 1.2 old.json new.json`.
-BENCH_BASE ?= BENCH_PR13.json
+BENCH_BASE ?= BENCH_PR16.json
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchtime 100x -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -compare -threshold 10 $(BENCH_BASE) /tmp/bench-head.json

@@ -120,12 +120,9 @@ func main() {
 	fmt.Println()
 }
 
-// dialRegistrar connects to a lookup service, with or without a token.
+// dialRegistrar connects to a lookup service; an empty token means none.
 func dialRegistrar(addr, token string) (*remote.RegistrarClient, error) {
-	if token != "" {
-		return remote.NewRegistrarClientWithToken(addr, token, 5*time.Second)
-	}
-	return remote.NewRegistrarClient(addr, 5*time.Second)
+	return remote.NewRegistrarClientWithToken(addr, token, 5*time.Second)
 }
 
 func fatal(err error) {

@@ -18,10 +18,11 @@ import (
 // the JSON RPC layer is loss-free: string, bool, int64, float64.
 type Value any
 
-// normalize maps convenience numeric kinds onto the canonical ones so that
+// Normalize maps convenience numeric kinds onto the canonical ones so that
 // Entry fields set from untyped constants compare equal after a round trip
-// through JSON (which decodes numbers as float64).
-func normalize(v Value) Value {
+// through JSON (which decodes numbers as float64). Matches compares
+// normalized values; an index over field values must key on them too.
+func Normalize(v Value) Value {
 	switch x := v.(type) {
 	case int:
 		return int64(x)
@@ -62,7 +63,7 @@ func New(entryType string, kv ...any) Entry {
 		if !ok {
 			panic(fmt.Sprintf("attr.New: key %v is not a string", kv[i]))
 		}
-		e.Fields[k] = normalize(kv[i+1])
+		e.Fields[k] = Normalize(kv[i+1])
 	}
 	return e
 }
@@ -79,7 +80,7 @@ func (e Entry) With(field string, v Value) Entry {
 	if c.Fields == nil {
 		c.Fields = make(map[string]Value, 1)
 	}
-	c.Fields[field] = normalize(v)
+	c.Fields[field] = Normalize(v)
 	return c
 }
 
@@ -105,7 +106,7 @@ func (e Entry) Matches(candidate Entry) bool {
 	}
 	for k, want := range e.Fields {
 		got, ok := candidate.Fields[k]
-		if !ok || normalize(got) != normalize(want) {
+		if !ok || Normalize(got) != Normalize(want) {
 			return false
 		}
 	}

@@ -37,10 +37,42 @@ func populateLUS(b *testing.B, n int) *LookupService {
 }
 
 // BenchmarkLookupIndexed measures the indexed lookup paths against a
-// 2048-item registry: name hit and miss (byName index), rare-type hit and
-// absent-type miss (byType index), and an ID-pinned direct hit.
+// 2048-item registry: name hit and miss (field index), rare-type hit and
+// absent-type miss (type index), an ID-pinned direct hit — and the
+// browser's browse-by-location in the federation benchmark's shape: 1024
+// items spread over 128 locations, up to 8 asked for.
 func BenchmarkLookupIndexed(b *testing.B) {
 	const population = 2048
+	b.Run("browse-location", func(b *testing.B) {
+		const items, locations = 1024, 128
+		location := func(loc int) attr.Entry {
+			return attr.Location(fmt.Sprintf("B%d", loc/16), fmt.Sprint(loc/4%4), fmt.Sprint(loc%4))
+		}
+		lus := New("bench:4160", clockwork.NewFake(epoch))
+		b.Cleanup(lus.Close)
+		for i := 0; i < items; i++ {
+			item := ServiceItem{
+				Service: i,
+				Types:   []string{"SensorDataAccessor"},
+				Attributes: attr.Set{
+					attr.Name(fmt.Sprintf("svc-%04d", i)),
+					attr.SensorType("temperature", "celsius"),
+					attr.ServiceType("ELEMENTARY"),
+					location(i % locations),
+				},
+			}
+			if _, err := lus.Register(item, time.Hour); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tmpl := Template{Types: []string{"SensorDataAccessor"}, Attributes: attr.Set{location(i % locations)}}
+			if got := lus.Lookup(tmpl, 8); len(got) != items/locations {
+				b.Fatalf("got %d matches", len(got))
+			}
+		}
+	})
 	b.Run("name-hit", func(b *testing.B) {
 		lus := populateLUS(b, population)
 		tmpl := ByName("bench-sensor-1024", "SensorDataAccessor")

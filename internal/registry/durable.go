@@ -155,9 +155,10 @@ func Recover(name string, clock clockwork.Clock, log *wal.Log, opts ...Option) (
 		}
 		lse := l.itemLeases.Grant(time.Duration(it.LeaseMS) * time.Millisecond)
 		item := ServiceItem{ID: id, Types: it.Types, Attributes: it.Attrs}
-		l.items[id] = &record{item: item, leaseID: lse.ID}
+		rec := &record{item: item, leaseID: lse.ID}
+		l.items[id] = rec
 		l.byLease[lse.ID] = id
-		l.indexAddLocked(item)
+		l.indexAddLocked(rec)
 	}
 	l.journal = log
 	return l, nil

@@ -144,14 +144,15 @@ type LookupService struct {
 	byLease  map[uint64]ids.ServiceID
 	notifs   map[uint64]*notification
 	byNLease map[uint64]uint64
-	// byName indexes registrations by their Name attribute so the
-	// overwhelmingly common find-by-name lookup (every FindAccessor,
-	// every browser read) avoids a full template scan. byType does the
-	// same for interface type names, serving find-by-type templates from
-	// the smallest matching type set.
-	byName map[string]map[ids.ServiceID]bool
-	byType map[string]map[ids.ServiceID]bool
-	closed bool
+	// byType and byField are the lookup indexes: the items implementing
+	// an interface type, and the items carrying an attribute entry whose
+	// field holds a value (see fieldKey). A template is served from the
+	// smallest set its types and pinned fields name — find-by-name (every
+	// FindAccessor, every browser read) and browse-by-location alike —
+	// instead of a scan.
+	byType  map[string]recordSet
+	byField map[fieldKey]recordSet
+	closed  bool
 
 	// coord is the fenced single-holder ledger behind AcquireCoordination
 	// (see coordination.go); created lazily on first use.
@@ -168,6 +169,33 @@ type LookupService struct {
 type record struct {
 	item    ServiceItem
 	leaseID uint64
+}
+
+type recordSet map[*record]struct{}
+
+// fieldKey names one posting set of the attribute index: the items with an
+// entry of type entry whose field holds value, as attr.Normalize yields it.
+type fieldKey struct {
+	entry, field string
+	value        attr.Value
+}
+
+// indexKey builds the key for one field of an attribute entry. Only the
+// canonical scalar kinds are keyed: anything else (and NaN, which equals
+// nothing) is neither indexed nor used to narrow a lookup, so Matches
+// alone decides it.
+func indexKey(entry, field string, v attr.Value) (fieldKey, bool) {
+	v = attr.Normalize(v)
+	switch x := v.(type) {
+	case string, bool, int64:
+	case float64:
+		if x != x {
+			return fieldKey{}, false
+		}
+	default:
+		return fieldKey{}, false
+	}
+	return fieldKey{entry: entry, field: field, value: v}, true
 }
 
 type notification struct {
@@ -226,8 +254,8 @@ func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 		byLease:     make(map[uint64]ids.ServiceID),
 		notifs:      make(map[uint64]*notification),
 		byNLease:    make(map[uint64]uint64),
-		byName:      make(map[string]map[ids.ServiceID]bool),
-		byType:      make(map[string]map[ids.ServiceID]bool),
+		byType:      make(map[string]recordSet),
+		byField:     make(map[fieldKey]recordSet),
 		coordPolicy: cfg.coordPolicy,
 	}
 	l.itemLeases.OnExpire(l.onItemLeaseExpired)
@@ -275,13 +303,14 @@ func (l *LookupService) Register(item ServiceItem, leaseDur time.Duration) (Regi
 		// Replacement: retire the old lease silently.
 		delete(l.byLease, old.leaseID)
 		_ = l.itemLeases.Cancel(old.leaseID)
-		l.indexRemoveLocked(old.item)
+		l.indexRemoveLocked(old)
 		p := old.item
 		prev = &p
 	}
-	l.items[item.ID] = &record{item: item, leaseID: lse.ID}
+	rec := &record{item: item, leaseID: lse.ID}
+	l.items[item.ID] = rec
 	l.byLease[lse.ID] = item.ID
-	l.indexAddLocked(item)
+	l.indexAddLocked(rec)
 	l.notifyLocked(prev, &item)
 	l.mu.Unlock()
 
@@ -303,7 +332,7 @@ func (l *LookupService) Deregister(id ids.ServiceID) error {
 	delete(l.items, id)
 	delete(l.byLease, rec.leaseID)
 	_ = l.itemLeases.Cancel(rec.leaseID)
-	l.indexRemoveLocked(rec.item)
+	l.indexRemoveLocked(rec)
 	l.notifyLocked(&rec.item, nil)
 	l.mu.Unlock()
 
@@ -324,9 +353,9 @@ func (l *LookupService) ModifyAttributes(id ids.ServiceID, attrs attr.Set) error
 		return err
 	}
 	prev := rec.item
-	l.indexRemoveLocked(rec.item)
+	l.indexRemoveLocked(rec)
 	rec.item.Attributes = attr.CloneSet(attrs)
-	l.indexAddLocked(rec.item)
+	l.indexAddLocked(rec)
 	cur := rec.item
 	l.notifyLocked(&prev, &cur)
 	l.mu.Unlock()
@@ -337,9 +366,10 @@ func (l *LookupService) ModifyAttributes(id ids.ServiceID, attrs attr.Set) error
 // Lookup returns up to maxMatches items matching the template (all if
 // maxMatches <= 0), sorted by service name then ID for stable output.
 // Expired registrations are swept first. ID-pinned templates are a direct
-// map hit, name- and type-pinned templates are served from the indexes,
-// and only the first maxMatches survivors are deep-copied — the rest are
-// never cloned.
+// map hit, templates that name a type or pin an attribute field walk the
+// smallest index set among those (Matches verifies the rest), and only
+// the first maxMatches survivors are deep-copied — the rest are never
+// cloned.
 func (l *LookupService) Lookup(tmpl Template, maxMatches int) []ServiceItem {
 	l.SweepNow()
 	l.mu.RLock()
@@ -360,34 +390,16 @@ func (l *LookupService) Lookup(tmpl Template, maxMatches int) []ServiceItem {
 			})
 		}
 	}
-	name, nameOK := templateName(tmpl)
-	switch {
-	case !tmpl.ID.IsZero():
+	if !tmpl.ID.IsZero() {
 		// ID-pinned: at most one item can match.
 		if rec, ok := l.items[tmpl.ID]; ok {
 			consider(rec)
 		}
-	case nameOK:
-		for id := range l.byName[name] {
-			if rec, ok := l.items[id]; ok {
-				consider(rec)
-			}
+	} else if set, indexed := l.candidatesLocked(tmpl); indexed {
+		for rec := range set {
+			consider(rec)
 		}
-	case len(tmpl.Types) > 0:
-		// Walk the smallest indexed type set; Matches still verifies the
-		// remaining types and attributes.
-		set := l.byType[tmpl.Types[0]]
-		for _, typ := range tmpl.Types[1:] {
-			if s := l.byType[typ]; len(s) < len(set) {
-				set = s
-			}
-		}
-		for id := range set {
-			if rec, ok := l.items[id]; ok {
-				consider(rec)
-			}
-		}
-	default:
+	} else {
 		for _, rec := range l.items {
 			consider(rec)
 		}
@@ -525,6 +537,7 @@ func (l *LookupService) Close() {
 	}
 	l.notifs = map[uint64]*notification{}
 	l.items = map[ids.ServiceID]*record{}
+	l.byType, l.byField = nil, nil
 	l.mu.Unlock()
 	for _, n := range notifs {
 		<-n.done
@@ -545,63 +558,81 @@ func (l *LookupService) onItemLeaseExpired(leaseID uint64) {
 	_ = l.journalLocked(regRecord{Op: regOpExpire, ID: id})
 	delete(l.items, id)
 	delete(l.byLease, leaseID)
-	l.indexRemoveLocked(rec.item)
+	l.indexRemoveLocked(rec)
 	l.notifyLocked(&rec.item, nil)
 	l.mu.Unlock()
 }
 
-// indexAddLocked and indexRemoveLocked maintain the by-name and by-type
-// indexes; caller holds l.mu.
-func (l *LookupService) indexAddLocked(item ServiceItem) {
-	if name := attr.NameOf(item.Attributes); name != "" {
-		indexPut(l.byName, name, item.ID)
+// candidatesLocked returns the smallest index set among the template's
+// types and pinned attribute fields — every match is in each of them —
+// or false for a template that names neither. A value nothing is indexed
+// under yields the empty set: nothing can match. Caller holds l.mu.
+func (l *LookupService) candidatesLocked(tmpl Template) (recordSet, bool) {
+	var best recordSet
+	indexed := false
+	narrow := func(set recordSet) {
+		if !indexed || len(set) < len(best) {
+			best, indexed = set, true
+		}
 	}
-	for _, typ := range item.Types {
-		indexPut(l.byType, typ, item.ID)
+	for _, typ := range tmpl.Types {
+		narrow(l.byType[typ])
+	}
+	for _, e := range tmpl.Attributes {
+		for f, v := range e.Fields {
+			if key, ok := indexKey(e.Type, f, v); ok {
+				narrow(l.byField[key])
+			}
+		}
+	}
+	return best, indexed
+}
+
+// indexAddLocked and indexRemoveLocked maintain the type and field
+// indexes; caller holds l.mu. Registration pays one set insert per type
+// and per attribute field.
+func (l *LookupService) indexAddLocked(rec *record) {
+	for _, typ := range rec.item.Types {
+		indexPut(l.byType, typ, rec)
+	}
+	for _, e := range rec.item.Attributes {
+		for f, v := range e.Fields {
+			if key, ok := indexKey(e.Type, f, v); ok {
+				indexPut(l.byField, key, rec)
+			}
+		}
 	}
 }
 
-func (l *LookupService) indexRemoveLocked(item ServiceItem) {
-	if name := attr.NameOf(item.Attributes); name != "" {
-		indexDrop(l.byName, name, item.ID)
+func (l *LookupService) indexRemoveLocked(rec *record) {
+	for _, typ := range rec.item.Types {
+		indexDrop(l.byType, typ, rec)
 	}
-	for _, typ := range item.Types {
-		indexDrop(l.byType, typ, item.ID)
+	for _, e := range rec.item.Attributes {
+		for f, v := range e.Fields {
+			if key, ok := indexKey(e.Type, f, v); ok {
+				indexDrop(l.byField, key, rec)
+			}
+		}
 	}
 }
 
-func indexPut(idx map[string]map[ids.ServiceID]bool, key string, id ids.ServiceID) {
+func indexPut[K comparable](idx map[K]recordSet, key K, rec *record) {
 	set, ok := idx[key]
 	if !ok {
-		set = make(map[ids.ServiceID]bool, 1)
+		set = make(recordSet, 1)
 		idx[key] = set
 	}
-	set[id] = true
+	set[rec] = struct{}{}
 }
 
-func indexDrop(idx map[string]map[ids.ServiceID]bool, key string, id ids.ServiceID) {
+func indexDrop[K comparable](idx map[K]recordSet, key K, rec *record) {
 	if set, ok := idx[key]; ok {
-		delete(set, id)
+		delete(set, rec)
 		if len(set) == 0 {
 			delete(idx, key)
 		}
 	}
-}
-
-// templateName extracts a concrete Name constraint from a template, if the
-// template pins one.
-func templateName(tmpl Template) (string, bool) {
-	for _, e := range tmpl.Attributes {
-		if e.Type != attr.TypeName {
-			continue
-		}
-		if v, ok := e.Get("name"); ok {
-			if s, ok := v.(string); ok && s != "" {
-				return s, true
-			}
-		}
-	}
-	return "", false
 }
 
 func (l *LookupService) onEventLeaseExpired(leaseID uint64) {

@@ -113,40 +113,16 @@ func ServeAccessor(server *srpc.Server, serviceName string, acc sensor.DataAcces
 }
 
 // AccessorClient is a sensor.DataAccessor stub over srpc.
-type AccessorClient struct {
-	desc   ProxyDesc
-	client *srpc.Client
-	// policy governs each remote call (zero = single attempt); see
-	// SetRetryPolicy.
-	policy resilience.Policy
-}
+type AccessorClient struct{ stub }
 
-// SetRetryPolicy runs every stub call under the resilience policy. The
-// Retryable filter defaults to refusing remote execution errors (the
-// provider ran and failed — retrying re-executes) while retrying
-// timeouts and lost connections; Attempt.Timeout bounds each try.
-func (a *AccessorClient) SetRetryPolicy(p resilience.Policy) {
-	a.policy = callPolicy(p)
-}
-
-// call runs one srpc method under the stub's policy.
-func (a *AccessorClient) call(method string, params, out any) error {
-	return a.policy.Run(func(at resilience.Attempt) error {
-		return a.client.CallWithTimeout(method, params, out, at.Timeout)
-	})
-}
-
-// NewAccessorClient materializes a stub from a proxy descriptor, dialing
-// the exporting process.
+// NewAccessorClient materializes a stub from a proxy descriptor. Nothing
+// is dialled until the stub's first call (see endpoint.go); timeout bounds
+// that dial and each call.
 func NewAccessorClient(desc ProxyDesc, timeout time.Duration) (*AccessorClient, error) {
 	if desc.Kind != AccessorKind {
 		return nil, fmt.Errorf("remote: descriptor kind %q is not an accessor", desc.Kind)
 	}
-	client, err := srpc.Dial(desc.Locator, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dialing %s: %w", desc.Locator, err)
-	}
-	return &AccessorClient{desc: desc, client: client}, nil
+	return &AccessorClient{stub{desc: desc, timeout: timeout}}, nil
 }
 
 // SensorName implements sensor.DataAccessor.
@@ -183,9 +159,6 @@ func (a *AccessorClient) Describe() probe.Info {
 	return probe.Info{Name: w.Name, Technology: w.Technology, Kind: w.Kind, Unit: w.Unit}
 }
 
-// Close releases the stub's connection.
-func (a *AccessorClient) Close() { a.client.Close() }
-
 var _ sensor.DataAccessor = (*AccessorClient)(nil)
 
 // AccessorExporter returns a sensor.ProxyExporter backed by the srpc
@@ -207,6 +180,3 @@ type exportedAccessor struct {
 
 // ProxyDesc implements Describer.
 func (e exportedAccessor) ProxyDesc() ProxyDesc { return e.desc }
-
-// SetToken attaches a shared secret to the stub's connection.
-func (a *AccessorClient) SetToken(token string) { a.client.SetToken(token) }

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,55 +20,106 @@ import (
 )
 
 // countingProxy is a transparent TCP forwarder in front of an srpc
-// server: everything either peer writes crosses it, so its counter is
-// the ground-truth bytes-on-wire number the codec benchmarks report —
-// no cooperation from the transport needed.
+// server: everything either peer writes crosses it, so its byte counter
+// is the ground-truth bytes-on-wire number the codec benchmarks report,
+// and its accept and live-connection counters are what the provider's
+// listener sees — no cooperation from the transport needed.
 type countingProxy struct {
-	ln    net.Listener
-	bytes atomic.Int64
+	ln      net.Listener
+	backend string
+	bytes   atomic.Int64
+	accepts atomic.Int64
+	live    atomic.Int64
+
+	mu    sync.Mutex
+	conns map[net.Conn]bool
+	wg    sync.WaitGroup
 }
 
-func startCountingProxy(b *testing.B, backend string) *countingProxy {
-	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+func startCountingProxy(tb testing.TB, backend string) *countingProxy {
+	return startCountingProxyAt(tb, "127.0.0.1:0", backend)
+}
+
+// startCountingProxyAt listens on a given address — a provider coming
+// back where it was.
+func startCountingProxyAt(tb testing.TB, addr, backend string) *countingProxy {
+	tb.Helper()
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	p := &countingProxy{ln: ln}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", backend)
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			pipe := func(dst, src net.Conn) {
-				buf := make([]byte, 32<<10)
-				for {
-					n, err := src.Read(buf)
-					if n > 0 {
-						p.bytes.Add(int64(n))
-						if _, werr := dst.Write(buf[:n]); werr != nil {
-							break
-						}
-					}
-					if err != nil {
-						break
-					}
-				}
-				dst.Close()
-				src.Close()
-			}
-			go pipe(up, conn)
-			go pipe(conn, up)
-		}
-	}()
-	b.Cleanup(func() { ln.Close() })
+	p := &countingProxy{ln: ln, backend: backend, conns: make(map[net.Conn]bool)}
+	p.wg.Add(1)
+	go p.acceptLoop()
+	tb.Cleanup(p.close)
 	return p
+}
+
+func (p *countingProxy) acceptLoop() {
+	defer p.wg.Done()
+	for {
+		conn, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", p.backend)
+		if err != nil {
+			conn.Close()
+			continue
+		}
+		p.mu.Lock()
+		p.conns[conn], p.conns[up] = true, true
+		p.mu.Unlock()
+		p.accepts.Add(1)
+		p.live.Add(1)
+		p.wg.Add(1)
+		go p.relay(conn, up)
+	}
+}
+
+// relay pipes both directions until either ends, which ends the pair.
+func (p *countingProxy) relay(conn, up net.Conn) {
+	defer p.wg.Done()
+	done := make(chan struct{}, 2)
+	pipe := func(dst, src net.Conn) {
+		buf := make([]byte, 32<<10)
+		for {
+			n, err := src.Read(buf)
+			if n > 0 {
+				p.bytes.Add(int64(n))
+				if _, werr := dst.Write(buf[:n]); werr != nil {
+					break
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
+		dst.Close()
+		src.Close()
+		done <- struct{}{}
+	}
+	go pipe(up, conn)
+	go pipe(conn, up)
+	<-done
+	<-done
+	p.mu.Lock()
+	delete(p.conns, conn)
+	delete(p.conns, up)
+	p.mu.Unlock()
+	p.live.Add(-1)
+}
+
+// close kills the proxy as a dying provider process would: listener and
+// every open connection.
+func (p *countingProxy) close() {
+	p.ln.Close()
+	p.mu.Lock()
+	for c := range p.conns {
+		c.Close()
+	}
+	p.mu.Unlock()
+	p.wg.Wait()
 }
 
 func (p *countingProxy) addr() string { return p.ln.Addr().String() }

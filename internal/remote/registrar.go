@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"sensorcer/internal/attr"
@@ -65,42 +64,6 @@ type infoResult struct {
 	Name string        `json:"name"`
 }
 
-// remoteProxyHolder wraps a ProxyDesc registered by a remote provider so
-// that local lookups can also materialize a stub lazily.
-type remoteProxyHolder struct {
-	desc ProxyDesc
-
-	mu     sync.Mutex
-	client *AccessorClient
-}
-
-// Accessor materializes (and caches) a stub for the held descriptor. The
-// dial happens outside h.mu — holding a lock across a TCP connect would
-// stall every concurrent lookup behind one slow peer — so two callers may
-// race; the loser's client is closed and the cached winner returned.
-func (h *remoteProxyHolder) Accessor(timeout time.Duration) (*AccessorClient, error) {
-	h.mu.Lock()
-	cached := h.client
-	h.mu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	c, err := NewAccessorClient(h.desc, timeout)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	if h.client == nil {
-		h.client = c
-	}
-	cached = h.client
-	h.mu.Unlock()
-	if cached != c {
-		c.Close()
-	}
-	return cached, nil
-}
-
 // Describer is implemented by local services that know their own remote
 // proxy descriptor, so they can be served to remote lookups.
 type Describer interface {
@@ -108,8 +71,9 @@ type Describer interface {
 }
 
 // ServeRegistrar exports a lookup service over srpc. Remote registrations
-// carry proxy descriptors; locally registered services are exported to
-// remote lookups only if their proxy implements Describer.
+// carry proxy descriptors, which are what the item holds as its proxy
+// inside the lookup service's own process; locally registered services
+// are exported to remote lookups only if their proxy implements Describer.
 func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 	srpc.HandleFunc(server, "registrar.info", func(struct{}) (any, error) {
 		return infoResult{ID: lus.ID(), Name: lus.Name()}, nil
@@ -122,7 +86,7 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 			ID:         p.Item.ID,
 			Types:      p.Item.Types,
 			Attributes: p.Item.Attributes,
-			Service:    &remoteProxyHolder{desc: *p.Item.Proxy},
+			Service:    *p.Item.Proxy,
 		}
 		reg, err := lus.Register(item, time.Duration(p.LeaseSec*float64(time.Second)))
 		if err != nil {
@@ -163,9 +127,8 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 		for _, item := range items {
 			w := wireItem{ID: item.ID, Types: item.Types, Attributes: item.Attributes}
 			switch svc := item.Service.(type) {
-			case *remoteProxyHolder:
-				d := svc.desc
-				w.Proxy = &d
+			case ProxyDesc:
+				w.Proxy = &svc
 			case Describer:
 				d := svc.ProxyDesc()
 				w.Proxy = &d
@@ -193,27 +156,16 @@ type leaseGrantorSource interface {
 type RegistrarClient struct {
 	client  *srpc.Client
 	timeout time.Duration
-
-	mu    sync.Mutex
+	// token is the deployment's shared secret: sent on this connection
+	// and handed to every stub Lookup materializes.
+	token string
 	id    ids.ServiceID
 	name  string
-	token string
 }
 
 // NewRegistrarClient dials a remote registrar and fetches its identity.
 func NewRegistrarClient(locator string, timeout time.Duration) (*RegistrarClient, error) {
-	c, err := srpc.Dial(locator, timeout)
-	if err != nil {
-		return nil, err
-	}
-	rc := &RegistrarClient{client: c, timeout: timeout}
-	var info infoResult
-	if err := c.Call("registrar.info", nil, &info); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("remote: fetching registrar identity: %w", err)
-	}
-	rc.id, rc.name = info.ID, info.Name
-	return rc, nil
+	return NewRegistrarClientWithToken(locator, "", timeout)
 }
 
 // ID implements registry.Registrar.
@@ -280,34 +232,27 @@ func (r *RegistrarClient) ModifyAttributes(id ids.ServiceID, attrs attr.Set) err
 	return r.client.Call("registrar.modify", modifyParams{ID: id, Attributes: attrs}, nil)
 }
 
-// Lookup implements registry.Registrar, materializing accessor stubs for
-// items that carry proxy descriptors.
+// Lookup implements registry.Registrar. Items that carry an accessor or
+// servicer descriptor come back with a stub stamped with the item's
+// service ID and this registrar's token — data only: one registrar round
+// trip and no provider connection, however many items match. An endpoint
+// that is gone shows when the stub is called, not here (the registration
+// outlives the process, the proxy does not).
 func (r *RegistrarClient) Lookup(tmpl registry.Template, maxMatches int) []registry.ServiceItem {
 	p := lookupParams{ID: tmpl.ID, Types: tmpl.Types, Attributes: tmpl.Attributes, Max: maxMatches}
 	var ws wireItems
 	if err := r.client.Call("registrar.lookup", p, &ws); err != nil {
 		return nil
 	}
-	token := r.currentToken()
 	out := make([]registry.ServiceItem, 0, len(ws))
 	for _, w := range ws {
 		item := registry.ServiceItem{ID: w.ID, Types: w.Types, Attributes: w.Attributes}
 		if w.Proxy != nil {
 			switch w.Proxy.Kind {
 			case AccessorKind:
-				if acc, err := NewAccessorClient(*w.Proxy, r.timeout); err == nil {
-					if token != "" {
-						acc.SetToken(token)
-					}
-					item.Service = acc
-				}
+				item.Service = &AccessorClient{stub{desc: *w.Proxy, id: w.ID, timeout: r.timeout, token: r.token}}
 			case ServicerKind:
-				if svc, err := NewServicerClient(*w.Proxy, r.timeout); err == nil {
-					if token != "" {
-						svc.SetToken(token)
-					}
-					item.Service = svc
-				}
+				item.Service = &ServicerClient{stub{desc: *w.Proxy, id: w.ID, timeout: r.timeout, token: r.token}}
 			}
 		}
 		out = append(out, item)
@@ -337,24 +282,8 @@ func (r *RegistrarClient) Close() { r.client.Close() }
 
 var _ registry.Registrar = (*RegistrarClient)(nil)
 
-// SetToken attaches a shared secret to this registrar connection and to
-// every accessor/servicer stub later materialized by Lookup, for
-// deployments whose srpc servers require authentication.
-func (r *RegistrarClient) SetToken(token string) {
-	r.mu.Lock()
-	r.token = token
-	r.mu.Unlock()
-	r.client.SetToken(token)
-}
-
-func (r *RegistrarClient) currentToken() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.token
-}
-
 // NewRegistrarClientWithToken dials a remote registrar whose server
-// requires the shared secret.
+// requires the shared secret ("" for none) and fetches its identity.
 func NewRegistrarClientWithToken(locator, token string, timeout time.Duration) (*RegistrarClient, error) {
 	c, err := srpc.Dial(locator, timeout)
 	if err != nil {

@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"sensorcer/internal/discovery"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/registry"
+	"sensorcer/internal/resilience"
 	"sensorcer/internal/sensor"
 	"sensorcer/internal/sensor/probe"
 	"sensorcer/internal/sorcer"
@@ -157,14 +159,15 @@ func TestRemoteRegisterLookupRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder, ok := item.Service.(*remoteProxyHolder)
+	held, ok := item.Service.(ProxyDesc)
 	if !ok {
 		t.Fatalf("local proxy = %T", item.Service)
 	}
-	localAcc, err := holder.Accessor(time.Second)
+	localAcc, err := NewAccessorClient(held, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer localAcc.Close()
 	if v, err := localAcc.GetValue(); err != nil || v.Value != 22 {
 		t.Fatalf("holder read = %+v, %v", v, err)
 	}
@@ -529,28 +532,175 @@ func TestDeadProviderEndpointSurfacesCleanly(t *testing.T) {
 	}
 }
 
-func TestLookupSkipsUnresolvableProxies(t *testing.T) {
-	// An item whose export endpoint is already gone at lookup time is
-	// returned without a usable proxy; the facade then reports unknown
-	// service instead of crashing.
-	r := newRemoteRig(t)
+// registerGhost registers an accessor whose export endpoint is gone before
+// any consumer dials, returning the dead locator.
+func registerGhost(t *testing.T, r *remoteRig, name string) string {
+	t.Helper()
 	provServer := srpc.NewServer()
 	provServer.Listen("127.0.0.1:0")
-	esp := newESP("Ghost", 1)
-	defer esp.Close()
-	desc := ServeAccessor(provServer, "Ghost", esp)
-	r.registrar.Register(registry.ServiceItem{
+	esp := newESP(name, 1)
+	t.Cleanup(func() { esp.Close() })
+	desc := ServeAccessor(provServer, name, esp)
+	if _, err := r.registrar.Register(registry.ServiceItem{
 		Service: desc, Types: []string{sensor.AccessorType},
-		Attributes: attr.Set{attr.Name("Ghost")},
-	}, time.Minute)
-	provServer.Close() // endpoint gone before any consumer dials
+		Attributes: attr.Set{attr.Name(name)},
+	}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	provServer.Close()
+	return desc.Locator
+}
+
+func TestLookupSkipsUnresolvableProxies(t *testing.T) {
+	// Lookup skips resolving proxies altogether: an item whose export
+	// endpoint is already gone at lookup time still comes back with its
+	// stub (the registration outlives the process, the proxy does not),
+	// and the stub's first call fails with the dial error naming the
+	// locator.
+	r := newRemoteRig(t)
+	locator := registerGhost(t, r, "Ghost")
 
 	items := r.registrar.Lookup(registry.ByName("Ghost"), 0)
 	if len(items) != 1 {
 		t.Fatalf("lookup = %d", len(items))
 	}
-	if items[0].Service != nil {
-		// Dial failure leaves the proxy unmaterialized.
-		t.Fatalf("proxy = %T, want nil", items[0].Service)
+	acc, ok := items[0].Service.(*AccessorClient)
+	if !ok {
+		t.Fatalf("proxy = %T, want a stub", items[0].Service)
+	}
+	defer acc.Close()
+	if _, err := acc.GetValue(); err == nil || !strings.Contains(err.Error(), "dialing "+locator) {
+		t.Fatalf("first call = %v, want the dial error naming %s", err, locator)
+	}
+	if info := acc.Describe(); info.Name != "Ghost" {
+		t.Fatalf("Describe = %+v", info)
+	}
+
+	// The network manager surfaces the same error: no panic, no nil proxy.
+	bus := discovery.NewBus()
+	defer bus.Announce(r.registrar)()
+	mgr := discovery.NewManager(bus)
+	defer mgr.Terminate()
+	facade := sensor.NewFacade("f", clockwork.Real(), mgr)
+	if _, err := facade.Network().GetValue("Ghost"); err == nil || !strings.Contains(err.Error(), "dialing "+locator) {
+		t.Fatalf("GetValue = %v, want the dial error naming %s", err, locator)
+	}
+}
+
+func TestCompositeDegradesAlikeForChildDeadBeforeOrAfterLookup(t *testing.T) {
+	r := newRemoteRig(t)
+	registerGhost(t, r, "Early") // dead before the lookup
+	lateServer := srpc.NewServer()
+	lateServer.Listen("127.0.0.1:0")
+	lateESP := newESP("Late", 1)
+	defer lateESP.Close()
+	if _, err := r.registrar.Register(registry.ServiceItem{
+		Service: ServeAccessor(lateServer, "Late", lateESP), Types: []string{sensor.AccessorType},
+		Attributes: attr.Set{attr.Name("Late")},
+	}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	child := func(name string) sensor.DataAccessor {
+		item, err := r.registrar.LookupOne(registry.ByName(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := item.Service.(*AccessorClient)
+		t.Cleanup(acc.Close)
+		return acc
+	}
+	early, late := child("Early"), child("Late")
+	if _, err := late.GetValue(); err != nil {
+		t.Fatal(err)
+	}
+	lateServer.Close() // dead after the lookup, and after a good read
+
+	local := newESP("Local", 40)
+	defer local.Close()
+	for _, dead := range []sensor.DataAccessor{early, late} {
+		strict := sensor.NewCSP("strict-" + dead.SensorName())
+		tolerant := sensor.NewCSP("tolerant-"+dead.SensorName(), sensor.WithQuorum(1))
+		for _, csp := range []*sensor.CSP{strict, tolerant} {
+			for _, c := range []sensor.DataAccessor{local, dead} {
+				if _, err := csp.AddChild(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := strict.GetValue(); err == nil || !strings.Contains(err.Error(), `component "`+dead.SensorName()+`"`) {
+			t.Fatalf("%s: strict read = %v, want the failed component named", dead.SensorName(), err)
+		}
+		got, err := tolerant.GetValue()
+		if err != nil || got.Value != 40 {
+			t.Fatalf("%s: degraded read = %+v, %v", dead.SensorName(), got, err)
+		}
+		q, ok := tolerant.ReadQuality()
+		if !ok || !q.Degraded || q.Responded != 1 || len(q.Missing) != 1 || q.Missing[0] != dead.SensorName() {
+			t.Fatalf("%s: quality = %+v", dead.SensorName(), q)
+		}
+	}
+}
+
+func TestRemoteProvidersKeepOneBreakerEach(t *testing.T) {
+	// Every FindAll through a remote registrar mints fresh stubs; their
+	// breaker identity is the registration's service ID, so a provider's
+	// failures add up across exertions instead of starting over with each
+	// new stub.
+	r := newRemoteRig(t)
+	provServer := srpc.NewServer()
+	provServer.Listen("127.0.0.1:0")
+	defer provServer.Close()
+	ghostServer := srpc.NewServer()
+	ghostServer.Listen("127.0.0.1:0")
+
+	var failed atomic.Int64
+	register := func(server *srpc.Server, name string, op func(*sorcer.Context) error) {
+		p := sorcer.NewProvider(name, "Breaky")
+		p.RegisterOp("run", op)
+		if _, err := r.registrar.Register(registry.ServiceItem{
+			Service:    ServeServicer(server, name, p),
+			Types:      []string{"Breaky", sorcer.ServicerType},
+			Attributes: attr.Set{attr.Name(name)},
+		}, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(provServer, "Breaky-ok", func(ctx *sorcer.Context) error { ctx.Put("by", "Breaky-ok"); return nil })
+	register(provServer, "Breaky-failing", func(*sorcer.Context) error { failed.Add(1); return errors.New("op boom") })
+	register(ghostServer, "Breaky-ghost", func(*sorcer.Context) error { return nil })
+	ghostServer.Close() // its endpoint is gone before anyone binds to it
+
+	bus := discovery.NewBus()
+	defer bus.Announce(r.registrar)()
+	mgr := discovery.NewManager(bus)
+	defer mgr.Terminate()
+	ex := sorcer.NewExerter(sorcer.NewAccessor(mgr), sorcer.WithBreakers(
+		resilience.NewBreakerSet(clockwork.Real(), resilience.BreakerConfig{
+			FailureThreshold: 2,
+			Cooldown:         time.Hour, // never half-opens within the test
+		})))
+	for i := 0; i < 200; i++ {
+		res, err := ex.Exert(sorcer.NewTask("run", sorcer.Sig("Breaky", "run"), nil), nil)
+		if err != nil {
+			t.Fatalf("exert %d: %v", i, err)
+		}
+		if by, _ := res.Context().Get("by"); by != "Breaky-ok" {
+			t.Fatalf("exert %d served by %v", i, by)
+		}
+	}
+	// Both bad providers were tried up to the threshold — the bind moved on
+	// to the next candidate each time — and breaker-skipped from then on.
+	if n := failed.Load(); n != 2 {
+		t.Fatalf("failing provider ran %d times, want 2 (threshold)", n)
+	}
+	states := ex.BreakerStates()
+	open := 0
+	for _, st := range states {
+		if st == resilience.Open {
+			open++
+		}
+	}
+	if len(states) != 3 || open != 2 {
+		t.Fatalf("200 exertions left %d breakers, %d open; want 3 and 2: %v", len(states), open, states)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/sorcer"
 	"sensorcer/internal/srpc"
 	"sensorcer/internal/txn"
@@ -66,33 +65,15 @@ func ServeServicer(server *srpc.Server, serviceName string, svc sorcer.Servicer)
 }
 
 // ServicerClient is a sorcer.Servicer stub over srpc.
-type ServicerClient struct {
-	desc   ProxyDesc
-	client *srpc.Client
-	// policy governs each remote exertion call (zero = single attempt).
-	policy resilience.Policy
-}
+type ServicerClient struct{ stub }
 
-// SetRetryPolicy runs every remote exertion under the resilience policy.
-// Remote execution errors are never retried by default — the provider ran
-// the task and failed; re-running would double-execute. Only transport
-// faults (timeouts, lost connections) are retried, and those carry the
-// risk the request was executed but the reply lost: at-most-once becomes
-// at-least-once, which exertion operations must tolerate.
-func (s *ServicerClient) SetRetryPolicy(p resilience.Policy) {
-	s.policy = callPolicy(p)
-}
-
-// NewServicerClient materializes a stub from a servicer proxy descriptor.
+// NewServicerClient materializes a stub from a servicer proxy descriptor;
+// like an AccessorClient it connects on first call.
 func NewServicerClient(desc ProxyDesc, timeout time.Duration) (*ServicerClient, error) {
 	if desc.Kind != ServicerKind {
 		return nil, fmt.Errorf("remote: descriptor kind %q is not a servicer", desc.Kind)
 	}
-	client, err := srpc.Dial(desc.Locator, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dialing %s: %w", desc.Locator, err)
-	}
-	return &ServicerClient{desc: desc, client: client}, nil
+	return &ServicerClient{stub{desc: desc, timeout: timeout}}, nil
 }
 
 // Service implements sorcer.Servicer for elementary exertions. The task's
@@ -117,10 +98,7 @@ func (s *ServicerClient) Service(ex sorcer.Exertion, tx *txn.Transaction) (sorce
 		Context:      contextToWire(task.Context()),
 	}
 	var res wireTaskResult
-	err := s.policy.Run(func(at resilience.Attempt) error {
-		return s.client.CallWithTimeout("servicer.service."+s.desc.Service, req, &res, at.Timeout)
-	})
-	if err != nil {
+	if err := s.call("servicer.service."+s.desc.Service, req, &res); err != nil {
 		sorcer.FinishTask(task, nil, err)
 		return task, err
 	}
@@ -132,10 +110,4 @@ func (s *ServicerClient) Service(ex sorcer.Exertion, tx *txn.Transaction) (sorce
 	return task, nil
 }
 
-// Close releases the stub's connection.
-func (s *ServicerClient) Close() { s.client.Close() }
-
 var _ sorcer.Servicer = (*ServicerClient)(nil)
-
-// SetToken attaches a shared secret to the stub's connection.
-func (s *ServicerClient) SetToken(token string) { s.client.SetToken(token) }

@@ -38,7 +38,7 @@ type Exerter struct {
 	// breakers, when set, tracks a circuit breaker per provider so a
 	// repeatedly failing peer is skipped outright instead of burning a
 	// binding slot on every exertion; see WithBreakers. brCache memoizes
-	// the Servicer→Breaker resolution off the bind hot path.
+	// the provider→Breaker resolution off the bind hot path.
 	breakers *resilience.BreakerSet
 	brCache  sync.Map
 	// rebind, when non-zero, re-runs the whole discover-and-bind cycle
@@ -100,28 +100,39 @@ func (e *Exerter) Exert(ex Exertion, tx *txn.Transaction) (Exertion, error) {
 	}
 }
 
-// providerKey identifies a provider for breaker bookkeeping: its service
-// ID when it has one, its pointer identity otherwise.
-func providerKey(svc Servicer) string {
+// providerID is the service ID a provider reports, zero when it has none.
+func providerID(svc Servicer) ids.ServiceID {
 	if ider, ok := svc.(interface{ ID() ids.ServiceID }); ok {
-		return ider.ID().String()
+		return ider.ID()
 	}
-	return fmt.Sprintf("%p", svc)
+	return ids.ServiceID{}
 }
 
-// breakerFor resolves a candidate's breaker. The result is memoized per
-// Servicer identity so the no-fault bind path skips the key formatting and
-// set lock after the first exertion against a provider; a nil breaker set
-// costs nothing at all.
+// breakerFor resolves a candidate's breaker: keyed by its service ID when
+// it has one — which a remote stub takes from its registration — and by
+// its pointer identity otherwise. The result is memoized under the same
+// identity, so the no-fault bind path skips the key formatting and set
+// lock after the first exertion against a provider, and the stubs a remote
+// lookup mints afresh every time share their provider's one entry instead
+// of each pinning a new one. A nil breaker set costs nothing at all.
 func (e *Exerter) breakerFor(svc Servicer) *resilience.Breaker {
 	if e.breakers == nil {
 		return nil
 	}
-	if br, ok := e.brCache.Load(svc); ok {
+	id := providerID(svc)
+	var memo any = id
+	if id.IsZero() {
+		memo = svc
+	}
+	if br, ok := e.brCache.Load(memo); ok {
 		return br.(*resilience.Breaker)
 	}
-	br := e.breakers.For(providerKey(svc))
-	e.brCache.Store(svc, br)
+	key := id.String()
+	if id.IsZero() {
+		key = fmt.Sprintf("%p", svc)
+	}
+	br := e.breakers.For(key)
+	e.brCache.Store(memo, br)
 	return br
 }
 

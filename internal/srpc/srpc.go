@@ -636,6 +636,15 @@ func (c *Client) failAll(err error) {
 	c.failStreams(err)
 }
 
+// Lost reports whether the connection died underneath the client: every
+// further call fails with ErrConnClosed, and only a fresh Dial reaches
+// the peer again. A client its owner Closed is not lost.
+func (c *Client) Lost() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lost != nil
+}
+
 // closedErr says why a closed client cannot send what: the connection
 // was lost (lost is Client.lost), or the caller closed it.
 func closedErr(lost error, what string) error {
@@ -654,6 +663,15 @@ func (c *Client) Call(method string, params any, out any) error {
 // CallWithTimeout is Call with a per-call deadline override (0 = the
 // client default) — the hook resilience.Policy uses to bound each attempt.
 func (c *Client) CallWithTimeout(method string, params any, out any, timeout time.Duration) error {
+	return c.CallWithToken(method, params, out, timeout, "")
+}
+
+// CallWithToken is CallWithTimeout authenticating this one call with
+// token instead of the connection's SetToken secret ("" = the
+// connection's). The request frame carries its auth per request, so
+// callers with different secrets can share one connection; SetToken stays
+// for connections someone owns outright.
+func (c *Client) CallWithToken(method string, params any, out any, timeout time.Duration, token string) error {
 	if timeout <= 0 {
 		timeout = c.timeout
 	}
@@ -665,7 +683,9 @@ func (c *Client) CallWithTimeout(method string, params any, out any, timeout tim
 	}
 	c.nextID++
 	id := c.nextID
-	token := c.token
+	if token == "" {
+		token = c.token
+	}
 	inj, injSite := c.inj, c.injSite
 	c.mu.Unlock()
 

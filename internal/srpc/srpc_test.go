@@ -287,6 +287,41 @@ func TestAuthTokenRequired(t *testing.T) {
 	}
 }
 
+func TestCallWithTokenAuthenticatesPerCall(t *testing.T) {
+	s := NewServer()
+	s.SetToken("farm-secret")
+	HandleFunc(s, "ping", func(struct{}) (any, error) { return "pong", nil })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Callers with different secrets share the connection: each call is
+	// judged on the token it carries.
+	var out string
+	if err := c.CallWithToken("ping", nil, &out, 0, "farm-secret"); err != nil || out != "pong" {
+		t.Fatalf("call with the secret = %q, %v", out, err)
+	}
+	if err := c.CallWithToken("ping", nil, nil, 0, "wrong"); err == nil || !strings.Contains(err.Error(), "authentication failed") {
+		t.Fatalf("call with a wrong secret = %v", err)
+	}
+	// An empty per-call token falls back to the connection's.
+	if err := c.CallWithToken("ping", nil, nil, 0, ""); err == nil || !strings.Contains(err.Error(), "authentication failed") {
+		t.Fatalf("tokenless call = %v", err)
+	}
+	c.SetToken("farm-secret")
+	if err := c.CallWithToken("ping", nil, nil, 0, ""); err != nil {
+		t.Fatalf("call on the connection's token = %v", err)
+	}
+	if err := c.CallWithToken("ping", nil, nil, 0, "wrong"); err == nil {
+		t.Fatal("a per-call token did not override the connection's")
+	}
+}
+
 func TestNoTokenMeansOpen(t *testing.T) {
 	s := newServer(t)
 	c := dial(t, s)
@@ -340,12 +375,21 @@ func TestConnClosedMidCallFailsFastWithErrConnClosed(t *testing.T) {
 	if err := c.Call("hang", nil, nil); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("post-loss call err = %v, want ErrConnClosed", err)
 	}
+	if !c.Lost() {
+		t.Fatal("Lost() = false after the peer closed the connection")
+	}
 }
 
 func TestExplicitCloseStillReportsClientClosed(t *testing.T) {
 	s := newServer(t)
 	c := dial(t, s)
+	if c.Lost() {
+		t.Fatal("Lost() = true on a live connection")
+	}
 	c.Close()
+	if c.Lost() {
+		t.Fatal("Lost() = true after the owner's Close")
+	}
 	if err := c.Call("add", addParams{}, nil); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("err = %v, want ErrClientClosed", err)
 	}
