@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,17 +118,26 @@ func collectVars(n node, out map[string]bool) {
 	}
 }
 
-// Program is a compiled expression, safe for concurrent evaluation. The
-// parse tree is lowered once (compile.go) into slot-resolved closures;
-// the tree itself is retained for String() and as the differential
-// oracle.
+// Program is a parsed expression, safe for concurrent evaluation: Eval
+// walks the tree, Bind lowers it to the float64 path (numfast.go).
 type Program struct {
 	source string
 	root   node
-	slots  []string       // every distinct identifier, sorted (incl. constants)
-	slotOf map[string]int // identifier -> slot index
-	vars   []string       // slots minus named constants (the public Vars)
-	code   genFn          // compiled root
+	vars   []string // free identifiers minus named constants, sorted
+}
+
+// newProgram wraps a parsed tree, resolving its free variables once.
+func newProgram(source string, root node) *Program {
+	set := map[string]bool{}
+	collectVars(root, set)
+	vars := make([]string, 0, len(set))
+	for name := range set {
+		if _, isConst := constants[name]; !isConst {
+			vars = append(vars, name)
+		}
+	}
+	sort.Strings(vars)
+	return &Program{source: source, root: root, vars: vars}
 }
 
 // Source returns the original expression text.
@@ -147,9 +155,3 @@ func (p *Program) Vars() []string {
 	copy(out, p.vars)
 	return out
 }
-
-// sort and fmt import keepalive for siblings of this file.
-var (
-	_ = fmt.Sprintf
-	_ = sort.Strings
-)

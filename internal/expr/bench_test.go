@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// Acceptance benchmarks for the compilation backend: the compiled
-// closures and the float64 fast path against the tree-walking baseline,
-// on the representative sensor shapes from the paper's §V-B usage.
+// Acceptance benchmarks for the two evaluators: the float64 fast path
+// against the tree walker over a map env, on the representative sensor
+// shapes from the paper's §V-B usage.
 
 var vmShapes = []struct {
 	name  string
@@ -54,26 +54,8 @@ func benchEnv(shape int) Env {
 	return env
 }
 
-// BenchmarkEvalVMTree is the baseline: the original tree-walking
-// evaluator over a map env.
+// BenchmarkEvalVMTree is Program.Eval: the tree walker over a map env.
 func BenchmarkEvalVMTree(b *testing.B) {
-	for si, s := range vmShapes {
-		p := MustCompile(s.src)
-		env := benchEnv(si)
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.evalReference(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEvalVMCompiled is Program.Eval: slot-resolved closures with a
-// pooled machine, still reading a map env once per distinct variable.
-func BenchmarkEvalVMCompiled(b *testing.B) {
 	for si, s := range vmShapes {
 		p := MustCompile(s.src)
 		env := benchEnv(si)

@@ -6,8 +6,6 @@ import (
 )
 
 // builtin is a library function: validated arity, then applied to values.
-// Builtins live in a dense table so compiled programs dispatch by integer
-// index instead of a map lookup per call.
 type builtin struct {
 	name    string
 	minArgs int
@@ -210,8 +208,7 @@ var builtinTable = []builtin{
 	numericFn("f2c", num1Fns["f2c"]),
 }
 
-// builtinIndex maps names to builtinTable slots; compilation resolves a
-// call site to its index once so evaluation never consults the map.
+// builtinIndex maps names to builtinTable slots.
 var builtinIndex = func() map[string]int {
 	m := make(map[string]int, len(builtinTable))
 	for i, b := range builtinTable {
@@ -231,8 +228,8 @@ func Builtins() []string {
 	return out
 }
 
-// checkArity mirrors the eval-time arity validation; compilation performs
-// it once per call site, deferring the identical error to evaluation time.
+// checkArity resolves a call site's builtin and validates its argument
+// count; Bind runs the same check so both paths reject a call alike.
 func checkArity(name string, nargs int) (int, error) {
 	idx, ok := builtinIndex[name]
 	if !ok {

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// This file is the differential harness for the compilation backend: a
-// generator produces random well-formed expressions and environments, and
-// every case must evaluate identically — same value, same error text —
-// through the compiled closures (Program.Eval), the tree walker
-// (evalReference), and, where an expression binds, the float64 fast path
-// (BoundProgram.EvalFloats).
+// This file is the differential harness for the float64 path: a generator
+// produces random well-formed expressions, and every one that binds must
+// evaluate identically — same value, same error text — through
+// BoundProgram.EvalFloats and the tree walker (Program.Eval).
 
 // genIdents is the identifier pool; it deliberately mixes bindable
 // variables, history/values names the CSP uses, named constants, and a
@@ -77,73 +75,6 @@ func genExpr(r *rand.Rand, depth int) string {
 	}
 }
 
-// genEnv binds a random subset of the variable pool to randomly typed
-// values, including the numeric kinds normalizeValue coerces.
-func genEnv(r *rand.Rand) Env {
-	env := Env{}
-	for _, name := range []string{"a", "b", "c", "x"} {
-		switch r.Intn(8) {
-		case 0: // unbound
-		case 1:
-			env[name] = float64(r.Intn(41) - 20)
-		case 2:
-			env[name] = r.NormFloat64() * 10
-		case 3:
-			env[name] = r.Intn(2) == 0
-		case 4:
-			env[name] = []string{"s", "t"}[r.Intn(2)]
-		case 5:
-			env[name] = []Value{float64(r.Intn(5)), float64(r.Intn(5))}
-		case 6:
-			env[name] = int32(r.Intn(100) - 50)
-		default:
-			env[name] = uint16(r.Intn(100))
-		}
-	}
-	if r.Intn(2) == 0 {
-		env["a_hist"] = []float64{1, 2, 3}[:r.Intn(4)]
-	}
-	if r.Intn(2) == 0 {
-		env["values"] = []float64{10, 20, 30}
-	}
-	if r.Intn(8) == 0 {
-		env["pi"] = 3.0 // env may shadow a named constant
-	}
-	return env
-}
-
-// diffOne compares the compiled evaluator against the tree walker for one
-// (source, env) pair; it reports a fatal mismatch through t.
-func diffOne(t *testing.T, src string, env Env) {
-	t.Helper()
-	p, err := Compile(src)
-	if err != nil {
-		t.Fatalf("generated expression failed to parse: %q: %v", src, err)
-	}
-	got, gotErr := p.Eval(env)
-	want, wantErr := p.evalReference(env)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q with env %v:\n compiled: (%v, %v)\n     tree: (%v, %v)", src, env, got, gotErr, want, wantErr)
-	}
-	if gotErr != nil {
-		if gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%q with env %v: error text diverged:\n compiled: %v\n     tree: %v", src, env, gotErr, wantErr)
-		}
-		return
-	}
-	if !valuesEqual(got, want) {
-		t.Fatalf("%q with env %v: compiled %#v, tree %#v", src, env, got, want)
-	}
-}
-
-func TestDifferentialCompiledVsTree(t *testing.T) {
-	r := rand.New(rand.NewSource(20260805))
-	for i := 0; i < 4000; i++ {
-		src := genExpr(r, 1+r.Intn(4))
-		diffOne(t, src, genEnv(r))
-	}
-}
-
 // TestDifferentialBoundVsTree drives the float64 fast path: whenever a
 // generated expression binds against a fixed slot layout, EvalFloats must
 // agree with the tree walker over the equivalent Env.
@@ -164,24 +95,32 @@ func TestDifferentialBoundVsTree(t *testing.T) {
 		bound++
 		slots := []float64{float64(r.Intn(21) - 10), r.NormFloat64() * 5, float64(r.Intn(100))}
 		hist := [][]float64{[]float64{4, 5, 6}[:r.Intn(4)], nil, nil}
-		got, gotErr := bp.EvalFloats(slots, hist)
-		env := Env{
-			"a": slots[0], "b": slots[1], "c": slots[2],
-			"a_hist": hist[0], "values": slots,
-		}
-		if hist[0] == nil {
-			env["a_hist"] = []float64{}
-		}
-		want, wantErr := refNumber(t, p, env)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("%q: fast (%v, %v) vs tree (%v, %v)", src, got, gotErr, want, wantErr)
-		}
-		if gotErr == nil && !valuesEqual(got, want) {
-			t.Fatalf("%q: fast %v, tree %v", src, got, want)
-		}
+		diffBound(t, p, bp, slots, hist)
 	}
 	if bound < 100 {
 		t.Fatalf("only %d/4000 generated expressions took the fast path; generator drifted", bound)
+	}
+}
+
+// diffBound checks that EvalFloats over slots and hist (bound against
+// a, b, c) gives the same value and error text as Eval over the
+// equivalent Env. A nil history window is an empty list to Eval.
+func diffBound(t *testing.T, p *Program, bp *BoundProgram, slots []float64, hist [][]float64) {
+	t.Helper()
+	got, gotErr := bp.EvalFloats(slots, hist)
+	env := Env{"a": slots[0], "b": slots[1], "c": slots[2], "values": slots}
+	for i, name := range []string{"a_hist", "b_hist", "c_hist"} {
+		env[name] = []float64{}
+		if hist[i] != nil {
+			env[name] = hist[i]
+		}
+	}
+	want, wantErr := refNumber(t, p, env)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%q: fast (%v, %v) vs tree (%v, %v)", p.Source(), got, gotErr, want, wantErr)
+	}
+	if gotErr == nil && !valuesEqual(got, want) {
+		t.Fatalf("%q: fast %v, tree %v", p.Source(), got, want)
 	}
 }
 
@@ -210,18 +149,23 @@ var fuzzCorpus = []string{
 	"a == b != c",
 }
 
-// FuzzEvalDifferential fuzzes source text: anything that compiles must
-// evaluate identically through the compiled closures and the tree walker
-// against a fixed mixed-type environment.
+// FuzzEvalDifferential fuzzes source text against the float64 path:
+// anything that compiles and binds against a, b, c must evaluate through
+// EvalFloats exactly as through Eval over the equivalent Env. Everything
+// that compiles must also evaluate against a mixed-type Env without
+// panicking.
 func FuzzEvalDifferential(f *testing.F) {
 	for _, src := range fuzzCorpus {
 		f.Add(src)
 	}
-	env := Env{
+	mixed := Env{
 		"a": 10.0, "b": true, "c": "s", "x": []Value{1.0, 2.0},
 		"a_hist": []float64{1, 2, 3}, "values": []float64{10, 20, 30},
 		"n": int32(7), "u": uint16(9),
 	}
+	names := []string{"a", "b", "c"}
+	slots := []float64{10, -2.5, 0}
+	hist := [][]float64{{1, 2, 3}, {4}, nil}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1024 {
 			return // deep recursion guard; Compile handles depth, keep fuzz fast
@@ -230,19 +174,9 @@ func FuzzEvalDifferential(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, gotErr := p.Eval(env)
-		want, wantErr := p.evalReference(env)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%q: compiled (%v, %v) vs tree (%v, %v)", src, got, gotErr, want, wantErr)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%q: error text diverged: %v vs %v", src, gotErr, wantErr)
-			}
-			return
-		}
-		if !valuesEqual(got, want) {
-			t.Fatalf("%q: compiled %#v, tree %#v", src, got, want)
+		_, _ = p.Eval(mixed)
+		if bp, err := p.Bind(names); err == nil {
+			diffBound(t, p, bp, slots, hist)
 		}
 	})
 }

@@ -28,23 +28,11 @@ func Eval(source string, env Env) (Value, error) {
 	return p.Eval(env)
 }
 
-// Eval evaluates the compiled program against the environment. Programs
-// run as slot-resolved closures: identifiers were resolved to integer
-// slots at compile time, so evaluation performs one env lookup per
-// distinct variable (the prefetch below) instead of one per occurrence.
+// Eval evaluates the program against the environment by walking its
+// parse tree. It is the semantic reference: the float64 path (Bind) must
+// agree with it on value and error text for every expression it binds.
 func (p *Program) Eval(env Env) (Value, error) {
-	m := machinePool.Get().(*machine)
-	m.reset(len(p.slots))
-	for i, name := range p.slots {
-		if v, ok := env[name]; ok {
-			m.slots[i], m.bound[i] = v, true
-		} else if c, ok := constants[name]; ok {
-			m.slots[i], m.bound[i] = c, true
-		}
-	}
-	v, err := p.code(m)
-	m.release()
-	return v, err
+	return eval(p.root, env)
 }
 
 // EvalNumber evaluates and coerces the result to float64, the common case
@@ -59,13 +47,6 @@ func (p *Program) EvalNumber(env Env) (float64, error) {
 		return 0, evalErrf("expression yielded %T, want number", v)
 	}
 	return f, nil
-}
-
-// evalReference runs the original tree-walking evaluator. It is the
-// semantic oracle for the compiled backend: the differential tests assert
-// Eval and evalReference agree on value and error for every input.
-func (p *Program) evalReference(env Env) (Value, error) {
-	return eval(p.root, env)
 }
 
 func eval(n node, env Env) (Value, error) {
@@ -179,8 +160,7 @@ func normalizeValue(v Value) (Value, error) {
 	}
 }
 
-// applyUnary applies a unary operator to an evaluated operand; shared by
-// the tree walker and the compiled backend so error text stays identical.
+// applyUnary applies a unary operator to an evaluated operand.
 func applyUnary(op tokenKind, v Value) (Value, error) {
 	switch op {
 	case tokMinus:
@@ -239,7 +219,7 @@ func evalBinary(t binaryNode, env Env) (Value, error) {
 }
 
 // applyBinary applies a strict (non-short-circuit) binary operator to two
-// evaluated operands; shared by the tree walker and the compiled backend.
+// evaluated operands.
 func applyBinary(op tokenKind, l, r Value) (Value, error) {
 	// String concatenation and comparison.
 	if ls, ok := l.(string); ok {
@@ -316,8 +296,7 @@ func applyBinary(op tokenKind, l, r Value) (Value, error) {
 	return nil, evalErrf("internal: bad binary op")
 }
 
-// applyIndex indexes an evaluated list with an evaluated subscript; shared
-// by the tree walker and the compiled backend.
+// applyIndex indexes an evaluated list with an evaluated subscript.
 func applyIndex(x, idx Value) (Value, error) {
 	i, ok := idx.(float64)
 	if !ok {

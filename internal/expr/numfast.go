@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// This file is the typed fast path of the compilation backend. Bind
-// resolves a numeric-only program against a fixed, ordered variable list
-// (the CSP's child bindings) and lowers it to closures over raw float64
-// slots: no Env map, no interface boxing, no allocation per evaluation.
-// Expressions the fast path cannot express (strings, lists literals,
-// median's sort, mixed-type branches) fail Bind and the caller falls back
-// to the generic Env evaluator, which is the semantic reference.
+// This file is the typed float64 path. Bind resolves a numeric-only
+// program against a fixed, ordered variable list (the CSP's child
+// bindings) and lowers it to closures over raw float64 slots: no Env map,
+// no interface boxing, no allocation per evaluation. Expressions the fast
+// path cannot express (strings, lists literals, median's sort, mixed-type
+// branches) fail Bind and the caller falls back to the tree-walking Env
+// evaluator, which is the semantic reference.
 
 // numFn, boolFn and seqFn are compiled numeric-path nodes. slots carries
 // the current value of each bound variable; hist carries each variable's

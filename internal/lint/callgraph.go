@@ -2,8 +2,8 @@ package lint
 
 // The interprocedural layer: a whole-program call graph over the loaded
 // packages with per-function summaries computed bottom-up over strongly
-// connected components. The intraprocedural analyzers (lockrpc, epochguard)
-// go blind the moment a hazard crosses a function call; the graph is what
+// connected components. An intraprocedural analyzer (epochguard) goes
+// blind the moment a hazard crosses a function call; the graph is what
 // lets deepblock, lockorder and noalloc follow it.
 //
 // Resolution rules, in order of precision:

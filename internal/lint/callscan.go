@@ -3,9 +3,9 @@ package lint
 // The intraprocedural half of the call-graph build: one source-order scan
 // per function body collecting call sites (with the locks held at each),
 // channel-park facts, allocation facts, and mutex acquisitions. The held
-// tracking generalizes lockrpc's straight-line approximation to lock
-// *identities* and replays deferred calls LIFO against the lock state at
-// return, which is when they actually run.
+// tracking follows lock *identities* in source order and replays deferred
+// calls LIFO against the lock state at return, which is when they
+// actually run.
 
 import (
 	"fmt"
@@ -317,7 +317,7 @@ func (s *bodyScanner) heldSnapshot() []lockClass {
 }
 
 // release pops the topmost unpinned holding of class (topmost of anything
-// as a fallback, mirroring lockrpc's depth clamp).
+// as a fallback, so an unmatched unlock never underflows the stack).
 func (s *bodyScanner) release(class lockClass) {
 	for i := len(s.held) - 1; i >= 0; i-- {
 		if s.held[i].class.id == class.id && !s.held[i].pinned {
@@ -415,6 +415,11 @@ func syncLockMethodCG(info *types.Info, call *ast.CallExpr) (string, ast.Expr) {
 		return sel.Sel.Name, sel.X
 	}
 	return "", nil
+}
+
+// isRPCPath reports whether a package path is the RPC boundary.
+func isRPCPath(path string) bool {
+	return strings.HasSuffix(path, "/srpc") || strings.HasSuffix(path, "/remote")
 }
 
 // --- fact recording ---

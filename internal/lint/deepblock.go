@@ -1,16 +1,14 @@
 package lint
 
-// DeepBlock is the transitive generalization of lockrpc: using the
-// whole-program call graph it flags any path that reaches an RPC boundary
-// (internal/srpc, internal/remote), a WAL fsync ((*os.File).Sync), or a
-// channel park while a mutex acquired in the reporting function is still
-// held. One wedged provider, slow disk or absent receiver then stalls
-// every goroutine contending for that mutex — the exact coupling a managed
-// federation exists to prevent.
+// DeepBlock uses the whole-program call graph to flag any call that
+// reaches an RPC boundary (internal/srpc, internal/remote), a WAL fsync
+// ((*os.File).Sync), or a channel park — directly or one or more calls
+// deep — while a mutex acquired in the reporting function is still held.
+// One wedged provider, slow disk or absent receiver then stalls every
+// goroutine contending for that mutex — the exact coupling a managed
+// federation exists to prevent. Deferred calls are judged against the
+// locks held when they run at return (LIFO), not where they are written.
 //
-// Division of labor: a *direct* RPC call under a lock is lockrpc's finding
-// and is not re-reported here; deepblock adds everything lockrpc cannot
-// see — hazards one or more calls deep, fsyncs, and channel operations.
 // Designed-in blocking (the journal-before-ack contract, the WAL's
 // group-commit fsync) is blessed at its declaration with
 // `//lint:blockok <reason>`, which both silences findings inside the
@@ -44,7 +42,12 @@ var DeepBlock = &Analyzer{
 				if cs.deferred {
 					when = " (deferred: runs at return with the lock still held)"
 				}
-				// Direct leaf hazards lockrpc does not cover.
+				// Direct leaf hazards.
+				if cs.rpc {
+					pp.ReportChain(cs.pos, nil,
+						"call to %s crosses the RPC boundary while %s is held%s; release the lock first",
+						cs.name, lock, when)
+				}
 				if cs.fsync {
 					pp.ReportChain(cs.pos, nil,
 						"fsync via %s while %s is held%s; release the lock before forcing the disk",
@@ -56,7 +59,7 @@ var DeepBlock = &Analyzer{
 						cs.name, lock, when)
 				}
 				// Transitive hazards through callee summaries.
-				reported := map[string]bool{}
+				reported := map[string]bool{"rpc": cs.rpc}
 				for _, t := range cs.targets {
 					for _, kind := range [...]string{"rpc", "fsync", "park"} {
 						if reported[kind] || t.sum.witness(kind) == nil {

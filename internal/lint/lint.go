@@ -104,7 +104,7 @@ func (p *ProgramPass) ReportChain(pos token.Pos, chain []string, format string, 
 
 // Analyzers returns every sensorlint analyzer in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RawClock, GoroLeak, LockRPC, FaultSite, CtxFlow, MustClose, EpochGuard, DeepBlock, LockOrder, NoAlloc}
+	return []*Analyzer{RawClock, GoroLeak, FaultSite, CtxFlow, MustClose, EpochGuard, DeepBlock, LockOrder, NoAlloc}
 }
 
 // ByName resolves a comma-separated analyzer selection ("rawclock,ctxflow").

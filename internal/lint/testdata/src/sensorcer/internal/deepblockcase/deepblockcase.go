@@ -1,7 +1,7 @@
 // Package deepblockcase exercises sensorlint/deepblock: call paths that
 // reach an RPC boundary, an fsync or a channel park while a mutex is
-// held, one or more calls deep. Direct RPC-under-lock is lockrpc's
-// finding and deliberately absent here.
+// held, one or more calls deep. Direct RPC-under-lock is exercised by
+// the lockrpccase package.
 package deepblockcase
 
 import (

@@ -1,4 +1,5 @@
-// Package lockrpccase exercises sensorlint/lockrpc.
+// Package lockrpccase exercises sensorlint/deepblock on direct calls into
+// the RPC layer made while a mutex acquired in the same function is held.
 package lockrpccase
 
 import (
@@ -13,7 +14,7 @@ var mu sync.Mutex
 // UnderLock calls into the RPC layer with the mutex still held.
 func UnderLock() {
 	mu.Lock()
-	srpc.Ping() // want `call to srpc\.Ping while a sync lock`
+	srpc.Ping() // want `call to srpc\.Ping crosses the RPC boundary while`
 	mu.Unlock()
 }
 
@@ -21,7 +22,7 @@ func UnderLock() {
 func DeferredHold() {
 	mu.Lock()
 	defer mu.Unlock()
-	remote.Fetch() // want `call to remote\.Fetch while a sync lock`
+	remote.Fetch() // want `call to remote\.Fetch crosses the RPC boundary while`
 }
 
 // Released unlocks before crossing the boundary.
@@ -48,7 +49,7 @@ var rw sync.RWMutex
 func RLockDeferredHold() {
 	rw.RLock()
 	defer rw.RUnlock()
-	srpc.Ping() // want `call to srpc\.Ping while a sync lock`
+	srpc.Ping() // want `call to srpc\.Ping crosses the RPC boundary while`
 }
 
 // MismatchedDeferredUnlock: defer rw.Unlock() after an RLock pins just
@@ -56,18 +57,18 @@ func RLockDeferredHold() {
 func MismatchedDeferredUnlock() {
 	rw.RLock()
 	defer rw.Unlock()
-	remote.Fetch() // want `call to remote\.Fetch while a sync lock`
+	remote.Fetch() // want `call to remote\.Fetch crosses the RPC boundary while`
 }
 
 // Relocked: releasing and re-acquiring in the same function re-arms the
 // check; the window between them is clean.
 func Relocked() {
 	mu.Lock()
-	srpc.Ping() // want `call to srpc\.Ping while a sync lock`
+	srpc.Ping() // want `call to srpc\.Ping crosses the RPC boundary while`
 	mu.Unlock()
 	srpc.Ping()
 	mu.Lock()
-	srpc.Ping() // want `call to srpc\.Ping while a sync lock`
+	srpc.Ping() // want `call to srpc\.Ping crosses the RPC boundary while`
 	mu.Unlock()
 }
 
@@ -86,7 +87,7 @@ func DeferredAfterExplicitRelease() {
 func DeferredLIFOHeld() {
 	mu.Lock()
 	defer mu.Unlock()
-	defer srpc.Ping() // want `call to srpc\.Ping while a sync lock acquired in this function is still held at return`
+	defer srpc.Ping() // want `call to srpc\.Ping crosses the RPC boundary while .* is held \(deferred: runs at return`
 }
 
 // DeferredLIFOReleased: registered before the deferred unlock, the RPC

@@ -1,5 +1,5 @@
 // Package remote is the testdata stand-in for the remote-proxy layer,
-// the second package lockrpc treats as the RPC boundary.
+// the second package deepblock treats as the RPC boundary.
 package remote
 
 // Fetch crosses the RPC boundary.

@@ -8,35 +8,13 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/sensor"
 	"sensorcer/internal/sensor/probe"
 	"sensorcer/internal/srpc"
 )
-
-// retryableCall is the default Retryable filter for remote stubs: remote
-// execution errors are final (the server ran the handler and said no), as
-// is the stub's own orderly shutdown; timeouts and lost connections are
-// worth another attempt.
-func retryableCall(err error) bool {
-	var re *srpc.RemoteError
-	if errors.As(err, &re) {
-		return false
-	}
-	return !errors.Is(err, srpc.ErrClientClosed)
-}
-
-// callPolicy normalizes a user-supplied policy for stub use.
-func callPolicy(p resilience.Policy) resilience.Policy {
-	if p.Retryable == nil {
-		p.Retryable = retryableCall
-	}
-	return p
-}
 
 // ProxyDesc is the serializable stand-in for a live service proxy: enough
 // information for a remote peer to construct a stub.

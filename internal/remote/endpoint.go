@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sensorcer/internal/ids"
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/srpc"
 )
 
@@ -137,7 +136,6 @@ type stub struct {
 	id      ids.ServiceID
 	timeout time.Duration
 	token   string
-	policy  resilience.Policy // zero = single attempt
 
 	// acquire guards ep: the first call takes the reference, Close spends
 	// the once so no later call can.
@@ -153,36 +151,21 @@ func (s *stub) ID() ids.ServiceID { return s.id }
 // SetToken sets the shared secret the stub's calls carry. Set before use.
 func (s *stub) SetToken(token string) { s.token = token }
 
-// SetRetryPolicy runs every stub call under the resilience policy;
-// Attempt.Timeout bounds each try. The Retryable filter defaults to
-// refusing remote execution errors — the provider ran and failed;
-// re-running would double-execute — while retrying timeouts and lost
-// connections. Those carry the risk that the request ran but its reply
-// was lost: at-most-once becomes at-least-once, which exertion operations
-// must tolerate.
-func (s *stub) SetRetryPolicy(p resilience.Policy) { s.policy = callPolicy(p) }
-
-// call runs one srpc method under the stub's policy. Each attempt asks
-// the endpoint for its connection, so a retry after a loss redials.
+// call runs one srpc method on the endpoint's connection, which the
+// endpoint redials if the last one was lost.
 func (s *stub) call(method string, params, out any) error {
-	return s.policy.Run(func(at resilience.Attempt) error {
-		if s.closed.Load() {
-			return srpc.ErrClientClosed
-		}
-		s.acquire.Do(func() { s.ep = endpoints.acquire(s.desc.Locator) })
-		if s.ep == nil {
-			return srpc.ErrClientClosed // Close won the once
-		}
-		client, err := s.ep.client(s.timeout)
-		if err != nil {
-			return err
-		}
-		timeout := at.Timeout
-		if timeout <= 0 {
-			timeout = s.timeout
-		}
-		return client.CallWithToken(method, params, out, timeout, s.token)
-	})
+	if s.closed.Load() {
+		return srpc.ErrClientClosed
+	}
+	s.acquire.Do(func() { s.ep = endpoints.acquire(s.desc.Locator) })
+	if s.ep == nil {
+		return srpc.ErrClientClosed // Close won the once
+	}
+	client, err := s.ep.client(s.timeout)
+	if err != nil {
+		return err
+	}
+	return client.CallWithToken(method, params, out, s.timeout, s.token)
 }
 
 // Close releases the stub's reference on its endpoint's connection. A stub

@@ -106,9 +106,6 @@ func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.D
 		s.entries[se.id] = se
 		s.byLease[leases[i].ID] = se.id
 		s.indexAddLocked(se)
-		if txnID == 0 {
-			s.notifyVisibleLocked(se.entry)
-		}
 		wake = append(wake, se)
 	}
 	for _, se := range wake {

@@ -121,10 +121,9 @@ type waiter struct {
 
 // Space is an in-process tuple space, safe for concurrent use.
 type Space struct {
-	id          ids.ServiceID
-	clock       clockwork.Clock
-	leases      *lease.Table
-	notifLeases *lease.Table
+	id     ids.ServiceID
+	clock  clockwork.Clock
+	leases *lease.Table
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -138,7 +137,6 @@ type Space struct {
 	// possibly satisfy.
 	waitq  map[string][]*waiter
 	txns   map[uint64]*spaceTxnPart
-	notifs map[uint64]*spaceNotification
 	closed bool
 
 	// journal, when set, is the write-ahead log every mutation is recorded
@@ -155,110 +153,20 @@ type Space struct {
 	injSite string
 }
 
-// spaceNotification is one leased write-notification registration.
-type spaceNotification struct {
-	template Entry
-	queue    chan Entry
-	done     chan struct{}
-}
-
-const notifyQueue = 256
-
 // New creates a tuple space whose entry leases follow policy.
 func New(clock clockwork.Clock, policy lease.Policy) *Space {
 	s := &Space{
-		id:          ids.NewServiceID(),
-		clock:       clock,
-		leases:      lease.NewTable(clock, policy),
-		notifLeases: lease.NewTable(clock, policy),
-		entries:     make(map[uint64]*storedEntry),
-		byLease:     make(map[uint64]uint64),
-		byKind:      make(map[string]*kindIndex),
-		waitq:       make(map[string][]*waiter),
-		txns:        make(map[uint64]*spaceTxnPart),
-		notifs:      make(map[uint64]*spaceNotification),
+		id:      ids.NewServiceID(),
+		clock:   clock,
+		leases:  lease.NewTable(clock, policy),
+		entries: make(map[uint64]*storedEntry),
+		byLease: make(map[uint64]uint64),
+		byKind:  make(map[string]*kindIndex),
+		waitq:   make(map[string][]*waiter),
+		txns:    make(map[uint64]*spaceTxnPart),
 	}
 	s.leases.OnExpire(s.onLeaseExpired)
-	s.notifLeases.OnExpire(s.onNotifyLeaseExpired)
 	return s
-}
-
-// Notify registers a leased listener invoked (asynchronously, in order,
-// best-effort on overflow) with a copy of every entry that becomes
-// visible outside a transaction and matches the template — JavaSpaces
-// notify. Cancel the lease to stop.
-func (s *Space) Notify(tmpl Entry, fn func(Entry), leaseDur time.Duration) (lease.Lease, error) {
-	if fn == nil {
-		return lease.Lease{}, errors.New("space: nil notify listener")
-	}
-	lse := s.notifLeases.Grant(leaseDur)
-	n := &spaceNotification{
-		template: tmpl,
-		queue:    make(chan Entry, notifyQueue),
-		done:     make(chan struct{}),
-	}
-	go func() {
-		defer close(n.done)
-		for e := range n.queue {
-			fn(e)
-		}
-	}()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		close(n.queue)
-		_ = lse.Cancel()
-		return lease.Lease{}, ErrClosed
-	}
-	s.notifs[lse.ID] = n
-	s.mu.Unlock()
-	// Cancelling the lease must also retire the registration, which the
-	// grant table alone cannot do (its OnExpire fires only on sweeps).
-	lse.Grantor = notifyGrantor{s: s}
-	return lse, nil
-}
-
-// notifyGrantor forwards lease operations to the notification lease table
-// and retires the registration on cancel.
-type notifyGrantor struct{ s *Space }
-
-// Renew implements lease.Grantor.
-func (g notifyGrantor) Renew(id uint64, d time.Duration) (time.Time, error) {
-	return g.s.notifLeases.Renew(id, d)
-}
-
-// Cancel implements lease.Grantor.
-func (g notifyGrantor) Cancel(id uint64) error {
-	err := g.s.notifLeases.Cancel(id)
-	g.s.onNotifyLeaseExpired(id)
-	return err
-}
-
-// notifyVisibleLocked fans a newly visible entry out to matching
-// notification registrations. Caller holds s.mu.
-func (s *Space) notifyVisibleLocked(e Entry) {
-	for _, n := range s.notifs {
-		if !n.template.Matches(e) {
-			continue
-		}
-		select {
-		case n.queue <- e.Clone():
-		default: // drop on overflow
-		}
-	}
-}
-
-func (s *Space) onNotifyLeaseExpired(leaseID uint64) {
-	s.mu.Lock()
-	n, ok := s.notifs[leaseID]
-	if ok {
-		delete(s.notifs, leaseID)
-		close(n.queue)
-	}
-	s.mu.Unlock()
-	if ok {
-		<-n.done
-	}
 }
 
 // ID returns the space's service identity.
@@ -355,9 +263,6 @@ func (s *Space) Write(e Entry, tx *txn.Transaction, leaseDur time.Duration) (lea
 	s.entries[se.id] = se
 	s.byLease[lse.ID] = se.id
 	s.indexAddLocked(se)
-	if se.writtenTxn == 0 {
-		s.notifyVisibleLocked(se.entry)
-	}
 	s.wakeWaitersLocked(se)
 	s.mu.Unlock()
 	return lse, nil
@@ -394,14 +299,12 @@ func (s *Space) Count(tmpl Entry) int {
 	return n
 }
 
-// Sweep expires lapsed entry and notification leases.
+// Sweep expires lapsed entry leases.
 func (s *Space) Sweep() {
 	s.leases.Sweep()
-	s.notifLeases.Sweep()
 }
 
-// Close fails all blocked operations, stops notifications and rejects new
-// ones.
+// Close fails all blocked operations and rejects new ones.
 func (s *Space) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -414,18 +317,9 @@ func (s *Space) Close() {
 		ws = append(ws, q...)
 	}
 	s.waitq = map[string][]*waiter{}
-	notifs := make([]*spaceNotification, 0, len(s.notifs))
-	for _, n := range s.notifs {
-		notifs = append(notifs, n)
-		close(n.queue)
-	}
-	s.notifs = map[uint64]*spaceNotification{}
 	s.mu.Unlock()
 	for _, w := range ws {
 		close(w.result)
-	}
-	for _, n := range notifs {
-		<-n.done
 	}
 }
 
@@ -700,7 +594,6 @@ func (p *spaceTxnPart) Commit(txnID uint64) error {
 	for _, id := range p.written {
 		if se, ok := p.space.entries[id]; ok {
 			se.writtenTxn = 0
-			p.space.notifyVisibleLocked(se.entry)
 			revealed = append(revealed, se)
 		}
 	}

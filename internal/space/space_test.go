@@ -442,91 +442,6 @@ func TestManyKindsIsolated(t *testing.T) {
 	}
 }
 
-func TestNotifyOnWrite(t *testing.T) {
-	_, s := newSpace(t)
-	got := make(chan Entry, 16)
-	if _, err := s.Notify(NewEntry("ExertionEnvelope"), func(e Entry) { got <- e }, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	s.Write(task("avg", 7), nil, time.Minute)
-	select {
-	case e := <-got:
-		if e.Field("n") != 7 {
-			t.Fatalf("notified entry = %v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no notification")
-	}
-	// Non-matching kind: silent.
-	s.Write(NewEntry("Other"), nil, time.Minute)
-	select {
-	case e := <-got:
-		t.Fatalf("notified for foreign kind: %v", e)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestNotifyFiresOnCommitNotStaging(t *testing.T) {
-	fc, s := newSpace(t)
-	tm := txn.NewManager(fc, lease.Policy{Max: time.Hour})
-	got := make(chan Entry, 16)
-	s.Notify(NewEntry("ExertionEnvelope"), func(e Entry) { got <- e }, time.Hour)
-	tx, _ := tm.Create(time.Minute)
-	s.Write(task("avg", 1), tx, time.Minute)
-	select {
-	case <-got:
-		t.Fatal("notified before commit")
-	case <-time.After(50 * time.Millisecond):
-	}
-	tx.Commit()
-	select {
-	case <-got:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no notification after commit")
-	}
-}
-
-func TestNotifyLeaseExpiry(t *testing.T) {
-	fc, s := newSpace(t)
-	got := make(chan Entry, 16)
-	s.Notify(NewEntry("ExertionEnvelope"), func(e Entry) { got <- e }, time.Minute)
-	fc.Advance(2 * time.Hour)
-	s.Sweep()
-	s.Write(task("avg", 1), nil, time.Minute)
-	select {
-	case <-got:
-		t.Fatal("notified after lease expiry")
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestNotifyValidationAndClose(t *testing.T) {
-	_, s := newSpace(t)
-	if _, err := s.Notify(NewEntry("X"), nil, time.Minute); err == nil {
-		t.Fatal("nil listener accepted")
-	}
-	s.Close()
-	if _, err := s.Notify(NewEntry("X"), func(Entry) {}, time.Minute); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestNotifyCancelViaLease(t *testing.T) {
-	_, s := newSpace(t)
-	got := make(chan Entry, 16)
-	lse, _ := s.Notify(NewEntry("ExertionEnvelope"), func(e Entry) { got <- e }, time.Hour)
-	if err := lse.Cancel(); err != nil {
-		t.Fatal(err)
-	}
-	s.Sweep()
-	s.Write(task("avg", 1), nil, time.Minute)
-	select {
-	case <-got:
-		t.Fatal("notified after cancel")
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
 // Randomized stress: concurrent writers/takers/readers mixing direct and
 // transactional operations. Invariant: every written entry is either taken
 // exactly once or still present at the end — no loss, no duplication.

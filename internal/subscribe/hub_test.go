@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
+	"sensorcer/internal/expr"
 	"sensorcer/internal/sensor/probe"
 )
 
@@ -142,6 +143,32 @@ func TestHubBadExprRejected(t *testing.T) {
 	defer h.Close()
 	if err := h.Subscribe("tok", Filter{Expr: "value >"}, newTestSink(1), false, 0); err == nil {
 		t.Fatal("malformed filter expression accepted")
+	}
+}
+
+// TestMatchesPredicate pins the filter predicate's result contract: a bool
+// decides, a number delivers when non-zero, and an evaluation error or a
+// result of any other type suppresses.
+func TestMatchesPredicate(t *testing.T) {
+	cases := []struct {
+		src  string
+		r    probe.Reading
+		want bool
+	}{
+		{`sensor == "rtd-1"`, reading("rtd-1", 25), true},
+		{`sensor == "rtd-1"`, reading("rtd-2", 25), false},
+		{`kind == "temperature" && value > 20`, reading("rtd-1", 25), true},
+		{`kind == "temperature" && value > 20`, reading("rtd-1", 15), false},
+		{`value - 20`, reading("rtd-1", 25), true},
+		{`value - 20`, reading("rtd-1", 20), false},
+		{`value / 0`, reading("rtd-1", 25), false},
+		{`sensor + "x"`, reading("rtd-1", 25), false},
+	}
+	for _, tc := range cases {
+		prog := expr.MustCompile(tc.src)
+		if got := matches(Filter{Expr: tc.src}, prog, tc.r, 0, false); got != tc.want {
+			t.Errorf("%s on %s=%v: matches = %v, want %v", tc.src, tc.r.Sensor, tc.r.Value, got, tc.want)
+		}
 	}
 }
 

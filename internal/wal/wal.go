@@ -647,11 +647,11 @@ func (l *Log) awaitDurableLocked(seq uint64) error {
 			l.syncedSeq = target
 		}
 		l.syncDone.Broadcast()
-		// The synced log's rotation point: the leader just finished the
-		// only possible in-flight fsync, so the active file can be sealed
-		// without racing one. Segments overshoot segLimit by at most the
-		// final batch.
-		if l.fileSize >= l.segLimit {
+		// The leader just finished the only possible in-flight fsync, so the
+		// active file can be sealed without racing one; segments overshoot
+		// segLimit by at most the final batch. A log that failed meanwhile
+		// may hold a torn frame, which only a final segment may end with.
+		if l.fileSize >= l.segLimit && !l.failed {
 			if err := l.rotateLocked(); err != nil {
 				l.failLocked()
 				return err
