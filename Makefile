@@ -41,17 +41,19 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc/subscribe/expr fuzz targets over their seed corpora
-# (the checked-in testdata/fuzz files plus the in-code f.Add seeds): the
-# never-panic / bounded-allocation properties of the frame decoder and
-# of the stream-stateful update decoder, and the expression float64 path's
-# agreement with the tree walker, without paying for open-ended fuzzing.
-# For a real fuzz session:
+# Run the wire/srpc/subscribe/expr/space fuzz targets over their seed
+# corpora (the checked-in testdata/fuzz files plus the in-code f.Add
+# seeds): the never-panic / bounded-allocation properties of the frame
+# decoder, of the stream-stateful update decoder, of the tagged-value
+# decoder and of the space's journal record and snapshot decoders, and
+# the expression float64 path's agreement with the tree walker, without
+# paying for open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
 #   go test ./internal/subscribe -fuzz FuzzUpdateDecode -fuzztime 60s
 #   go test ./internal/expr -fuzz FuzzEvalDifferential -fuzztime 60s
+#   go test ./internal/space -fuzz FuzzJournalRecordDecode -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a

@@ -7,17 +7,16 @@
 // structs through their JSON tags.
 //
 // Layouts build on internal/wire's Append/Consume primitives. Dynamic
-// values (attr fields, exertion context values) are tagged scalars —
-// strings, bools, int64 and float64 survive a round trip with their Go
-// types intact, unlike JSON, which folds every number into float64 — and
-// anything richer rides as a tagged JSON blob. Decoded shapes own their
+// values (attr fields, exertion context values) use wire's tagged-value
+// format (wire.AppendValue): strings, bools, int64 and float64 survive a
+// round trip with their Go types intact, and anything richer rides as a
+// tagged JSON blob. Decoded shapes own their
 // memory: consuming aliases the frame buffer, so every retained byte
 // slice or string is copied out before the decoder returns (ship-batch
 // payloads into one contiguous block, since the WAL retains them).
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -51,74 +50,6 @@ func malformedErr(what string) error {
 	return fmt.Errorf("remote: malformed binary %s payload", what)
 }
 
-// --- dynamic value encoding (attr fields, exertion context) ---
-
-// Value tags: the scalar kinds attr.Value admits, plus a JSON blob
-// fallback for anything richer (lists in exertion contexts).
-const (
-	valString  byte = 0
-	valFalse   byte = 1
-	valTrue    byte = 2
-	valInt64   byte = 3
-	valFloat64 byte = 4
-	valJSON    byte = 5
-)
-
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case string:
-		return wire.AppendString(append(b, valString), x), nil
-	case bool:
-		if x {
-			return append(b, valTrue), nil
-		}
-		return append(b, valFalse), nil
-	case int64:
-		return wire.AppendSvarint(append(b, valInt64), x), nil
-	case float64:
-		return wire.AppendFloat64(append(b, valFloat64), x), nil
-	default:
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return b, err
-		}
-		return wire.AppendBytes(append(b, valJSON), blob), nil
-	}
-}
-
-func consumeValue(b []byte) (any, []byte, bool) {
-	if len(b) < 1 {
-		return nil, b, false
-	}
-	tag, rest := b[0], b[1:]
-	switch tag {
-	case valString:
-		s, rest, ok := wire.ConsumeString(rest)
-		return s, rest, ok
-	case valFalse:
-		return false, rest, true
-	case valTrue:
-		return true, rest, true
-	case valInt64:
-		v, rest, ok := wire.ConsumeSvarint(rest)
-		return v, rest, ok
-	case valFloat64:
-		v, rest, ok := wire.ConsumeFloat64(rest)
-		return v, rest, ok
-	case valJSON:
-		blob, rest, ok := wire.ConsumeBytes(rest)
-		if !ok {
-			return nil, b, false
-		}
-		var v any
-		if err := json.Unmarshal(blob, &v); err != nil {
-			return nil, b, false
-		}
-		return v, rest, true
-	}
-	return nil, b, false
-}
-
 // --- shared sub-encodings ---
 
 func appendTime(b []byte, t time.Time) []byte {
@@ -146,7 +77,7 @@ func appendAttrSet(b []byte, set attr.Set) ([]byte, error) {
 		b = wire.AppendUvarint(b, uint64(len(e.Fields)))
 		for k, v := range e.Fields {
 			b = wire.AppendString(b, k)
-			if b, err = appendValue(b, v); err != nil {
+			if b, err = wire.AppendValue(b, v); err != nil {
 				return b, err
 			}
 		}
@@ -181,7 +112,7 @@ func consumeAttrSet(b []byte) (attr.Set, []byte, bool) {
 			if k, b, ok = wire.ConsumeString(b); !ok {
 				return nil, b, false
 			}
-			if v, b, ok = consumeValue(b); !ok {
+			if v, b, ok = wire.ConsumeValue(b); !ok {
 				return nil, b, false
 			}
 			e.Fields[k] = v
@@ -196,7 +127,7 @@ func appendContext(b []byte, ctx map[string]any) ([]byte, error) {
 	var err error
 	for k, v := range ctx {
 		b = wire.AppendString(b, k)
-		if b, err = appendValue(b, v); err != nil {
+		if b, err = wire.AppendValue(b, v); err != nil {
 			return b, err
 		}
 	}
@@ -218,7 +149,7 @@ func consumeContext(b []byte) (map[string]any, []byte, bool) {
 		if k, b, ok = wire.ConsumeString(b); !ok {
 			return nil, b, false
 		}
-		if v, b, ok = consumeValue(b); !ok {
+		if v, b, ok = wire.ConsumeValue(b); !ok {
 			return nil, b, false
 		}
 		ctx[k] = v

@@ -2,14 +2,18 @@ package remote
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/repl"
+	"sensorcer/internal/sorcer"
 	"sensorcer/internal/space"
 	"sensorcer/internal/srpc"
+	"sensorcer/internal/txn"
 	"sensorcer/internal/wal"
 )
 
@@ -140,5 +144,106 @@ func TestRemoteFailoverPromotesRemoteLog(t *testing.T) {
 	}
 	if len(got) != 7 {
 		t.Fatalf("promoted remote backup served %d entries, want 7", len(got))
+	}
+}
+
+// countingFollower counts the batches a primary ships to its backup.
+type countingFollower struct {
+	repl.Follower
+	ships atomic.Int64
+}
+
+func (c *countingFollower) ShipBatch(epoch, firstSeq uint64, payloads [][]byte) (uint64, error) {
+	c.ships.Add(1)
+	return c.Follower.ShipBatch(epoch, firstSeq, payloads)
+}
+
+// takingOps reports the first TakeAny its holder makes.
+type takingOps struct {
+	sorcer.SpaceOps
+	once   sync.Once
+	taking chan struct{}
+}
+
+func (o *takingOps) TakeAny(tmpl space.Entry, max int, tx *txn.Transaction, timeout time.Duration) ([]space.Entry, error) {
+	o.once.Do(func() { close(o.taking) })
+	return o.SpaceOps.TakeAny(tmpl, max, tx, timeout)
+}
+
+// TestSpacerJobShipsTwice: a parallel 8-task job through a space
+// replicated over srpc costs two ships — the envelopes ride with the
+// blocked worker's take of them, and the results with the spacer's.
+func TestSpacerJobShipsTwice(t *testing.T) {
+	policy := lease.Policy{Max: time.Hour}
+	primary, err := repl.NewNode("p", clockwork.Real(), policy, t.TempDir(),
+		repl.WithWALOptions(wal.WithSyncEveryAppend(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = primary.Close() }()
+	backup, err := repl.NewNode("b", clockwork.Real(), policy, t.TempDir(),
+		repl.WithWALOptions(wal.WithSyncEveryAppend(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = backup.Close() }()
+	server := srpc.NewServer()
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := NewReplicationClient(ServeReplication(server, "s0", backup), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sp, err := primary.Promote(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := &countingFollower{Follower: client}
+	if _, err := primary.AttachBackup(2, follower, false); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both sides block before the other writes: the worker on envelopes,
+	// and — because the adder holds its results until then — the spacer
+	// on results. The short sleeps let each TakeAny reach its wait queue.
+	workerOps := &takingOps{SpaceOps: sp, taking: make(chan struct{})}
+	spacerOps := &takingOps{SpaceOps: sp, taking: make(chan struct{})}
+	adder := sorcer.NewProvider("Adder-1", "Adder")
+	var held sync.Once
+	adder.RegisterOp("add", func(ctx *sorcer.Context) error {
+		held.Do(func() {
+			<-spacerOps.taking
+			time.Sleep(20 * time.Millisecond)
+		})
+		a, _ := ctx.Float("arg/a")
+		b, _ := ctx.Float("arg/b")
+		ctx.Put("result/value", a+b)
+		return nil
+	})
+	w := sorcer.NewSpaceWorker(workerOps, adder, "Adder")
+	defer w.Stop()
+	<-workerOps.taking
+	time.Sleep(10 * time.Millisecond)
+
+	var tasks []sorcer.Exertion
+	for i := 0; i < 8; i++ {
+		tasks = append(tasks, sorcer.NewTask("add", sorcer.Sig("Adder", "add"),
+			sorcer.NewContextFrom("arg/a", float64(i), "arg/b", 100.0)))
+	}
+	job := sorcer.NewJob("job", sorcer.Strategy{Flow: sorcer.Parallel, Access: sorcer.Pull}, tasks...)
+	follower.ships.Store(0)
+	if _, err := sorcer.NewSpacer("Spacer-1", spacerOps).Service(job, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := follower.ships.Load(); n != 2 {
+		t.Fatalf("an 8-task job cost %d ships, want 2", n)
+	}
+	for i, c := range tasks {
+		if v, err := c.(*sorcer.Task).Context().Float("result/value"); err != nil || v != float64(i)+100 {
+			t.Fatalf("task %d result = %v, %v", i, v, err)
+		}
 	}
 }

@@ -19,21 +19,11 @@ type shippingJournal struct {
 // logBackend is the slice of *wal.Log the journal uses (narrowed for
 // clarity; *wal.Log satisfies it).
 type logBackend interface {
-	Append(payload []byte) (uint64, error)
 	AppendBatch(payloads [][]byte) (uint64, error)
 	WriteSnapshot(data []byte) error
 	Snapshot() (data []byte, seq uint64, taken time.Time, ok bool)
 	Replay(fn func(seq uint64, payload []byte) error) error
 	SnapshotSeq() uint64
-}
-
-// Append journals one record locally and ships it, acknowledging only
-// after both copies are durable.
-func (j *shippingJournal) Append(payload []byte) (uint64, error) {
-	if _, _, err := j.node.requireEpochPrimary(); err != nil {
-		return 0, err
-	}
-	return j.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch journals a batch locally and ships it as one unit. A ship

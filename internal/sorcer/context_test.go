@@ -2,9 +2,12 @@ package sorcer
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"sensorcer/internal/attr"
 )
 
 func TestContextPutGet(t *testing.T) {
@@ -194,5 +197,39 @@ func TestJobAggregatesComponentContexts(t *testing.T) {
 	}
 	if v, _ := job.Context().Get("second/out"); v != 2.0 {
 		t.Fatalf("aggregate second/out = %v", v)
+	}
+}
+
+// TestTaskCodecRoundTrip: the journal form of a task keeps its identity,
+// signature and context, with a Go int coming back as int64 and other
+// tagged kinds unchanged.
+func TestTaskCodecRoundTrip(t *testing.T) {
+	sig := Sig("Adder", "add")
+	sig.ProviderName = "Adder-1"
+	sig.Attributes = attr.Set{{Type: "Location", Fields: map[string]attr.Value{"room": "lab", "floor": 3}}}
+	task := NewTask("add-1", sig, NewContextFrom("arg/a", 1.5, "arg/n", 7, "arg/s", "x", "arg/l", []any{"a", 2.0}))
+	data, ok := taskCodec{}.Append([]byte("prefix"), task)
+	if !ok || string(data[:6]) != "prefix" {
+		t.Fatalf("Append = %q, %v", data, ok)
+	}
+	v, err := taskCodec{}.Decode(data[6:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*Task)
+	wantSig := sig
+	wantSig.Attributes = attr.Set{{Type: "Location", Fields: map[string]attr.Value{"room": "lab", "floor": int64(3)}}}
+	if got.ID() != task.ID() || got.Name() != "add-1" || !reflect.DeepEqual(got.Signature(), wantSig) {
+		t.Fatalf("decoded %v %q %+v", got.ID(), got.Name(), got.Signature())
+	}
+	want := map[string]any{"arg/a": 1.5, "arg/n": int64(7), "arg/s": "x", "arg/l": []any{"a", 2.0}}
+	if !reflect.DeepEqual(got.Context().data, want) {
+		t.Fatalf("decoded context %v, want %v", got.Context().data, want)
+	}
+	if _, err := (taskCodec{}).Decode(data[6 : len(data)-1]); err == nil {
+		t.Fatal("truncated task decoded")
+	}
+	if _, ok := (taskCodec{}).Append(nil, "not a task"); ok {
+		t.Fatal("codec claimed a foreign value")
 	}
 }

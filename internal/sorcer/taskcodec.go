@@ -1,13 +1,11 @@
 package sorcer
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"strings"
+	"errors"
 
-	"sensorcer/internal/ids"
+	"sensorcer/internal/attr"
 	"sensorcer/internal/space"
+	"sensorcer/internal/wire"
 )
 
 // taskCodec makes *Task values durable inside tuple-space entries: the
@@ -18,93 +16,114 @@ import (
 // error) is not: a recovered envelope is by definition un-executed, and
 // its task restarts from Initial, matching at-least-once redispatch
 // semantics.
+//
+// The encoding (on-disk format) is the 16-byte id, then name, service
+// type, selector and provider name as wire strings, then the signature's
+// attribute entries and the context, each a count followed by keys and
+// wire tagged values (wire.AppendValue). A Go int is written as int64, so
+// integers come back as int64, the kind package attr matches on.
 type taskCodec struct{}
 
 func init() { space.RegisterPayloadCodec(taskCodec{}) }
 
-// taskWire is the durable form of a *Task (on-disk format).
-type taskWire struct {
-	ID        ids.ServiceID  `json:"id"`
-	Name      string         `json:"name"`
-	Signature Signature      `json:"sig"`
-	Context   map[string]any `json:"ctx,omitempty"`
-}
-
 // Name implements space.PayloadCodec.
 func (taskCodec) Name() string { return "sorcer.task" }
 
-// Encode implements space.PayloadCodec.
-func (taskCodec) Encode(v any) ([]byte, bool) {
+// Append implements space.PayloadCodec. A context value the tagged-value
+// format rejects makes the task unencodable: the space then degrades the
+// field to opaque rather than failing the write.
+func (taskCodec) Append(b []byte, v any) ([]byte, bool) {
 	t, ok := v.(*Task)
 	if !ok {
-		return nil, false
+		return b, false
 	}
-	w := taskWire{ID: t.ID(), Name: t.Name(), Signature: t.Signature()}
-	ctx := t.Context()
-	if n := ctx.Len(); n > 0 {
-		w.Context = make(map[string]any, n)
-		for _, p := range ctx.Paths() {
-			v, _ := ctx.Get(p)
-			w.Context[p] = v
+	sig := t.Signature()
+	b = append(b, t.id[:]...)
+	for _, s := range [...]string{t.name, sig.ServiceType, sig.Selector, sig.ProviderName} {
+		b = wire.AppendString(b, s)
+	}
+	b = wire.AppendUvarint(b, uint64(len(sig.Attributes)))
+	var err error
+	for _, e := range sig.Attributes {
+		b = wire.AppendString(b, e.Type)
+		b = wire.AppendUvarint(b, uint64(len(e.Fields)))
+		for k, v := range e.Fields {
+			if b, err = appendTaskValue(wire.AppendString(b, k), v); err != nil {
+				return b, false
+			}
 		}
 	}
-	data, err := json.Marshal(w)
-	if err != nil {
-		// Unserializable context payload: degrade to opaque rather than
-		// failing the write (matching encodeFields' policy).
-		return nil, false
+	ctx := t.Context()
+	ctx.mu.RLock()
+	defer ctx.mu.RUnlock()
+	b = wire.AppendUvarint(b, uint64(len(ctx.data)))
+	for p, v := range ctx.data {
+		if b, err = appendTaskValue(wire.AppendString(b, p), v); err != nil {
+			return b, false
+		}
 	}
-	return data, true
+	return b, true
 }
+
+func appendTaskValue(b []byte, v any) ([]byte, error) {
+	if i, ok := v.(int); ok {
+		v = int64(i)
+	}
+	return wire.AppendValue(b, v)
+}
+
+var errBadTask = errors.New("sorcer: malformed task payload")
 
 // Decode implements space.PayloadCodec.
 func (taskCodec) Decode(data []byte) (any, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var w taskWire
-	if err := dec.Decode(&w); err != nil {
-		return nil, fmt.Errorf("sorcer: decoding task: %w", err)
+	t := &Task{ctx: NewContext()}
+	if len(data) < len(t.id) {
+		return nil, errBadTask
 	}
-	for _, e := range w.Signature.Attributes {
-		for k, v := range e.Fields {
-			e.Fields[k] = fixNumber(v)
-		}
-	}
-	ctx := NewContext()
-	for p, v := range w.Context {
-		ctx.Put(p, fixNumber(v))
-	}
-	return &Task{id: w.ID, name: w.Name, signature: w.Signature, ctx: ctx}, nil
-}
-
-// fixNumber converts json.Number values (and any nested inside maps or
-// slices) to int64 when integral, float64 otherwise — matching package
-// attr's canonical kinds so signature attributes keep matching and
-// Context.Float keeps coercing after recovery.
-func fixNumber(v any) any {
-	switch x := v.(type) {
-	case json.Number:
-		if !strings.ContainsAny(x.String(), ".eE") {
-			if i, err := x.Int64(); err == nil {
-				return i
+	copy(t.id[:], data)
+	r := taskReader{b: data[len(t.id):], ok: true}
+	t.name = r.str()
+	t.signature = Signature{ServiceType: r.str(), Selector: r.str(), ProviderName: r.str()}
+	for n := r.count(); n > 0 && r.ok; n-- {
+		e := attr.Entry{Type: r.str()}
+		if nf := r.count(); nf > 0 {
+			e.Fields = make(map[string]attr.Value, nf)
+			for ; nf > 0 && r.ok; nf-- {
+				e.Fields[r.str()] = r.value()
 			}
 		}
-		f, err := x.Float64()
-		if err != nil {
-			return x.String()
-		}
-		return f
-	case map[string]any:
-		for k, e := range x {
-			x[k] = fixNumber(e)
-		}
-		return x
-	case []any:
-		for i, e := range x {
-			x[i] = fixNumber(e)
-		}
-		return x
-	default:
-		return v
+		t.signature.Attributes = append(t.signature.Attributes, e)
 	}
+	for n := r.count(); n > 0 && r.ok; n-- {
+		t.ctx.data[r.str()] = r.value()
+	}
+	if !r.ok || len(r.b) != 0 {
+		return nil, errBadTask
+	}
+	return t, nil
+}
+
+// taskReader consumes a task encoding, latching the first failure.
+type taskReader struct {
+	b  []byte
+	ok bool
+}
+
+func (r *taskReader) str() string {
+	s, rest, ok := wire.ConsumeString(r.b)
+	r.b, r.ok = rest, r.ok && ok
+	return s
+}
+
+// count reads a collection length, refusing one the input cannot hold.
+func (r *taskReader) count() uint64 {
+	n, rest, ok := wire.ConsumeUvarint(r.b)
+	r.b, r.ok = rest, r.ok && ok && n <= uint64(len(rest))
+	return n
+}
+
+func (r *taskReader) value() any {
+	v, rest, ok := wire.ConsumeValue(r.b)
+	r.b, r.ok = rest, r.ok && ok
+	return v
 }

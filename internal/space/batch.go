@@ -15,6 +15,8 @@ import (
 // staged until commit, and a nil error means every non-dropped entry is
 // durable. The batch is all-or-nothing at the acknowledgement level: a
 // journaling failure stores nothing and cancels every granted lease.
+// Blocked takers the entries serve are handed them in the same group
+// commit (see planHandoffsLocked).
 //
 // Returned leases are positionally aligned with entries.
 func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.Duration) ([]lease.Lease, error) {
@@ -31,167 +33,101 @@ func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.D
 		return nil, err
 	}
 	leases := make([]lease.Lease, len(entries))
-	stored := make([]bool, len(entries))
-	anyStored := false
-	for i := range entries {
+	ses := make([]*storedEntry, 0, len(entries))
+	for i, e := range entries {
 		leases[i] = s.leases.Grant(leaseDur)
 		if inj.Drop(site + FaultSiteWrite) {
-			// Lost write, same contract as Write: the caller holds a lease
-			// for an entry that never becomes visible.
+			// Lost write: the caller gets a lease and believes the entry
+			// was stored, but nothing ever becomes visible — the
+			// tuple-space analogue of a message lost on the wire.
 			continue
 		}
-		stored[i] = true
-		anyStored = true
+		ses = append(ses, &storedEntry{entry: e.Clone(), leaseID: leases[i].ID})
 	}
-	if !anyStored {
+	if len(ses) == 0 {
 		return leases, nil
 	}
-	cancelAll := func() {
+	s.mu.Lock()
+	err := s.storeLocked(ses, tx, leaseDur)
+	s.mu.Unlock()
+	if err != nil {
 		for _, l := range leases {
 			_ = l.Cancel()
 		}
+		return nil, err
 	}
-	s.mu.Lock()
+	return leases, nil
+}
+
+// storeLocked journals and applies new entries together with the
+// hand-offs they make to blocked waiters, under one group commit.
+func (s *Space) storeLocked(ses []*storedEntry, tx *txn.Transaction, leaseDur time.Duration) error {
 	if s.closed {
-		s.mu.Unlock()
-		cancelAll()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	var part *spaceTxnPart
 	txnID := uint64(0)
 	if tx != nil {
 		var err error
 		if part, err = s.joinLocked(tx); err != nil {
-			s.mu.Unlock()
-			cancelAll()
-			return nil, err
+			return err
 		}
 		txnID = tx.ID()
 	}
 	if err := s.checkGuardLocked(); err != nil {
-		s.mu.Unlock()
-		cancelAll()
-		return nil, err
+		return err
 	}
+	var recs []record
 	if s.journal != nil {
-		recs := make([]journalRecord, 0, len(entries))
-		id := s.nextID
-		for i, e := range entries {
-			if !stored[i] {
-				continue
-			}
-			id++
-			recs = append(recs, journalRecord{
-				Op: opWrite, ID: id, Txn: txnID, Kind: e.Kind,
-				Fields:  encodeFields(e.Fields),
-				LeaseMS: int64(leaseDur / time.Millisecond),
-			})
-		}
-		if err := s.journalBatchLocked(recs); err != nil {
-			s.mu.Unlock()
-			cancelAll()
-			return nil, err
+		// A volatile space builds no records (hand-offs it plans append
+		// theirs, which journalBatchLocked then ignores).
+		recs = make([]record, 0, 2*len(ses))
+	}
+	for i, se := range ses {
+		se.id = s.nextID + uint64(i) + 1
+		se.writtenTxn = txnID
+		if s.journal != nil {
+			recs = append(recs, record{op: opWrite, id: se.id, txn: txnID, entry: se.entry,
+				leaseMS: int64(leaseDur / time.Millisecond)})
 		}
 	}
-	wake := make([]*storedEntry, 0, len(entries))
-	for i, e := range entries {
-		if !stored[i] {
-			continue
-		}
-		s.nextID++
-		se := &storedEntry{id: s.nextID, entry: e.Clone(), leaseID: leases[i].ID, writtenTxn: txnID}
+	plan, recs := s.planHandoffsLocked(ses, txnID, recs)
+	if err := s.journalBatchLocked(recs); err != nil {
+		return err
+	}
+	s.nextID += uint64(len(ses))
+	for _, se := range ses {
 		if part != nil {
 			part.written = append(part.written, se.id)
 		}
 		s.entries[se.id] = se
-		s.byLease[leases[i].ID] = se.id
+		s.byLease[se.leaseID] = se.id
 		s.indexAddLocked(se)
-		wake = append(wake, se)
 	}
-	for _, se := range wake {
-		s.wakeWaitersLocked(se)
-	}
-	s.mu.Unlock()
-	return leases, nil
+	s.handOffLocked(plan)
+	return nil
 }
 
 // TakeAny removes and returns up to max entries matching the template in
 // FIFO order — at least one, blocking up to timeout for the first. The
 // grab is opportunistic: whatever is visible when the space is scanned is
-// taken under one lock and one journal group commit; the call never
-// blocks waiting to fill the batch. Under a transaction the removals are
-// provisional until commit, exactly as Take.
+// taken under one lock and one journal group commit. A blocked TakeAny is
+// handed up to max of the entries the waking mutation reveals, inside
+// that mutation's group commit; the call never blocks waiting to fill the
+// batch. Under a transaction the removals are provisional until commit,
+// exactly as Take.
 func (s *Space) TakeAny(tmpl Entry, max int, tx *txn.Transaction, timeout time.Duration) ([]Entry, error) {
 	if max <= 0 {
 		return nil, errors.New("space: TakeAny wants a positive max")
 	}
-	inj, site := s.faultHooks()
-	if err := inj.Inject(site + FaultSiteTake); err != nil {
-		return nil, err
-	}
-	s.leases.Sweep()
-	txnID := uint64(0)
-	if tx != nil {
-		txnID = tx.ID()
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	out, err := s.takeBatchLocked(tmpl, max, tx, txnID)
-	if err != nil || len(out) > 0 {
-		s.mu.Unlock()
-		return out, err
-	}
-	if timeout <= 0 {
-		s.mu.Unlock()
-		return nil, ErrTimeout
-	}
-	w := &waiter{template: tmpl, take: true, txnID: txnID, result: make(chan Entry, 1)}
-	s.waitq[tmpl.Kind] = append(s.waitq[tmpl.Kind], w)
-	s.mu.Unlock()
-	first, err := s.awaitWaiter(w, tmpl.Kind, timeout)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, first)
-	if max > 1 {
-		// Drain whatever arrived alongside the entry that woke us. The
-		// first entry is already taken (and journaled by the waker), so an
-		// error on this opportunistic top-up is dropped — the contract is
-		// "at least one".
-		s.mu.Lock()
-		if !s.closed {
-			if more, merr := s.takeBatchLocked(tmpl, max-1, tx, txnID); merr == nil {
-				out = append(out, more...)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out, nil
+	return s.acquire(tmpl, true, max, tx, timeout)
 }
 
 // takeBatchLocked removes up to max visible matches in FIFO order under
-// one journal group commit. Candidates are collected before anything is
-// mutated — candidatesLocked returns live index slices that must not
-// change mid-iteration. Returns (nil, nil) when nothing matches; a
+// one journal group commit. Returns (nil, nil) when nothing matches; a
 // journaling error takes nothing.
 func (s *Space) takeBatchLocked(tmpl Entry, max int, tx *txn.Transaction, txnID uint64) ([]Entry, error) {
-	candidates, ok := s.candidatesLocked(tmpl)
-	if !ok {
-		return nil, nil
-	}
-	var picked []*storedEntry
-	for _, id := range candidates {
-		se := s.entries[id]
-		if s.visibleLocked(se, txnID) && tmpl.Matches(se.entry) {
-			picked = append(picked, se)
-			if len(picked) == max {
-				break
-			}
-		}
-	}
+	picked := s.pickLocked(tmpl, txnID, max)
 	if len(picked) == 0 {
 		return nil, nil
 	}
@@ -206,15 +142,9 @@ func (s *Space) takeBatchLocked(tmpl Entry, max int, tx *txn.Transaction, txnID 
 		}
 	}
 	if s.journal != nil {
-		recs := make([]journalRecord, len(picked))
+		recs := make([]record, len(picked))
 		for i, se := range picked {
-			rec := journalRecord{Op: opTake, ID: se.id}
-			// Taking an entry the transaction itself wrote removes it
-			// outright, so (as in claimLocked) the record carries no txn tag.
-			if tx != nil && se.writtenTxn != txnID {
-				rec.Txn = txnID
-			}
-			recs[i] = rec
+			recs[i] = takeRecord(se, txnID)
 		}
 		if err := s.journalBatchLocked(recs); err != nil {
 			return nil, err
@@ -222,22 +152,7 @@ func (s *Space) takeBatchLocked(tmpl Entry, max int, tx *txn.Transaction, txnID 
 	}
 	out := make([]Entry, len(picked))
 	for i, se := range picked {
-		out[i] = se.entry.Clone()
-		switch {
-		case tx == nil:
-			s.removeLocked(se)
-		case se.writtenTxn == txnID:
-			s.removeLocked(se)
-			for j, id := range part.written {
-				if id == se.id {
-					part.written = append(part.written[:j], part.written[j+1:]...)
-					break
-				}
-			}
-		default:
-			se.takenTxn = txnID
-			part.taken = append(part.taken, se.id)
-		}
+		out[i] = s.applyTakeLocked(se, part)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package space
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -15,10 +14,6 @@ import (
 // every batch to a backup before acknowledging it. A nil Journal field
 // means the space is volatile.
 type Journal interface {
-	// Append durably adds one record and returns its sequence.
-	//
-	//lint:blockok journal-before-ack: the space journals inside its critical section so journal order, ship order and memory order agree
-	Append(payload []byte) (uint64, error)
 	// AppendBatch durably adds every payload under one acknowledgement.
 	//
 	//lint:blockok journal-before-ack: the space journals inside its critical section so journal order, ship order and memory order agree
@@ -47,8 +42,8 @@ func (s *Space) SetGuard(fn func() error) {
 }
 
 // checkGuardLocked consults the mutation guard. Caller holds s.mu. Every
-// function that journals (journalLocked / journalBatchLocked callers)
-// must call this first — the epochguard lint check enforces it.
+// function that journals (journalBatchLocked callers) must call this
+// first — the epochguard lint check enforces it.
 //
 //lint:blockok replication hook: the guard runs inside the space's critical section by contract (epoch fencing must observe mutation order), and the replicated guard ships over RPC
 func (s *Space) checkGuardLocked() error {
@@ -58,77 +53,24 @@ func (s *Space) checkGuardLocked() error {
 	return s.guard()
 }
 
-// Journal operation tags (on-disk format).
-const (
-	opWrite  = "write"
-	opTake   = "take"
-	opExpire = "expire"
-	opCommit = "commit"
-	opAbort  = "abort"
-)
-
-// journalRecord is one redo-log entry. Write/take records are tagged with
-// the staging transaction (0 = none); commit/abort records resolve it.
-type journalRecord struct {
-	Op      string               `json:"op"`
-	ID      uint64               `json:"id,omitempty"`
-	Txn     uint64               `json:"txn,omitempty"`
-	Kind    string               `json:"kind,omitempty"`
-	Fields  map[string]fieldWire `json:"fields,omitempty"`
-	LeaseMS int64                `json:"leaseMs,omitempty"`
-}
-
-// spaceSnapshot is the checkpoint format: every stored entry (including
-// transaction staging tags) plus the id high-water mark. LeaseMS holds the
-// lease time remaining at checkpoint, rebased onto the recovery clock.
-type spaceSnapshot struct {
-	NextID  uint64      `json:"nextId"`
-	Entries []entryWire `json:"entries"`
-}
-
-type entryWire struct {
-	ID         uint64               `json:"id"`
-	Kind       string               `json:"kind"`
-	Fields     map[string]fieldWire `json:"fields,omitempty"`
-	WrittenTxn uint64               `json:"writtenTxn,omitempty"`
-	TakenTxn   uint64               `json:"takenTxn,omitempty"`
-	LeaseMS    int64                `json:"leaseMs"`
-}
-
-// journalLocked appends a record to the journal (no-op for volatile
-// spaces). Callers hold s.mu, which serializes journal order with memory
-// order. An error means the record is not durable: the caller must not
-// apply (or must undo) the operation.
-func (s *Space) journalLocked(rec journalRecord) error {
-	if s.journal == nil {
-		return nil
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("space: encoding journal record: %w", err)
-	}
-	if _, err := s.journal.Append(b); err != nil {
-		return fmt.Errorf("space: journaling %s: %w", rec.Op, err)
-	}
-	return nil
-}
-
-// journalBatchLocked appends every record as one WAL group commit —
-// the durable spine of WriteBatch/TakeAny. Same contract as
-// journalLocked, amortized: an error means none of the records may be
-// applied (the underlying log fails stop, so no partial batch is ever
-// acknowledged).
-func (s *Space) journalBatchLocked(recs []journalRecord) error {
+// journalBatchLocked appends records as one journal group commit — one
+// ship to the backup on a replicated space — encoding them into one
+// buffer (see codec.go). Callers hold s.mu, which serializes journal
+// order with memory order. An error means none of the records is durable:
+// the caller must not apply them (the underlying log fails stop, so no
+// partial batch is ever acknowledged). A volatile space journals nothing.
+func (s *Space) journalBatchLocked(recs []record) error {
 	if s.journal == nil || len(recs) == 0 {
 		return nil
 	}
+	buf := make([]byte, 0, 64*len(recs))
 	payloads := make([][]byte, len(recs))
 	for i := range recs {
-		b, err := json.Marshal(recs[i])
-		if err != nil {
-			return fmt.Errorf("space: encoding journal record: %w", err)
-		}
-		payloads[i] = b
+		start := len(buf)
+		buf = appendRecord(buf, &recs[i])
+		// A reslice of buf's current array stays valid when a later
+		// append moves buf: nothing writes to the old array again.
+		payloads[i] = buf[start:len(buf):len(buf)]
 	}
 	if _, err := s.journal.AppendBatch(payloads); err != nil {
 		return fmt.Errorf("space: journaling batch of %d: %w", len(recs), err)
@@ -157,7 +99,9 @@ func (s *Space) journalBatchLocked(recs []journalRecord) error {
 // shortens a lease below what was promised, it restarts it.
 func Recover(clock clockwork.Clock, policy lease.Policy, log Journal) (*Space, error) {
 	s := New(clock, policy)
-	staged := make(map[uint64]*entryWire)
+	// staged holds every live entry as its write record: txn is the
+	// staging transaction and taken the one holding a provisional take.
+	staged := make(map[uint64]*record)
 	var order []uint64 // ids in first-seen order, for deterministic FIFO
 	maxID := uint64(0)
 	note := func(id uint64) {
@@ -167,62 +111,56 @@ func Recover(clock clockwork.Clock, policy lease.Policy, log Journal) (*Space, e
 	}
 
 	if data, _, _, ok := log.Snapshot(); ok {
-		var snap spaceSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("space: decoding snapshot: %w", err)
+		nextID, entries, err := decodeSnapshot(data)
+		if err != nil {
+			return nil, err
 		}
-		note(snap.NextID)
-		for i := range snap.Entries {
-			ew := snap.Entries[i]
-			staged[ew.ID] = &ew
-			order = append(order, ew.ID)
-			note(ew.ID)
+		note(nextID)
+		for _, r := range entries {
+			staged[r.id] = r
+			order = append(order, r.id)
+			note(r.id)
 		}
 	}
 
 	err := log.Replay(func(_ uint64, payload []byte) error {
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("space: decoding journal record: %w", err)
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err
 		}
-		switch rec.Op {
+		switch rec.op {
 		case opWrite:
-			staged[rec.ID] = &entryWire{
-				ID: rec.ID, Kind: rec.Kind, Fields: rec.Fields,
-				WrittenTxn: rec.Txn, LeaseMS: rec.LeaseMS,
-			}
-			order = append(order, rec.ID)
-			note(rec.ID)
+			staged[rec.id] = &rec
+			order = append(order, rec.id)
+			note(rec.id)
 		case opTake:
-			if rec.Txn == 0 {
-				delete(staged, rec.ID)
-			} else if ew, ok := staged[rec.ID]; ok {
-				ew.TakenTxn = rec.Txn
+			if rec.txn == 0 {
+				delete(staged, rec.id)
+			} else if r, ok := staged[rec.id]; ok {
+				r.taken = rec.txn
 			}
-			note(rec.ID)
+			note(rec.id)
 		case opExpire:
-			delete(staged, rec.ID)
-			note(rec.ID)
+			delete(staged, rec.id)
+			note(rec.id)
 		case opCommit:
-			for id, ew := range staged {
-				if ew.WrittenTxn == rec.Txn {
-					ew.WrittenTxn = 0
+			for id, r := range staged {
+				if r.txn == rec.txn {
+					r.txn = 0
 				}
-				if ew.TakenTxn == rec.Txn {
+				if r.taken == rec.txn {
 					delete(staged, id)
 				}
 			}
 		case opAbort:
-			for id, ew := range staged {
-				if ew.WrittenTxn == rec.Txn {
+			for id, r := range staged {
+				if r.txn == rec.txn {
 					delete(staged, id)
 				}
-				if ew.TakenTxn == rec.Txn {
-					ew.TakenTxn = 0
+				if r.taken == rec.txn {
+					r.taken = 0
 				}
 			}
-		default:
-			return fmt.Errorf("space: unknown journal op %q", rec.Op)
 		}
 		return nil
 	})
@@ -233,29 +171,19 @@ func Recover(clock clockwork.Clock, policy lease.Policy, log Journal) (*Space, e
 	// Resolve transactions that were in flight at the crash: their commit
 	// record is missing, so they abort — staged writes vanish, staged
 	// takes are restored.
-	for id, ew := range staged {
-		if ew.WrittenTxn != 0 {
+	for id, r := range staged {
+		if r.txn != 0 {
 			delete(staged, id)
-			continue
 		}
-		ew.TakenTxn = 0
 	}
 
 	for _, id := range order {
-		ew, ok := staged[id]
+		r, ok := staged[id]
 		if !ok || s.entries[id] != nil {
 			continue
 		}
-		fields, err := decodeFields(ew.Fields)
-		if err != nil {
-			return nil, err
-		}
-		lse := s.leases.Grant(time.Duration(ew.LeaseMS) * time.Millisecond)
-		se := &storedEntry{
-			id:      id,
-			entry:   Entry{Kind: ew.Kind, Fields: fields},
-			leaseID: lse.ID,
-		}
+		lse := s.leases.Grant(time.Duration(r.leaseMS) * time.Millisecond)
+		se := &storedEntry{id: id, entry: r.entry, leaseID: lse.ID}
 		s.entries[id] = se
 		s.byLease[lse.ID] = id
 		s.indexAddLocked(se)
@@ -268,7 +196,9 @@ func Recover(clock clockwork.Clock, policy lease.Policy, log Journal) (*Space, e
 // Checkpoint writes a snapshot of the space's durable state to the journal
 // and compacts it, bounding recovery time. Transaction staging tags are
 // included, so a checkpoint taken mid-transaction still aborts correctly
-// if the commit record never lands. Volatile spaces return nil.
+// if the commit record never lands. Each entry's lease is recorded as the
+// time remaining, rebased onto the recovery clock. Volatile spaces return
+// nil.
 func (s *Space) Checkpoint() error {
 	if s.journal == nil {
 		return nil
@@ -277,26 +207,18 @@ func (s *Space) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock.Now()
-	snap := spaceSnapshot{NextID: s.nextID}
+	entries := make([]record, 0, len(s.entries))
 	for _, se := range s.entries {
 		exp, ok := s.leases.Expiration(se.leaseID)
 		if !ok {
 			continue // lapsed but not yet swept
 		}
-		snap.Entries = append(snap.Entries, entryWire{
-			ID:         se.id,
-			Kind:       se.entry.Kind,
-			Fields:     encodeFields(se.entry.Fields),
-			WrittenTxn: se.writtenTxn,
-			TakenTxn:   se.takenTxn,
-			LeaseMS:    int64(exp.Sub(now) / time.Millisecond),
+		entries = append(entries, record{
+			op: opWrite, id: se.id, txn: se.writtenTxn, taken: se.takenTxn,
+			entry: se.entry, leaseMS: int64(exp.Sub(now) / time.Millisecond),
 		})
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("space: encoding snapshot: %w", err)
-	}
-	if err := s.journal.WriteSnapshot(data); err != nil {
+	if err := s.journal.WriteSnapshot(appendSnapshot(nil, s.nextID, entries)); err != nil {
 		return fmt.Errorf("space: checkpoint: %w", err)
 	}
 	return nil

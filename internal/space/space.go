@@ -46,9 +46,11 @@ func NewEntry(kind string, kv ...any) Entry {
 // (adding, removing or reassigning keys) cannot affect the clone, and vice
 // versa. The copy is shallow one level down — field values themselves are
 // shared, so payload values should be treated as immutable once written.
-// The space clones on Write and on every Read/Take, so stored entries never
-// alias caller-held maps; recovery rebuilds field maps from the journal, so
-// replayed entries cannot alias pre-crash ones either.
+// The space clones on Write, on Read and on a provisional (transactional)
+// take, so stored entries never alias caller-held maps; an entry that
+// leaves the space is handed to its taker without a second copy. Recovery
+// rebuilds field maps from the journal, so replayed entries cannot alias
+// pre-crash ones either.
 func (e Entry) Clone() Entry {
 	c := Entry{Kind: e.Kind}
 	if e.Fields != nil {
@@ -112,11 +114,15 @@ type storedEntry struct {
 	takenTxn uint64
 }
 
+// waiter is a blocked Read, Take or TakeAny. A take waiter accepts up to
+// max entries (1 for Take); a read waiter is served one clone.
 type waiter struct {
 	template Entry
 	take     bool
+	max      int
+	tx       *txn.Transaction
 	txnID    uint64
-	result   chan Entry
+	result   chan []Entry
 }
 
 // Space is an in-process tuple space, safe for concurrent use.
@@ -203,81 +209,33 @@ func (s *Space) faultHooks() (*faults.Injector, string) {
 // Write stores an entry under a lease. With a transaction, the entry is
 // visible only inside that transaction until it commits. On a durable
 // space the entry is journaled before Write returns: a nil error means the
-// write survives a crash.
+// write survives a crash. It is a one-entry WriteBatch.
 func (s *Space) Write(e Entry, tx *txn.Transaction, leaseDur time.Duration) (lease.Lease, error) {
-	if e.Kind == "" {
-		return lease.Lease{}, errors.New("space: entry must have a kind")
-	}
-	inj, site := s.faultHooks()
-	if err := inj.Inject(site + FaultSiteWrite); err != nil {
+	leases, err := s.WriteBatch([]Entry{e}, tx, leaseDur)
+	if err != nil {
 		return lease.Lease{}, err
 	}
-	lse := s.leases.Grant(leaseDur)
-	if inj.Drop(site + FaultSiteWrite) {
-		// Lost write: the caller gets a lease and believes the entry was
-		// stored, but nothing ever becomes visible — the tuple-space
-		// analogue of a message lost on the wire.
-		return lse, nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = lse.Cancel()
-		return lease.Lease{}, ErrClosed
-	}
-	var part *spaceTxnPart
-	txnID := uint64(0)
-	if tx != nil {
-		var err error
-		if part, err = s.joinLocked(tx); err != nil {
-			s.mu.Unlock()
-			_ = lse.Cancel()
-			return lease.Lease{}, err
-		}
-		txnID = tx.ID()
-	}
-	if err := s.checkGuardLocked(); err != nil {
-		s.mu.Unlock()
-		_ = lse.Cancel()
-		return lease.Lease{}, err
-	}
-	id := s.nextID + 1
-	if s.journal != nil {
-		// Only a durable space pays for field encoding; volatile spaces
-		// skip the record build entirely on this hot path.
-		if err := s.journalLocked(journalRecord{
-			Op: opWrite, ID: id, Txn: txnID, Kind: e.Kind,
-			Fields:  encodeFields(e.Fields),
-			LeaseMS: int64(leaseDur / time.Millisecond),
-		}); err != nil {
-			s.mu.Unlock()
-			_ = lse.Cancel()
-			return lease.Lease{}, err
-		}
-	}
-	s.nextID = id
-	se := &storedEntry{id: id, entry: e.Clone(), leaseID: lse.ID, writtenTxn: txnID}
-	if part != nil {
-		part.written = append(part.written, se.id)
-	}
-	s.entries[se.id] = se
-	s.byLease[lse.ID] = se.id
-	s.indexAddLocked(se)
-	s.wakeWaitersLocked(se)
-	s.mu.Unlock()
-	return lse, nil
+	return leases[0], nil
 }
 
 // Read returns a copy of a matching entry without removing it, blocking up
 // to timeout (0 = non-blocking, Forever = indefinitely).
 func (s *Space) Read(tmpl Entry, tx *txn.Transaction, timeout time.Duration) (Entry, error) {
-	return s.acquire(tmpl, tx, timeout, false)
+	out, err := s.acquire(tmpl, false, 1, tx, timeout)
+	if err != nil {
+		return Entry{}, err
+	}
+	return out[0], nil
 }
 
 // Take removes and returns a matching entry, blocking up to timeout. Under
 // a transaction the removal is provisional until commit.
 func (s *Space) Take(tmpl Entry, tx *txn.Transaction, timeout time.Duration) (Entry, error) {
-	return s.acquire(tmpl, tx, timeout, true)
+	out, err := s.acquire(tmpl, true, 1, tx, timeout)
+	if err != nil {
+		return Entry{}, err
+	}
+	return out[0], nil
 }
 
 // Count reports visible entries matching the template (outside any txn).
@@ -323,10 +281,13 @@ func (s *Space) Close() {
 	}
 }
 
-func (s *Space) acquire(tmpl Entry, tx *txn.Transaction, timeout time.Duration, take bool) (Entry, error) {
+// acquire serves Read, Take and TakeAny: it reads one match or takes up
+// to max under one journal commit, and otherwise queues a waiter that a
+// revealing mutation serves (see planHandoffsLocked).
+func (s *Space) acquire(tmpl Entry, take bool, max int, tx *txn.Transaction, timeout time.Duration) ([]Entry, error) {
 	inj, site := s.faultHooks()
 	if err := inj.Inject(site + FaultSiteTake); err != nil {
-		return Entry{}, err
+		return nil, err
 	}
 	s.leases.Sweep()
 	txnID := uint64(0)
@@ -336,26 +297,32 @@ func (s *Space) acquire(tmpl Entry, tx *txn.Transaction, timeout time.Duration, 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Entry{}, ErrClosed
+		return nil, ErrClosed
 	}
-	if se := s.matchLocked(tmpl, txnID); se != nil {
-		out, err := s.claimLocked(se, tx, take)
+	if take {
+		out, err := s.takeBatchLocked(tmpl, max, tx, txnID)
+		if err != nil || len(out) > 0 {
+			s.mu.Unlock()
+			return out, err
+		}
+	} else if picked := s.pickLocked(tmpl, txnID, 1); len(picked) > 0 {
+		out := []Entry{picked[0].entry.Clone()}
 		s.mu.Unlock()
-		return out, err
+		return out, nil
 	}
 	if timeout <= 0 {
 		s.mu.Unlock()
-		return Entry{}, ErrTimeout
+		return nil, ErrTimeout
 	}
-	w := &waiter{template: tmpl, take: take, txnID: txnID, result: make(chan Entry, 1)}
+	w := &waiter{template: tmpl, take: take, max: max, tx: tx, txnID: txnID, result: make(chan []Entry, 1)}
 	s.waitq[tmpl.Kind] = append(s.waitq[tmpl.Kind], w)
 	s.mu.Unlock()
-	return s.awaitWaiter(w, tmpl.Kind, timeout)
+	return s.awaitWaiter(w, timeout)
 }
 
 // awaitWaiter blocks on a registered waiter until it is served, the space
 // closes, or the timeout lapses (the waiter is then deregistered).
-func (s *Space) awaitWaiter(w *waiter, kind string, timeout time.Duration) (Entry, error) {
+func (s *Space) awaitWaiter(w *waiter, timeout time.Duration) ([]Entry, error) {
 	var timer clockwork.Timer
 	var timeoutCh <-chan time.Time
 	if timeout != Forever {
@@ -364,49 +331,65 @@ func (s *Space) awaitWaiter(w *waiter, kind string, timeout time.Duration) (Entr
 		defer timer.Stop()
 	}
 	select {
-	case e, ok := <-w.result:
+	case out, ok := <-w.result:
 		if !ok {
-			return Entry{}, ErrClosed
+			return nil, ErrClosed
 		}
-		return e, nil
+		return out, nil
 	case <-timeoutCh:
 		s.mu.Lock()
-		// Remove the waiter unless it was already served concurrently.
-		q := s.waitq[kind]
-		for i, cand := range q {
-			if cand == w {
-				s.waitq[kind] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
+		s.dequeueLocked(w) // unless it was already served concurrently
 		s.mu.Unlock()
 		select {
-		case e, ok := <-w.result:
+		case out, ok := <-w.result:
 			if ok {
-				return e, nil // raced: served just before removal
+				return out, nil // raced: served just before removal
 			}
-			return Entry{}, ErrClosed
+			return nil, ErrClosed
 		default:
-			return Entry{}, ErrTimeout
+			return nil, ErrTimeout
 		}
 	}
 }
 
-// matchLocked finds the lowest-id visible entry matching tmpl for txnID.
-// Candidates come from the kind/field index in ascending id order, so the
-// first visible match is the FIFO winner.
-func (s *Space) matchLocked(tmpl Entry, txnID uint64) *storedEntry {
+// dequeueLocked removes w from its kind's wait queue, if still queued.
+func (s *Space) dequeueLocked(w *waiter) {
+	kind := w.template.Kind
+	q := s.waitq[kind]
+	for i, cand := range q {
+		if cand == w {
+			q = append(q[:i], q[i+1:]...)
+			break
+		}
+	}
+	if len(q) == 0 {
+		delete(s.waitq, kind)
+	} else {
+		s.waitq[kind] = q
+	}
+}
+
+// pickLocked returns up to max visible entries matching tmpl for txnID, in
+// FIFO (ascending id) order. Candidates come from the kind/field index in
+// ascending id order; they are collected before anything is mutated —
+// candidatesLocked returns live index slices that must not change
+// mid-iteration.
+func (s *Space) pickLocked(tmpl Entry, txnID uint64, max int) []*storedEntry {
 	candidates, ok := s.candidatesLocked(tmpl)
 	if !ok {
 		return nil
 	}
+	var picked []*storedEntry
 	for _, id := range candidates {
 		se := s.entries[id]
 		if s.visibleLocked(se, txnID) && tmpl.Matches(se.entry) {
-			return se
+			picked = append(picked, se)
+			if len(picked) == max {
+				break
+			}
 		}
 	}
-	return nil
+	return picked
 }
 
 // visibleLocked reports whether txnID can see the entry.
@@ -423,50 +406,39 @@ func (s *Space) visibleLocked(se *storedEntry, txnID uint64) bool {
 	return true
 }
 
-// claimLocked performs the read/take on a matched entry. Takes are
-// journaled before the entry is touched: a journaling error leaves the
-// entry intact and fails the operation.
-func (s *Space) claimLocked(se *storedEntry, tx *txn.Transaction, take bool) (Entry, error) {
-	if !take {
-		return se.entry.Clone(), nil
+// takeRecord is the journal record for taking se under txnID (0 = none).
+// Taking an entry the transaction itself wrote removes it outright — the
+// removal stands even if the transaction later aborts — so that record
+// carries no txn tag, like a take outside any transaction.
+func takeRecord(se *storedEntry, txnID uint64) record {
+	if se.writtenTxn == txnID {
+		txnID = 0
 	}
-	if err := s.checkGuardLocked(); err != nil {
-		return Entry{}, err
+	return record{op: opTake, id: se.id, txn: txnID}
+}
+
+// applyTakeLocked applies a journaled take of se by part (nil outside a
+// transaction) and returns the taker's entry. An entry that leaves the
+// space — a take outside a transaction, or of the transaction's own staged
+// write — is handed over as stored: the space cloned it on Write and keeps
+// no reference. A provisional take gets a clone, because Abort restores
+// the stored entry.
+func (s *Space) applyTakeLocked(se *storedEntry, part *spaceTxnPart) Entry {
+	if part != nil && se.writtenTxn != part.tx.ID() {
+		se.takenTxn = part.tx.ID()
+		part.taken = append(part.taken, se.id)
+		return se.entry.Clone()
 	}
-	if tx == nil {
-		if err := s.journalLocked(journalRecord{Op: opTake, ID: se.id}); err != nil {
-			return Entry{}, err
-		}
-		s.removeLocked(se)
-		return se.entry.Clone(), nil
-	}
-	part, err := s.joinLocked(tx)
-	if err != nil {
-		return Entry{}, err
-	}
-	if se.writtenTxn == tx.ID() {
-		// Taking an entry this transaction itself wrote: net effect is
-		// nothing, remove it outright. The removal is unconditional (it
-		// stands even if the transaction later aborts), so the journal
-		// record carries no txn tag.
-		if err := s.journalLocked(journalRecord{Op: opTake, ID: se.id}); err != nil {
-			return Entry{}, err
-		}
-		s.removeLocked(se)
+	s.removeLocked(se)
+	if part != nil {
 		for i, id := range part.written {
 			if id == se.id {
 				part.written = append(part.written[:i], part.written[i+1:]...)
 				break
 			}
 		}
-		return se.entry.Clone(), nil
 	}
-	if err := s.journalLocked(journalRecord{Op: opTake, ID: se.id, Txn: tx.ID()}); err != nil {
-		return Entry{}, err
-	}
-	se.takenTxn = tx.ID()
-	part.taken = append(part.taken, se.id)
-	return se.entry.Clone(), nil
+	return se.entry
 }
 
 func (s *Space) removeLocked(se *storedEntry) {
@@ -476,48 +448,97 @@ func (s *Space) removeLocked(se *storedEntry) {
 	_ = s.leases.Cancel(se.leaseID)
 }
 
-// wakeWaitersLocked offers one newly visible entry to the blocked
-// operations whose template kind it carries, FIFO per arrival order. Only
-// that kind's queue is consulted — waiters on other kinds cannot match and
-// are not re-scanned, which keeps the wake cost independent of the
-// unrelated waiter population.
-//
-//lint:blockok waiter result channels are buffered (capacity 1) and written at most once per waiter, so the send under s.mu cannot block
-func (s *Space) wakeWaitersLocked(se *storedEntry) {
-	kind := se.entry.Kind
-	q := s.waitq[kind]
-	if len(q) == 0 {
-		return
-	}
-	remaining := q[:0]
-	for i, w := range q {
-		if _, live := s.entries[se.id]; !live {
-			// A previous waiter consumed the entry outright; everyone else
-			// keeps waiting.
-			remaining = append(remaining, q[i:]...)
-			break
-		}
-		if !s.visibleLocked(se, w.txnID) || !w.template.Matches(se.entry) {
-			remaining = append(remaining, w)
+// handoff is a blocked waiter served by entries a mutation revealed.
+type handoff struct {
+	w    *waiter
+	part *spaceTxnPart // the waiter's participant, for a take under a txn
+	got  []*storedEntry
+}
+
+// planHandoffsLocked offers entries a mutation is about to reveal — to
+// every transaction, or only to txnID's when it is non-zero — to the
+// blocked waiters of their kinds, FIFO per kind: a read waiter is promised
+// a clone of its first match, a take waiter up to its max matches not
+// promised to an earlier taker. Revealed entries are in ascending id
+// order. Nothing is applied here: the take records are appended to recs,
+// so the caller's one journal batch acknowledges the mutation and its
+// hand-offs together, and handOffLocked applies the plan once that batch
+// has landed. If it does not, the caller drops the plan and every waiter
+// keeps waiting.
+func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64, recs []record) ([]handoff, []record) {
+	var plan []handoff
+	var promised map[*storedEntry]bool
+	for i, se := range revealed {
+		kind := se.entry.Kind
+		if len(s.waitq[kind]) == 0 || kindBefore(revealed[:i], kind) {
 			continue
 		}
-		var tx *txn.Transaction
-		if w.txnID != 0 {
-			if part, ok := s.txns[w.txnID]; ok {
-				tx = part.tx
+		for _, w := range s.waitq[kind] {
+			if txnID != 0 && w.txnID != txnID {
+				continue
+			}
+			var got []*storedEntry
+			for _, c := range revealed[i:] {
+				if len(got) == w.max {
+					break
+				}
+				if c.entry.Kind == kind && !promised[c] && s.leases.Valid(c.leaseID) && w.template.Matches(c.entry) {
+					got = append(got, c)
+				}
+			}
+			if len(got) == 0 {
+				continue
+			}
+			h := handoff{w: w, got: got}
+			if w.take {
+				if w.tx != nil {
+					part, err := s.joinLocked(w.tx)
+					if err != nil {
+						continue // its transaction is settling: keep waiting
+					}
+					h.part = part
+				}
+				if promised == nil {
+					promised = make(map[*storedEntry]bool)
+				}
+				for _, c := range got {
+					promised[c] = true
+					recs = append(recs, takeRecord(c, w.txnID))
+				}
+			}
+			plan = append(plan, h)
+		}
+	}
+	return plan, recs
+}
+
+// kindBefore reports whether an earlier revealed entry has kind, whose
+// waiters planHandoffsLocked has then already walked.
+func kindBefore(ses []*storedEntry, kind string) bool {
+	for _, se := range ses {
+		if se.entry.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// handOffLocked applies a plan whose take records have landed: each
+// waiter gets its entries and leaves its queue.
+//
+//lint:blockok waiter result channels are buffered (capacity 1) and a waiter is served at most once — handOffLocked dequeues it under the same s.mu hold — so the send under s.mu cannot block
+func (s *Space) handOffLocked(plan []handoff) {
+	for _, h := range plan {
+		out := make([]Entry, len(h.got))
+		for i, se := range h.got {
+			if h.w.take {
+				out[i] = s.applyTakeLocked(se, h.part)
+			} else {
+				out[i] = se.entry.Clone()
 			}
 		}
-		out, err := s.claimLocked(se, tx, w.take)
-		if err != nil {
-			remaining = append(remaining, w)
-			continue
-		}
-		w.result <- out
-	}
-	if len(remaining) == 0 {
-		delete(s.waitq, kind)
-	} else {
-		s.waitq[kind] = remaining
+		s.dequeueLocked(h.w)
+		h.w.result <- out
 	}
 }
 
@@ -533,7 +554,7 @@ func (s *Space) onLeaseExpired(leaseID uint64) {
 		// Best-effort journaling: if the expire record fails to land,
 		// replay re-grants the rebased lease and the entry re-expires
 		// after recovery instead — expiry is idempotent.
-		_ = s.journalLocked(journalRecord{Op: opExpire, ID: id})
+		_ = s.journalBatchLocked([]record{{op: opExpire, id: id}})
 		delete(s.byLease, leaseID)
 		if se, ok := s.entries[id]; ok {
 			delete(s.entries, id)
@@ -553,8 +574,10 @@ type spaceTxnPart struct {
 }
 
 // joinLocked returns the participant state for tx, enrolling on first use.
+// A transaction that is no longer active (voting, committed or aborted)
+// cannot take part in a new operation.
 func (s *Space) joinLocked(tx *txn.Transaction) (*spaceTxnPart, error) {
-	if part, ok := s.txns[tx.ID()]; ok {
+	if part, ok := s.txns[tx.ID()]; ok && tx.State() == txn.Active {
 		return part, nil
 	}
 	part := &spaceTxnPart{space: s, tx: tx}
@@ -576,68 +599,72 @@ func (p *spaceTxnPart) Prepare(uint64) (txn.Vote, error) {
 }
 
 // Commit implements txn.Participant: staged writes become visible and
-// provisional takes become permanent. On a durable space the commit record
-// must land before anything is applied — if it cannot, the commit fails
-// and replay will abort the transaction, matching what a crash at this
-// point would do.
+// provisional takes become permanent. Waiters the revealed writes serve
+// are handed their entries under the same journal batch as the commit
+// record. On a durable space that batch must land before anything is
+// applied — if it cannot, the commit fails and replay will abort the
+// transaction, matching what a crash at this point would do.
 func (p *spaceTxnPart) Commit(txnID uint64) error {
-	p.space.mu.Lock()
-	if err := p.space.checkGuardLocked(); err != nil {
-		p.space.mu.Unlock()
+	s := p.space
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkGuardLocked(); err != nil {
 		return err
 	}
-	if err := p.space.journalLocked(journalRecord{Op: opCommit, Txn: txnID}); err != nil {
-		p.space.mu.Unlock()
+	revealed := s.liveLocked(p.written)
+	plan, recs := s.planHandoffsLocked(revealed, 0, []record{{op: opCommit, txn: txnID}})
+	if err := s.journalBatchLocked(recs); err != nil {
 		return err
 	}
-	var revealed []*storedEntry
-	for _, id := range p.written {
-		if se, ok := p.space.entries[id]; ok {
-			se.writtenTxn = 0
-			revealed = append(revealed, se)
-		}
-	}
-	for _, id := range p.taken {
-		if se, ok := p.space.entries[id]; ok {
-			p.space.removeLocked(se)
-		}
-	}
-	delete(p.space.txns, txnID)
 	for _, se := range revealed {
-		p.space.wakeWaitersLocked(se)
+		se.writtenTxn = 0
 	}
-	p.space.mu.Unlock()
+	for _, se := range s.liveLocked(p.taken) {
+		s.removeLocked(se)
+	}
+	delete(s.txns, txnID)
+	s.handOffLocked(plan)
 	return nil
 }
 
 // Abort implements txn.Participant: staged writes vanish and provisional
-// takes are restored. The abort record is best-effort — replay aborts any
-// transaction without a commit record, so a lost abort record converges to
-// the same state.
+// takes are restored, and the restored entries serve waiters under the
+// abort record's journal batch. The abort record is best-effort — replay
+// aborts any transaction without a commit record, so a lost abort record
+// converges to the same state — but the hand-offs are not: if the batch
+// is fenced or fails, the rollback still applies and every waiter keeps
+// waiting.
 func (p *spaceTxnPart) Abort(txnID uint64) error {
-	p.space.mu.Lock()
-	// The abort record is best-effort and so is the fence: a fenced space
-	// skips the journal (replay aborts unresolved transactions anyway) but
-	// still rolls back its in-memory staging.
-	if err := p.space.checkGuardLocked(); err == nil {
-		_ = p.space.journalLocked(journalRecord{Op: opAbort, Txn: txnID})
-	}
-	for _, id := range p.written {
-		if se, ok := p.space.entries[id]; ok {
-			p.space.removeLocked(se)
+	s := p.space
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	restored := s.liveLocked(p.taken)
+	var plan []handoff
+	if err := s.checkGuardLocked(); err == nil {
+		var recs []record
+		plan, recs = s.planHandoffsLocked(restored, 0, []record{{op: opAbort, txn: txnID}})
+		if s.journalBatchLocked(recs) != nil {
+			plan = nil
 		}
 	}
-	var restored []*storedEntry
-	for _, id := range p.taken {
-		if se, ok := p.space.entries[id]; ok {
-			se.takenTxn = 0
-			restored = append(restored, se)
-		}
+	for _, se := range s.liveLocked(p.written) {
+		s.removeLocked(se)
 	}
-	delete(p.space.txns, txnID)
 	for _, se := range restored {
-		p.space.wakeWaitersLocked(se)
+		se.takenTxn = 0
 	}
-	p.space.mu.Unlock()
+	delete(s.txns, txnID)
+	s.handOffLocked(plan)
 	return nil
+}
+
+// liveLocked returns the stored entries among ids, in order.
+func (s *Space) liveLocked(ids []uint64) []*storedEntry {
+	var out []*storedEntry
+	for _, id := range ids {
+		if se, ok := s.entries[id]; ok {
+			out = append(out, se)
+		}
+	}
+	return out
 }

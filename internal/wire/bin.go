@@ -1,13 +1,17 @@
 // Append/Consume primitives for sensorcer's binary wire formats. The
-// srpc binary codec and the hot-shape encoders in internal/remote build
-// every frame from these instead of encoding/json (or encoding/binary,
-// whose helpers the noalloc analyzer cannot see through): Append* grow a
-// caller-owned buffer amortized, Consume* parse without copying — a
-// consumed byte slice aliases the input — and never panic on truncated
-// or hostile input (they return ok=false instead).
+// srpc binary codec, the hot-shape encoders in internal/remote and the
+// space journal build every frame and record from these instead of
+// encoding/json (or encoding/binary, whose helpers the noalloc analyzer
+// cannot see through): Append* grow a caller-owned buffer amortized,
+// Consume* parse without copying — a consumed byte slice aliases the
+// input — and never panic on truncated or hostile input (they return
+// ok=false instead).
 package wire
 
-import "math"
+import (
+	"encoding/json"
+	"math"
+)
 
 // AppendUvarint appends v in LEB128 (the same uvarint encoding
 // encoding/binary uses, reimplemented so noalloc-annotated encoders can
@@ -115,4 +119,78 @@ func ConsumeString(b []byte) (string, []byte, bool) {
 		return "", b, false
 	}
 	return string(p), rest, true
+}
+
+// Value tags of the tagged-value format: the scalar kinds attr.Value
+// admits, plus a JSON blob fallback for anything richer (lists in
+// exertion contexts). Part of the wire and journal formats — append only.
+const (
+	valString  byte = 0
+	valFalse   byte = 1
+	valTrue    byte = 2
+	valInt64   byte = 3
+	valFloat64 byte = 4
+	valJSON    byte = 5
+)
+
+// AppendValue appends v as a tagged value. Strings, bools, int64 and
+// float64 keep their Go types through a round trip, unlike JSON, which
+// folds every number into float64; anything else rides as a JSON blob
+// (so a Go int comes back as float64) and an error is returned, with b
+// unchanged, when JSON rejects it.
+func AppendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case string:
+		return AppendString(append(b, valString), x), nil
+	case bool:
+		if x {
+			return append(b, valTrue), nil
+		}
+		return append(b, valFalse), nil
+	case int64:
+		return AppendSvarint(append(b, valInt64), x), nil
+	case float64:
+		return AppendFloat64(append(b, valFloat64), x), nil
+	default:
+		blob, err := json.Marshal(v)
+		if err != nil {
+			return b, err
+		}
+		return AppendBytes(append(b, valJSON), blob), nil
+	}
+}
+
+// ConsumeValue parses a tagged value written by AppendValue. Strings are
+// copied out, so the value never aliases b.
+func ConsumeValue(b []byte) (any, []byte, bool) {
+	if len(b) < 1 {
+		return nil, b, false
+	}
+	tag, rest := b[0], b[1:]
+	switch tag {
+	case valString:
+		s, rest, ok := ConsumeString(rest)
+		return s, rest, ok
+	case valFalse:
+		return false, rest, true
+	case valTrue:
+		return true, rest, true
+	case valInt64:
+		v, rest, ok := ConsumeSvarint(rest)
+		return v, rest, ok
+	case valFloat64:
+		v, rest, ok := ConsumeFloat64(rest)
+		return v, rest, ok
+	case valJSON:
+		blob, rest, ok := ConsumeBytes(rest)
+		if !ok {
+			return nil, b, false
+		}
+		var v any
+		if err := json.Unmarshal(blob, &v); err != nil {
+			return nil, b, false
+		}
+		return v, rest, true
+	}
+	return nil, b, false
 }

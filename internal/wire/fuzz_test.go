@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -18,12 +20,12 @@ func FuzzDecodeCompact(f *testing.F) {
 		{SensorID: 1, Timestamp: base.Add(time.Second), Value: 21.75},
 	})
 	f.Add(good)
-	f.Add(good[:len(good)-1])              // truncated last value
-	f.Add(good[:5])                        // truncated header
-	f.Add([]byte{})                        // empty
-	f.Add([]byte{compactVersion})          // header only
+	f.Add(good[:len(good)-1])                                           // truncated last value
+	f.Add(good[:5])                                                     // truncated header
+	f.Add([]byte{})                                                     // empty
+	f.Add([]byte{compactVersion})                                       // header only
 	f.Add(append([]byte{compactVersion}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // hostile count
-	f.Add(append(append([]byte(nil), good...), 0x00)) // trailing byte
+	f.Add(append(append([]byte(nil), good...), 0x00))                   // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readings, err := DecodeCompact(data)
 		if err != nil {
@@ -74,6 +76,44 @@ func FuzzConsumePrimitives(f *testing.F) {
 		}
 		if s, _, ok := ConsumeString(data); ok && len(s) > len(data) {
 			t.Fatal("ConsumeString returned more than it was given")
+		}
+	})
+}
+
+// FuzzConsumeValue drives the tagged-value decoder shared by srpc's hot
+// shapes and the space journal: never panic, never claim more input than
+// it was given, and every accepted value re-encodes and decodes to the
+// same value.
+func FuzzConsumeValue(f *testing.F) {
+	for _, v := range []any{"avg", false, true, int64(-300), 2.5, []any{"a", 1.0}, map[string]any{"k": "v"}} {
+		b, _ := AppendValue(nil, v)
+		f.Add(b)
+	}
+	f.Add([]byte{valJSON, 3, '{', '"', '}'}) // JSON blob that does not parse
+	f.Add([]byte{valFloat64, 0, 0})          // truncated float
+	f.Add([]byte{0xff})                      // unknown tag
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, rest, ok := ConsumeValue(data)
+		if !ok {
+			return
+		}
+		if len(rest) > len(data) {
+			t.Fatal("ConsumeValue returned more than it was given")
+		}
+		b, err := AppendValue(nil, v)
+		if err != nil {
+			t.Fatalf("accepted value %#v does not re-encode: %v", v, err)
+		}
+		again, rest, ok := ConsumeValue(b)
+		if !ok || len(rest) != 0 {
+			t.Fatalf("re-encoded value %#v does not decode", v)
+		}
+		if f, isF := v.(float64); isF {
+			if g, _ := again.(float64); math.Float64bits(f) != math.Float64bits(g) {
+				t.Fatalf("float %v came back as %v", f, again)
+			}
+		} else if !reflect.DeepEqual(v, again) {
+			t.Fatalf("value %#v came back as %#v", v, again)
 		}
 	})
 }
