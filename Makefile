@@ -111,10 +111,10 @@ chaos-failover:
 
 # Just the coordination-plane invariant sweeps (a subset of `make chaos`):
 # 200 seeded coordinator-kill / lease-expiry-race / split-brain /
-# mid-handoff-crash iterations plus rebalances racing a leader change.
+# primary-crash iterations.
 chaos-coordinator:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race ./internal/chaos -count=1 \
-		-run 'CoordinatorChaosInvariants|RebalanceUnderCoordinatorChurn'
+		-run 'CoordinatorChaosInvariants'
 
 experiments:
 	$(GO) run ./cmd/experiments

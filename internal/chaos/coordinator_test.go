@@ -17,15 +17,14 @@ import (
 )
 
 // The coordinator suite: chaos for the coordination plane itself. Each
-// iteration stands up a replicated shard, a registry hosting the
+// iteration stands up a replicated pair, a registry hosting the
 // coordination lease, and two coordinator replicas competing for it,
 // then drives a seeded mix of routed operations and control-plane
 // disasters — leader kills (lease lapse) and orderly abdications,
 // lease-expiry races where a stale holder's token must bounce,
 // split-brain (a deposed coordinator keeps issuing decisions with its
-// old token), live shard handoffs racing the traffic, and mid-handoff
-// target crashes. The PR 6 data-plane invariants must survive every
-// sequence: no acked write lost, nothing served twice, nothing accepted
+// old token), and primary crashes the lease holder must detect. The
+// failover suite's data-plane invariants must survive every sequence: no acked write lost, nothing served twice, nothing accepted
 // under a stale fencing token — and additionally no decision carrying a
 // superseded coordinator generation may ever change the configuration.
 
@@ -88,9 +87,7 @@ func (c *coordChaos) stopAll() {
 func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) {
 	a := newFailoverNode(t, "a")
 	b := newFailoverNode(t, "b")
-	r, err := repl.NewRouter(clockwork.Real(),
-		[]repl.ShardSpec{{Name: "s0", Primary: a, Backup: b}},
-		repl.WithWriteWindow(10*time.Second))
+	r, err := repl.NewRouter(clockwork.Real(), a, b, repl.WithWriteWindow(10*time.Second))
 	if err != nil {
 		t.Fatalf("iter %d: new router: %v", iter, err)
 	}
@@ -133,17 +130,10 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 	}
 
 	m := newFailoverModel()
-	sh := r.Shard("s0")
 	var staleTokens []uint64 // tokens of deposed or expired coordinators
 	if expired != nil {
 		staleTokens = append(staleTokens, expired.Token)
 	}
-	var retired []*repl.Node // nodes rotated out by rebalances
-	defer func() {
-		for _, n := range retired {
-			_ = n.Close()
-		}
-	}()
 
 	// waitPrimary waits for the lease holder to promote someone after a
 	// primary kill.
@@ -151,7 +141,7 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			if cur := sh.Primary(); cur != not {
+			if cur := r.Primary(); cur != not {
 				return cur
 			}
 			if time.Now().After(deadline) {
@@ -171,7 +161,7 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 		}
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			err := r.Reattach("s0")
+			err := r.Reattach(r.Gen())
 			if err == nil {
 				return
 			}
@@ -206,7 +196,7 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 			m.taken[uid] = true
 
 		case roll < 0.52: // checkpoint mid-chaos
-			if sp := sh.Primary().CurrentSpace(); sp != nil {
+			if sp := r.Primary().CurrentSpace(); sp != nil {
 				_ = sp.Checkpoint()
 			}
 
@@ -230,76 +220,25 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 				continue
 			}
 			stale := staleTokens[rng.Intn(len(staleTokens))]
-			genBefore, epochBefore, primBefore := sh.Gen(), sh.Epoch(), sh.Primary()
-			if _, err := r.FailoverAs(stale, "s0"); !errors.Is(err, repl.ErrStaleEpoch) {
+			genBefore, epochBefore, primBefore := r.Gen(), r.Epoch(), r.Primary()
+			if _, err := r.Failover(stale); !errors.Is(err, repl.ErrStaleEpoch) {
 				t.Fatalf("iter %d op %d: stale-token failover = %v, want ErrStaleEpoch (CHAOS_SEED=%d reproduces)",
 					iter, op, err, chaosSeed)
 			}
-			if _, err := r.RebalanceAs(stale, "s0", nil); !errors.Is(err, repl.ErrStaleEpoch) {
-				t.Fatalf("iter %d op %d: stale-token rebalance = %v, want ErrStaleEpoch (CHAOS_SEED=%d reproduces)",
-					iter, op, err, chaosSeed)
-			}
-			if err := r.DetachAs(stale, "s0"); !errors.Is(err, repl.ErrStaleEpoch) {
+			if err := r.Detach(stale); !errors.Is(err, repl.ErrStaleEpoch) {
 				t.Fatalf("iter %d op %d: stale-token detach = %v, want ErrStaleEpoch (CHAOS_SEED=%d reproduces)",
 					iter, op, err, chaosSeed)
 			}
-			if sh.Gen() < genBefore || sh.Epoch() != epochBefore || sh.Primary() != primBefore {
+			if r.Gen() < genBefore || r.Epoch() != epochBefore || r.Primary() != primBefore {
 				t.Fatalf("iter %d op %d: a stale coordinator decision changed the configuration (CHAOS_SEED=%d reproduces)",
 					iter, op, chaosSeed)
 			}
 
-		case roll < 0.90: // live handoff racing traffic; sometimes the target is a corpse
-			if !sh.BackupAttached() {
-				continue
-			}
-			target := newFailoverNode(t, fmt.Sprintf("target-%d", op))
-			if rng.Float64() < 0.35 {
-				// Mid-handoff crash: the target dies while the source is
-				// seeding it. The handoff must fail without hurting the
-				// serving pair.
-				target.Kill()
-				primBefore := sh.Primary()
-				if _, err := r.Rebalance("s0", target); err == nil {
-					t.Fatalf("iter %d op %d: handoff to a corpse succeeded (CHAOS_SEED=%d reproduces)",
-						iter, op, chaosSeed)
-				}
-				retired = append(retired, target)
-				if sh.Primary() != primBefore {
-					t.Fatalf("iter %d op %d: failed handoff displaced the primary (CHAOS_SEED=%d reproduces)",
-						iter, op, chaosSeed)
-				}
-				uid := m.uid()
-				if _, err := r.Write(uidEntry(uid), nil, 24*time.Hour); err != nil {
-					t.Fatalf("iter %d op %d: write after failed handoff: %v (CHAOS_SEED=%d reproduces)",
-						iter, op, err, chaosSeed)
-				}
-				m.ack(uid)
-			} else {
-				old, err := r.Rebalance("s0", target)
-				if err != nil {
-					// A concurrent takeover may have raised the generation
-					// between reading r.Gen() and the decision landing;
-					// that bounce is lawful — anything else is not.
-					if errors.Is(err, repl.ErrStaleEpoch) {
-						retired = append(retired, target)
-						continue
-					}
-					t.Fatalf("iter %d op %d: rebalance: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
-				}
-				if old != nil {
-					retired = append(retired, old)
-				}
-				if sh.Primary() != target {
-					t.Fatalf("iter %d op %d: rebalance did not install the target (CHAOS_SEED=%d reproduces)",
-						iter, op, chaosSeed)
-				}
-			}
-
 		default: // primary crash: the lease holder must notice and promote
-			if !sh.BackupAttached() {
+			if !r.BackupAttached() {
 				continue
 			}
-			cur := sh.Primary()
+			cur := r.Primary()
 			cur.Kill()
 			next := waitPrimary(cur)
 			uid := m.uid()
@@ -308,7 +247,7 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 					iter, op, err, chaosSeed)
 			}
 			m.ack(uid)
-			if sh.Primary() != next {
+			if r.Primary() != next {
 				t.Fatalf("iter %d op %d: primary moved again without a disaster (CHAOS_SEED=%d reproduces)",
 					iter, op, chaosSeed)
 			}
@@ -333,7 +272,7 @@ func coordinatorIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int6
 
 // TestCoordinatorChaosInvariants is the control-plane suite: 200 seeded
 // iterations of coordinator-kill / lease-expiry race / split-brain /
-// mid-handoff-crash (25 under -short).
+// primary-crash (25 under -short).
 func TestCoordinatorChaosInvariants(t *testing.T) {
 	before := runtime.NumGoroutine()
 	chaosSeed := seed(t)
@@ -344,96 +283,6 @@ func TestCoordinatorChaosInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed))
 	for i := 0; i < iters; i++ {
 		coordinatorIteration(t, i, rng, chaosSeed)
-	}
-	checkGoroutines(t, before)
-}
-
-// TestRebalanceUnderCoordinatorChurn moves a shard between nodes while
-// writers hammer it AND the coordination lease changes hands mid-flight:
-// the handoff's decisions carry whatever generation was current when
-// they were made, so a takeover either lets the handoff complete or
-// bounces it cleanly — never a torn flip. Acked writes survive whichever
-// way it lands.
-func TestRebalanceUnderCoordinatorChurn(t *testing.T) {
-	before := runtime.NumGoroutine()
-	chaosSeed := seed(t)
-	rng := rand.New(rand.NewSource(chaosSeed))
-	iters := 20
-	if testing.Short() {
-		iters = 5
-	}
-	for iter := 0; iter < iters; iter++ {
-		func() {
-			a := newFailoverNode(t, "a")
-			b := newFailoverNode(t, "b")
-			r, err := repl.NewRouter(clockwork.Real(),
-				[]repl.ShardSpec{{Name: "s0", Primary: a, Backup: b}},
-				repl.WithWriteWindow(10*time.Second))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = r.Close() }()
-			lus := registry.New("chaos-lus", clockwork.Real(),
-				registry.WithCoordLeasePolicy(lease.Policy{Max: time.Minute, Min: time.Millisecond}))
-			defer lus.Close()
-			cc := &coordChaos{t: t, iter: iter, chaosSeed: chaosSeed, lus: lus, r: r}
-			defer cc.stopAll()
-			cc.spawn()
-			cc.spawn()
-			cc.leader()
-
-			m := newFailoverModel()
-			// Writers run throughout; every nil error is an ack the drain
-			// must find. A refused write may still have journaled before
-			// its ship bounced, so unacked attempts land in the maybe set.
-			var ackedUIDs, attemptedUIDs []int64 // written by the goroutine, read after writerDone
-			stop := make(chan struct{})
-			writerDone := make(chan struct{})
-			go func() {
-				defer close(writerDone)
-				uid := int64(1_000_000)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					uid++
-					attemptedUIDs = append(attemptedUIDs, uid)
-					if _, err := r.Write(uidEntry(uid), nil, 24*time.Hour); err == nil {
-						ackedUIDs = append(ackedUIDs, uid)
-					}
-				}
-			}()
-
-			target := newFailoverNode(t, fmt.Sprintf("churn-target-%d", iter))
-			// Kill the leader mid-handoff on half the iterations.
-			if rng.Float64() < 0.5 {
-				ld, _ := cc.leader()
-				ld.Kill()
-				cc.spawn()
-			}
-			old, err := r.Rebalance("s0", target)
-			if err != nil && !errors.Is(err, repl.ErrStaleEpoch) {
-				t.Fatalf("iter %d: rebalance under churn: %v (CHAOS_SEED=%d reproduces)", iter, err, chaosSeed)
-			}
-			close(stop)
-			<-writerDone
-			for _, uid := range attemptedUIDs {
-				m.maybe[uid] = true
-			}
-			for _, uid := range ackedUIDs {
-				delete(m.maybe, uid)
-				m.ack(uid)
-			}
-			cc.stopAll()
-			drainFailover(t, r, iter, m, chaosSeed)
-			if old != nil {
-				_ = old.Close()
-			} else {
-				_ = target.Close()
-			}
-		}()
 	}
 	checkGoroutines(t, before)
 }

@@ -13,6 +13,7 @@ import (
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/faults"
 	"sensorcer/internal/lease"
+	"sensorcer/internal/registry"
 	"sensorcer/internal/repl"
 	"sensorcer/internal/resilience"
 	"sensorcer/internal/sorcer"
@@ -21,11 +22,11 @@ import (
 )
 
 // The failover suite: model-based replication chaos. Each iteration
-// drives a primary/backup shard pair through a seeded random mix of
+// drives a primary/backup pair through a seeded random mix of
 // routed operations and coordinator-visible disasters — primary
 // crashes with promotion, replication-link partitions, backup crashes,
 // double failures with revival from the last primary's log — while a
-// model tracks exactly which effects were ACKED. At the end the shard
+// model tracks exactly which effects were ACKED. At the end the pair
 // is drained through the router and the three replication invariants
 // hold:
 //
@@ -89,7 +90,7 @@ func newFailoverNode(t *testing.T, name string) *repl.Node {
 	return n
 }
 
-// drainFailover empties the shard through the router and checks the
+// drainFailover empties the pair through the router and checks the
 // model: every acked write present, nothing twice, nothing refused.
 func drainFailover(t *testing.T, r *repl.Router, iter int, m *failoverModel, chaosSeed int64) {
 	t.Helper()
@@ -100,7 +101,7 @@ func drainFailover(t *testing.T, r *repl.Router, iter int, m *failoverModel, cha
 			break
 		}
 		if err != nil {
-			t.Fatalf("iter %d: draining shard: %v (CHAOS_SEED=%d reproduces)", iter, err, chaosSeed)
+			t.Fatalf("iter %d: draining pair: %v (CHAOS_SEED=%d reproduces)", iter, err, chaosSeed)
 		}
 		uid := int64(e.Field("uid").(float64))
 		if got[uid] {
@@ -125,20 +126,17 @@ func drainFailover(t *testing.T, r *repl.Router, iter int, m *failoverModel, cha
 }
 
 // failoverIteration runs one seeded disaster sequence against a
-// replicated shard and checks the model at the end.
+// replicated pair and checks the model at the end.
 func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) {
 	a := newFailoverNode(t, "a")
 	b := newFailoverNode(t, "b")
-	r, err := repl.NewRouter(clockwork.Real(),
-		[]repl.ShardSpec{{Name: "s0", Primary: a, Backup: b}},
-		repl.WithWriteWindow(5*time.Second))
+	r, err := repl.NewRouter(clockwork.Real(), a, b, repl.WithWriteWindow(5*time.Second))
 	if err != nil {
 		t.Fatalf("iter %d: new router: %v", iter, err)
 	}
 	defer func() { _ = r.Close() }()
 
 	m := newFailoverModel()
-	sh := r.Shard("s0")
 	linkDown := errors.New("chaos: replication link down")
 
 	nOps := 30 + rng.Intn(40)
@@ -147,7 +145,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 		case roll < 0.40: // routed write: a nil error means durable on both
 			uid := m.uid()
 			if _, err := r.Write(uidEntry(uid), nil, 24*time.Hour); err != nil {
-				t.Fatalf("iter %d op %d: routed write failed on a healthy shard: %v (CHAOS_SEED=%d reproduces)",
+				t.Fatalf("iter %d op %d: routed write failed on a healthy pair: %v (CHAOS_SEED=%d reproduces)",
 					iter, op, err, chaosSeed)
 			}
 			m.ack(uid)
@@ -182,15 +180,15 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 			m.taken[uid] = true
 
 		case roll < 0.67: // checkpoint: compaction (and snapshot ship) mid-chaos
-			if sp := sh.Primary().CurrentSpace(); sp != nil {
+			if sp := r.Primary().CurrentSpace(); sp != nil {
 				_ = sp.Checkpoint()
 			}
 
 		case roll < 0.82: // primary crash → promotion (or solo crash → revival)
-			cur := sh.Primary()
-			if sh.BackupAttached() {
+			cur := r.Primary()
+			if r.BackupAttached() {
 				cur.Kill()
-				if _, err := r.Failover("s0"); err != nil {
+				if _, err := r.Failover(r.Gen()); err != nil {
 					t.Fatalf("iter %d op %d: failover after primary kill: %v (CHAOS_SEED=%d reproduces)",
 						iter, op, err, chaosSeed)
 				}
@@ -198,7 +196,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 					if err := cur.Restart(); err != nil {
 						t.Fatalf("iter %d op %d: restart: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 					}
-					if err := r.Reattach("s0"); err != nil {
+					if err := r.Reattach(r.Gen()); err != nil {
 						t.Fatalf("iter %d op %d: reattach: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 					}
 				}
@@ -210,12 +208,12 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 				if err := cur.Restart(); err != nil {
 					t.Fatalf("iter %d op %d: solo restart: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 				}
-				if _, err := r.Revive("s0"); err != nil {
+				if _, err := r.Revive(r.Gen()); err != nil {
 					t.Fatalf("iter %d op %d: revive: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 				}
 				if rng.Float64() < 0.5 {
-					_ = sh.Backup().Restart() // may already be up; Reattach resyncs either way
-					if err := r.Reattach("s0"); err != nil {
+					_ = r.Backup().Restart() // may already be up; Reattach resyncs either way
+					if err := r.Reattach(r.Gen()); err != nil {
 						t.Fatalf("iter %d op %d: reattach after revive: %v (CHAOS_SEED=%d reproduces)",
 							iter, op, err, chaosSeed)
 					}
@@ -223,10 +221,10 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 			}
 
 		case roll < 0.93: // promotion races: the losing primary must not ack
-			if !sh.BackupAttached() {
+			if !r.BackupAttached() {
 				continue
 			}
-			pr, bk := sh.Primary(), sh.Backup()
+			pr, bk := r.Primary(), r.Backup()
 			spOld := pr.CurrentSpace()
 			if rng.Float64() < 0.5 {
 				// Hard partition: every ship errors out, so the primary
@@ -242,7 +240,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 				m.maybe[ghost] = true // journaled locally, never acked
 				if rng.Float64() < 0.5 {
 					// The coordinator promotes the reachable backup...
-					if _, err := r.Failover("s0"); err != nil {
+					if _, err := r.Failover(r.Gen()); err != nil {
 						t.Fatalf("iter %d op %d: failover across partition: %v (CHAOS_SEED=%d reproduces)",
 							iter, op, err, chaosSeed)
 					}
@@ -255,7 +253,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 					}
 					m.refused[stale] = true
 					if rng.Float64() < 0.7 {
-						if err := r.Reattach("s0"); err != nil {
+						if err := r.Reattach(r.Gen()); err != nil {
 							t.Fatalf("iter %d op %d: reattach ex-primary: %v (CHAOS_SEED=%d reproduces)",
 								iter, op, err, chaosSeed)
 						}
@@ -265,7 +263,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 					// from its own log and serves solo, so the unacked ghost
 					// may lawfully resurface (it stays in maybe).
 					bk.SetFaultInjector(nil, "")
-					if err := r.Detach("s0"); err != nil {
+					if err := r.Detach(r.Gen()); err != nil {
 						t.Fatalf("iter %d op %d: detach: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 					}
 				}
@@ -273,7 +271,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 				// The coordinator promotes the backup while the old primary
 				// still believes it serves: its next ship bounces with a
 				// stale epoch and fences it permanently.
-				if _, err := r.Failover("s0"); err != nil {
+				if _, err := r.Failover(r.Gen()); err != nil {
 					t.Fatalf("iter %d op %d: promotion behind primary's back: %v (CHAOS_SEED=%d reproduces)",
 						iter, op, err, chaosSeed)
 				}
@@ -294,7 +292,7 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 				}
 				m.refused[stale] = true
 				if rng.Float64() < 0.7 {
-					if err := r.Reattach("s0"); err != nil {
+					if err := r.Reattach(r.Gen()); err != nil {
 						t.Fatalf("iter %d op %d: reattach fenced primary: %v (CHAOS_SEED=%d reproduces)",
 							iter, op, err, chaosSeed)
 					}
@@ -302,10 +300,10 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 			}
 
 		default: // backup crash: the primary suspends rather than ack solo
-			if !sh.BackupAttached() {
+			if !r.BackupAttached() {
 				continue
 			}
-			pr, bk := sh.Primary(), sh.Backup()
+			pr, bk := r.Primary(), r.Backup()
 			spOld := pr.CurrentSpace()
 			bk.Kill()
 			ghost := m.uid()
@@ -318,12 +316,12 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 				if err := bk.Restart(); err != nil {
 					t.Fatalf("iter %d op %d: backup restart: %v (CHAOS_SEED=%d reproduces)", iter, op, err, chaosSeed)
 				}
-				if err := r.Reattach("s0"); err != nil {
+				if err := r.Reattach(r.Gen()); err != nil {
 					t.Fatalf("iter %d op %d: reattach restarted backup: %v (CHAOS_SEED=%d reproduces)",
 						iter, op, err, chaosSeed)
 				}
 			} else {
-				if err := r.Detach("s0"); err != nil {
+				if err := r.Detach(r.Gen()); err != nil {
 					t.Fatalf("iter %d op %d: detach dead backup: %v (CHAOS_SEED=%d reproduces)",
 						iter, op, err, chaosSeed)
 				}
@@ -333,8 +331,8 @@ func failoverIteration(t *testing.T, iter int, rng *rand.Rand, chaosSeed int64) 
 
 	// When the pair ends attached, synchronous shipping means the logs
 	// sit at the same position — replication never lags an ack.
-	if sh.BackupAttached() {
-		if pp, bp := sh.Primary().Log().NextSeq(), sh.Backup().Log().NextSeq(); pp != bp {
+	if r.BackupAttached() {
+		if pp, bp := r.Primary().Log().NextSeq(), r.Backup().Log().NextSeq(); pp != bp {
 			t.Fatalf("iter %d: attached logs diverge: primary %d, backup %d (CHAOS_SEED=%d reproduces)",
 				iter, pp, bp, chaosSeed)
 		}
@@ -360,20 +358,29 @@ func TestFailoverReplicationInvariants(t *testing.T) {
 
 // TestFederationJobSurvivesPrimaryFailover runs a real federated job
 // through a primary crash: the spacer and worker bind to the Router,
-// the primary dies after the task envelopes are acked, the heartbeat
-// monitor promotes the backup, and the job still completes with every
-// result correct — no acked envelope lost, at-least-once end to end.
+// the primary dies after the task envelopes are acked, the coordinator
+// holding the coordination lease promotes the backup, and the job still
+// completes with every result correct — no acked envelope lost,
+// at-least-once end to end.
 func TestFederationJobSurvivesPrimaryFailover(t *testing.T) {
 	before := runtime.NumGoroutine()
 	a := newFailoverNode(t, "fed-a")
 	b := newFailoverNode(t, "fed-b")
-	r, err := repl.NewRouter(clockwork.Real(),
-		[]repl.ShardSpec{{Name: "s0", Primary: a, Backup: b}})
+	r, err := repl.NewRouter(clockwork.Real(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = r.Close() }()
-	r.StartMonitor(5*time.Millisecond, 3)
+	lus := registry.New("fed-lus", clockwork.Real(),
+		registry.WithCoordLeasePolicy(lease.Policy{Max: time.Minute, Min: time.Millisecond}))
+	defer lus.Close()
+	coord := repl.NewCoordinator("fed-coord", clockwork.Real(), lus, r, repl.CoordinatorConfig{
+		Term:     time.Second,
+		Interval: 5 * time.Millisecond,
+		Misses:   3,
+	})
+	coord.Start()
+	defer coord.Stop()
 
 	spacer := sorcer.NewSpacer("failover-spacer", r,
 		sorcer.WithTaskTimeout(time.Second),
@@ -421,7 +428,7 @@ func TestFederationJobSurvivesPrimaryFailover(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("job did not complete after promotion")
 	}
-	if got := r.Shard("s0").Primary(); got != b {
+	if got := r.Primary(); got != b {
 		t.Fatalf("primary after failover = %s, want b", got.Name())
 	}
 	for i := 0; i < 4; i++ {
@@ -432,6 +439,8 @@ func TestFederationJobSurvivesPrimaryFailover(t *testing.T) {
 	}
 
 	w.Stop()
+	coord.Stop()
+	lus.Close()
 	if err := r.Close(); err != nil {
 		t.Fatalf("router close: %v", err)
 	}

@@ -2,7 +2,6 @@ package lease
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,12 +106,13 @@ func (g *gateGrantor) Renew(id uint64, d time.Duration) (time.Time, error) {
 func (g *gateGrantor) Cancel(id uint64) error { return g.inner.Cancel(id) }
 
 // TestFencedRenewalRacesCoordinatorHandover is the coordination-plane
-// regression: a coordination-lease renewal (driven by a RenewalManager
-// with WithFailoverResolver) races a coordinator handover. The renewal
-// must either land on the current fenced grantor state — re-acquiring
-// through the resolver once the old grant lapsed — or fail cleanly; in no
-// interleaving may two holders end up granted at once, and tokens must
-// stay strictly increasing.
+// regression: a coordination-lease renewal (driven by a RenewalManager)
+// races a coordinator handover. Once the holder is partitioned, its
+// renewals fail, the manager drops and reports the lease, and the
+// standby wins the name only after the grant lapsed, with a dominating
+// token. The deposed grant never renews again — neither straight at the
+// table nor through its own handle once the partition heals — so two
+// holders are never granted at once.
 func TestFencedRenewalRacesCoordinatorHandover(t *testing.T) {
 	clock := clockwork.Real()
 	tbl := NewFencedTable(clock, Policy{Min: 30 * time.Millisecond, Max: 30 * time.Millisecond})
@@ -124,43 +124,22 @@ func TestFencedRenewalRacesCoordinatorHandover(t *testing.T) {
 	gate := &gateGrantor{inner: a.Lease.Grantor}
 	a.Lease.Grantor = gate
 
-	var mu sync.Mutex
-	var aTokens []uint64 // tokens A re-acquired through the resolver
-	var aDone atomic.Bool
+	lost := make(chan error, 1)
 	m := NewRenewalManager(clock,
 		WithRenewAt(0.5),
 		WithRequest(30*time.Millisecond),
 		WithRetryPolicy(resilience.Policy{MaxAttempts: 1, Clock: clock}),
-		WithFailoverResolver(func(_ *Lease) (*Lease, bool) {
-			// The holder lost contact: re-acquire from the fenced table.
-			// ErrHeld means a grant on the name is still live (ours or a
-			// rival's); either way we decline and the renewal fails
-			// cleanly rather than double-granting.
-			if aDone.Load() {
-				return nil, false
+		WithFailureHandler(func(_ *Lease, err error) {
+			select {
+			case lost <- err:
+			default:
 			}
-			g, aerr := tbl.Acquire("coord", "A", 30*time.Millisecond)
-			if aerr != nil {
-				return nil, false
-			}
-			mu.Lock()
-			aTokens = append(aTokens, g.Token)
-			n := len(aTokens)
-			mu.Unlock()
-			if n >= 3 {
-				// Bound the contest so the standby is guaranteed to win a
-				// later race; this grant is A's last.
-				aDone.Store(true)
-			}
-			g.Lease.Grantor = gate // still partitioned
-			return &g.Lease, true
 		}))
 	defer m.Stop()
 	m.Manage(&a.Lease)
 
 	// Partition A mid-term: every renewal from now on fails at the gate,
-	// so each term's expiry instant becomes an open race between A's
-	// resolver re-acquire and the standby's takeover attempt.
+	// so the term's expiry instant is an open race with the standby.
 	time.Sleep(10 * time.Millisecond)
 	gate.closed.Store(true)
 
@@ -182,26 +161,26 @@ func TestFencedRenewalRacesCoordinatorHandover(t *testing.T) {
 	if b.Token <= a.Token {
 		t.Fatalf("handover token %d does not dominate deposed holder's %d", b.Token, a.Token)
 	}
+	select {
+	case <-lost:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the manager never reported the partitioned holder's lease as lost")
+	}
+	if n := m.Count(); n != 0 {
+		t.Fatalf("manager still renews %d lease(s) after losing the grant", n)
+	}
 
-	// The deposed original handle must not resurrect A's claim behind B's
-	// back, even when its renewal reaches the table itself.
+	// The deposed grant must not resurrect A's claim behind B's back,
+	// whether its renewal reaches the table directly or through its own
+	// handle once the partition heals.
 	if _, err := tbl.Renew(a.Lease.ID, 30*time.Millisecond); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("deposed holder's direct renewal = %v, want ErrUnknownLease (never a double grant)", err)
 	}
-
-	// Every re-acquire A landed during the contest carries a token
-	// strictly below B's win — the table never interleaved two live
-	// grants, and the fencing order is exactly the acquisition order.
-	mu.Lock()
-	defer mu.Unlock()
-	seen := map[uint64]bool{a.Token: true, b.Token: true}
-	for _, tk := range aTokens {
-		if tk >= b.Token {
-			t.Fatalf("resolver re-acquired token %d at or after B's %d; grants overlapped", tk, b.Token)
-		}
-		if seen[tk] {
-			t.Fatalf("token %d issued twice", tk)
-		}
-		seen[tk] = true
+	gate.closed.Store(false)
+	if err := a.Lease.Renew(30 * time.Millisecond); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("deposed holder's renewal after the partition healed = %v, want ErrUnknownLease", err)
+	}
+	if holder, tok, ok := tbl.Holder("coord"); !ok || holder != "B" || tok != b.Token {
+		t.Fatalf("Holder = %q/%d/%v, want B/%d/true", holder, tok, ok, b.Token)
 	}
 }

@@ -35,11 +35,6 @@ type RenewalManager struct {
 	done    chan struct{}
 
 	onFailure func(l *Lease, err error)
-	// resolve, when set, is consulted after a failed renewal attempt: it
-	// may hand back a replacement lease (re-granted by a promoted backup
-	// after a failover) which the manager renews immediately — within
-	// the same retry attempt — and manages from then on.
-	resolve func(l *Lease) (*Lease, bool)
 }
 
 // RenewalOption customizes a RenewalManager.
@@ -87,17 +82,6 @@ func WithRetryPolicy(p resilience.Policy) RenewalOption {
 		}
 		m.retry = p
 	}
-}
-
-// WithFailoverResolver installs a failover hook consulted when a renewal
-// attempt fails for any reason other than deliberate cancellation: the
-// resolver may return a replacement lease — typically one re-granted by
-// the promoted backup of a failed grantor — and the manager switches to
-// it on the spot, renewing the replacement within the same attempt so a
-// failover does not burn the retry budget meant for transient faults.
-// Returning (nil, false) declines, and the original error stands.
-func WithFailoverResolver(fn func(l *Lease) (*Lease, bool)) RenewalOption {
-	return func(m *RenewalManager) { m.resolve = fn }
 }
 
 // NewRenewalManager starts the renewal loop. Call Stop to shut it down.
@@ -200,7 +184,6 @@ func (m *RenewalManager) loop() {
 			}
 		}
 		onFailure := m.onFailure
-		resolve := m.resolve
 		m.mu.Unlock()
 
 		if onFailure != nil {
@@ -209,31 +192,14 @@ func (m *RenewalManager) loop() {
 			}
 		}
 		for _, l := range due {
-			cur := l
 			err := m.retry.Run(func(resilience.Attempt) error {
-				rerr := cur.Renew(m.request)
-				if rerr == nil || resolve == nil || errors.Is(rerr, ErrCanceled) {
-					return rerr
-				}
-				// The grantor may be gone for good (shard failover): ask
-				// the resolver for a replacement lease from its successor
-				// and renew that instead, inside this same attempt — a
-				// cured failover must not consume the retry budget.
-				repl, ok := resolve(cur)
-				if !ok || repl == nil {
-					return rerr
-				}
-				cur = repl
-				return cur.Renew(m.request)
+				return l.Renew(m.request)
 			})
 			m.mu.Lock()
 			if err != nil {
 				delete(m.leases, l)
 			} else if _, still := m.leases[l]; still {
-				if cur != l {
-					delete(m.leases, l)
-				}
-				m.leases[cur] = m.renewDeadline(cur, m.clock.Now())
+				m.leases[l] = m.renewDeadline(l, m.clock.Now())
 			}
 			m.mu.Unlock()
 			// A canceled lease left deliberately; only organic failures

@@ -22,9 +22,8 @@ import (
 //     requireEpoch* checks that read the node's replication state under
 //     its lock;
 //   - in internal/repl, a function that commits a coordinator decision —
-//     publishing a new shard configuration via publishLocked (epoch
-//     bumps, shard-map publications and handoff flips all go through it)
-//     — must first call one of the requireCoord* fencing-token checks,
+//     publishing a new configuration via publishLocked (every epoch bump
+//     and every parking of the pair goes through it) — must first call one of the requireCoord* fencing-token checks,
 //     so a deposed coordinator's stale decisions bounce statically as
 //     well as dynamically.
 //

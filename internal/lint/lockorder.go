@@ -9,8 +9,8 @@ package lint
 //
 // Lock identity is the (named type, field) class — "space.Space.mu",
 // "repl.Node.mu" — so two instances of the same class are conflated;
-// self-edges are skipped for exactly that reason (shard handoff legally
-// locks two Spaces in sequence). An intended hierarchy that the checker
+// self-edges are skipped for exactly that reason (the two Nodes of a
+// replicated pair are distinct locks of one class). An intended hierarchy that the checker
 // cannot prove safe is blessed with an edge annotation anywhere in the
 // tree:
 //

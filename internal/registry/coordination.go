@@ -1,7 +1,7 @@
 // Coordination leases: the lookup service doubles as the rendezvous
 // point for single-holder control-plane roles. A replicated space's
-// coordinator replicas all know the registry already (it is where the
-// shard map is published), so hosting the coordination lease here gives
+// coordinator replicas can already reach the registry (every federation
+// peer discovers through it), so hosting the coordination lease here gives
 // them leader election with fencing tokens without introducing a new
 // service: whoever wins AcquireCoordination is the coordinator until it
 // stops renewing, and the token it won fences every decision it makes.

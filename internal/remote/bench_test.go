@@ -132,12 +132,11 @@ func codecBenchmarks(b *testing.B, fn func(b *testing.B)) {
 }
 
 // benchmarkWriteAckSRPC acks writes against a loopback-srpc follower,
-// synchronously or in async-ship mode depending on the node options,
 // reporting wire bytes per acknowledged write alongside ns/op.
-func benchmarkWriteAckSRPC(b *testing.B, opts ...repl.NodeOption) {
+func benchmarkWriteAckSRPC(b *testing.B) {
 	policy := lease.Policy{Max: 24 * time.Hour}
 	primary, err := repl.NewNode("p", clockwork.Real(), policy, b.TempDir(),
-		append([]repl.NodeOption{repl.WithWALOptions(wal.WithSyncEveryAppend(false))}, opts...)...)
+		repl.WithWALOptions(wal.WithSyncEveryAppend(false)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,21 +194,7 @@ func benchmarkWriteAckSRPC(b *testing.B, opts ...repl.NodeOption) {
 // package's write-ack benchmarks: every ack waits for a synchronous
 // ShipBatch across a loopback srpc connection.
 func BenchmarkWriteAckReplicatedSRPC(b *testing.B) {
-	codecBenchmarks(b, func(b *testing.B) { benchmarkWriteAckSRPC(b) })
-}
-
-// BenchmarkWriteAckAsyncShipSRPC is where async-ship pays: the wire ship
-// leaves the ack path, so acks run at local-journal speed while the
-// shipper streams coalesced batches behind, backlog bounded by the lag
-// parameter. The lag sweep shows the latency/durability dial.
-func BenchmarkWriteAckAsyncShipSRPC(b *testing.B) {
-	for _, lag := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("lag-%d", lag), func(b *testing.B) {
-			codecBenchmarks(b, func(b *testing.B) {
-				benchmarkWriteAckSRPC(b, repl.WithAsyncShip(lag))
-			})
-		})
-	}
+	codecBenchmarks(b, benchmarkWriteAckSRPC)
 }
 
 // BenchmarkRegistrarLookupSRPC measures the discovery hot path end to

@@ -1,11 +1,9 @@
 // Coordinator replicas: the lease-fenced coordination plane.
 //
-// PR 6 gave every shard a failover-capable primary/backup pair, but the
-// promotion logic itself — the Router's heartbeat monitor — ran in
-// exactly one place. A Coordinator replica wraps that logic in a
+// A Coordinator replica is the pair's failure detector, wrapped in a
 // registry-backed coordination lease: N replicas compete for the
 // single-holder lease, the winner adopts its fencing token as the
-// router's coordinator generation and runs the monitor, and the
+// router's coordinator generation and heartbeats the primary, and the
 // standbys keep bidding so one of them takes over within a lease term
 // of the holder dying. Every decision the holder makes carries its
 // token, so a deposed holder that keeps acting (split-brain) bounces
@@ -37,7 +35,7 @@ type CoordinatorConfig struct {
 	Term time.Duration
 	// Interval is the heartbeat probe period while leading.
 	Interval time.Duration
-	// Misses is how many consecutive heartbeat failures fail a shard
+	// Misses is how many consecutive heartbeat failures fail the pair
 	// over.
 	Misses int
 }
@@ -179,7 +177,7 @@ func (c *Coordinator) lead(g lease.FencedGrant) {
 		c.mu.Unlock()
 	}()
 
-	misses := make([]int, len(c.r.Shards()))
+	misses := 0
 	t := c.clock.NewTimer(c.cfg.Interval)
 	defer t.Stop()
 	renewAt := g.Lease.Expiration.Add(-c.cfg.Term / 2)
@@ -203,43 +201,41 @@ func (c *Coordinator) lead(g lease.FencedGrant) {
 			}
 			renewAt = g.Lease.Expiration.Add(-c.cfg.Term / 2)
 		}
-		if !c.probe(g.Token, misses) {
+		var ok bool
+		if misses, ok = c.probe(g.Token, misses); !ok {
 			return
 		}
 		t.Reset(c.cfg.Interval)
 	}
 }
 
-// probe heartbeats every shard primary and fails over any that missed
-// too many in a row, all under the tenure's fencing token. It returns
-// false when a decision bounced as stale — proof a later holder has
-// taken over.
-func (c *Coordinator) probe(token uint64, misses []int) bool {
-	for i, sh := range c.r.Shards() {
-		sh.mu.Lock()
-		primary, epoch, down := sh.primary, sh.epoch, sh.down
-		sh.mu.Unlock()
-		if down {
-			continue
-		}
-		switch err := primary.Heartbeat(epoch); {
-		case errors.Is(err, ErrStaleEpoch):
-			// The shard reconfigured between reading its state and the
-			// probe (an attach or rebalance bumped the node's epoch
-			// ahead of the published one). The primary is alive enough
-			// to fence us — not a liveness miss.
-			misses[i] = 0
-		case err != nil:
-			misses[i]++
-		default:
-			misses[i] = 0
-		}
-		if misses[i] >= c.cfg.Misses {
-			misses[i] = 0
-			if _, err := c.r.FailoverAs(token, sh.name); errors.Is(err, ErrStaleEpoch) {
-				return false
-			}
+// probe heartbeats the primary and fails the pair over once it has
+// missed too many in a row, under the tenure's fencing token. It returns
+// the updated miss count, and false when a decision bounced as stale —
+// proof a later holder has taken over.
+func (c *Coordinator) probe(token uint64, misses int) (int, bool) {
+	c.r.mu.Lock()
+	primary, epoch, down := c.r.primary, c.r.epoch, c.r.down
+	c.r.mu.Unlock()
+	if down {
+		return misses, true
+	}
+	switch err := primary.Heartbeat(epoch); {
+	case errors.Is(err, ErrStaleEpoch):
+		// The pair reconfigured between reading its state and the probe
+		// (an attach bumped the node's epoch ahead of the published one).
+		// The primary is alive enough to fence us — not a liveness miss.
+		misses = 0
+	case err != nil:
+		misses++
+	default:
+		misses = 0
+	}
+	if misses >= c.cfg.Misses {
+		misses = 0
+		if _, err := c.r.Failover(token); errors.Is(err, ErrStaleEpoch) {
+			return 0, false
 		}
 	}
-	return true
+	return misses, true
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
+	"sensorcer/internal/faults"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/registry"
 	"sensorcer/internal/space"
@@ -58,14 +59,14 @@ func TestCoordinatorLeaderRunsFailover(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	a.Kill()
-	waitFor(t, "failover to backup", func() bool { return r.Shard("s0").Primary() == b })
+	waitFor(t, "failover to backup", func() bool { return r.Primary() == b })
 	// The acked write survived the promotion.
 	if _, err := r.Read(space.NewEntry("job", "n", float64(1)), nil, time.Second); err != nil {
 		t.Fatalf("read after failover: %v", err)
 	}
 	tok, _ := c.Leading()
-	if got := r.Shard("s0").Gen(); got != tok {
-		t.Fatalf("shard gen = %d, want leader token %d", got, tok)
+	if got := r.Gen(); got != tok {
+		t.Fatalf("router gen = %d, want leader token %d", got, tok)
 	}
 }
 
@@ -112,52 +113,74 @@ func TestOrderlyStopHandsOverImmediately(t *testing.T) {
 	waitFor(t, "successor leadership", func() bool { _, ok := c2.Leading(); return ok })
 }
 
+// pairConfig is the configuration a coordinator decision may change.
+type pairConfig struct {
+	gen, epoch uint64
+	primary    *Node
+	attached   bool
+}
+
+func configOf(r *Router) pairConfig {
+	return pairConfig{gen: r.Gen(), epoch: r.Epoch(), primary: r.Primary(), attached: r.BackupAttached()}
+}
+
 func TestDeposedCoordinatorDecisionsBounce(t *testing.T) {
 	r, _, b := newTestRouter(t)
 	if err := r.AdoptCoordinator(2); err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
-	// Every coordinator op under an older generation bounces stale.
-	if _, err := r.FailoverAs(1, "s0"); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale FailoverAs = %v, want ErrStaleEpoch", err)
-	}
-	if err := r.DetachAs(1, "s0"); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale DetachAs = %v, want ErrStaleEpoch", err)
-	}
-	if err := r.ReattachAs(1, "s0"); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale ReattachAs = %v, want ErrStaleEpoch", err)
-	}
-	if _, err := r.ReviveAs(1, "s0"); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale ReviveAs = %v, want ErrStaleEpoch", err)
+	// Every coordinator op under an older generation bounces stale and
+	// leaves the configuration exactly as it was.
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Failover", func() error { _, err := r.Failover(1); return err }},
+		{"Reattach", func() error { return r.Reattach(1) }},
+		{"Revive", func() error { _, err := r.Revive(1); return err }},
+		{"Detach", func() error { return r.Detach(1) }},
+	} {
+		before := configOf(r)
+		if err := op.run(); !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("stale %s = %v, want ErrStaleEpoch", op.name, err)
+		}
+		if after := configOf(r); after != before {
+			t.Fatalf("stale %s changed the configuration: %+v -> %+v", op.name, before, after)
+		}
 	}
 	// An adoption moving backwards bounces too.
 	if err := r.AdoptCoordinator(1); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale adopt = %v, want ErrStaleEpoch", err)
 	}
 	// The current generation still works, and bumps the epoch.
-	before := r.Shard("s0").Epoch()
-	if _, err := r.FailoverAs(2, "s0"); err != nil {
-		t.Fatalf("current-gen FailoverAs: %v", err)
+	before := r.Epoch()
+	if _, err := r.Failover(2); err != nil {
+		t.Fatalf("current-gen Failover: %v", err)
 	}
-	if r.Shard("s0").Primary() != b || r.Shard("s0").Epoch() != before+1 {
+	if r.Primary() != b || r.Epoch() != before+1 {
 		t.Fatal("current-gen failover did not take effect")
 	}
 }
 
-func TestShardMapCarriesCoordinatorGeneration(t *testing.T) {
-	r, _, _ := newTestRouter(t)
-	lus := newCoordRegistry(t)
-	if _, _, err := PublishShardMap(lus, "spaces", r, time.Minute); err != nil {
+// TestMonitorPromotesAfterMissedHeartbeats: a primary that is alive but
+// fails its heartbeats is failed over by the lease holder, and the
+// promotion fences it — its next write cannot be acknowledged.
+func TestMonitorPromotesAfterMissedHeartbeats(t *testing.T) {
+	r, a, b := newTestRouter(t)
+	if _, err := r.Write(space.NewEntry("job", "n", int64(1)), nil, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AdoptCoordinator(7); err != nil {
-		t.Fatal(err)
+	old := a.CurrentSpace()
+	inj := faults.New(1, clockwork.Real())
+	inj.Set(FaultSiteHeartbeat, faults.Rule{ErrorRate: 1, Err: faults.ErrInjected})
+	a.SetFaultInjector(inj, "")
+	startCoordinator(t, "coord-1", newCoordRegistry(t), r)
+
+	waitFor(t, "failover off missed heartbeats", func() bool { return r.Primary() == b })
+	if _, err := old.Write(space.NewEntry("job", "n", int64(2)), nil, time.Hour); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("write on the deposed primary = %v, want ErrStaleEpoch", err)
 	}
-	infos, err := LookupShardMap(lus, "spaces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Gen != 7 {
-		t.Fatalf("published shard map = %+v, want one shard at gen 7", infos)
+	if _, err := r.Take(space.NewEntry("job"), nil, time.Second); err != nil {
+		t.Fatalf("take after coordinator-driven failover: %v", err)
 	}
 }

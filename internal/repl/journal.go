@@ -44,16 +44,7 @@ func (j *shippingJournal) AppendBatch(payloads [][]byte) (uint64, error) {
 		return 0, err
 	}
 	if f != nil {
-		if s := j.node.asyncPipe(); s != nil {
-			// Async-ship mode: acknowledge after the local journal; the
-			// shipper replays the batch within the lag bound. A pipeline
-			// that has failed (or is over the bound and cannot drain)
-			// refuses the batch — journaled but never acknowledged, the
-			// same indeterminate outcome as a synchronous ship failure.
-			if serr := s.enqueue(epoch, f, first, payloads); serr != nil {
-				return 0, serr
-			}
-		} else if _, serr := f.ShipBatch(epoch, first, payloads); serr != nil {
+		if _, serr := f.ShipBatch(epoch, first, payloads); serr != nil {
 			return 0, j.node.shipFailed(serr)
 		}
 	}
@@ -66,13 +57,6 @@ func (j *shippingJournal) WriteSnapshot(data []byte) error {
 	epoch, f, err := j.node.requireEpochCheckpoint()
 	if err != nil {
 		return err
-	}
-	if s := j.node.asyncPipe(); s != nil && f != nil {
-		// Snapshot ships stay synchronous: drain the record backlog so the
-		// backup never installs a snapshot from the future of its log.
-		if derr := s.drain(); derr != nil {
-			return derr
-		}
 	}
 	if err := j.log.WriteSnapshot(data); err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 	"sensorcer/internal/wal"
 )
 
-// Role is a node's current duty within its shard.
+// Role is a node's current duty within its pair.
 type Role int
 
 // The two roles a node cycles through across failovers.
@@ -31,7 +31,7 @@ func (r Role) String() string {
 	return "backup"
 }
 
-// Node is one replica of a shard: a WAL plus — while primary — the tuple
+// Node is one replica of a pair: a WAL plus — while primary — the tuple
 // space recovered from it. All methods are safe for concurrent use. The
 // coordinator (Router) drives every role change with a strictly
 // increasing epoch; data traffic checks that epoch on both ends.
@@ -57,12 +57,6 @@ type Node struct {
 	attaching bool // catch-up in flight: mutations blocked
 	down      bool // killed or closed
 
-	// async is the background ship pipeline (asyncship.go), non-nil only
-	// in async-ship mode; asyncOn/asyncLag survive Kill/Restart.
-	async    *asyncShipper
-	asyncOn  bool
-	asyncLag int
-
 	inj     *faults.Injector
 	injSite string
 }
@@ -74,21 +68,6 @@ type NodeOption func(*Node)
 // after Restart).
 func WithWALOptions(opts ...wal.Option) NodeOption {
 	return func(n *Node) { n.walOpts = opts }
-}
-
-// WithAsyncShip puts the node in async-ship mode: writes are
-// acknowledged after the local journal append and shipped to the backup
-// in the background, with the acknowledged-but-unshipped backlog
-// bounded by maxLag records (see asyncship.go for the degradation
-// ladder and the durability tradeoff).
-func WithAsyncShip(maxLag int) NodeOption {
-	return func(n *Node) {
-		n.asyncOn = true
-		if maxLag < 0 {
-			maxLag = 0
-		}
-		n.asyncLag = maxLag
-	}
 }
 
 // NewNode opens (or creates) a replica over the WAL directory dir. The
@@ -106,18 +85,7 @@ func NewNode(name string, clock clockwork.Clock, policy lease.Policy, dir string
 	}
 	n.log = l
 	n.walOpts = walOpts
-	if n.asyncOn {
-		n.async = newAsyncShipper(n, n.asyncLag)
-	}
 	return n, nil
-}
-
-// asyncPipe returns the node's background shipper, nil in sync mode (or
-// after a kill).
-func (n *Node) asyncPipe() *asyncShipper {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.async
 }
 
 // Name returns the node's name.
@@ -327,7 +295,7 @@ func (n *Node) ShipSnapshot(epoch, seq uint64, data []byte) error {
 }
 
 // Heartbeat implements Follower: a liveness probe under the sender's
-// epoch. The monitor treats repeated failures as node death.
+// epoch. The coordinator treats repeated failures as node death.
 func (n *Node) Heartbeat(epoch uint64) error {
 	inj, site := n.faultHooks()
 	if err := inj.Inject(site + FaultSiteHeartbeat); err != nil {
@@ -348,7 +316,7 @@ var _ Follower = (*Node)(nil)
 
 // --- coordinator-driven role changes ---
 
-// Promote makes the node the shard's primary at newEpoch: it recovers a
+// Promote makes the node the primary at newEpoch: it recovers a
 // tuple space from its log (which, for a backup that acknowledged every
 // shipped batch, holds every acknowledged mutation) and serves it solo
 // until a backup is attached. The epoch must exceed anything the node
@@ -388,11 +356,6 @@ func (n *Node) Promote(newEpoch uint64) (*space.Space, error) {
 	n.follower = nil
 	n.fenced = false
 	n.suspended = false
-	if n.async != nil {
-		// A fresh tenure: any ship failure latched by the previous one is
-		// void (the log just recovered from holds every record).
-		n.async.reset()
-	}
 	return sp, nil
 }
 
@@ -431,12 +394,6 @@ func (n *Node) AttachBackup(newEpoch uint64, f Follower, resync bool) (*space.Sp
 	}
 	n.attaching = true
 	n.epoch = newEpoch
-	if n.async != nil {
-		// Clear any latched ship failure up front: the catch-up below
-		// (including its checkpoint, which drains the pipeline) replays
-		// the full log, which holds every record the queue dropped.
-		n.async.reset()
-	}
 	suspended := n.suspended
 	sp := n.space
 	log := n.log
@@ -517,7 +474,7 @@ func (n *Node) shipTail(epoch uint64, f Follower, from uint64) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		// Re-fence per chunk: a catch-up superseded mid-stream (the shard
+		// Re-fence per chunk: a catch-up superseded mid-stream (the pair
 		// failed over again) must stop shipping immediately.
 		if err := n.requireEpochAttaching(epoch); err != nil {
 			return err
@@ -566,11 +523,6 @@ func (n *Node) DetachBackup(newEpoch uint64) (*space.Space, error) {
 	}
 	n.epoch = newEpoch
 	n.follower = nil
-	if n.async != nil {
-		// No follower, no backlog: clear any latched ship failure so the
-		// solo primary serves again.
-		n.async.reset()
-	}
 	suspended := n.suspended
 	sp := n.space
 	log := n.log
@@ -632,12 +584,7 @@ func (n *Node) Kill() {
 	n.space = nil
 	n.follower = nil
 	log := n.log
-	pipe := n.async
-	n.async = nil
 	n.mu.Unlock()
-	if pipe != nil {
-		pipe.stop()
-	}
 	if sp != nil {
 		sp.Close()
 	}
@@ -667,9 +614,6 @@ func (n *Node) Restart() error {
 	n.role = RoleBackup
 	n.space = nil
 	n.follower = nil
-	if n.asyncOn {
-		n.async = newAsyncShipper(n, n.asyncLag)
-	}
 	return nil
 }
 
@@ -685,12 +629,7 @@ func (n *Node) Close() error {
 	n.space = nil
 	n.follower = nil
 	log := n.log
-	pipe := n.async
-	n.async = nil
 	n.mu.Unlock()
-	if pipe != nil {
-		pipe.stop()
-	}
 	if sp != nil {
 		sp.Close()
 	}

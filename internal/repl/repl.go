@@ -1,21 +1,20 @@
 // Package repl is the primary/backup replication layer for the exertion
-// space. A replicated shard is a pair of Nodes, each owning a segmented
-// WAL (internal/wal): the primary serves a durable tuple space whose
-// journal ships every appended batch to the backup synchronously —
+// space. A replicated pair is two Nodes, each owning a segmented WAL
+// (internal/wal): the primary serves a durable tuple space whose journal
+// ships every appended batch to the backup synchronously —
 // journal-before-ack becomes *replicated*-journal-before-ack, so an
 // acknowledged mutation is durable on both nodes before the caller sees
-// nil. On top of the pair sit failure detection (heartbeats on the
-// injected clock), automatic backup promotion under a fencing epoch, and
-// a shard-aware Router (consistent-hashed by entry kind) that Spacers and
-// workers use so a shard failover looks like a transient retry, not an
-// outage.
+// nil. On top of the pair sit backup promotion under a fencing epoch, a
+// Router that Spacers and workers bind to so a failover looks like a
+// transient retry, not an outage, and lease-fenced Coordinator replicas
+// that detect a dead primary by heartbeat and drive the promotion.
 //
 // # Epoch fencing
 //
 // Every membership change — promotion, backup attach, backup detach — is
-// ordered by a single coordinator (the Router) and carries a strictly
-// increasing epoch per shard. Replication traffic is tagged with the
-// sender's epoch and a node refuses anything older than what it has seen
+// ordered by a single authority (the Router) and carries a strictly
+// increasing epoch. Replication traffic is tagged with the sender's
+// epoch and a node refuses anything older than what it has seen
 // (ErrStaleEpoch). Because a primary acknowledges a mutation only after
 // its follower accepted the shipped batch, a superseded primary — say,
 // one cut off by a partition while its backup was promoted — cannot
@@ -49,7 +48,7 @@ const (
 	// in-process stand-in for a partition between primary and backup.
 	FaultSiteShip = "/repl/ship"
 	// FaultSiteHeartbeat is consulted by Heartbeat on the receiving
-	// node: injected errors make the node look dead to the monitor.
+	// node: injected errors make the node look dead to the coordinator.
 	FaultSiteHeartbeat = "/repl/heartbeat"
 )
 
@@ -73,15 +72,13 @@ var (
 	// further traffic until the coordinator detaches or replaces the
 	// backup (which re-recovers the space from the log).
 	ErrBackupUnavailable = errors.New("repl: backup unavailable; node suspended")
-	// ErrNoShards is returned by a Router with an empty shard set.
-	ErrNoShards = errors.New("repl: router has no shards")
-	// ErrShardDown is returned when a shard has no serviceable replica
+	// ErrShardDown is returned when the pair has no serviceable replica
 	// (double failure with nothing restarted yet).
 	ErrShardDown = errors.New("repl: shard has no serviceable replica")
 )
 
-// Follower is where a primary ships its journal: the backup half of a
-// shard, reachable either in-process (*Node implements Follower) or over
+// Follower is where a primary ships its journal: the backup half of the
+// pair, reachable either in-process (*Node implements Follower) or over
 // srpc (remote.ReplicationClient).
 type Follower interface {
 	// ShipBatch applies payloads at explicit sequences (payloads[0] is
@@ -96,10 +93,10 @@ type Follower interface {
 	Heartbeat(epoch uint64) error
 }
 
-// IsFailoverErr reports whether err is the kind of failure a shard
-// failover (or rebind to the promoted primary) can cure — as opposed to
-// an operation-level outcome like a timeout or a validation error. The
-// Router retries these against the shard's next configuration.
+// IsFailoverErr reports whether err is the kind of failure a failover
+// (or rebind to the promoted primary) can cure — as opposed to an
+// operation-level outcome like a timeout or a validation error. The
+// Router retries these against the pair's next configuration.
 func IsFailoverErr(err error) bool {
 	return errors.Is(err, space.ErrClosed) ||
 		errors.Is(err, ErrStaleEpoch) ||

@@ -8,7 +8,6 @@ import (
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/faults"
 	"sensorcer/internal/lease"
-	"sensorcer/internal/registry"
 	"sensorcer/internal/space"
 	"sensorcer/internal/wal"
 )
@@ -36,11 +35,11 @@ func newPair(t *testing.T) (*Node, *Node) {
 	return a, b
 }
 
-// newTestRouter builds a single-shard router over a fresh pair.
+// newTestRouter builds a router over a fresh pair.
 func newTestRouter(t *testing.T, opts ...RouterOption) (*Router, *Node, *Node) {
 	t.Helper()
 	a, b := newPair(t)
-	r, err := NewRouter(clockwork.Real(), []ShardSpec{{Name: "s0", Primary: a, Backup: b}}, opts...)
+	r, err := NewRouter(clockwork.Real(), a, b, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestFailoverServesEveryAckedWrite(t *testing.T) {
 		}
 	}
 	a.Kill()
-	if _, err := r.Failover("s0"); err != nil {
+	if _, err := r.Failover(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.TakeAny(space.NewEntry("job"), 16, nil, time.Second)
@@ -125,9 +124,9 @@ func TestPartitionedShipSuspendsPrimaryWithoutAck(t *testing.T) {
 	if _, err := sp.Write(space.NewEntry("job", "n", int64(2)), nil, time.Hour); !errors.Is(err, ErrBackupUnavailable) {
 		t.Fatalf("suspended primary accepted a write: %v", err)
 	}
-	// Detach heals the shard: the primary re-recovers from its own log
+	// Detach heals the pair: the primary re-recovers from its own log
 	// (memory may lag it by the unacked record) and serves solo.
-	if err := r.Detach("s0"); err != nil {
+	if err := r.Detach(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Write(space.NewEntry("job", "n", int64(3)), nil, time.Hour); err != nil {
@@ -143,7 +142,7 @@ func TestReattachFullResyncRestoresReplication(t *testing.T) {
 		}
 	}
 	a.Kill()
-	if _, err := r.Failover("s0"); err != nil {
+	if _, err := r.Failover(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Write(space.NewEntry("job", "n", int64(100)), nil, time.Hour); err != nil {
@@ -152,23 +151,23 @@ func TestReattachFullResyncRestoresReplication(t *testing.T) {
 	if err := a.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Reattach("s0"); err != nil {
+	if err := r.Reattach(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Shard("s0").BackupAttached() {
+	if !r.BackupAttached() {
 		t.Fatal("backup not attached after reattach")
 	}
 	// Replication is synchronous again: a new write lands on both.
 	if _, err := r.Write(space.NewEntry("job", "n", int64(101)), nil, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	p, bk := r.Shard("s0").Primary(), r.Shard("s0").Backup()
+	p, bk := r.Primary(), r.Backup()
 	if pp, bp := p.Log().NextSeq(), bk.Log().NextSeq(); pp != bp {
 		t.Fatalf("after reattach: primary at %d, backup at %d", pp, bp)
 	}
 	// And the resynced backup can itself take over with full state.
 	p.Kill()
-	if _, err := r.Failover("s0"); err != nil {
+	if _, err := r.Failover(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.Count(space.NewEntry("job")); n != 8 {
@@ -190,7 +189,7 @@ func TestRouterParksOpsAcrossFailover(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	a.Kill()
-	if _, err := r.Failover("s0"); err != nil {
+	if _, err := r.Failover(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -200,25 +199,6 @@ func TestRouterParksOpsAcrossFailover(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("take never completed after failover")
-	}
-}
-
-func TestMonitorPromotesAfterMissedHeartbeats(t *testing.T) {
-	r, a, b := newTestRouter(t)
-	r.StartMonitor(5*time.Millisecond, 3)
-	if _, err := r.Write(space.NewEntry("job", "n", int64(1)), nil, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	a.Kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Shard("s0").Primary() != b {
-		if time.Now().After(deadline) {
-			t.Fatal("monitor never promoted the backup")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := r.Take(space.NewEntry("job"), nil, time.Second); err != nil {
-		t.Fatalf("take after monitor-driven failover: %v", err)
 	}
 }
 
@@ -232,70 +212,6 @@ func TestHeartbeatFaultSiteMakesNodeLookDead(t *testing.T) {
 	}
 }
 
-func TestRoutingSpreadsKindsAcrossShards(t *testing.T) {
-	a1, b1 := newPair(t)
-	a2, b2 := newPair(t)
-	r, err := NewRouter(clockwork.Real(), []ShardSpec{
-		{Name: "s0", Primary: a1, Backup: b1},
-		{Name: "s1", Primary: a2, Backup: b2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Close() }()
-	hits := map[string]bool{}
-	kinds := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	for _, k := range kinds {
-		sh := r.ShardFor(k)
-		hits[sh.Name()] = true
-		if r.ShardFor(k) != sh {
-			t.Fatalf("kind %q routed inconsistently", k)
-		}
-		if _, err := r.Write(space.NewEntry(k, "x", int64(1)), nil, time.Hour); err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Count(space.NewEntry(k)); got != 1 {
-			t.Fatalf("kind %q count = %d after routed write", k, got)
-		}
-	}
-	if len(hits) != 2 {
-		t.Fatalf("all kinds hashed to one shard: %v", hits)
-	}
-}
-
-func TestShardMapPublicationTracksFailover(t *testing.T) {
-	r, a, b := newTestRouter(t)
-	reg := registry.New("lus", clockwork.Real())
-	pub, _, err := PublishShardMap(reg, "exertion-space", r, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cerr := pub.Close(); cerr != nil {
-			t.Errorf("closing publication: %v", cerr)
-		}
-	}()
-	infos, err := LookupShardMap(reg, "exertion-space")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Primary != "a" || infos[0].Backup != "b" || !infos[0].Attached {
-		t.Fatalf("initial shard map = %+v", infos)
-	}
-	before := infos[0].Epoch
-	a.Kill()
-	if _, err := r.Failover("s0"); err != nil {
-		t.Fatal(err)
-	}
-	infos, err = LookupShardMap(reg, "exertion-space")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if infos[0].Primary != b.Name() || infos[0].Epoch <= before || infos[0].Attached {
-		t.Fatalf("post-failover shard map = %+v (epoch before %d)", infos, before)
-	}
-}
-
 func TestFollowerCrashDuringCatchUpLeavesAttachRetryable(t *testing.T) {
 	r, a, _ := newTestRouter(t)
 	for i := 0; i < 4; i++ {
@@ -304,7 +220,7 @@ func TestFollowerCrashDuringCatchUpLeavesAttachRetryable(t *testing.T) {
 		}
 	}
 	a.Kill()
-	if _, err := r.Failover("s0"); err != nil {
+	if _, err := r.Failover(r.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Restart(); err != nil {
@@ -315,17 +231,17 @@ func TestFollowerCrashDuringCatchUpLeavesAttachRetryable(t *testing.T) {
 	inj := faults.New(1, clockwork.Real())
 	inj.Set(FaultSiteShip, faults.Rule{ErrorRate: 1, Err: errors.New("still partitioned")})
 	a.SetFaultInjector(inj, "")
-	if err := r.Reattach("s0"); err == nil {
+	if err := r.Reattach(r.Gen()); err == nil {
 		t.Fatal("reattach through a dead link succeeded")
 	}
 	if _, err := r.Write(space.NewEntry("job", "n", int64(99)), nil, time.Hour); err != nil {
 		t.Fatalf("solo write after failed attach: %v", err)
 	}
 	a.SetFaultInjector(nil, "")
-	if err := r.Reattach("s0"); err != nil {
+	if err := r.Reattach(r.Gen()); err != nil {
 		t.Fatalf("retried reattach: %v", err)
 	}
-	if !r.Shard("s0").BackupAttached() {
+	if !r.BackupAttached() {
 		t.Fatal("backup not attached after retried reattach")
 	}
 }

@@ -3,8 +3,6 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -14,18 +12,17 @@ import (
 	"sensorcer/internal/txn"
 )
 
-// Router is the shard-aware front door to a replicated exertion space:
-// entry kinds are consistent-hashed onto shards, each shard a
-// primary/backup Node pair, and every space operation is routed to the
-// owning shard's current primary. The Router is also the coordinator —
-// the single authority that orders membership changes and mints the
-// fencing epochs the data path checks.
+// Router is the front door to a replicated exertion space: one
+// primary/backup Node pair, with every space operation routed to the
+// current primary. The Router is also the epoch authority — the single
+// place that orders membership changes and mints the fencing epochs the
+// data path checks.
 //
 // When an operation fails for a reason a failover can cure
-// (IsFailoverErr), the Router parks it until the shard's configuration
-// changes and retries against the new primary, so Spacers and workers
-// see a shard failover as a transient retry instead of an outage. The
-// retry preserves the federation's at-least-once envelope contract: an
+// (IsFailoverErr), the Router parks it until the configuration changes
+// and retries against the new primary, so Spacers and workers see a
+// failover as a transient retry instead of an outage. The retry
+// preserves the federation's at-least-once envelope contract: an
 // operation that was acknowledged is durable on both replicas; one that
 // failed over mid-flight is simply re-run.
 type Router struct {
@@ -33,34 +30,6 @@ type Router struct {
 	// writeWindow bounds how long a non-blocking operation (Write,
 	// WriteBatch, Count) rides out a failover before giving up.
 	writeWindow time.Duration
-
-	shards []*Shard
-	ring   []ringPoint
-
-	mu       sync.Mutex
-	gen      uint64 // adopted coordinator generation (fencing token)
-	closed   chan struct{}
-	isClosed bool
-	onChange func()
-
-	monitors sync.WaitGroup
-}
-
-// ringPoint is one virtual node on the consistent-hash ring.
-type ringPoint struct {
-	hash  uint64
-	shard *Shard
-}
-
-// ringVnodes is how many ring points each shard claims; enough to
-// spread kinds evenly across a handful of shards.
-const ringVnodes = 64
-
-// Shard is one replicated slice of the keyspace: a primary serving a
-// tuple space, an optional backup receiving its journal, and the
-// shard's current fencing epoch.
-type Shard struct {
-	name string
 
 	// coordMu serializes membership changes (failover, reattach,
 	// detach), which block on promotion or catch-up; mu only guards the
@@ -76,86 +45,8 @@ type Shard struct {
 	sp       *space.Space
 	down     bool
 	reconfig chan struct{} // closed (and replaced) on every config change
-}
-
-// Name returns the shard's name.
-func (sh *Shard) Name() string { return sh.name }
-
-// current returns the space to operate on, the channel that closes on
-// the next reconfiguration, and whether the shard is down.
-func (sh *Shard) current() (*space.Space, <-chan struct{}, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sp, sh.reconfig, sh.down
-}
-
-// publishLocked installs a new configuration and wakes parked
-// operations. Caller holds sh.mu.
-func (sh *Shard) publishLocked() {
-	close(sh.reconfig)
-	sh.reconfig = make(chan struct{})
-}
-
-// Epoch returns the shard's current fencing epoch.
-func (sh *Shard) Epoch() uint64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.epoch
-}
-
-// Gen returns the coordinator generation of the shard's last accepted
-// coordination decision.
-func (sh *Shard) Gen() uint64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.gen
-}
-
-// requireCoordGen fences a coordinator decision against the shard: a
-// decision carrying a generation below the shard's recorded one comes
-// from a deposed coordinator and bounces with ErrStaleEpoch, exactly
-// like a stale primary's ship does; a newer generation is adopted.
-// Decisions are therefore ordered lexicographically by (generation,
-// epoch) — the coordination lease's fencing token dominates every epoch
-// the holder mints. Must be called (and must succeed) before any
-// membership mutation or shard-map publication.
-func (sh *Shard) requireCoordGen(gen uint64) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if gen < sh.gen {
-		return fmt.Errorf("%w: coordinator generation %d superseded by %d on shard %q", ErrStaleEpoch, gen, sh.gen, sh.name)
-	}
-	sh.gen = gen
-	return nil
-}
-
-// Primary returns the node currently serving the shard.
-func (sh *Shard) Primary() *Node {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.primary
-}
-
-// Backup returns the shard's other replica (attached or not).
-func (sh *Shard) Backup() *Node {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.backup
-}
-
-// BackupAttached reports whether the backup is receiving ships (false
-// means the primary runs solo).
-func (sh *Shard) BackupAttached() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.attached
-}
-
-// ShardSpec names the replica pair for one shard at construction.
-type ShardSpec struct {
-	Name    string
-	Primary *Node
-	Backup  *Node // optional; nil runs the shard unreplicated
+	closed   chan struct{}
+	isClosed bool
 }
 
 // RouterOption customizes a Router.
@@ -167,426 +58,280 @@ func WithWriteWindow(d time.Duration) RouterOption {
 	return func(r *Router) { r.writeWindow = d }
 }
 
-// NewRouter brings up every shard — promoting each primary at epoch 1
-// and attaching its backup at epoch 2 — and returns the routing front
-// door. The caller owns the nodes' lifecycles beyond Close.
-func NewRouter(clock clockwork.Clock, specs []ShardSpec, opts ...RouterOption) (*Router, error) {
-	if len(specs) == 0 {
-		return nil, ErrNoShards
-	}
+// NewRouter brings up the pair — promoting primary at epoch 1 and
+// attaching backup at epoch 2 — and returns the routing front door. A
+// nil backup runs the primary unreplicated. The caller owns the nodes'
+// lifecycles beyond Close.
+func NewRouter(clock clockwork.Clock, primary, backup *Node, opts ...RouterOption) (*Router, error) {
 	r := &Router{
 		clock:       clock,
 		writeWindow: 10 * time.Second,
+		primary:     primary,
+		backup:      backup,
+		reconfig:    make(chan struct{}),
 		closed:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	for _, spec := range specs {
-		sh := &Shard{name: spec.Name, primary: spec.Primary, backup: spec.Backup, reconfig: make(chan struct{})}
-		sp, err := spec.Primary.Promote(1)
-		if err != nil {
-			return nil, fmt.Errorf("repl: bringing up shard %q: %w", spec.Name, err)
-		}
-		sh.sp = sp
-		sh.epoch = 1
-		if spec.Backup != nil {
-			sp, err = spec.Primary.AttachBackup(2, spec.Backup, false)
-			if err != nil {
-				return nil, fmt.Errorf("repl: attaching backup of shard %q: %w", spec.Name, err)
-			}
-			sh.sp = sp
-			sh.epoch = 2
-			sh.attached = true
-		}
-		r.shards = append(r.shards, sh)
-		for v := 0; v < ringVnodes; v++ {
-			r.ring = append(r.ring, ringPoint{hash: hashRing(fmt.Sprintf("%s#%d", spec.Name, v)), shard: sh})
-		}
+	sp, err := primary.Promote(1)
+	if err != nil {
+		return nil, fmt.Errorf("repl: bringing up primary: %w", err)
 	}
-	sort.Slice(r.ring, func(i, j int) bool { return r.ring[i].hash < r.ring[j].hash })
+	r.sp, r.epoch = sp, 1
+	if backup != nil {
+		sp, err = primary.AttachBackup(2, backup, false)
+		if err != nil {
+			return nil, fmt.Errorf("repl: attaching backup: %w", err)
+		}
+		r.sp, r.epoch, r.attached = sp, 2, true
+	}
 	return r, nil
 }
 
-// hashRing is the ring's hash function (FNV-1a, stable across runs).
-func hashRing(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// ShardFor returns the shard owning an entry kind.
-func (r *Router) ShardFor(kind string) *Shard {
-	h := hashRing(kind)
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-	if i == len(r.ring) {
-		i = 0
-	}
-	return r.ring[i].shard
-}
-
-// Shards returns the router's shards (coordination and inspection).
-func (r *Router) Shards() []*Shard { return r.shards }
-
-// Shard returns the shard with the given name, or nil.
-func (r *Router) Shard(name string) *Shard {
-	for _, sh := range r.shards {
-		if sh.name == name {
-			return sh
-		}
-	}
-	return nil
-}
-
-// OnChange registers a callback invoked after every membership change —
-// the registry's shard-map publication hooks in here.
-func (r *Router) OnChange(fn func()) {
+// current returns the space to operate on, the channel that closes on
+// the next reconfiguration, and whether the pair is down.
+func (r *Router) current() (*space.Space, <-chan struct{}, bool) {
 	r.mu.Lock()
-	r.onChange = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.sp, r.reconfig, r.down
 }
 
-// notify fires the membership-change callback. It must be called with no
-// shard's coordMu held: the callback is arbitrary user code (in-tree it
-// cancels leases over RPC and deregisters from the lookup service), and
-// running it inside the coordination critical section would let one slow
-// observer wedge every subsequent failover on the shard — the exact
-// coupling deepblock exists to flag. The coordinator methods therefore
-// publish the new configuration, release coordMu, and only then notify.
-func (r *Router) notify() {
+// publishLocked installs a new configuration and wakes parked
+// operations. Caller holds r.mu.
+func (r *Router) publishLocked() {
+	close(r.reconfig)
+	r.reconfig = make(chan struct{})
+}
+
+// Epoch returns the current fencing epoch.
+func (r *Router) Epoch() uint64 {
 	r.mu.Lock()
-	fn := r.onChange
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	defer r.mu.Unlock()
+	return r.epoch
 }
 
-// --- coordination: the epoch authority ---
-
-// Gen returns the router's adopted coordinator generation: the fencing
-// token of the coordination-lease holder it last accepted a decision
-// from (zero until a coordinator adopts it).
+// Gen returns the coordinator generation of the last accepted
+// coordination decision (zero until a coordinator adopts the router).
 func (r *Router) Gen() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gen
 }
 
-// AdoptCoordinator installs a new coordination-lease holder's fencing
-// token as the generation every subsequent decision must carry. Each
-// shard's recorded generation is raised under its coordination lock, so
-// a deposed holder mid-decision finishes (or bounces) before the
-// takeover lands and every later stale-generation decision is refused.
-// The republished shard map carries the new generation.
-func (r *Router) AdoptCoordinator(token uint64) error {
-	for _, sh := range r.shards {
-		if err := r.adoptShard(token, sh); err != nil {
-			return err
-		}
-	}
+// Primary returns the node currently serving.
+func (r *Router) Primary() *Node {
 	r.mu.Lock()
-	if token > r.gen {
-		r.gen = token
+	defer r.mu.Unlock()
+	return r.primary
+}
+
+// Backup returns the other replica (attached or not).
+func (r *Router) Backup() *Node {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.backup
+}
+
+// BackupAttached reports whether the backup is receiving ships (false
+// means the primary runs solo).
+func (r *Router) BackupAttached() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.attached
+}
+
+// --- coordination: the epoch authority ---
+
+// requireCoordGen fences a coordinator decision: a decision carrying a
+// generation below the recorded one comes from a deposed coordinator and
+// bounces with ErrStaleEpoch, exactly like a stale primary's ship does;
+// a newer generation is adopted. Decisions are therefore ordered
+// lexicographically by (generation, epoch) — the coordination lease's
+// fencing token dominates every epoch the holder mints. Must be called
+// (and must succeed) before any membership mutation.
+func (r *Router) requireCoordGen(gen uint64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if gen < r.gen {
+		return fmt.Errorf("%w: coordinator generation %d superseded by %d", ErrStaleEpoch, gen, r.gen)
 	}
-	r.mu.Unlock()
-	r.notify()
+	r.gen = gen
 	return nil
 }
 
-// adoptShard is AdoptCoordinator's per-shard critical section.
+// AdoptCoordinator installs a new coordination-lease holder's fencing
+// token as the generation every subsequent decision must carry. The
+// generation is raised under the coordination lock, so a deposed holder
+// mid-decision finishes (or bounces) before the takeover lands and every
+// later stale-generation decision is refused.
 //
 //lint:blockok coordinator path: waiting out an in-flight membership change under coordMu is the takeover contract; data-path operations never take coordMu
-func (r *Router) adoptShard(token uint64, sh *Shard) error {
-	sh.coordMu.Lock()
-	defer sh.coordMu.Unlock()
-	return sh.requireCoordGen(token)
+func (r *Router) AdoptCoordinator(token uint64) error {
+	r.coordMu.Lock()
+	defer r.coordMu.Unlock()
+	return r.requireCoordGen(token)
 }
 
-// Failover promotes the named shard's backup under the router's adopted
-// generation — the convenience form for deployments without replicated
-// coordinators (and the failure-detector's own promotion path).
-func (r *Router) Failover(name string) (*space.Space, error) {
-	return r.FailoverAs(r.Gen(), name)
-}
-
-// FailoverAs promotes the named shard's backup and demotes (fences) the
-// old primary from the configuration: the new epoch is minted here and
-// carried by the promotion, so the old primary's next ship — if it is
-// alive at all — is rejected as stale and fences it. gen is the calling
-// coordinator's fencing token; a deposed coordinator's call bounces with
-// ErrStaleEpoch before touching the shard. Returns the promoted space.
-func (r *Router) FailoverAs(gen uint64, name string) (*space.Space, error) {
-	sh := r.Shard(name)
-	if sh == nil {
-		return nil, fmt.Errorf("repl: unknown shard %q", name)
-	}
-	sp, err := r.failoverShard(gen, sh, name)
-	if err == nil {
-		r.notify()
-	}
-	return sp, err
-}
-
-// failoverShard is Failover's critical section; the caller notifies after
-// coordMu is released.
+// Failover promotes the backup and demotes (fences) the old primary
+// from the configuration: the new epoch is minted here and carried by
+// the promotion, so the old primary's next ship — if it is alive at all
+// — is rejected as stale and fences it. gen is the calling coordinator's
+// fencing token; a deposed coordinator's call bounces with ErrStaleEpoch
+// before touching the pair. Returns the promoted space.
 //
 //lint:blockok coordinator path: serializing promotion (log replay, WAL fsync) under coordMu is the failover contract; data-path operations never take coordMu
-func (r *Router) failoverShard(gen uint64, sh *Shard, name string) (*space.Space, error) {
-	sh.coordMu.Lock()
-	defer sh.coordMu.Unlock()
-	if err := sh.requireCoordGen(gen); err != nil {
+func (r *Router) Failover(gen uint64) (*space.Space, error) {
+	r.coordMu.Lock()
+	defer r.coordMu.Unlock()
+	if err := r.requireCoordGen(gen); err != nil {
 		return nil, err
 	}
-	sh.mu.Lock()
-	epoch, oldPrimary, backup, attached := sh.epoch, sh.primary, sh.backup, sh.attached
-	sh.mu.Unlock()
+	r.mu.Lock()
+	epoch, oldPrimary, backup, attached := r.epoch, r.primary, r.backup, r.attached
+	r.mu.Unlock()
 	if backup == nil || !attached {
 		// Only a backup that was receiving ships at the moment of the
 		// failure holds every acknowledged mutation. An unattached spare
-		// (parked by an earlier failover, detach or rebalance) has a
-		// stale log: promoting it would resurrect taken entries and drop
-		// acks, so the shard parks instead — Restart plus Revive of the
-		// last primary is the recovery path.
-		sh.mu.Lock()
-		sh.down = true
-		sh.publishLocked()
-		sh.mu.Unlock()
+		// (parked by an earlier failover or detach) has a stale log:
+		// promoting it would resurrect taken entries and drop acks, so
+		// the pair parks instead — Restart plus Revive of the last
+		// primary is the recovery path.
+		r.mu.Lock()
+		r.down = true
+		r.publishLocked()
+		r.mu.Unlock()
 		return nil, ErrShardDown
 	}
 	sp, err := backup.Promote(epoch + 1)
 	if err != nil {
 		if errors.Is(err, ErrNodeDown) {
-			// Double failure: both replicas gone. Park the shard; a Restart
+			// Double failure: both replicas gone. Park the pair; a Restart
 			// plus Reattach/Failover brings it back.
-			sh.mu.Lock()
-			sh.down = true
-			sh.publishLocked()
-			sh.mu.Unlock()
+			r.mu.Lock()
+			r.down = true
+			r.publishLocked()
+			r.mu.Unlock()
 			return nil, fmt.Errorf("%w: %v", ErrShardDown, err)
 		}
-		return nil, fmt.Errorf("repl: failing over shard %q: %w", name, err)
+		return nil, fmt.Errorf("repl: failing over: %w", err)
 	}
-	sh.mu.Lock()
-	sh.primary, sh.backup = backup, oldPrimary
-	sh.attached = false
-	sh.sp = sp
-	sh.epoch = epoch + 1
-	sh.down = false
-	sh.publishLocked()
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.primary, r.backup = backup, oldPrimary
+	r.attached = false
+	r.sp = sp
+	r.epoch = epoch + 1
+	r.down = false
+	r.publishLocked()
+	r.mu.Unlock()
 	return sp, nil
 }
 
-// Reattach brings the named shard's spare replica (typically a
-// restarted ex-primary) back as the live backup under a fresh epoch.
-// The attach always full-resyncs — an ex-primary's log can hold
-// unacknowledged records past the divergence point, which no length
-// check can detect — and mutations retried by the router ride out the
-// catch-up window.
-func (r *Router) Reattach(name string) error {
-	return r.ReattachAs(r.Gen(), name)
-}
-
-// ReattachAs is Reattach fenced by the calling coordinator's generation.
-func (r *Router) ReattachAs(gen uint64, name string) error {
-	sh := r.Shard(name)
-	if sh == nil {
-		return fmt.Errorf("repl: unknown shard %q", name)
-	}
-	published, err := r.reattachShard(gen, sh, name)
-	if published {
-		r.notify()
-	}
-	return err
-}
-
-// reattachShard is Reattach's critical section. It reports whether a new
-// configuration was published (a suspended primary's fresh space publishes
-// even when the catch-up fails); the caller notifies after coordMu is
-// released.
+// Reattach brings the spare replica (typically a restarted ex-primary)
+// back as the live backup under a fresh epoch, fenced by the calling
+// coordinator's generation. The attach always full-resyncs — an
+// ex-primary's log can hold unacknowledged records past the divergence
+// point, which no length check can detect — and mutations retried by
+// the router ride out the catch-up window.
 //
 //lint:blockok coordinator path: serializing the attach catch-up (checkpoint, snapshot ship, tail replay) under coordMu is the failover contract; data-path operations never take coordMu
-func (r *Router) reattachShard(gen uint64, sh *Shard, name string) (bool, error) {
-	sh.coordMu.Lock()
-	defer sh.coordMu.Unlock()
-	if err := sh.requireCoordGen(gen); err != nil {
-		return false, err
+func (r *Router) Reattach(gen uint64) error {
+	r.coordMu.Lock()
+	defer r.coordMu.Unlock()
+	if err := r.requireCoordGen(gen); err != nil {
+		return err
 	}
-	sh.mu.Lock()
-	epoch, primary, backup := sh.epoch, sh.primary, sh.backup
-	sh.mu.Unlock()
+	r.mu.Lock()
+	epoch, primary, backup := r.epoch, r.primary, r.backup
+	r.mu.Unlock()
 	if backup == nil {
-		return false, fmt.Errorf("repl: shard %q has no spare replica", name)
+		return errors.New("repl: no spare replica")
 	}
 	if backup.Role() == RolePrimary {
 		// A fenced or superseded ex-primary: reclaim it first.
 		if err := backup.Demote(epoch); err != nil {
-			return false, fmt.Errorf("repl: demoting ex-primary of shard %q: %w", name, err)
+			return fmt.Errorf("repl: demoting ex-primary: %w", err)
 		}
 	}
 	sp, err := primary.AttachBackup(epoch+1, backup, true)
-	published := sp != nil
-	if published {
+	if sp != nil {
 		// A suspended primary re-recovered: publish the fresh space (and
 		// epoch) even if the catch-up itself failed, so clients rebind.
-		sh.mu.Lock()
-		sh.sp = sp
-		sh.epoch = epoch + 1
-		sh.attached = err == nil
-		sh.publishLocked()
-		sh.mu.Unlock()
+		r.mu.Lock()
+		r.sp = sp
+		r.epoch = epoch + 1
+		r.attached = err == nil
+		r.publishLocked()
+		r.mu.Unlock()
 	}
 	if err != nil {
-		return published, fmt.Errorf("repl: reattaching backup of shard %q: %w", name, err)
+		return fmt.Errorf("repl: reattaching backup: %w", err)
 	}
-	return published, nil
-}
-
-// Revive re-promotes the named shard's current primary replica after a
-// Restart — the double-failure recovery path. Only the last primary's
-// log is guaranteed to hold every acknowledged mutation (the spare was
-// detached from the ack path at the failover that made this node
-// primary), so only it may serve again; promoting the spare instead
-// could resurrect a pre-failover state and lose acks.
-func (r *Router) Revive(name string) (*space.Space, error) {
-	return r.ReviveAs(r.Gen(), name)
-}
-
-// ReviveAs is Revive fenced by the calling coordinator's generation.
-func (r *Router) ReviveAs(gen uint64, name string) (*space.Space, error) {
-	sh := r.Shard(name)
-	if sh == nil {
-		return nil, fmt.Errorf("repl: unknown shard %q", name)
-	}
-	sp, err := r.reviveShard(gen, sh, name)
-	if err == nil {
-		r.notify()
-	}
-	return sp, err
-}
-
-// reviveShard is Revive's critical section; the caller notifies after
-// coordMu is released.
-//
-//lint:blockok coordinator path: serializing re-promotion (log replay, WAL fsync) under coordMu is the failover contract; data-path operations never take coordMu
-func (r *Router) reviveShard(gen uint64, sh *Shard, name string) (*space.Space, error) {
-	sh.coordMu.Lock()
-	defer sh.coordMu.Unlock()
-	if err := sh.requireCoordGen(gen); err != nil {
-		return nil, err
-	}
-	sh.mu.Lock()
-	epoch, primary := sh.epoch, sh.primary
-	sh.mu.Unlock()
-	sp, err := primary.Promote(epoch + 1)
-	if err != nil {
-		return nil, fmt.Errorf("repl: reviving shard %q: %w", name, err)
-	}
-	sh.mu.Lock()
-	sh.sp = sp
-	sh.epoch = epoch + 1
-	sh.attached = false
-	sh.down = false
-	sh.publishLocked()
-	sh.mu.Unlock()
-	return sp, nil
-}
-
-// Detach drops the named shard's backup from the configuration: the
-// primary continues solo under a fresh epoch (acks locally durable
-// only). Used when the backup is unreachable but the primary healthy.
-func (r *Router) Detach(name string) error {
-	return r.DetachAs(r.Gen(), name)
-}
-
-// DetachAs is Detach fenced by the calling coordinator's generation.
-func (r *Router) DetachAs(gen uint64, name string) error {
-	sh := r.Shard(name)
-	if sh == nil {
-		return fmt.Errorf("repl: unknown shard %q", name)
-	}
-	err := r.detachShard(gen, sh, name)
-	if err == nil {
-		r.notify()
-	}
-	return err
-}
-
-// detachShard is Detach's critical section; the caller notifies after
-// coordMu is released.
-//
-//lint:blockok coordinator path: serializing the detach (re-recovery, log replay) under coordMu is the failover contract; data-path operations never take coordMu
-func (r *Router) detachShard(gen uint64, sh *Shard, name string) error {
-	sh.coordMu.Lock()
-	defer sh.coordMu.Unlock()
-	if err := sh.requireCoordGen(gen); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	epoch, primary := sh.epoch, sh.primary
-	sh.mu.Unlock()
-	sp, err := primary.DetachBackup(epoch + 1)
-	if err != nil {
-		return fmt.Errorf("repl: detaching backup of shard %q: %w", name, err)
-	}
-	sh.mu.Lock()
-	sh.sp = sp
-	sh.epoch = epoch + 1
-	sh.attached = false
-	sh.publishLocked()
-	sh.mu.Unlock()
 	return nil
 }
 
-// StartMonitor runs heartbeat failure detection: every interval each
-// shard's primary is probed, and after misses consecutive failures the
-// shard fails over automatically. Runs until the router closes.
-func (r *Router) StartMonitor(interval time.Duration, misses int) {
-	for _, sh := range r.shards {
-		r.monitors.Add(1)
-		go r.monitorShard(sh, interval, misses)
+// Revive re-promotes the current primary replica after a Restart — the
+// double-failure recovery path — fenced by the calling coordinator's
+// generation. Only the last primary's log is guaranteed to hold every
+// acknowledged mutation (the spare was detached from the ack path at the
+// failover that made this node primary), so only it may serve again;
+// promoting the spare instead could resurrect a pre-failover state and
+// lose acks.
+//
+//lint:blockok coordinator path: serializing re-promotion (log replay, WAL fsync) under coordMu is the failover contract; data-path operations never take coordMu
+func (r *Router) Revive(gen uint64) (*space.Space, error) {
+	r.coordMu.Lock()
+	defer r.coordMu.Unlock()
+	if err := r.requireCoordGen(gen); err != nil {
+		return nil, err
 	}
+	r.mu.Lock()
+	epoch, primary := r.epoch, r.primary
+	r.mu.Unlock()
+	sp, err := primary.Promote(epoch + 1)
+	if err != nil {
+		return nil, fmt.Errorf("repl: reviving primary: %w", err)
+	}
+	r.mu.Lock()
+	r.sp = sp
+	r.epoch = epoch + 1
+	r.attached = false
+	r.down = false
+	r.publishLocked()
+	r.mu.Unlock()
+	return sp, nil
 }
 
-// monitorShard is one shard's failure detector.
-func (r *Router) monitorShard(sh *Shard, interval time.Duration, misses int) {
-	defer r.monitors.Done()
-	t := r.clock.NewTimer(interval)
-	defer t.Stop()
-	consecutive := 0
-	for {
-		select {
-		case <-r.closed:
-			return
-		case <-t.C():
-		}
-		sh.mu.Lock()
-		primary, epoch, down := sh.primary, sh.epoch, sh.down
-		sh.mu.Unlock()
-		if !down {
-			switch err := primary.Heartbeat(epoch); {
-			case errors.Is(err, ErrStaleEpoch):
-				// A reconfiguration bumped the node's epoch between the
-				// state read and the probe; the primary answered, so it
-				// is alive — not a miss.
-				consecutive = 0
-			case err != nil:
-				consecutive++
-			default:
-				consecutive = 0
-			}
-			if consecutive >= misses {
-				consecutive = 0
-				_, _ = r.Failover(sh.name)
-			}
-		}
-		t.Reset(interval)
+// Detach drops the backup from the configuration, fenced by the calling
+// coordinator's generation: the primary continues solo under a fresh
+// epoch (acks locally durable only). Used when the backup is unreachable
+// but the primary healthy.
+//
+//lint:blockok coordinator path: serializing the detach (re-recovery, log replay) under coordMu is the failover contract; data-path operations never take coordMu
+func (r *Router) Detach(gen uint64) error {
+	r.coordMu.Lock()
+	defer r.coordMu.Unlock()
+	if err := r.requireCoordGen(gen); err != nil {
+		return err
 	}
+	r.mu.Lock()
+	epoch, primary := r.epoch, r.primary
+	r.mu.Unlock()
+	sp, err := primary.DetachBackup(epoch + 1)
+	if err != nil {
+		return fmt.Errorf("repl: detaching backup: %w", err)
+	}
+	r.mu.Lock()
+	r.sp = sp
+	r.epoch = epoch + 1
+	r.attached = false
+	r.publishLocked()
+	r.mu.Unlock()
+	return nil
 }
 
-// Close shuts down the router: parked operations fail, monitors exit,
-// and every node closes in an orderly way.
+// Close shuts down the router: parked operations fail and both nodes
+// close in an orderly way.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.isClosed {
@@ -595,20 +340,15 @@ func (r *Router) Close() error {
 	}
 	r.isClosed = true
 	close(r.closed)
+	nodes := []*Node{r.primary, r.backup}
 	r.mu.Unlock()
-	r.monitors.Wait()
 	var first error
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		nodes := []*Node{sh.primary, sh.backup}
-		sh.mu.Unlock()
-		for _, n := range nodes {
-			if n == nil {
-				continue
-			}
-			if err := n.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, n := range nodes {
+		if n == nil {
+			continue
+		}
+		if err := n.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -616,15 +356,15 @@ func (r *Router) Close() error {
 
 // --- the routed space operations ---
 
-// do runs op against the owning shard's current primary, retrying
-// across reconfigurations within the budget. Blocking operations whose
-// budget runs out mid-failover report ErrTimeout — to their callers
-// (pollers, await loops with their own retry policies) an outage
-// shorter than their patience is indistinguishable from no match.
-func (r *Router) do(kind string, budget time.Duration, blocking bool, op func(sp *space.Space, remaining time.Duration) error) error {
+// do runs op against the current primary, retrying across
+// reconfigurations within the budget. Blocking operations whose budget
+// runs out mid-failover report ErrTimeout — to their callers (pollers,
+// await loops with their own retry policies) an outage shorter than
+// their patience is indistinguishable from no match.
+func (r *Router) do(budget time.Duration, blocking bool, op func(sp *space.Space, remaining time.Duration) error) error {
 	deadline := r.clock.Now().Add(budget)
 	for {
-		sp, reconfig, down := r.ShardFor(kind).current()
+		sp, reconfig, down := r.current()
 		remaining := deadline.Sub(r.clock.Now())
 		var err error
 		if down {
@@ -658,11 +398,11 @@ func (r *Router) do(kind string, budget time.Duration, blocking bool, op func(sp
 	}
 }
 
-// Write stores one entry on its kind's shard; a nil error means the
-// write is durable on both replicas (or the solo primary's log).
+// Write stores one entry; a nil error means the write is durable on
+// both replicas (or the solo primary's log).
 func (r *Router) Write(e space.Entry, tx *txn.Transaction, leaseDur time.Duration) (lease.Lease, error) {
 	var out lease.Lease
-	err := r.do(e.Kind, r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
+	err := r.do(r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
 		l, werr := sp.Write(e, tx, leaseDur)
 		if werr == nil {
 			out = l
@@ -672,15 +412,13 @@ func (r *Router) Write(e space.Entry, tx *txn.Transaction, leaseDur time.Duratio
 	return out, err
 }
 
-// WriteBatch group-commits entries on the first entry's shard (a batch
-// spans one shard: kinds hash identically when equal, and federation
-// batches are single-kind envelopes).
+// WriteBatch group-commits entries as one replicated journal batch.
 func (r *Router) WriteBatch(entries []space.Entry, tx *txn.Transaction, leaseDur time.Duration) ([]lease.Lease, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
 	var out []lease.Lease
-	err := r.do(entries[0].Kind, r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
+	err := r.do(r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
 		ls, werr := sp.WriteBatch(entries, tx, leaseDur)
 		if werr == nil {
 			out = ls
@@ -693,7 +431,7 @@ func (r *Router) WriteBatch(entries []space.Entry, tx *txn.Transaction, leaseDur
 // Read blocks up to timeout for a matching entry without removing it.
 func (r *Router) Read(tmpl space.Entry, tx *txn.Transaction, timeout time.Duration) (space.Entry, error) {
 	var out space.Entry
-	err := r.do(tmpl.Kind, timeout, true, func(sp *space.Space, remaining time.Duration) error {
+	err := r.do(timeout, true, func(sp *space.Space, remaining time.Duration) error {
 		e, rerr := sp.Read(tmpl, tx, remaining)
 		if rerr == nil {
 			out = e
@@ -706,7 +444,7 @@ func (r *Router) Read(tmpl space.Entry, tx *txn.Transaction, timeout time.Durati
 // Take blocks up to timeout to remove and return a matching entry.
 func (r *Router) Take(tmpl space.Entry, tx *txn.Transaction, timeout time.Duration) (space.Entry, error) {
 	var out space.Entry
-	err := r.do(tmpl.Kind, timeout, true, func(sp *space.Space, remaining time.Duration) error {
+	err := r.do(timeout, true, func(sp *space.Space, remaining time.Duration) error {
 		e, terr := sp.Take(tmpl, tx, remaining)
 		if terr == nil {
 			out = e
@@ -720,7 +458,7 @@ func (r *Router) Take(tmpl space.Entry, tx *txn.Transaction, timeout time.Durati
 // first — the worker poll loop's entry point.
 func (r *Router) TakeAny(tmpl space.Entry, max int, tx *txn.Transaction, timeout time.Duration) ([]space.Entry, error) {
 	var out []space.Entry
-	err := r.do(tmpl.Kind, timeout, true, func(sp *space.Space, remaining time.Duration) error {
+	err := r.do(timeout, true, func(sp *space.Space, remaining time.Duration) error {
 		es, terr := sp.TakeAny(tmpl, max, tx, remaining)
 		if terr == nil {
 			out = es
@@ -733,7 +471,7 @@ func (r *Router) TakeAny(tmpl space.Entry, max int, tx *txn.Transaction, timeout
 // Count reports how many visible entries match the template.
 func (r *Router) Count(tmpl space.Entry) int {
 	n := 0
-	_ = r.do(tmpl.Kind, r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
+	_ = r.do(r.writeWindow, false, func(sp *space.Space, _ time.Duration) error {
 		n = sp.Count(tmpl)
 		return nil
 	})

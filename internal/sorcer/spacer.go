@@ -15,8 +15,8 @@ import (
 
 // SpaceOps is the tuple-space surface pull-mode federation runs on: the
 // operations Spacer and SpaceWorker use, lifted to an interface so a
-// federation binds equally to one *space.Space or to a replicated,
-// shard-routed *repl.Router — failover then looks like a transient
+// federation binds equally to one *space.Space or to a *repl.Router
+// fronting a primary/backup pair — failover then looks like a transient
 // retry instead of a rebind.
 type SpaceOps interface {
 	// Write stores one entry under a lease.

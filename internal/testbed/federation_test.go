@@ -25,11 +25,10 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // TestFederationMultiProcess is the multi-process system test: a
 // lookup-service process hosting the registrar and the coordination
-// leases, a shard-backup process hosting a replica, and the test
-// process hosting the shard primaries plus two coordinator replicas
-// that compete for the coordination lease over srpc. It exercises
-// cross-process journal shipping (snapshot resync + tail), shard-map
-// publication into the remote registry, leader-driven failover, and
+// leases, a backup process hosting a replica, and the test process
+// hosting the primaries plus two coordinator replicas that compete for
+// the coordination lease over srpc. It exercises cross-process journal
+// shipping (snapshot resync + tail), leader-driven failover, and
 // standby takeover with a dominating fencing token. Skipped under
 // -short (it builds and spawns real processes).
 func TestFederationMultiProcess(t *testing.T) {
@@ -84,7 +83,7 @@ func TestFederationMultiProcess(t *testing.T) {
 
 	// Coordination plane across processes: two coordinator replicas in
 	// this process compete for the lease hosted by the child lookup
-	// service, managing an in-process shard pair.
+	// service, managing an in-process pair.
 	ga, err := remote.NewCoordinationClient(fed.LUSAddr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestFederationMultiProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := repl.NewRouter(clock, []repl.ShardSpec{{Name: "r0", Primary: na, Backup: nb}})
+	router, err := repl.NewRouter(clock, na, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,37 +134,11 @@ func TestFederationMultiProcess(t *testing.T) {
 		return router.Gen() == firstTok
 	})
 
-	// The shard map crosses into the child registry and back.
-	rc, err := remote.NewRegistrarClient(fed.LUSAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	pub, _, err := repl.PublishShardMapVia(rc, "federation-space", router,
-		remote.ProxyDesc{Kind: "shardmap", Locator: fed.LUSAddr, Service: "federation-space"},
-		time.Minute)
-	if err != nil {
-		t.Fatalf("publishing shard map to remote registry: %v", err)
-	}
-	defer pub.Close()
-	rc2, err := remote.NewRegistrarClient(fed.LUSAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc2.Close()
-	infos, err := repl.LookupShardMap(rc2, "federation-space")
-	if err != nil {
-		t.Fatalf("looking up shard map from remote registry: %v", err)
-	}
-	if len(infos) != 1 || infos[0].Shard != "r0" || infos[0].Gen != firstTok {
-		t.Fatalf("remote shard map = %+v, want shard r0 at gen %d", infos, firstTok)
-	}
-
 	// The lease holder notices a dead primary and promotes the backup;
 	// routed operations ride through the failover.
 	na.Kill()
 	waitUntil(t, "leader-driven failover to the backup", func() bool {
-		return router.Shard("r0").Primary() == nb
+		return router.Primary() == nb
 	})
 	if _, err := router.Write(space.NewEntry("job", "id", float64(1)), nil, time.Minute); err != nil {
 		t.Fatalf("write after failover: %v", err)
