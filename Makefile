@@ -18,8 +18,13 @@ vet:
 # context, lifecycle-error discipline) plus the whole-program analyzers
 # (deepblock, lockorder, noalloc); see DESIGN.md "Enforced invariants"
 # and "Whole-program invariants". `go vet` runs first so the stock
-# checks gate alongside the project-specific ones.
+# checks gate alongside the project-specific ones, and any file gofmt
+# would rewrite fails the target.
+GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
+
 lint: vet
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/sensorlint ./...
 
 test:
@@ -41,19 +46,21 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc/subscribe/expr/space fuzz targets over their seed
+# Run the wire/srpc/subscribe/expr/space/remote fuzz targets over their seed
 # corpora (the checked-in testdata/fuzz files plus the in-code f.Add
 # seeds): the never-panic / bounded-allocation properties of the frame
 # decoder, of the stream-stateful update decoder, of the tagged-value
-# decoder and of the space's journal record and snapshot decoders, and
+# decoder, of the space's journal record and snapshot decoders and of the
+# replication ship-batch decoder, and
 # the expression float64 path's agreement with the tree walker, without
 # paying for open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
 #   go test ./internal/subscribe -fuzz FuzzUpdateDecode -fuzztime 60s
 #   go test ./internal/expr -fuzz FuzzEvalDifferential -fuzztime 60s
 #   go test ./internal/space -fuzz FuzzJournalRecordDecode -fuzztime 60s
+#   go test ./internal/remote -fuzz FuzzShipBatchDecode -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a

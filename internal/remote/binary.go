@@ -12,8 +12,9 @@
 // round trip with their Go types intact, and anything richer rides as a
 // tagged JSON blob. Decoded shapes own their
 // memory: consuming aliases the frame buffer, so every retained byte
-// slice or string is copied out before the decoder returns (ship-batch
-// payloads into one contiguous block, since the WAL retains them).
+// slice or string is copied out before the decoder returns. Ship-batch
+// payloads are the exception: they stay views of the frame, because the
+// WAL copies them before the handler returns.
 package remote
 
 import (
@@ -224,8 +225,9 @@ func (w wireShipBatch) AppendSrpc(buf []byte) ([]byte, error) {
 }
 
 // UnmarshalSrpc implements srpc.BinaryUnmarshaler. Record payloads are
-// copied out of the frame into one contiguous owned block — the WAL
-// retains them past the handler call.
+// views of the request frame, valid for the handler call only: the
+// handler hands them to repl.Node.ShipBatch, whose WAL append copies
+// each into the log buffer before it returns.
 func (w *wireShipBatch) UnmarshalSrpc(shape byte, data []byte) error {
 	if shape != shapeShipBatch {
 		return shapeErr("ship batch", shape)
@@ -241,25 +243,15 @@ func (w *wireShipBatch) UnmarshalSrpc(shape byte, data []byte) error {
 	if !ok || count > uint64(len(data)) {
 		return malformedErr("ship batch")
 	}
-	views := make([][]byte, count)
-	total := 0
-	for i := range views {
-		if views[i], data, ok = wire.ConsumeBytes(data); !ok {
+	w.Payloads = make([][]byte, count)
+	for i := range w.Payloads {
+		if w.Payloads[i], data, ok = wire.ConsumeBytes(data); !ok {
 			return malformedErr("ship batch")
 		}
-		total += len(views[i])
 	}
 	if len(data) != 0 {
 		return malformedErr("ship batch")
 	}
-	block := make([]byte, 0, total)
-	payloads := make([][]byte, len(views))
-	for i, v := range views {
-		start := len(block)
-		block = append(block, v...)
-		payloads[i] = block[start:len(block):len(block)]
-	}
-	w.Payloads = payloads
 	return nil
 }
 

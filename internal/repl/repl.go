@@ -84,7 +84,9 @@ type Follower interface {
 	// ShipBatch applies payloads at explicit sequences (payloads[0] is
 	// firstSeq) under the sender's epoch, durably, and returns the
 	// follower's next expected sequence. Idempotent for re-shipped
-	// prefixes. An empty batch is a position probe.
+	// prefixes. An empty batch is a position probe. The payloads are
+	// valid for the call only (over srpc they are views of the request
+	// frame): a follower that keeps one past its return must copy it.
 	ShipBatch(epoch, firstSeq uint64, payloads [][]byte) (uint64, error)
 	// ShipSnapshot installs a snapshot covering seq, replacing the
 	// follower's log contents — the full-resync path.

@@ -115,7 +115,7 @@ func TestCSPFastPathMatchesEnvSemantics(t *testing.T) {
 		want float64
 	}{
 		{"(a + b + c) / 3", (10.0 + 20 + 60) / 3},
-		{"a - avg(a_hist)", 10 - (9.0 + 10 + 11) / 3},
+		{"a - avg(a_hist)", 10 - (9.0+10+11)/3},
 		{"max(values) - min(values)", 50},
 		{"a > b ? a : b", 20},
 		{"clamp(sum(a, b), 0, 25)", 25},

@@ -60,7 +60,9 @@ func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.D
 }
 
 // storeLocked journals and applies new entries together with the
-// hand-offs they make to blocked waiters, under one group commit.
+// hand-offs they make to blocked waiters, under one group commit. An
+// entry taken in that commit is journaled as its take alone and handed
+// over without being stored.
 func (s *Space) storeLocked(ses []*storedEntry, tx *txn.Transaction, leaseDur time.Duration) error {
 	if s.closed {
 		return ErrClosed
@@ -77,32 +79,44 @@ func (s *Space) storeLocked(ses []*storedEntry, tx *txn.Transaction, leaseDur ti
 	if err := s.checkGuardLocked(); err != nil {
 		return err
 	}
-	var recs []record
-	if s.journal != nil {
-		// A volatile space builds no records (hand-offs it plans append
-		// theirs, which journalBatchLocked then ignores).
-		recs = make([]record, 0, 2*len(ses))
-	}
 	for i, se := range ses {
 		se.id = s.nextID + uint64(i) + 1
 		se.writtenTxn = txnID
-		if s.journal != nil {
-			recs = append(recs, record{op: opWrite, id: se.id, txn: txnID, entry: se.entry,
-				leaseMS: int64(leaseDur / time.Millisecond)})
+	}
+	plan := s.planHandoffsLocked(ses, txnID)
+	// An entry a non-transactional taker gets in the commit that writes it
+	// never lands: its take record alone consumes its id, which is all
+	// replay needs. Planning under a transaction serves only that
+	// transaction's takers, so such a taker implies a plain write.
+	for _, h := range plan {
+		if h.w.take && h.w.tx == nil {
+			for _, se := range h.got {
+				se.handed = true
+			}
 		}
 	}
-	plan, recs := s.planHandoffsLocked(ses, txnID, recs)
-	if err := s.journalBatchLocked(recs); err != nil {
-		return err
+	if s.journal != nil {
+		recs := make([]record, 0, 2*len(ses))
+		for _, se := range ses {
+			if !se.handed {
+				recs = append(recs, record{op: opWrite, id: se.id, txn: txnID, entry: se.entry,
+					leaseMS: int64(leaseDur / time.Millisecond)})
+			}
+		}
+		if err := s.journalBatchLocked(takeRecords(recs, plan)); err != nil {
+			return err
+		}
 	}
 	s.nextID += uint64(len(ses))
 	for _, se := range ses {
 		if part != nil {
 			part.written = append(part.written, se.id)
 		}
-		s.entries[se.id] = se
-		s.byLease[se.leaseID] = se.id
-		s.indexAddLocked(se)
+		if !se.handed {
+			s.entries[se.id] = se
+			s.byLease[se.leaseID] = se.id
+			s.indexAddLocked(se)
+		}
 	}
 	s.handOffLocked(plan)
 	return nil

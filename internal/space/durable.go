@@ -134,6 +134,8 @@ func Recover(clock clockwork.Clock, policy lease.Policy, log Journal) (*Space, e
 			order = append(order, rec.id)
 			note(rec.id)
 		case opTake:
+			// An untagged take of an id never written here is an entry
+			// taken in the commit that wrote it: only its id is consumed.
 			if rec.txn == 0 {
 				delete(staged, rec.id)
 			} else if r, ok := staged[rec.id]; ok {

@@ -136,8 +136,8 @@ func TestTakeAnyHandedWholeBatchInOneCommit(t *testing.T) {
 			t.Fatalf("entry %d has n=%v (FIFO order lost)", i, e.Field("n"))
 		}
 	}
-	if len(j.batches) != 1 || len(j.batches[0]) != 16 {
-		t.Fatalf("journal saw %d batches (first of %d records), want one of 16 (8 writes, 8 takes)",
+	if len(j.batches) != 1 || len(j.batches[0]) != 8 {
+		t.Fatalf("journal saw %d batches (first of %d records), want one of 8 takes",
 			len(j.batches), len(j.batches[0]))
 	}
 	if n := s.Count(NewEntry("ExertionEnvelope")); n != 0 {
@@ -237,5 +237,139 @@ func TestProvisionalTakeReturnsClone(t *testing.T) {
 	}
 	if got.Field("n") != 1 || got.Field("extra") != nil || len(got.Fields) != 2 {
 		t.Fatalf("restored entry carries the taker's mutations: %v", got.Fields)
+	}
+}
+
+// journalRecords decodes every record the journal holds, in order.
+func journalRecords(t *testing.T, j *memJournal) []record {
+	t.Helper()
+	var recs []record
+	if err := j.Replay(func(_ uint64, p []byte) error {
+		r, err := decodeRecord(p)
+		recs = append(recs, r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// recoverFrom restarts a space from j, as a crash at this point would.
+func recoverFrom(t *testing.T, fc *clockwork.Fake, j *memJournal) *Space {
+	t.Helper()
+	s, err := Recover(fc, lease.Policy{Max: time.Hour}, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestTakenInItsCommitRecoversEmpty: entries a blocked taker gets in the
+// commit that writes them are journaled as their takes alone. Replay
+// restores none of them, and their ids stay consumed.
+func TestTakenInItsCommitRecoversEmpty(t *testing.T) {
+	fc, s, j := journaledSpace(t)
+	done := goTakeAny(t, s, 8, nil, 0)
+	if _, err := s.WriteBatch(batchOf(3), nil, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-done; r.err != nil || len(r.out) != 3 {
+		t.Fatalf("TakeAny = %v, %v; want 3 entries", r.out, r.err)
+	}
+	for _, r := range journalRecords(t, j) {
+		if r.op != opTake || r.txn != 0 {
+			t.Fatalf("journal holds %+v, want untagged takes only", r)
+		}
+	}
+	re := recoverFrom(t, fc, j)
+	if n := re.Count(NewEntry("ExertionEnvelope")); n != 0 {
+		t.Fatalf("recovered %d entries from a take-only log, want 0", n)
+	}
+	if _, err := re.Write(task("next", 9), nil, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if se := re.entries[4]; se == nil || se.entry.Field("n") != 9 {
+		t.Fatalf("first write after recovery did not get id 4 (ids 1-3 are consumed): %v", re.entries)
+	}
+}
+
+// TestHandoffUnderTxnKeepsWriteRecord: a hand-off with a transaction on
+// either side journals the write record, since replay needs it.
+func TestHandoffUnderTxnKeepsWriteRecord(t *testing.T) {
+	t.Run("staged write, plain taker", func(t *testing.T) {
+		fc, s, j := journaledSpace(t)
+		tx, _ := txn.NewManager(fc, lease.Policy{Max: time.Hour}).Create(time.Minute)
+		if _, err := s.Write(task("avg", 1), tx, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		done := goTakeAny(t, s, 1, nil, 0)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-done; r.err != nil || len(r.out) != 1 {
+			t.Fatalf("taker got %v, %v", r.out, r.err)
+		}
+		recs := journalRecords(t, j)
+		if len(recs) != 3 || recs[0].op != opWrite || recs[0].txn != tx.ID() || recs[1].op != opCommit || recs[2].op != opTake {
+			t.Fatalf("journal = %+v, want the staged write, its commit and the take", recs)
+		}
+		if n := recoverFrom(t, fc, j).Count(NewEntry("ExertionEnvelope")); n != 0 {
+			t.Fatalf("recovered %d entries, want 0", n)
+		}
+	})
+	t.Run("plain write, txn taker", func(t *testing.T) {
+		fc, s, j := journaledSpace(t)
+		tx, _ := txn.NewManager(fc, lease.Policy{Max: time.Hour}).Create(time.Minute)
+		done := goTakeAny(t, s, 1, tx, 0)
+		if _, err := s.Write(task("avg", 1), nil, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-done; r.err != nil || len(r.out) != 1 {
+			t.Fatalf("taker got %v, %v", r.out, r.err)
+		}
+		recs := journalRecords(t, j)
+		if len(recs) != 2 || recs[0].op != opWrite || recs[1].op != opTake || recs[1].txn != tx.ID() {
+			t.Fatalf("journal = %+v, want the write and the provisional take", recs)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		e, err := recoverFrom(t, fc, j).Read(NewEntry("ExertionEnvelope"), nil, 0)
+		if err != nil || e.Field("signature") != "avg" {
+			t.Fatalf("aborted take not restored after recovery: %v, %v", e, err)
+		}
+	})
+}
+
+// TestHandoffServesReaderAndTaker: one write serves a blocked reader and
+// a blocked taker. The reader gets a clone, and the journal holds the
+// take alone.
+func TestHandoffServesReaderAndTaker(t *testing.T) {
+	_, s, j := journaledSpace(t)
+	read := make(chan Entry, 1)
+	go func() {
+		e, _ := s.Read(NewEntry("ExertionEnvelope"), nil, Forever)
+		read <- e
+	}()
+	waitQueued(t, s, "ExertionEnvelope", 1)
+	done := goTakeAny(t, s, 1, nil, 1)
+	if _, err := s.Write(task("avg", 1), nil, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil || len(r.out) != 1 || r.out[0].Field("n") != 1 {
+		t.Fatalf("taker got %v, %v", r.out, r.err)
+	}
+	seen := <-read
+	r.out[0].Fields["n"] = 99
+	if seen.Field("n") != 1 {
+		t.Fatalf("reader's entry changed with the taker's: n=%v", seen.Field("n"))
+	}
+	if recs := journalRecords(t, j); len(j.batches) != 1 || len(recs) != 1 || recs[0].op != opTake || recs[0].txn != 0 {
+		t.Fatalf("journal = %+v in %d batches, want one untagged take", recs, len(j.batches))
+	}
+	if n := s.Count(NewEntry("ExertionEnvelope")); n != 0 {
+		t.Fatalf("Count = %d after the take, want 0", n)
 	}
 }

@@ -112,6 +112,10 @@ type storedEntry struct {
 	// takenTxn is non-zero while the entry is held by an uncommitted
 	// transaction's take: invisible to everyone else.
 	takenTxn uint64
+	// handed marks a non-transactional write promised to a
+	// non-transactional taker in the commit that writes it: it is
+	// journaled as its take alone and never stored.
+	handed bool
 }
 
 // waiter is a blocked Read, Take or TakeAny. A take waiter accepts up to
@@ -442,9 +446,11 @@ func (s *Space) applyTakeLocked(se *storedEntry, part *spaceTxnPart) Entry {
 }
 
 func (s *Space) removeLocked(se *storedEntry) {
-	delete(s.entries, se.id)
-	delete(s.byLease, se.leaseID)
-	s.indexRemoveLocked(se)
+	if !se.handed {
+		delete(s.entries, se.id)
+		delete(s.byLease, se.leaseID)
+		s.indexRemoveLocked(se)
+	}
 	_ = s.leases.Cancel(se.leaseID)
 }
 
@@ -460,12 +466,12 @@ type handoff struct {
 // blocked waiters of their kinds, FIFO per kind: a read waiter is promised
 // a clone of its first match, a take waiter up to its max matches not
 // promised to an earlier taker. Revealed entries are in ascending id
-// order. Nothing is applied here: the take records are appended to recs,
-// so the caller's one journal batch acknowledges the mutation and its
-// hand-offs together, and handOffLocked applies the plan once that batch
-// has landed. If it does not, the caller drops the plan and every waiter
-// keeps waiting.
-func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64, recs []record) ([]handoff, []record) {
+// order. Nothing is applied here: the caller journals the plan's take
+// records (takeRecords) in its one batch, so that batch acknowledges the
+// mutation and its hand-offs together, and handOffLocked applies the plan
+// once it has landed. If it does not, the caller drops the plan and every
+// waiter keeps waiting.
+func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64) []handoff {
 	var plan []handoff
 	var promised map[*storedEntry]bool
 	for i, se := range revealed {
@@ -503,13 +509,24 @@ func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64, recs [
 				}
 				for _, c := range got {
 					promised[c] = true
-					recs = append(recs, takeRecord(c, w.txnID))
 				}
 			}
 			plan = append(plan, h)
 		}
 	}
-	return plan, recs
+	return plan
+}
+
+// takeRecords appends the journal records of plan's takes to recs.
+func takeRecords(recs []record, plan []handoff) []record {
+	for _, h := range plan {
+		if h.w.take {
+			for _, se := range h.got {
+				recs = append(recs, takeRecord(se, h.w.txnID))
+			}
+		}
+	}
+	return recs
 }
 
 // kindBefore reports whether an earlier revealed entry has kind, whose
@@ -612,8 +629,8 @@ func (p *spaceTxnPart) Commit(txnID uint64) error {
 		return err
 	}
 	revealed := s.liveLocked(p.written)
-	plan, recs := s.planHandoffsLocked(revealed, 0, []record{{op: opCommit, txn: txnID}})
-	if err := s.journalBatchLocked(recs); err != nil {
+	plan := s.planHandoffsLocked(revealed, 0)
+	if err := s.journalBatchLocked(takeRecords([]record{{op: opCommit, txn: txnID}}, plan)); err != nil {
 		return err
 	}
 	for _, se := range revealed {
@@ -641,9 +658,8 @@ func (p *spaceTxnPart) Abort(txnID uint64) error {
 	restored := s.liveLocked(p.taken)
 	var plan []handoff
 	if err := s.checkGuardLocked(); err == nil {
-		var recs []record
-		plan, recs = s.planHandoffsLocked(restored, 0, []record{{op: opAbort, txn: txnID}})
-		if s.journalBatchLocked(recs) != nil {
+		plan = s.planHandoffsLocked(restored, 0)
+		if s.journalBatchLocked(takeRecords([]record{{op: opAbort, txn: txnID}}, plan)) != nil {
 			plan = nil
 		}
 	}

@@ -115,7 +115,7 @@ func TestAppendBatchConcurrentWithAppends(t *testing.T) {
 	for i, s := range seqs {
 		bySeq[s] = string(payloads[i])
 	}
-	wantRecords := writers / 2 * rounds * batchN // even writers
+	wantRecords := writers / 2 * rounds * batchN  // even writers
 	wantRecords += (writers - writers/2) * rounds // odd writers
 	if len(bySeq) != wantRecords {
 		t.Fatalf("replayed %d records, want %d", len(bySeq), wantRecords)

@@ -349,11 +349,15 @@ func parseRecord(b []byte) (payload []byte, n int, err error) {
 
 // frameRecord encodes payload with the length+CRC header.
 func frameRecord(payload []byte) []byte {
-	frame := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
-	return frame
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
+}
+
+// appendFrame appends payload's frame — length+CRC header, then the
+// payload — to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 func (l *Log) listFiles(prefix, suffix string) ([]string, error) {
@@ -481,7 +485,6 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
-	frame := frameRecord(payload)
 	if err := l.inj.Inject(l.injSite + FaultSiteAppend); err != nil {
 		// Simulated crash mid-write: push the buffered records out (they
 		// reached the kernel before the crash point) and optionally tear
@@ -492,6 +495,7 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 			l.buf = l.buf[:0]
 		}
 		if l.tornRng != nil {
+			frame := frameRecord(payload)
 			if torn := frame[:l.tornRng.Intn(len(frame))]; len(torn) > 0 {
 				_, _ = l.file.Write(torn)
 			}
@@ -512,14 +516,15 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	// Buffer the frame instead of writing it: the appender's critical
-	// section is then pure memory, so concurrent appenders can frame
-	// records while a group-commit leader is mid-fsync without stalling in
-	// a write syscall behind the filesystem journal. The buffer reaches
-	// the kernel in flushLocked — always before the fsync that would
-	// acknowledge its records, so durability semantics are unchanged.
-	l.buf = append(l.buf, frame...)
-	l.fileSize += int64(len(frame))
+	// Frame the record straight into the buffer instead of writing it:
+	// the appender's critical section is then pure memory, so concurrent
+	// appenders can frame records while a group-commit leader is mid-fsync
+	// without stalling in a write syscall behind the filesystem journal.
+	// The buffer reaches the kernel in flushLocked — always before the
+	// fsync that would acknowledge its records, so durability semantics
+	// are unchanged.
+	l.buf = appendFrame(l.buf, payload)
+	l.fileSize += int64(headerSize + len(payload))
 	seq := l.nextSeq
 	l.nextSeq++
 	seg, _ := l.segLast()
