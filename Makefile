@@ -34,11 +34,14 @@ race:
 	$(GO) test ./... -count=1 -race
 
 # The concurrency hot spots under the race detector: the space stress
-# test plus reduced-iteration (-short) chaos and chaos-failover sweeps.
+# test, the srpc package 20 times over (its read-side hand-over and
+# inline reply write), plus reduced-iteration (-short) chaos and
+# chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
 	$(GO) test ./internal/space -count=1 -race -run TestSpaceStressIndexedConcurrency
+	$(GO) test ./internal/srpc -race -count=20
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
 		-run 'FailoverReplicationInvariants|FederationJobSurvivesPrimaryFailover'
@@ -50,8 +53,9 @@ short:
 # corpora (the checked-in testdata/fuzz files plus the in-code f.Add
 # seeds): the never-panic / bounded-allocation properties of the frame
 # decoder, of the stream-stateful update decoder, of the tagged-value
-# decoder, of the space's journal record and snapshot decoders and of the
-# replication ship-batch decoder, and
+# decoder, of the space's journal record and snapshot decoders, of the
+# replication ship-batch decoder and of the lookup and registrar-write
+# decoders, and
 # the expression float64 path's agreement with the tree walker, without
 # paying for open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
@@ -59,6 +63,7 @@ short:
 #   go test ./internal/expr -fuzz FuzzEvalDifferential -fuzztime 60s
 #   go test ./internal/space -fuzz FuzzJournalRecordDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzShipBatchDecode -fuzztime 60s
+#   go test ./internal/remote -fuzz FuzzRegistrarShapes -fuzztime 60s
 fuzz-seeds:
 	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote -count=1 -run '^Fuzz'
 

@@ -1,6 +1,6 @@
 // Hand-written binary fast paths for the hot srpc message shapes: repl
-// ship batches (the write-ack path), registry lookups (the discovery
-// path), accessor readings and exertion envelopes. Each wire struct
+// ship batches (the write-ack path), registry lookups and registrar
+// writes (the discovery path), accessor readings and exertion envelopes. Each wire struct
 // implements srpc.BinaryMarshaler on its value form and
 // srpc.BinaryUnmarshaler on its pointer form, so srpc picks the fast
 // path automatically; a shape-0 payload still decodes into the same
@@ -41,6 +41,12 @@ const (
 	shapeServiceReq   byte = 10
 	shapeTask         byte = 11
 	shapeTaskResult   byte = 12
+	shapeRegister     byte = 13
+	shapeRegistered   byte = 14
+	shapeLease        byte = 15
+	shapeRenewed      byte = 16
+	shapeID           byte = 17
+	shapeModify       byte = 18
 )
 
 func shapeErr(what string, shape byte) error {
@@ -204,6 +210,59 @@ func consumeProxy(b []byte) (*ProxyDesc, []byte, bool) {
 	return &p, rest, true
 }
 
+func appendTypes(b []byte, types []string) []byte {
+	b = wire.AppendUvarint(b, uint64(len(types)))
+	for _, t := range types {
+		b = wire.AppendString(b, t)
+	}
+	return b
+}
+
+func consumeTypes(b []byte) ([]string, []byte, bool) {
+	n, b, ok := wire.ConsumeUvarint(b)
+	if !ok || n > uint64(len(b)) {
+		return nil, b, false
+	}
+	var types []string
+	if n > 0 {
+		types = make([]string, n)
+	}
+	for i := range types {
+		if types[i], b, ok = wire.ConsumeString(b); !ok {
+			return nil, b, false
+		}
+	}
+	return types, b, true
+}
+
+// appendItem encodes one service item: a lookup match or a registration.
+func appendItem(b []byte, w wireItem) ([]byte, error) {
+	b = appendTypes(appendID(b, w.ID), w.Types)
+	b, err := appendAttrSet(b, w.Attributes)
+	if err != nil {
+		return b, err
+	}
+	return appendProxy(b, w.Proxy), nil
+}
+
+func consumeItem(b []byte) (wireItem, []byte, bool) {
+	var w wireItem
+	var ok bool
+	if w.ID, b, ok = consumeID(b); !ok {
+		return w, b, false
+	}
+	if w.Types, b, ok = consumeTypes(b); !ok {
+		return w, b, false
+	}
+	if w.Attributes, b, ok = consumeAttrSet(b); !ok {
+		return w, b, false
+	}
+	if w.Proxy, b, ok = consumeProxy(b); !ok {
+		return w, b, false
+	}
+	return w, b, true
+}
+
 // --- replication shapes (the write-ack hot path) ---
 
 // SrpcShape implements srpc.BinaryMarshaler.
@@ -339,11 +398,7 @@ func (p lookupParams) SrpcShape() byte { return shapeLookupParams }
 
 // AppendSrpc implements srpc.BinaryMarshaler.
 func (p lookupParams) AppendSrpc(buf []byte) ([]byte, error) {
-	buf = appendID(buf, p.ID)
-	buf = wire.AppendUvarint(buf, uint64(len(p.Types)))
-	for _, t := range p.Types {
-		buf = wire.AppendString(buf, t)
-	}
+	buf = appendTypes(appendID(buf, p.ID), p.Types)
 	buf, err := appendAttrSet(buf, p.Attributes)
 	if err != nil {
 		return buf, err
@@ -360,17 +415,8 @@ func (p *lookupParams) UnmarshalSrpc(shape byte, data []byte) error {
 	if p.ID, data, ok = consumeID(data); !ok {
 		return malformedErr("lookup params")
 	}
-	nt, data, ok := wire.ConsumeUvarint(data)
-	if !ok || nt > uint64(len(data)) {
+	if p.Types, data, ok = consumeTypes(data); !ok {
 		return malformedErr("lookup params")
-	}
-	if nt > 0 {
-		p.Types = make([]string, nt)
-	}
-	for i := range p.Types {
-		if p.Types[i], data, ok = wire.ConsumeString(data); !ok {
-			return malformedErr("lookup params")
-		}
 	}
 	if p.Attributes, data, ok = consumeAttrSet(data); !ok {
 		return malformedErr("lookup params")
@@ -395,15 +441,9 @@ func (ws wireItems) AppendSrpc(buf []byte) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(len(ws)))
 	var err error
 	for _, w := range ws {
-		buf = appendID(buf, w.ID)
-		buf = wire.AppendUvarint(buf, uint64(len(w.Types)))
-		for _, t := range w.Types {
-			buf = wire.AppendString(buf, t)
-		}
-		if buf, err = appendAttrSet(buf, w.Attributes); err != nil {
+		if buf, err = appendItem(buf, w); err != nil {
 			return buf, err
 		}
-		buf = appendProxy(buf, w.Proxy)
 	}
 	return buf, nil
 }
@@ -420,25 +460,7 @@ func (ws *wireItems) UnmarshalSrpc(shape byte, data []byte) error {
 	out := make(wireItems, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var w wireItem
-		if w.ID, data, ok = consumeID(data); !ok {
-			return malformedErr("lookup matches")
-		}
-		var nt uint64
-		if nt, data, ok = wire.ConsumeUvarint(data); !ok || nt > uint64(len(data)) {
-			return malformedErr("lookup matches")
-		}
-		if nt > 0 {
-			w.Types = make([]string, nt)
-		}
-		for j := range w.Types {
-			if w.Types[j], data, ok = wire.ConsumeString(data); !ok {
-				return malformedErr("lookup matches")
-			}
-		}
-		if w.Attributes, data, ok = consumeAttrSet(data); !ok {
-			return malformedErr("lookup matches")
-		}
-		if w.Proxy, data, ok = consumeProxy(data); !ok {
+		if w, data, ok = consumeItem(data); !ok {
 			return malformedErr("lookup matches")
 		}
 		out = append(out, w)
@@ -447,6 +469,158 @@ func (ws *wireItems) UnmarshalSrpc(shape byte, data []byte) error {
 		return malformedErr("lookup matches")
 	}
 	*ws = out
+	return nil
+}
+
+// --- registrar write shapes (registration and its lease) ---
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (p registerParams) SrpcShape() byte { return shapeRegister }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (p registerParams) AppendSrpc(buf []byte) ([]byte, error) {
+	buf, err := appendItem(buf, p.Item)
+	if err != nil {
+		return buf, err
+	}
+	return wire.AppendSvarint(buf, int64(p.Lease)), nil
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (p *registerParams) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeRegister {
+		return shapeErr("register params", shape)
+	}
+	var ok bool
+	if p.Item, data, ok = consumeItem(data); !ok {
+		return malformedErr("register params")
+	}
+	d, rest, ok := wire.ConsumeSvarint(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("register params")
+	}
+	p.Lease = time.Duration(d)
+	return nil
+}
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (r registerResult) SrpcShape() byte { return shapeRegistered }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (r registerResult) AppendSrpc(buf []byte) ([]byte, error) {
+	buf = wire.AppendUvarint(appendID(buf, r.ServiceID), r.LeaseID)
+	return appendTime(buf, r.Expiration), nil
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (r *registerResult) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeRegistered {
+		return shapeErr("register result", shape)
+	}
+	var ok bool
+	if r.ServiceID, data, ok = consumeID(data); !ok {
+		return malformedErr("register result")
+	}
+	if r.LeaseID, data, ok = wire.ConsumeUvarint(data); !ok {
+		return malformedErr("register result")
+	}
+	exp, rest, ok := consumeTime(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("register result")
+	}
+	r.Expiration = exp
+	return nil
+}
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (p leaseParams) SrpcShape() byte { return shapeLease }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (p leaseParams) AppendSrpc(buf []byte) ([]byte, error) {
+	return wire.AppendSvarint(wire.AppendUvarint(buf, p.LeaseID), int64(p.Lease)), nil
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (p *leaseParams) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeLease {
+		return shapeErr("lease params", shape)
+	}
+	var ok bool
+	if p.LeaseID, data, ok = wire.ConsumeUvarint(data); !ok {
+		return malformedErr("lease params")
+	}
+	d, rest, ok := wire.ConsumeSvarint(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("lease params")
+	}
+	p.Lease = time.Duration(d)
+	return nil
+}
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (r renewResult) SrpcShape() byte { return shapeRenewed }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (r renewResult) AppendSrpc(buf []byte) ([]byte, error) {
+	return appendTime(buf, r.Expiration), nil
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (r *renewResult) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeRenewed {
+		return shapeErr("renew result", shape)
+	}
+	exp, rest, ok := consumeTime(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("renew result")
+	}
+	r.Expiration = exp
+	return nil
+}
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (p idParams) SrpcShape() byte { return shapeID }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (p idParams) AppendSrpc(buf []byte) ([]byte, error) {
+	return appendID(buf, p.ID), nil
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (p *idParams) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeID {
+		return shapeErr("id params", shape)
+	}
+	id, rest, ok := consumeID(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("id params")
+	}
+	p.ID = id
+	return nil
+}
+
+// SrpcShape implements srpc.BinaryMarshaler.
+func (p modifyParams) SrpcShape() byte { return shapeModify }
+
+// AppendSrpc implements srpc.BinaryMarshaler.
+func (p modifyParams) AppendSrpc(buf []byte) ([]byte, error) {
+	return appendAttrSet(appendID(buf, p.ID), p.Attributes)
+}
+
+// UnmarshalSrpc implements srpc.BinaryUnmarshaler.
+func (p *modifyParams) UnmarshalSrpc(shape byte, data []byte) error {
+	if shape != shapeModify {
+		return shapeErr("modify params", shape)
+	}
+	var ok bool
+	if p.ID, data, ok = consumeID(data); !ok {
+		return malformedErr("modify params")
+	}
+	attrs, rest, ok := consumeAttrSet(data)
+	if !ok || len(rest) != 0 {
+		return malformedErr("modify params")
+	}
+	p.Attributes = attrs
 	return nil
 }
 

@@ -28,8 +28,8 @@ type wireItem struct {
 }
 
 type registerParams struct {
-	Item     wireItem `json:"item"`
-	LeaseSec float64  `json:"leaseSec"`
+	Item  wireItem      `json:"item"`
+	Lease time.Duration `json:"lease"`
 }
 
 type registerResult struct {
@@ -39,8 +39,13 @@ type registerResult struct {
 }
 
 type leaseParams struct {
-	LeaseID  uint64  `json:"leaseId"`
-	LeaseSec float64 `json:"leaseSec"`
+	LeaseID uint64        `json:"leaseId"`
+	Lease   time.Duration `json:"lease"`
+}
+
+// renewResult is a renewed lease's new expiration.
+type renewResult struct {
+	Expiration time.Time `json:"expiration"`
 }
 
 type lookupParams struct {
@@ -88,7 +93,7 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 			Attributes: p.Item.Attributes,
 			Service:    *p.Item.Proxy,
 		}
-		reg, err := lus.Register(item, time.Duration(p.LeaseSec*float64(time.Second)))
+		reg, err := lus.Register(item, p.Lease)
 		if err != nil {
 			return nil, err
 		}
@@ -99,19 +104,17 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 		}, nil
 	})
 	srpc.HandleFunc(server, "registrar.renew", func(p leaseParams) (any, error) {
-		// The in-process LUS grants its leases from tables reachable via
-		// the Registration lease's grantor; we reach them through a
-		// renewal shim registered at Register time. For the remote
-		// protocol the grantor is found through the lus itself.
+		// A remote registration's lease names only its id, so renewal
+		// reaches the item-lease table through the lookup service itself.
 		g, ok := lus.(leaseGrantorSource)
 		if !ok {
 			return nil, errors.New("remote: registrar does not expose lease grantor")
 		}
-		exp, err := g.RenewItemLease(p.LeaseID, time.Duration(p.LeaseSec*float64(time.Second)))
+		exp, err := g.RenewItemLease(p.LeaseID, p.Lease)
 		if err != nil {
 			return nil, err
 		}
-		return exp, nil
+		return renewResult{Expiration: exp}, nil
 	})
 	srpc.HandleFunc(server, "registrar.cancel", func(p leaseParams) (any, error) {
 		g, ok := lus.(leaseGrantorSource)
@@ -190,8 +193,8 @@ func (r *RegistrarClient) Register(item registry.ServiceItem, leaseDur time.Dura
 		return registry.Registration{}, fmt.Errorf("remote: cannot export %T; register a ProxyDesc", item.Service)
 	}
 	p := registerParams{
-		Item:     wireItem{ID: item.ID, Types: item.Types, Attributes: item.Attributes, Proxy: desc},
-		LeaseSec: leaseDur.Seconds(),
+		Item:  wireItem{ID: item.ID, Types: item.Types, Attributes: item.Attributes, Proxy: desc},
+		Lease: leaseDur,
 	}
 	var res registerResult
 	if err := r.client.Call("registrar.register", p, &res); err != nil {
@@ -212,9 +215,9 @@ type remoteGrantor struct{ client *srpc.Client }
 
 // Renew implements lease.Grantor.
 func (g *remoteGrantor) Renew(id uint64, requested time.Duration) (time.Time, error) {
-	var exp time.Time
-	err := g.client.Call("registrar.renew", leaseParams{LeaseID: id, LeaseSec: requested.Seconds()}, &exp)
-	return exp, err
+	var res renewResult
+	err := g.client.Call("registrar.renew", leaseParams{LeaseID: id, Lease: requested}, &res)
+	return res.Expiration, err
 }
 
 // Cancel implements lease.Grantor.

@@ -104,7 +104,6 @@ func replErr(err error) error {
 	for _, sentinel := range []error{
 		repl.ErrStaleEpoch,
 		repl.ErrNodeDown,
-		repl.ErrNotBackup,
 		wal.ErrSeqGap,
 		wal.ErrCompacted,
 	} {

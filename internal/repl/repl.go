@@ -61,9 +61,6 @@ var (
 	// ErrNotPrimary is returned by mutation paths on a node that is not
 	// currently the serving primary.
 	ErrNotPrimary = errors.New("repl: node is not the primary")
-	// ErrNotBackup is returned by replication endpoints on a node that
-	// is not currently a backup.
-	ErrNotBackup = errors.New("repl: node is not a backup")
 	// ErrNodeDown is returned by every operation on a killed node.
 	ErrNodeDown = errors.New("repl: node is down")
 	// ErrBackupUnavailable suspends a primary whose ship to its backup

@@ -2,7 +2,9 @@ package srpc
 
 import (
 	"errors"
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,5 +195,138 @@ func TestStreamBurstThenFlushIsOneWrite(t *testing.T) {
 	}
 	if got := writes.Load() - before; got != 1 {
 		t.Fatalf("128 TrySends + 1 Flush cost %d conn.Write calls, want 1", got)
+	}
+}
+
+// TestStreamLazyDataThenEagerCloseInOrder: data frames queued lazily and
+// then the stream's close frame, written eagerly from another goroutine,
+// reach the client in that order. The close must queue behind the data
+// (nothing kicks the flusher's frozen gather timer but the close).
+func TestStreamLazyDataThenEagerCloseInOrder(t *testing.T) {
+	s, feed, clock, _ := newHeldServer(t)
+	c := dial(t, s)
+	clients, servers := openHeld(t, c, feed, 1)
+	for i := 0; i < 3; i++ {
+		if err := servers[0].TrySend(tick{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCond(t, func() bool { return clock.PendingTimers() == 1 })
+	closed := make(chan struct{})
+	go func() {
+		servers[0].Close(nil)
+		close(closed)
+	}()
+	<-closed
+	for i := 0; i < 3; i++ {
+		recvTick(t, clients[0], i)
+	}
+	if err := clients[0].Recv(nil, 2*time.Second); !errors.Is(err, io.EOF) {
+		t.Fatalf("recv after the data = %v, want io.EOF", err)
+	}
+}
+
+// TestIdleReplyIsOneWrite: on an idle connection each reply is exactly
+// one conn.Write.
+func TestIdleReplyIsOneWrite(t *testing.T) {
+	s, _, _, writes := newHeldServer(t)
+	c := dial(t, s)
+	var out string
+	if err := c.Call("ping", struct{}{}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		before := writes.Load()
+		if err := c.Call("ping", struct{}{}, &out); err != nil || out != "pong" {
+			t.Fatalf("ping = (%q, %v)", out, err)
+		}
+		if got := writes.Load() - before; got != 1 {
+			t.Fatalf("reply %d cost %d conn.Write calls, want 1", i, got)
+		}
+	}
+}
+
+// sinkConn records what is written to it. With gate set, the first
+// Write blocks until gate closes; later ones go straight through. Nothing
+// else of net.Conn is used.
+type sinkConn struct {
+	net.Conn
+	mu   sync.Mutex
+	gate chan struct{}
+	got  []byte
+}
+
+func (c *sinkConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	gate := c.gate
+	c.gate = nil
+	c.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	c.mu.Lock()
+	c.got = append(c.got, b...)
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+func (c *sinkConn) bytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.got...)
+}
+
+// TestWriteFrameIdleWritesInline: an idle writer's writeFrame has made
+// its one conn.Write by the time it returns — no flusher runs here.
+func TestWriteFrameIdleWritesInline(t *testing.T) {
+	writes := new(atomic.Int64)
+	sink := &sinkConn{}
+	cw := &connWriter{
+		conn: countingConn{Conn: sink, writes: writes},
+		kick: make(chan struct{}, 1),
+		lazy: make(chan struct{}, 1),
+	}
+	cw.writeFrame([]byte("reply"))
+	if got := writes.Load(); got != 1 {
+		t.Fatalf("writeFrame on an idle writer made %d conn.Write calls, want 1", got)
+	}
+	if got := string(sink.bytes()); got != "reply" {
+		t.Fatalf("wrote %q", got)
+	}
+}
+
+// TestStopKeepsFramesQueuedBehindInlineWrite: a frame queued while an
+// inline write is in flight still leaves, after it, when the connection
+// stops before the write returns.
+func TestStopKeepsFramesQueuedBehindInlineWrite(t *testing.T) {
+	gate := make(chan struct{})
+	sink := &sinkConn{gate: gate}
+	cw := newConnWriter(sink, clockwork.Real())
+	inline := make(chan struct{})
+	go func() {
+		cw.writeFrame([]byte("first;"))
+		close(inline)
+	}()
+	waitCond(t, func() bool {
+		cw.mu.Lock()
+		defer cw.mu.Unlock()
+		return cw.writing
+	})
+	cw.writeFrame([]byte("second;")) // queued behind the blocked write
+	stopped := make(chan struct{})
+	go func() {
+		cw.stop()
+		close(stopped)
+	}()
+	select {
+	case <-cw.exited:
+		t.Fatal("the flusher exited with a write in flight and a frame queued behind it")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	<-inline
+	<-stopped
+	if got := string(sink.bytes()); got != "first;second;" {
+		t.Fatalf("wire = %q, want %q", got, "first;second;")
 	}
 }

@@ -141,36 +141,45 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connWriter serializes every outgoing frame onto one connection.
-// Writers never touch the socket: they append whole frames to a pending
-// buffer under a short lock and nudge the flusher goroutine, which swaps
-// the buffer out and writes it with a single syscall. Frames that
-// accumulate while one write syscall is in flight all leave in the next
-// one, and a peer whose socket has stalled never blocks a producer.
+// connWriter serializes every outgoing frame onto one connection. A
+// reply leaves from the goroutine that produced it: writeFrame writes
+// inline when nothing is pending and no write is in flight, so a request
+// on an idle connection costs one conn.Write and no goroutine wake-up.
+// Otherwise the frame is appended to a pending buffer under a short lock
+// and the flusher goroutine is nudged; it swaps the buffer out and writes
+// it with a single syscall. Frames that accumulate while one write is in
+// flight — inline or the flusher's — all leave in the next one, in the
+// order they were queued.
 //
-// There are two nudges. An eager kick (writeFrame: responses, stream
-// close frames, ServerStream.Flush) writes as soon as the flusher runs.
-// A lazy kick (writeFrameLazy: a stream data frame nobody flushed) lets
-// the flusher linger streamGatherWindow first, so frames from this
-// connection's other streams can join the same write. A fan-out burst
-// does not depend on that timer: the subscription hub appends every
-// frame of one Publish and then calls Flush, so the burst leaves in one
-// write per connection when the Publish ends. Only frames a
+// There are two nudges. An eager kick (writeFrame behind a pending
+// buffer, stream close frames, ServerStream.Flush) writes as soon as the
+// flusher runs. A lazy kick (writeFrameLazy: a stream data frame nobody
+// flushed) lets the flusher linger streamGatherWindow first, so frames
+// from this connection's other streams can join the same write. A
+// fan-out burst does not depend on that timer: the subscription hub
+// appends every frame of one Publish and then calls Flush, so the burst
+// leaves in one write per connection when the Publish ends. Only frames a
 // subscription's pump sends on its own — paced or credit-recovery
 // deliveries, already late by construction — wait out the window.
 //
-// The pending buffer stays bounded without any explicit cap: stream
-// data frames are credit-gated by the peer's open windows and responses
-// are matched to in-flight requests, which is the same bound TCP
-// backpressure enforced when writers flushed inline.
+// Stream data never touches the socket from its producer, so a peer
+// whose socket has stalled cannot block a publisher. An inline write
+// blocks only the goroutine whose reply or stream close it is, and no
+// caller holds a lock across one (deepblock flags any call into srpc
+// under a mutex). The pending buffer stays bounded without any explicit
+// cap: stream data frames are credit-gated by the peer's open windows
+// and responses are matched to in-flight requests.
 type connWriter struct {
 	conn  net.Conn
 	clock clockwork.Clock
 	mu    sync.Mutex
 	// pending holds complete frames not yet handed to the kernel.
 	pending []byte
+	// writing marks a conn.Write in flight (inline or the flusher's);
+	// whoever finishes it hands what queued meanwhile to the flusher.
+	writing bool
 	// err is the first socket write error; once set, frames are dropped
-	// (the read loop tears the connection down independently).
+	// (the read side tears the connection down independently).
 	err    error
 	kick   chan struct{} // cap 1: wakes the flusher now
 	lazy   chan struct{} // cap 1: wakes it after a short gather window
@@ -199,9 +208,9 @@ const maxRetainedWriteBuf = 1 << 20
 // before writing, so the frames other pumps queue on this connection
 // meanwhile leave in the same syscall. It is a floor, not the observed
 // wait: an otherwise idle Go runtime fires a 200µs timer after about a
-// millisecond. An eager kick — a response sharing the connection, or
-// the Flush that ends a Publish — cuts the wait short, so only pump
-// deliveries ever pay it.
+// millisecond. An eager kick — a response queued behind it, or the Flush
+// that ends a Publish — cuts the wait short, so only pump deliveries
+// ever pay it.
 const streamGatherWindow = 200 * time.Microsecond
 
 func (cw *connWriter) flusher() {
@@ -219,7 +228,7 @@ func (cw *connWriter) flusher() {
 			}
 			t.Stop()
 		case <-cw.done:
-			cw.flushOnce(&spare) // final drain before the conn closes
+			cw.drain()
 			return
 		}
 		// This flush takes every frame queued so far, lazy ones included
@@ -235,25 +244,61 @@ func (cw *connWriter) flusher() {
 
 // flushOnce swaps the pending buffer against a flusher-owned spare and
 // writes it outside the lock, so writers keep appending while the
-// syscall is in flight.
+// syscall is in flight. With another write in flight it does nothing:
+// that writer kicks again when it finishes if frames queued behind it.
 func (cw *connWriter) flushOnce(spare *[]byte) {
 	cw.mu.Lock()
+	if cw.writing || len(cw.pending) == 0 {
+		cw.mu.Unlock()
+		return
+	}
 	buf := cw.pending
 	cw.pending = (*spare)[:0]
+	cw.writing = true
 	cw.mu.Unlock()
-	if len(buf) > 0 {
-		if _, err := cw.conn.Write(buf); err != nil {
-			cw.mu.Lock()
-			if cw.err == nil {
-				cw.err = err
-			}
-			cw.mu.Unlock()
-		}
-	}
+	cw.write(buf)
 	if cap(buf) > maxRetainedWriteBuf {
 		buf = nil
 	}
 	*spare = buf[:0]
+}
+
+// write hands b to the kernel for whoever set cw.writing, records the
+// first error, and kicks the flusher when frames queued behind it.
+func (cw *connWriter) write(b []byte) {
+	_, err := cw.conn.Write(b)
+	cw.mu.Lock()
+	cw.writing = false
+	if err != nil && cw.err == nil {
+		cw.err = err
+	}
+	queued := len(cw.pending) > 0
+	cw.mu.Unlock()
+	if queued {
+		cw.flush()
+	}
+}
+
+// drain is the flusher's last act: it waits out a write in flight that
+// has frames queued behind it (that writer's kick ends the wait), takes
+// the pending buffer and closes the writer to later frames, then writes
+// what it took.
+func (cw *connWriter) drain() {
+	cw.mu.Lock()
+	for cw.writing && len(cw.pending) > 0 {
+		cw.mu.Unlock()
+		<-cw.kick
+		cw.mu.Lock()
+	}
+	buf := cw.pending
+	cw.pending = nil
+	if cw.err == nil {
+		cw.err = net.ErrClosed
+	}
+	cw.mu.Unlock()
+	if len(buf) > 0 {
+		_, _ = cw.conn.Write(buf)
+	}
 }
 
 // stop drains whatever is pending and shuts the flusher down; the
@@ -263,18 +308,24 @@ func (cw *connWriter) flushOnce(spare *[]byte) {
 func (cw *connWriter) stop() {
 	close(cw.done)
 	<-cw.exited
-	cw.mu.Lock()
-	if cw.err == nil {
-		cw.err = net.ErrClosed
-	}
-	cw.mu.Unlock()
 }
 
+// writeFrame sends frame now: inline from the calling goroutine when the
+// connection is idle, else queued behind what is pending with an eager
+// kick. frame may be reused once it returns.
 func (cw *connWriter) writeFrame(frame []byte) {
 	cw.mu.Lock()
-	if cw.err == nil {
-		cw.pending = append(cw.pending, frame...)
+	if cw.err != nil {
+		cw.mu.Unlock()
+		return
 	}
+	if !cw.writing && len(cw.pending) == 0 {
+		cw.writing = true
+		cw.mu.Unlock()
+		cw.write(frame)
+		return
+	}
+	cw.pending = append(cw.pending, frame...)
 	cw.mu.Unlock()
 	cw.flush()
 }
@@ -304,81 +355,114 @@ func (cw *connWriter) writeFrameLazy(frame []byte) {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	s.mu.RLock()
-	clock := s.clock
-	s.mu.RUnlock()
-	cw := newConnWriter(conn, clock)
-	defer cw.stop()
-	// Written through the flusher like everything else — nothing else is
-	// queued yet, so the magic is the first bytes on the wire.
-	cw.writeFrame(magic[:])
-	reader := bufio.NewReader(conn)
-	if err := readMagic(reader); err != nil {
-		return // not an srpc peer: a legacy JSON line, an HTTP probe, a wrong port
-	}
+// connReader is a connection's read side: the buffered reader, the
+// method scratch buffer and the stream table. Exactly one goroutine owns
+// it at a time. The owner that decodes a request hands it to a fresh
+// goroutine and serves the request itself; the owner whose read fails
+// tears the connection down.
+type connReader struct {
+	conn   net.Conn
+	cw     *connWriter
+	reader *bufio.Reader
+	// scratch backs reassembled method names across requests; the map
+	// lookup over it never allocates.
+	scratch []byte
 	// streams tracks this connection's open server streams; whatever is
 	// still open when the connection drops is torn down so producers
 	// observe Done and release their subscriptions.
-	streams := &connStreams{}
-	defer streams.closeAll()
-	// scratch backs reassembled method names across requests; the map
-	// lookup over it never allocates.
-	var scratch []byte
+	streams *connStreams
+}
+
+func (s *Server) serveConn(conn net.Conn) {
+	s.mu.RLock()
+	clock := s.clock
+	s.mu.RUnlock()
+	rd := &connReader{
+		conn:    conn,
+		cw:      newConnWriter(conn, clock),
+		reader:  bufio.NewReader(conn),
+		streams: &connStreams{},
+	}
+	// Nothing else is queued yet, so the magic is the first bytes on the
+	// wire.
+	rd.cw.writeFrame(magic[:])
+	if err := readMagic(rd.reader); err != nil {
+		// Not an srpc peer: a legacy JSON line, an HTTP probe, a wrong port.
+		s.teardown(rd)
+		s.wg.Done()
+		return
+	}
+	s.readConn(rd)
+}
+
+// teardown ends a connection whose read side failed: open streams see
+// Done, pending frames drain, the socket closes. Handlers still running
+// on former readers finish and drop their replies.
+func (s *Server) teardown(rd *connReader) {
+	rd.streams.closeAll()
+	rd.cw.stop()
+	rd.conn.Close()
+	s.mu.Lock()
+	delete(s.conns, rd.conn)
+	s.mu.Unlock()
+}
+
+// readConn owns rd until it hands it over or the connection ends. A
+// request is served on the goroutine that read it, after a fresh
+// goroutine took over the read side, so a slow handler never
+// head-of-line-blocks the connection and its reply leaves from here.
+func (s *Server) readConn(rd *connReader) {
+	defer s.wg.Done()
 	for {
-		tag, buf, err := readFrame(reader)
+		tag, buf, err := readFrame(rd.reader)
 		if err != nil {
-			return // framing is broken; drop the connection
+			s.teardown(rd) // framing is broken or the peer left
+			return
 		}
 		switch tag {
 		case frameRequest:
-			req, sc, ok := decodeRequest(*buf, scratch)
-			scratch = sc
+			req, sc, ok := decodeRequest(*buf, rd.scratch)
+			rd.scratch = sc
 			if !ok {
 				putBuf(buf)
 				continue // malformed body inside a well-formed frame; skip it
 			}
 			h, errMsg := s.lookupHandler(req.method, req.auth)
-			// Serve each request on its own goroutine so a slow handler
-			// doesn't head-of-line-block the connection. The goroutine owns
-			// the frame buffer (req.payload aliases it) and returns it to
-			// the pool when the response is on the wire.
+			cw := rd.cw
 			s.wg.Add(1)
-			go s.serveRequest(cw, h, errMsg, req.id, req.payload, buf)
+			go s.readConn(rd) // rd is the new reader's from here on
+			// This goroutine owns the frame buffer (req.payload aliases
+			// it) and returns it to the pool once the reply is encoded.
+			s.serveRequest(cw, h, errMsg, req.id, req.payload, buf)
+			return
 		case frameStreamOpen:
-			op, sc, ok := decodeStreamOpen(*buf, scratch)
-			scratch = sc
+			op, sc, ok := decodeStreamOpen(*buf, rd.scratch)
+			rd.scratch = sc
 			if !ok {
 				putBuf(buf)
 				continue
 			}
 			// The handler goroutine owns the frame buffer (the open
 			// payload aliases it).
-			s.serveStreamOpen(cw, streams, op, buf)
+			s.serveStreamOpen(rd.cw, rd.streams, op, buf)
 		case frameStreamCredit:
 			if id, n, ok := decodeStreamCredit(*buf); ok {
-				if st := streams.get(id); st != nil {
+				if st := rd.streams.get(id); st != nil {
 					st.grant(n)
 				}
 			}
 			putBuf(buf)
 		case frameStreamClose:
 			if cl, ok := decodeStreamClose(*buf); ok {
-				if st := streams.remove(cl.id); st != nil {
+				if st := rd.streams.remove(cl.id); st != nil {
 					st.closeRemote()
 				}
 			}
 			putBuf(buf)
 		default:
 			putBuf(buf)
-			return // a frame kind only servers send; drop the connection
+			s.teardown(rd) // a frame kind only servers send
+			return
 		}
 	}
 }
@@ -405,10 +489,9 @@ func (s *Server) lookupHandler(method, auth []byte) (handlerFunc, string) {
 	return h, ""
 }
 
-// serveRequest runs one request to completion: handler, response encode,
-// single write.
+// serveRequest runs one request to completion on the calling goroutine:
+// handler, response encode, one writeFrame.
 func (s *Server) serveRequest(cw *connWriter, h handlerFunc, errMsg string, id uint64, p binPayload, buf *[]byte) {
-	defer s.wg.Done()
 	var result any
 	if errMsg == "" {
 		var err error

@@ -1,11 +1,14 @@
 package srpc
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -131,6 +134,163 @@ func TestSlowHandlerDoesNotBlockOthers(t *testing.T) {
 		t.Fatalf("fast call took %v behind slow call", elapsed)
 	}
 	<-slowDone
+
+	// Two requests in one TCP write: the second sits in the read buffer
+	// behind the first, whose handler blocks until the second's reply is
+	// on the wire. The reader must have moved on to serve it.
+	_, release := addBlocker(t, s)
+	raw, rd := rawDial(t, s)
+	batch := append(requestFrame(t, 1, "block", struct{}{}), requestFrame(t, 2, "add", addParams{A: 2, B: 3})...)
+	if _, err := raw.Write(append(magic[:], batch...)); err != nil {
+		t.Fatal(err)
+	}
+	if id := readResponseID(t, raw, rd); id != 2 {
+		t.Fatalf("first reply is for request %d, want 2", id)
+	}
+	release()
+	if id := readResponseID(t, raw, rd); id != 1 {
+		t.Fatalf("second reply is for request %d, want 1", id)
+	}
+}
+
+// addBlocker registers "block", whose handler signals entered and parks
+// until release is called (at the latest when the test ends, so Close
+// cannot hang on it).
+func addBlocker(t *testing.T, s *Server) (entered <-chan struct{}, release func()) {
+	in := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	HandleFunc(s, "block", func(struct{}) (any, error) {
+		select {
+		case in <- struct{}{}:
+		default:
+		}
+		<-gate
+		return "released", nil
+	})
+	return in, release
+}
+
+// rawDial opens a bare TCP connection to s and consumes its magic; the
+// test writes frames itself.
+func rawDial(t *testing.T, s *Server) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	rd := bufio.NewReader(raw)
+	if err := readMagic(rd); err != nil {
+		t.Fatal(err)
+	}
+	return raw, rd
+}
+
+// requestFrame encodes one complete request frame.
+func requestFrame(t *testing.T, id uint64, method string, params any) []byte {
+	t.Helper()
+	b, err := appendRequest(beginFrame(nil), id, method, "", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finishFrame(b, frameRequest)
+}
+
+// readResponseID reads the next frame off a raw connection, which must
+// be a response, and returns its request id.
+func readResponseID(t *testing.T, raw net.Conn, rd *bufio.Reader) uint64 {
+	t.Helper()
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	tag, buf, err := readFrame(rd)
+	if err != nil {
+		t.Fatalf("reading a reply: %v", err)
+	}
+	defer putBuf(buf)
+	resp, ok := decodeResponse(*buf)
+	if tag != frameResponse || !ok {
+		t.Fatalf("frame tag %#x is not a response", tag)
+	}
+	return resp.id
+}
+
+// TestServerCloseWaitsForHandlerOnFormerReader: a handler runs on the
+// goroutine that read its request; Close still waits for it.
+func TestServerCloseWaitsForHandlerOnFormerReader(t *testing.T) {
+	s := newServer(t)
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	var finished atomic.Bool
+	HandleFunc(s, "park", func(struct{}) (any, error) {
+		close(started)
+		<-gate
+		finished.Store(true)
+		return nil, nil
+	})
+	c := dial(t, s)
+	go c.Call("park", struct{}{}, nil)
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was still running")
+	case <-time.After(30 * time.Millisecond):
+	}
+	release()
+	<-closed
+	if !finished.Load() {
+		t.Fatal("Close returned before the handler finished")
+	}
+}
+
+// TestReadFailureDuringHandOverTearsDownOnce: the peer's last request is
+// followed by EOF, so the read side fails on the goroutine it was just
+// handed to while the handler still runs on the old one. The stream table
+// is torn down (by the reader, once) and the late reply is dropped.
+func TestReadFailureDuringHandOverTearsDownOnce(t *testing.T) {
+	s, feed := newStreamServer(t)
+	started, release := addBlocker(t, s)
+	raw, rd := rawDial(t, s)
+	open, err := appendStreamOpen(beginFrame(nil), 1, "subscribe.ticks", "", 4, ticksParams{Hold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(magic[:], finishFrame(open, frameStreamOpen)...)
+	batch = append(batch, requestFrame(t, 1, "block", struct{}{})...)
+	if _, err := raw.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	waitCond(t, func() bool {
+		feed.mu.Lock()
+		defer feed.mu.Unlock()
+		return len(feed.streams) == 1
+	})
+	raw.(*net.TCPConn).CloseWrite()
+	select {
+	case <-feed.streams[0].Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("stream not torn down after the read side failed")
+	}
+	waitCond(t, func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return len(s.conns) == 0
+	})
+	release()
+	// The reply is dropped: the server closes the connection instead.
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if tag, _, err := readFrame(rd); err == nil {
+		t.Fatalf("read a frame (tag %#x) after teardown, want EOF", tag)
+	}
+	s.Close()
 }
 
 func TestCallTimeout(t *testing.T) {
