@@ -49,13 +49,13 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc/subscribe/expr/space/remote fuzz targets over their seed
-# corpora (the checked-in testdata/fuzz files plus the in-code f.Add
-# seeds): the never-panic / bounded-allocation properties of the frame
+# Run the wire/srpc/subscribe/expr/space/remote/discovery fuzz targets over
+# their seed corpora (the checked-in testdata/fuzz files plus the in-code
+# f.Add seeds): the never-panic / bounded-allocation properties of the frame
 # decoder, of the stream-stateful update decoder, of the tagged-value
 # decoder, of the space's journal record and snapshot decoders, of the
 # replication ship-batch decoder and of the lookup and registrar-write
-# decoders, and
+# decoders, the round trip of a discovery announcement datagram, and
 # the expression float64 path's agreement with the tree walker, without
 # paying for open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
@@ -64,8 +64,9 @@ short:
 #   go test ./internal/space -fuzz FuzzJournalRecordDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzShipBatchDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzRegistrarShapes -fuzztime 60s
+#   go test ./internal/discovery -fuzz FuzzDecodePacket -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote ./internal/discovery -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sensorcer/internal/clockwork"
@@ -45,6 +46,9 @@ type Server struct {
 	clock          clockwork.Clock
 	closed         bool
 	wg             sync.WaitGroup
+	// readersStarted counts the goroutines started to take over a read
+	// side (tests).
+	readersStarted atomic.Int64
 }
 
 // SetClock injects a clock (tests); the default is the real one. Set
@@ -355,11 +359,19 @@ func (cw *connWriter) writeFrameLazy(frame []byte) {
 	}
 }
 
+// maxSpares caps the goroutines a connection keeps parked between
+// requests. One is too few: when requests overlap, as a composite's
+// child reads do, goroutines whose stacks have grown would keep exiting
+// and fresh ones would grow theirs again.
+const maxSpares = 4
+
 // connReader is a connection's read side: the buffered reader, the
 // method scratch buffer and the stream table. Exactly one goroutine owns
-// it at a time. The owner that decodes a request hands it to a fresh
-// goroutine and serves the request itself; the owner whose read fails
-// tears the connection down.
+// it at a time. The owner that decodes a request hands it to a spare —
+// a goroutine parked after serving an earlier request — or to a fresh
+// one when none is parked, and serves the request itself; the owner
+// whose read fails tears the connection down. The channels and the idle
+// count are shared by the connection's goroutines, owner or not.
 type connReader struct {
 	conn   net.Conn
 	cw     *connWriter
@@ -371,6 +383,28 @@ type connReader struct {
 	// still open when the connection drops is torn down so producers
 	// observe Done and release their subscriptions.
 	streams *connStreams
+	// wake hands the read side to a parked spare; gone is closed by
+	// teardown and ends every spare; idle counts the parked spares.
+	wake chan struct{}
+	gone chan struct{}
+	idle atomic.Int32
+}
+
+// park waits as a spare after serving a request. It reports true once a
+// reader handed the read side over, false when the connection is gone
+// or maxSpares are parked already.
+func (rd *connReader) park() bool {
+	if rd.idle.Add(1) > maxSpares {
+		rd.idle.Add(-1)
+		return false
+	}
+	defer rd.idle.Add(-1)
+	select {
+	case <-rd.wake:
+		return true
+	case <-rd.gone:
+		return false
+	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -382,6 +416,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		cw:      newConnWriter(conn, clock),
 		reader:  bufio.NewReader(conn),
 		streams: &connStreams{},
+		wake:    make(chan struct{}),
+		gone:    make(chan struct{}),
 	}
 	// Nothing else is queued yet, so the magic is the first bytes on the
 	// wire.
@@ -396,9 +432,11 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // teardown ends a connection whose read side failed: open streams see
-// Done, pending frames drain, the socket closes. Handlers still running
-// on former readers finish and drop their replies.
+// Done, parked spares exit, pending frames drain, the socket closes.
+// Handlers still running on former readers finish, drop their replies
+// and exit instead of parking.
 func (s *Server) teardown(rd *connReader) {
+	close(rd.gone)
 	rd.streams.closeAll()
 	rd.cw.stop()
 	rd.conn.Close()
@@ -408,9 +446,12 @@ func (s *Server) teardown(rd *connReader) {
 }
 
 // readConn owns rd until it hands it over or the connection ends. A
-// request is served on the goroutine that read it, after a fresh
-// goroutine took over the read side, so a slow handler never
+// request is served on the goroutine that read it, after a spare or a
+// fresh goroutine took over the read side, so a slow handler never
 // head-of-line-blocks the connection and its reply leaves from here.
+// The goroutine then parks as a spare and reads again once rd is handed
+// back, so a connection in steady use starts no goroutines and its
+// readers keep the stacks they grew.
 func (s *Server) readConn(rd *connReader) {
 	defer s.wg.Done()
 	for {
@@ -428,13 +469,21 @@ func (s *Server) readConn(rd *connReader) {
 				continue // malformed body inside a well-formed frame; skip it
 			}
 			h, errMsg := s.lookupHandler(req.method, req.auth)
-			cw := rd.cw
-			s.wg.Add(1)
-			go s.readConn(rd) // rd is the new reader's from here on
-			// This goroutine owns the frame buffer (req.payload aliases
-			// it) and returns it to the pool once the reply is encoded.
-			s.serveRequest(cw, h, errMsg, req.id, req.payload, buf)
-			return
+			select {
+			case rd.wake <- struct{}{}: // a parked spare reads from here on
+			default:
+				s.wg.Add(1)
+				s.readersStarted.Add(1)
+				go s.readConn(rd)
+			}
+			// rd is the new reader's until it is handed back; rd.cw
+			// stays shared. This goroutine owns the frame buffer
+			// (req.payload aliases it) and returns it to the pool once
+			// the reply is encoded.
+			s.serveRequest(rd.cw, h, errMsg, req.id, req.payload, buf)
+			if !rd.park() {
+				return
+			}
 		case frameStreamOpen:
 			op, sc, ok := decodeStreamOpen(*buf, rd.scratch)
 			rd.scratch = sc
@@ -521,7 +570,9 @@ func encodeResponseFrame(buf []byte, id uint64, errMsg string, result any) (full
 	return b, finishFrame(b, frameResponse), nil
 }
 
-// Close stops accepting and closes every open connection.
+// Close stops accepting, closes every open connection and waits for the
+// goroutines that served them: a spare is counted in s.wg from its go to
+// its exit, and the teardown of its connection ends it.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {

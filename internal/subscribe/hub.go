@@ -3,7 +3,6 @@ package subscribe
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sensorcer/internal/clockwork"
@@ -46,8 +45,7 @@ type Hub struct {
 	subs   map[string]*subscription
 	closed bool
 
-	wg        sync.WaitGroup
-	published atomic.Uint64
+	wg sync.WaitGroup
 	// flushBufs recycles the *[]Flusher scratch Publish collects into;
 	// a pool because Publish runs concurrently from several sources.
 	flushBufs sync.Pool
@@ -349,11 +347,7 @@ func (h *Hub) Publish(r probe.Reading) {
 	for _, token := range expired {
 		h.remove(token)
 	}
-	h.published.Add(1)
 }
-
-// Published reports how many readings were fanned out.
-func (h *Hub) Published() uint64 { return h.published.Load() }
 
 // Count reports live subscriptions (attached and parked).
 func (h *Hub) Count() int {
