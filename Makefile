@@ -49,15 +49,15 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc/subscribe/expr/space/remote/discovery fuzz targets over
-# their seed corpora (the checked-in testdata/fuzz files plus the in-code
-# f.Add seeds): the never-panic / bounded-allocation properties of the frame
-# decoder, of the stream-stateful update decoder, of the tagged-value
-# decoder, of the space's journal record and snapshot decoders, of the
-# replication ship-batch decoder and of the lookup and registrar-write
-# decoders, the round trip of a discovery announcement datagram, and
-# the expression float64 path's agreement with the tree walker, without
-# paying for open-ended fuzzing. For a real fuzz session:
+# Run the wire/srpc/subscribe/expr/space/remote/discovery/registry fuzz
+# targets over their seed corpora (the checked-in testdata/fuzz files plus
+# the in-code f.Add seeds): the never-panic / bounded-allocation properties
+# of the frame decoder, of the stream-stateful update decoder, of the
+# tagged-value decoder, of the space's and the lookup service's journal
+# record and snapshot decoders, of the replication ship-batch decoder and
+# of the lookup and registrar-write decoders, the round trip of a
+# discovery announcement datagram, and the expression float64 path's
+# agreement with the tree walker, without paying for open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
 #   go test ./internal/subscribe -fuzz FuzzUpdateDecode -fuzztime 60s
 #   go test ./internal/expr -fuzz FuzzEvalDifferential -fuzztime 60s
@@ -65,8 +65,9 @@ short:
 #   go test ./internal/remote -fuzz FuzzShipBatchDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzRegistrarShapes -fuzztime 60s
 #   go test ./internal/discovery -fuzz FuzzDecodePacket -fuzztime 60s
+#   go test ./internal/registry -fuzz FuzzRegistryJournalDecode -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote ./internal/discovery -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote ./internal/discovery ./internal/registry -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a

@@ -216,30 +216,6 @@ func TestJoinTerminateDeregisters(t *testing.T) {
 	}
 }
 
-func TestJoinSetAttributes(t *testing.T) {
-	bus := NewBus()
-	lus := newLUS("one")
-	defer lus.Close()
-	defer bus.Announce(lus)()
-	m := NewManager(bus)
-	defer m.Terminate()
-	j := NewJoin(clockwork.Real(), m, registry.ServiceItem{
-		Service: "p", Types: []string{"X"}, Attributes: attr.Set{attr.Name("S")},
-	})
-	defer j.Terminate()
-	j.SetAttributes(attr.Set{attr.Name("S"), attr.Comment("updated")})
-	it, err := lus.LookupOne(registry.ByName("S"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := it.Attributes.Find(attr.TypeComment); !ok {
-		t.Fatal("attribute update did not propagate")
-	}
-	if _, ok := j.Attributes().Find(attr.TypeComment); !ok {
-		t.Fatal("local attributes not updated")
-	}
-}
-
 func TestJoinKeepsLeaseAlive(t *testing.T) {
 	// Real clock, short leases: the join's renewal manager must keep the
 	// registration alive across several lease terms.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sensorcer/internal/attr"
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/ids"
 	"sensorcer/internal/lease"
@@ -117,28 +116,6 @@ func (j *Join) onDiscarded(reg registry.Registrar) {
 	if ok {
 		j.renewals.Release(e.lease)
 	}
-}
-
-// SetAttributes replaces the item's attribute set everywhere.
-func (j *Join) SetAttributes(attrs attr.Set) {
-	j.mu.Lock()
-	j.item.Attributes = attr.CloneSet(attrs)
-	id := j.item.ID
-	regs := make([]registry.Registrar, 0, len(j.entries))
-	for _, e := range j.entries {
-		regs = append(regs, e.registrar)
-	}
-	j.mu.Unlock()
-	for _, reg := range regs {
-		_ = reg.ModifyAttributes(id, attrs)
-	}
-}
-
-// Attributes snapshots the current attribute set.
-func (j *Join) Attributes() attr.Set {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return attr.CloneSet(j.item.Attributes)
 }
 
 // Terminate deregisters the item from every registrar (orderly departure)

@@ -186,76 +186,22 @@ func newMailbox(t *testing.T) (*clockwork.Fake, *Mailbox) {
 	return fc, NewMailbox(fc, lease.Policy{Max: time.Hour}, 8)
 }
 
-func TestBoxStoresWhileDisabled(t *testing.T) {
-	_, mb := newMailbox(t)
-	box, _ := mb.Register(time.Minute)
-	for i := 0; i < 3; i++ {
-		if err := box.Notify(RemoteEvent{SeqNo: uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if box.Stored() != 3 {
-		t.Fatalf("Stored = %d", box.Stored())
-	}
-}
-
 func TestBoxDrainPull(t *testing.T) {
 	_, mb := newMailbox(t)
 	box, _ := mb.Register(time.Minute)
 	for i := 1; i <= 5; i++ {
 		box.Notify(RemoteEvent{SeqNo: uint64(i)})
 	}
-	first := box.Drain(2)
+	first, _ := box.DrainWithDropped(2)
 	if len(first) != 2 || first[0].SeqNo != 1 || first[1].SeqNo != 2 {
-		t.Fatalf("Drain(2) = %v", first)
+		t.Fatalf("DrainWithDropped(2) = %v", first)
 	}
-	rest := box.Drain(0)
+	rest, _ := box.DrainWithDropped(0)
 	if len(rest) != 3 || rest[0].SeqNo != 3 {
-		t.Fatalf("Drain(0) = %v", rest)
+		t.Fatalf("DrainWithDropped(0) = %v", rest)
 	}
-	if box.Stored() != 0 {
+	if again, _ := box.DrainWithDropped(0); len(again) != 0 {
 		t.Fatal("events remained after full drain")
-	}
-}
-
-func TestBoxEnableFlushesBacklogThenForwards(t *testing.T) {
-	_, mb := newMailbox(t)
-	box, _ := mb.Register(time.Minute)
-	box.Notify(RemoteEvent{SeqNo: 1})
-	box.Notify(RemoteEvent{SeqNo: 2})
-	c := &collector{}
-	if err := box.Enable(c); err != nil {
-		t.Fatal(err)
-	}
-	box.Notify(RemoteEvent{SeqNo: 3})
-	if c.count() != 3 {
-		t.Fatalf("forwarded %d, want 3", c.count())
-	}
-	for i, ev := range c.evs {
-		if ev.SeqNo != uint64(i+1) {
-			t.Fatalf("order: %v", c.evs)
-		}
-	}
-}
-
-func TestBoxEnableNil(t *testing.T) {
-	_, mb := newMailbox(t)
-	box, _ := mb.Register(time.Minute)
-	if err := box.Enable(nil); err == nil {
-		t.Fatal("Enable(nil) accepted")
-	}
-}
-
-func TestBoxDisableResumesStoring(t *testing.T) {
-	_, mb := newMailbox(t)
-	box, _ := mb.Register(time.Minute)
-	c := &collector{}
-	box.Enable(c)
-	box.Notify(RemoteEvent{SeqNo: 1})
-	box.Disable()
-	box.Notify(RemoteEvent{SeqNo: 2})
-	if c.count() != 1 || box.Stored() != 1 {
-		t.Fatalf("forwarded=%d stored=%d", c.count(), box.Stored())
 	}
 }
 
@@ -265,13 +211,10 @@ func TestBoxCapacityDropsOldest(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		box.Notify(RemoteEvent{SeqNo: uint64(i)})
 	}
-	if box.Stored() != 8 {
-		t.Fatalf("Stored = %d", box.Stored())
+	evs, dropped := box.DrainWithDropped(0)
+	if len(evs) != 8 || dropped != 2 || box.Dropped() != 2 {
+		t.Fatalf("drained %d, dropped %d (cumulative %d), want 8 and 2", len(evs), dropped, box.Dropped())
 	}
-	if box.Dropped() != 2 {
-		t.Fatalf("Dropped = %d", box.Dropped())
-	}
-	evs := box.Drain(0)
 	if evs[0].SeqNo != 3 || evs[len(evs)-1].SeqNo != 10 {
 		t.Fatalf("kept wrong window: %v..%v", evs[0].SeqNo, evs[len(evs)-1].SeqNo)
 	}
@@ -321,41 +264,16 @@ func TestBoxLeaseExpiry(t *testing.T) {
 	if err := box.Notify(RemoteEvent{SeqNo: 2}); !errors.Is(err, ErrBoxExpired) {
 		t.Fatalf("Notify on expired box err = %v", err)
 	}
-	if err := box.Enable(&collector{}); !errors.Is(err, ErrBoxExpired) {
-		t.Fatalf("Enable on expired box err = %v", err)
+	if evs, _ := box.DrainWithDropped(0); len(evs) != 0 {
+		t.Fatalf("expired box still holds %v", evs)
 	}
 	if mb.BoxCount() != 0 {
 		t.Fatalf("BoxCount = %d", mb.BoxCount())
 	}
 }
 
-func TestBoxEnableFailureMidFlushKeepsRemainder(t *testing.T) {
-	_, mb := newMailbox(t)
-	box, _ := mb.Register(time.Minute)
-	for i := 1; i <= 4; i++ {
-		box.Notify(RemoteEvent{SeqNo: uint64(i)})
-	}
-	// Target accepts 2 events, then fails.
-	n := 0
-	target := ListenerFunc(func(ev RemoteEvent) error {
-		n++
-		if n > 2 {
-			return errors.New("link dropped")
-		}
-		return nil
-	})
-	if err := box.Enable(target); err == nil {
-		t.Fatal("Enable should surface target failure")
-	}
-	// Events 3 was attempted-and-failed (lost), events 4 retained.
-	evs := box.Drain(0)
-	if len(evs) != 1 || evs[0].SeqNo != 4 {
-		t.Fatalf("retained = %v, want [seq 4]", evs)
-	}
-}
-
 func TestMailboxGeneratorIntegration(t *testing.T) {
-	// End-to-end: generator -> box (offline) -> enable -> live listener.
+	// End-to-end: generator -> box -> a consumer draining what it stored.
 	fc := clockwork.NewFake(epoch)
 	g := NewGenerator(ids.NewServiceID(), fc, lease.Policy{Max: time.Hour})
 	defer g.Close()
@@ -365,18 +283,18 @@ func TestMailboxGeneratorIntegration(t *testing.T) {
 
 	g.Fire(1, "offline-1")
 	g.Fire(1, "offline-2")
+	var evs []RemoteEvent
 	deadline := time.Now().Add(2 * time.Second)
-	for box.Stored() < 2 && time.Now().Before(deadline) {
+	for len(evs) < 2 && time.Now().Before(deadline) {
+		got, dropped := box.DrainWithDropped(0)
+		if dropped != 0 {
+			t.Fatalf("dropped %d below capacity", dropped)
+		}
+		evs = append(evs, got...)
 		time.Sleep(time.Millisecond)
 	}
-	c := &collector{}
-	if err := box.Enable(c); err != nil {
-		t.Fatal(err)
-	}
-	g.Fire(1, "live-1")
-	evs := c.wait(t, 3)
-	if evs[0].Payload != "offline-1" || evs[2].Payload != "live-1" {
-		t.Fatalf("order = %v", evs)
+	if len(evs) != 2 || evs[0].Payload != "offline-1" || evs[1].Payload != "offline-2" {
+		t.Fatalf("drained %v", evs)
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 
 // Mailbox is the store-and-forward event service from the paper's Fig. 2:
 // a client registers a leased Box, hands the Box (which implements
-// Listener) to event generators, and later either drains stored events
-// (pull) or enables forwarding to a live listener (push). Events that
-// arrive while the box is disabled are retained up to a capacity bound.
+// Listener) to event generators, and later drains the stored events.
+// Events are retained up to a capacity bound.
 type Mailbox struct {
 	id     ids.ServiceID
 	leases *lease.Table
@@ -96,21 +95,15 @@ type Box struct {
 	// reported marks how much of dropped has been handed out by
 	// DrainWithDropped, so each drain reports only the gap it observed.
 	reported uint64
-	target   Listener
 	expired  bool
 }
 
-// Notify implements Listener: the event is forwarded if the box is enabled,
-// stored otherwise.
+// Notify implements Listener: the event is stored.
 func (b *Box) Notify(ev RemoteEvent) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.expired {
-		b.mu.Unlock()
 		return ErrBoxExpired
-	}
-	if t := b.target; t != nil {
-		b.mu.Unlock()
-		return t.Notify(ev)
 	}
 	if len(b.stored) >= b.cap {
 		// Drop the oldest: fresh sensor data is worth more than stale.
@@ -119,73 +112,7 @@ func (b *Box) Notify(ev RemoteEvent) error {
 		b.dropped++
 	}
 	b.stored = append(b.stored, ev)
-	b.mu.Unlock()
 	return nil
-}
-
-// Enable starts forwarding to target, first flushing stored events in
-// order. Passing nil is an error; use Disable.
-func (b *Box) Enable(target Listener) error {
-	if target == nil {
-		return errors.New("event: nil forwarding target")
-	}
-	b.mu.Lock()
-	if b.expired {
-		b.mu.Unlock()
-		return ErrBoxExpired
-	}
-	backlog := b.stored
-	b.stored = nil
-	b.target = target
-	b.mu.Unlock()
-	for _, ev := range backlog {
-		if err := target.Notify(ev); err != nil {
-			// Target failed mid-flush: re-store the remainder and
-			// disable forwarding.
-			b.mu.Lock()
-			b.target = nil
-			// events delivered so far are gone; keep the rest.
-			rest := backlogAfter(backlog, ev)
-			b.stored = append(rest, b.stored...)
-			b.mu.Unlock()
-			return err
-		}
-	}
-	return nil
-}
-
-// backlogAfter returns the suffix of backlog strictly after ev (matching by
-// SeqNo and Source).
-func backlogAfter(backlog []RemoteEvent, ev RemoteEvent) []RemoteEvent {
-	for i := range backlog {
-		if backlog[i].SeqNo == ev.SeqNo && backlog[i].Source == ev.Source && backlog[i].EventID == ev.EventID {
-			out := make([]RemoteEvent, len(backlog)-i-1)
-			copy(out, backlog[i+1:])
-			return out
-		}
-	}
-	return nil
-}
-
-// Disable stops forwarding; subsequent events are stored again.
-func (b *Box) Disable() {
-	b.mu.Lock()
-	b.target = nil
-	b.mu.Unlock()
-}
-
-// Drain removes and returns up to max stored events (all if max <= 0).
-func (b *Box) Drain(max int) []RemoteEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.stored)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]RemoteEvent, n)
-	copy(out, b.stored[:n])
-	b.stored = append(b.stored[:0], b.stored[n:]...)
-	return out
 }
 
 // DrainWithDropped removes and returns up to max stored events (all if
@@ -210,13 +137,6 @@ func (b *Box) DrainWithDropped(max int) ([]RemoteEvent, uint64) {
 	return out, gap
 }
 
-// Stored reports the number of buffered events.
-func (b *Box) Stored() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.stored)
-}
-
 // Dropped reports how many events were discarded due to capacity.
 func (b *Box) Dropped() uint64 {
 	b.mu.Lock()
@@ -228,6 +148,5 @@ func (b *Box) expire() {
 	b.mu.Lock()
 	b.expired = true
 	b.stored = nil
-	b.target = nil
 	b.mu.Unlock()
 }

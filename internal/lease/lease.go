@@ -152,8 +152,8 @@ func (p Policy) clamp(requested time.Duration) time.Duration {
 }
 
 // Table is the landlord-side grant ledger. It is passive: expiry is
-// detected by Sweep (call it lazily before reads and/or periodically from a
-// Janitor). All methods are safe for concurrent use.
+// detected by Sweep, which its owner calls lazily before reads. All
+// methods are safe for concurrent use.
 type Table struct {
 	clock  clockwork.Clock
 	policy Policy
@@ -290,7 +290,7 @@ func (t *Table) Sweep() []uint64 {
 }
 
 // NextExpiry returns the earliest expiration among live grants, and whether
-// any grant exists. Janitors use it to schedule the next sweep.
+// any grant exists.
 func (t *Table) NextExpiry() (time.Time, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -163,23 +163,6 @@ func TestValidUnknown(t *testing.T) {
 	}
 }
 
-func TestJanitorSweeps(t *testing.T) {
-	fc, tbl := newTable(time.Minute)
-	tbl.Grant(time.Minute)
-	j := NewJanitor(fc, tbl, 10*time.Second)
-	defer j.Stop()
-	// Advance past expiry plus a janitor tick; poll for the sweep since
-	// the janitor goroutine runs concurrently.
-	deadline := time.Now().Add(2 * time.Second)
-	for tbl.Len() != 0 && time.Now().Before(deadline) {
-		fc.Advance(15 * time.Second)
-		time.Sleep(time.Millisecond)
-	}
-	if tbl.Len() != 0 {
-		t.Fatal("janitor never swept the expired grant")
-	}
-}
-
 // Property: for any requested duration, the granted term is within policy
 // bounds and the lease validates until just before expiry.
 func TestPropertyGrantBounds(t *testing.T) {

@@ -226,35 +226,3 @@ func (m *RenewalManager) loop() {
 		}
 	}
 }
-
-// Janitor periodically sweeps a Table so expirations are detected promptly
-// even when the table sees no traffic. Stop it with Stop.
-type Janitor struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewJanitor starts sweeping table every interval using clock.
-func NewJanitor(clock clockwork.Clock, table *Table, interval time.Duration) *Janitor {
-	j := &Janitor{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(j.done)
-		for {
-			timer := clock.NewTimer(interval)
-			select {
-			case <-timer.C():
-				table.Sweep()
-			case <-j.stop:
-				timer.Stop()
-				return
-			}
-		}
-	}()
-	return j
-}
-
-// Stop halts the janitor and waits for it to exit.
-func (j *Janitor) Stop() {
-	close(j.stop)
-	<-j.done
-}

@@ -1,24 +1,23 @@
 package registry
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"sensorcer/internal/attr"
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/ids"
 	"sensorcer/internal/wal"
+	"sensorcer/internal/wire"
 )
 
-// Journal operation tags (on-disk format).
+// Journal operation tags (on-disk format; append only).
 const (
-	regOpRegister   = "register"
-	regOpDeregister = "deregister"
-	regOpModAttrs   = "modattrs"
-	regOpExpire     = "expire"
+	regOpRegister   byte = 1
+	regOpDeregister byte = 2
+	regOpModAttrs   byte = 3
+	regOpExpire     byte = 4
 )
 
 // regRecord is one registry journal entry. Service proxies are live
@@ -26,18 +25,97 @@ const (
 // nil Service until its provider re-registers under the same ServiceID
 // (the Jini restart protocol), at which point Register replaces the whole
 // item.
+//
+// On disk a record is, in wire binary, op | id | types (attr.AppendTypes)
+// | attributes (attr.AppendSet) | leaseMS (svarint); a snapshot is a
+// uvarint count of register records. Attribute values keep their Go kinds,
+// so an integral float64 recovers as a float64 and an int64 as an int64.
 type regRecord struct {
-	Op      string        `json:"op"`
-	ID      ids.ServiceID `json:"id,omitempty"`
-	Types   []string      `json:"types,omitempty"`
-	Attrs   attr.Set      `json:"attrs,omitempty"`
-	LeaseMS int64         `json:"leaseMs,omitempty"`
+	Op      byte
+	ID      ids.ServiceID
+	Types   []string
+	Attrs   attr.Set
+	LeaseMS int64
 }
 
-// registrySnapshot is the checkpoint format. LeaseMS is the lease time
-// remaining at checkpoint, rebased onto the recovery clock.
-type registrySnapshot struct {
-	Items []regRecord `json:"items"`
+var errMalformed = errors.New("registry: malformed journal payload")
+
+func appendRegRecord(b []byte, rec *regRecord) ([]byte, error) {
+	b = append(b, rec.Op)
+	b = append(b, rec.ID[:]...)
+	b = attr.AppendTypes(b, rec.Types)
+	b, err := attr.AppendSet(b, rec.Attrs)
+	if err != nil {
+		return b, err
+	}
+	return wire.AppendSvarint(b, rec.LeaseMS), nil
+}
+
+func consumeRegRecord(b []byte) (regRecord, []byte, error) {
+	var rec regRecord
+	if len(b) < 1+len(rec.ID) {
+		return rec, b, errMalformed
+	}
+	rec.Op = b[0]
+	if rec.Op < regOpRegister || rec.Op > regOpExpire {
+		return rec, b, fmt.Errorf("registry: unknown journal op %d", rec.Op)
+	}
+	b = b[1+copy(rec.ID[:], b[1:]):]
+	var ok bool
+	if rec.Types, b, ok = attr.ConsumeTypes(b); !ok {
+		return rec, b, errMalformed
+	}
+	if rec.Attrs, b, ok = attr.ConsumeSet(b); !ok {
+		return rec, b, errMalformed
+	}
+	if rec.LeaseMS, b, ok = wire.ConsumeSvarint(b); !ok {
+		return rec, b, errMalformed
+	}
+	return rec, b, nil
+}
+
+// decodeRegRecord parses one journal record, which must fill the payload.
+func decodeRegRecord(b []byte) (regRecord, error) {
+	rec, rest, err := consumeRegRecord(b)
+	if err == nil && len(rest) != 0 {
+		err = errMalformed
+	}
+	return rec, err
+}
+
+func appendRegSnapshot(b []byte, items []regRecord) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(len(items)))
+	var err error
+	for i := range items {
+		if b, err = appendRegRecord(b, &items[i]); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// decodeRegSnapshot parses a checkpoint: register records only.
+func decodeRegSnapshot(b []byte) ([]regRecord, error) {
+	n, b, ok := wire.ConsumeUvarint(b)
+	if !ok || n > uint64(len(b)) {
+		return nil, errMalformed
+	}
+	items := make([]regRecord, 0, n)
+	for i := uint64(0); i < n; i++ {
+		rec, rest, err := consumeRegRecord(b)
+		if err != nil {
+			return nil, err
+		}
+		if rec.Op != regOpRegister {
+			return nil, errMalformed
+		}
+		items = append(items, rec)
+		b = rest
+	}
+	if len(b) != 0 {
+		return nil, errMalformed
+	}
+	return items, nil
 }
 
 // journalLocked appends a record to the journal (no-op for volatile
@@ -47,55 +125,12 @@ func (l *LookupService) journalLocked(rec regRecord) error {
 	if l.journal == nil {
 		return nil
 	}
-	b, err := json.Marshal(rec)
+	b, err := appendRegRecord(nil, &rec)
 	if err != nil {
 		return fmt.Errorf("registry: encoding journal record: %w", err)
 	}
 	if _, err := l.journal.Append(b); err != nil {
-		return fmt.Errorf("registry: journaling %s: %w", rec.Op, err)
-	}
-	return nil
-}
-
-// decodeRegJSON unmarshals registry journal payloads preserving integer
-// attribute values: package attr canonicalizes ints to int64, and a plain
-// json.Unmarshal would return them as float64, silently breaking template
-// matches after recovery. Numbers without a fraction or exponent decode as
-// int64 (integral float64 attributes therefore also recover as int64 — an
-// accepted fidelity loss, documented in DESIGN.md §8).
-func decodeRegJSON(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fixNumbers converts json.Number values left by decodeRegJSON into the
-// attr-canonical int64/float64 kinds, in place.
-func fixNumbers(attrs attr.Set) error {
-	for _, e := range attrs {
-		for k, v := range e.Fields {
-			num, ok := v.(json.Number)
-			if !ok {
-				continue
-			}
-			s := num.String()
-			if strings.ContainsAny(s, ".eE") {
-				f, err := num.Float64()
-				if err != nil {
-					return fmt.Errorf("registry: attribute %s.%s: %w", e.Type, k, err)
-				}
-				e.Fields[k] = f
-				continue
-			}
-			i, err := num.Int64()
-			if err != nil {
-				return fmt.Errorf("registry: attribute %s.%s: %w", e.Type, k, err)
-			}
-			e.Fields[k] = i
-		}
+		return fmt.Errorf("registry: journaling op %d: %w", rec.Op, err)
 	}
 	return nil
 }
@@ -116,19 +151,18 @@ func Recover(name string, clock clockwork.Clock, log *wal.Log, opts ...Option) (
 	live := make(map[ids.ServiceID]*regRecord)
 
 	if data, _, _, ok := log.Snapshot(); ok {
-		var snap registrySnapshot
-		if err := decodeRegJSON(data, &snap); err != nil {
+		items, err := decodeRegSnapshot(data)
+		if err != nil {
 			return nil, fmt.Errorf("registry: decoding snapshot: %w", err)
 		}
-		for i := range snap.Items {
-			it := snap.Items[i]
-			live[it.ID] = &it
+		for i := range items {
+			live[items[i].ID] = &items[i]
 		}
 	}
 
 	err := log.Replay(func(_ uint64, payload []byte) error {
-		var rec regRecord
-		if err := decodeRegJSON(payload, &rec); err != nil {
+		rec, err := decodeRegRecord(payload)
+		if err != nil {
 			return fmt.Errorf("registry: decoding journal record: %w", err)
 		}
 		switch rec.Op {
@@ -140,8 +174,6 @@ func Recover(name string, clock clockwork.Clock, log *wal.Log, opts ...Option) (
 			if it, ok := live[rec.ID]; ok {
 				it.Attrs = rec.Attrs
 			}
-		default:
-			return fmt.Errorf("registry: unknown journal op %q", rec.Op)
 		}
 		return nil
 	})
@@ -150,9 +182,6 @@ func Recover(name string, clock clockwork.Clock, log *wal.Log, opts ...Option) (
 	}
 
 	for id, it := range live {
-		if err := fixNumbers(it.Attrs); err != nil {
-			return nil, err
-		}
 		lse := l.itemLeases.Grant(time.Duration(it.LeaseMS) * time.Millisecond)
 		item := ServiceItem{ID: id, Types: it.Types, Attributes: it.Attrs}
 		rec := &record{item: item, leaseID: lse.ID}
@@ -174,20 +203,21 @@ func (l *LookupService) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.clock.Now()
-	var snap registrySnapshot
+	var items []regRecord
 	for id, rec := range l.items {
 		exp, ok := l.itemLeases.Expiration(rec.leaseID)
 		if !ok {
 			continue // lapsed but not yet swept
 		}
-		snap.Items = append(snap.Items, regRecord{
+		items = append(items, regRecord{
+			Op:      regOpRegister,
 			ID:      id,
 			Types:   rec.item.Types,
 			Attrs:   rec.item.Attributes,
 			LeaseMS: int64(exp.Sub(now) / time.Millisecond),
 		})
 	}
-	data, err := json.Marshal(snap)
+	data, err := appendRegSnapshot(nil, items)
 	if err != nil {
 		return fmt.Errorf("registry: encoding snapshot: %w", err)
 	}

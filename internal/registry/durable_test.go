@@ -131,9 +131,9 @@ func TestAttributeChangesSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestIntegerAttributesMatchAfterRecovery pins the json.Number decode
-// path: attr canonicalizes ints to int64, so a recovered integer
-// attribute must still match an int-valued template.
+// TestIntegerAttributesMatchAfterRecovery: attr canonicalizes ints to
+// int64, so a recovered integer attribute must still match an int-valued
+// template.
 func TestIntegerAttributesMatchAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, lus, l := durableLUS(t, dir)
@@ -149,6 +149,38 @@ func TestIntegerAttributesMatchAfterRecovery(t *testing.T) {
 	tmpl := Template{Attributes: attr.Set{attr.New("PortInfo", "port", 4160)}}
 	if _, err := re.LookupOne(tmpl); err != nil {
 		t.Fatalf("integer attribute stopped matching after recovery: %v", err)
+	}
+}
+
+// TestIntegralFloatAttributeSurvivesRestart: a float64 attribute with no
+// fraction keeps its kind through replay and through a checkpoint, so a
+// template that pins the float still finds it.
+func TestIntegralFloatAttributeSurvivesRestart(t *testing.T) {
+	gain := Template{Attributes: attr.Set{attr.New("Amplifier", "gain", 2.0)}}
+	for _, checkpoint := range []bool{false, true} {
+		dir := t.TempDir()
+		_, lus, l := durableLUS(t, dir)
+		item := sensorItem("Neem-Sensor")
+		item.Attributes = append(item.Attributes, attr.New("Amplifier", "gain", 2.0))
+		if _, err := lus.Register(item, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := lus.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lus.Close()
+		_ = l.Close()
+
+		_, re, _ := durableLUS(t, dir)
+		got, err := re.LookupOne(gain)
+		if err != nil {
+			t.Fatalf("checkpoint=%v: float attribute stopped matching after recovery: %v", checkpoint, err)
+		}
+		if e, _ := got.Attributes.Find("Amplifier"); e.Fields["gain"] != 2.0 {
+			t.Fatalf("checkpoint=%v: gain recovered as %#v", checkpoint, e.Fields["gain"])
+		}
 	}
 }
 

@@ -26,10 +26,6 @@ type Registrar interface {
 	Lookup(tmpl Template, maxMatches int) []ServiceItem
 	// LookupOne returns the first match or ErrNotFound.
 	LookupOne(tmpl Template) (ServiceItem, error)
-	// Notify registers a leased event listener.
-	Notify(tmpl Template, transitions int, fn Listener, leaseDur time.Duration) (EventRegistration, error)
-	// CancelNotify removes an event registration.
-	CancelNotify(notificationID uint64)
 }
 
 // Compile-time check that the in-process LUS satisfies Registrar.

@@ -4,9 +4,7 @@
 // with templates (type + attribute match, per package attr). Registrations
 // are leased: a provider that stops renewing is swept from the registry,
 // which is exactly how the paper (§IV-B) keeps the sensor network "healthy
-// and robust". Requestors may also register leased event notifications and
-// learn immediately when matching services appear, change or disappear —
-// the mechanism behind the paper's plug-and-play claim (§VII).
+// and robust", and how services can come and go (§VII's plug-and-play).
 package registry
 
 import (
@@ -78,40 +76,6 @@ func ByName(name string, types ...string) Template {
 // ByType builds a template matching any provider of the interface types.
 func ByType(types ...string) Template { return Template{Types: types} }
 
-// Transition kinds for event notifications, mirroring Jini's
-// TRANSITION_NOMATCH_MATCH etc.
-const (
-	// TransitionNoMatchMatch fires when an item starts matching the
-	// template (registration or attribute change).
-	TransitionNoMatchMatch = 1 << iota
-	// TransitionMatchNoMatch fires when a matching item stops matching
-	// (deregistration, lease expiry, or attribute change).
-	TransitionMatchNoMatch
-	// TransitionMatchMatch fires when a matching item changes but still
-	// matches.
-	TransitionMatchMatch
-	// TransitionAny is the union of all transitions.
-	TransitionAny = TransitionNoMatchMatch | TransitionMatchNoMatch | TransitionMatchMatch
-)
-
-// Event describes a service transition delivered to a notification listener.
-type Event struct {
-	// Registrar identifies the lookup service that emitted the event.
-	Registrar ids.ServiceID
-	// SeqNo increases per notification registration.
-	SeqNo uint64
-	// Transition is one of the Transition* constants.
-	Transition int
-	// Item is a snapshot of the service after the transition; for
-	// TransitionMatchNoMatch it is the last matching snapshot.
-	Item ServiceItem
-}
-
-// Listener receives events. Implementations must not block for long; the
-// registry delivers on a dedicated goroutine per notification registration
-// but with a bounded queue.
-type Listener func(Event)
-
 // Registration is returned from Register; keep the lease renewed to stay in
 // the registry.
 type Registration struct {
@@ -119,16 +83,8 @@ type Registration struct {
 	Lease     lease.Lease
 }
 
-// EventRegistration is returned from Notify.
-type EventRegistration struct {
-	NotificationID uint64
-	Lease          lease.Lease
-}
-
 // ErrNotFound is returned by LookupOne when no item matches.
 var ErrNotFound = errors.New("registry: no matching service")
-
-const notifyQueue = 256
 
 // LookupService is an in-process LUS. It is safe for concurrent use.
 type LookupService struct {
@@ -136,14 +92,11 @@ type LookupService struct {
 	name  string
 	clock clockwork.Clock
 
-	itemLeases  *lease.Table
-	eventLeases *lease.Table
+	itemLeases *lease.Table
 
-	mu       sync.RWMutex
-	items    map[ids.ServiceID]*record
-	byLease  map[uint64]ids.ServiceID
-	notifs   map[uint64]*notification
-	byNLease map[uint64]uint64
+	mu      sync.RWMutex
+	items   map[ids.ServiceID]*record
+	byLease map[uint64]ids.ServiceID
 	// byType and byField are the lookup indexes: the items implementing
 	// an interface type, and the items carrying an attribute entry whose
 	// field holds a value (see fieldKey). A template is served from the
@@ -198,33 +151,17 @@ func indexKey(entry, field string, v attr.Value) (fieldKey, bool) {
 	return fieldKey{entry: entry, field: field, value: v}, true
 }
 
-type notification struct {
-	id          uint64
-	template    Template
-	transitions int
-	listener    Listener
-	seq         ids.Sequence
-	queue       chan Event
-	done        chan struct{}
-}
-
 // Option configures a LookupService.
 type Option func(*config)
 
 type config struct {
 	itemPolicy  lease.Policy
-	eventPolicy lease.Policy
 	coordPolicy lease.Policy
 }
 
 // WithLeasePolicy sets the policy for registration leases.
 func WithLeasePolicy(p lease.Policy) Option {
 	return func(c *config) { c.itemPolicy = p }
-}
-
-// WithEventLeasePolicy sets the policy for notification leases.
-func WithEventLeasePolicy(p lease.Policy) Option {
-	return func(c *config) { c.eventPolicy = p }
 }
 
 // WithCoordLeasePolicy sets the policy for coordination leases (the
@@ -238,7 +175,6 @@ func WithCoordLeasePolicy(p lease.Policy) Option {
 func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 	cfg := config{
 		itemPolicy:  lease.Policy{Max: lease.DefaultMax},
-		eventPolicy: lease.Policy{Max: lease.DefaultMax},
 		coordPolicy: lease.Policy{Max: lease.DefaultMax},
 	}
 	for _, o := range opts {
@@ -249,17 +185,13 @@ func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 		name:        name,
 		clock:       clock,
 		itemLeases:  lease.NewTable(clock, cfg.itemPolicy),
-		eventLeases: lease.NewTable(clock, cfg.eventPolicy),
 		items:       make(map[ids.ServiceID]*record),
 		byLease:     make(map[uint64]ids.ServiceID),
-		notifs:      make(map[uint64]*notification),
-		byNLease:    make(map[uint64]uint64),
 		byType:      make(map[string]recordSet),
 		byField:     make(map[fieldKey]recordSet),
 		coordPolicy: cfg.coordPolicy,
 	}
 	l.itemLeases.OnExpire(l.onItemLeaseExpired)
-	l.eventLeases.OnExpire(l.onEventLeaseExpired)
 	return l
 }
 
@@ -298,20 +230,16 @@ func (l *LookupService) Register(item ServiceItem, leaseDur time.Duration) (Regi
 		_ = lse.Cancel()
 		return Registration{}, err
 	}
-	var prev *ServiceItem
 	if old, ok := l.items[item.ID]; ok {
 		// Replacement: retire the old lease silently.
 		delete(l.byLease, old.leaseID)
 		_ = l.itemLeases.Cancel(old.leaseID)
 		l.indexRemoveLocked(old)
-		p := old.item
-		prev = &p
 	}
 	rec := &record{item: item, leaseID: lse.ID}
 	l.items[item.ID] = rec
 	l.byLease[lse.ID] = item.ID
 	l.indexAddLocked(rec)
-	l.notifyLocked(prev, &item)
 	l.mu.Unlock()
 
 	return Registration{ServiceID: item.ID, Lease: lse}, nil
@@ -333,14 +261,12 @@ func (l *LookupService) Deregister(id ids.ServiceID) error {
 	delete(l.byLease, rec.leaseID)
 	_ = l.itemLeases.Cancel(rec.leaseID)
 	l.indexRemoveLocked(rec)
-	l.notifyLocked(&rec.item, nil)
 	l.mu.Unlock()
 
 	return nil
 }
 
-// ModifyAttributes replaces the attribute set of a registered service,
-// emitting match/no-match transitions as needed.
+// ModifyAttributes replaces the attribute set of a registered service.
 func (l *LookupService) ModifyAttributes(id ids.ServiceID, attrs attr.Set) error {
 	l.mu.Lock()
 	rec, ok := l.items[id]
@@ -352,12 +278,9 @@ func (l *LookupService) ModifyAttributes(id ids.ServiceID, attrs attr.Set) error
 		l.mu.Unlock()
 		return err
 	}
-	prev := rec.item
 	l.indexRemoveLocked(rec)
 	rec.item.Attributes = attr.CloneSet(attrs)
 	l.indexAddLocked(rec)
-	cur := rec.item
-	l.notifyLocked(&prev, &cur)
 	l.mu.Unlock()
 
 	return nil
@@ -445,56 +368,6 @@ func (l *LookupService) Len() int {
 	return len(l.items)
 }
 
-// Notify registers a leased event listener for template transitions.
-func (l *LookupService) Notify(tmpl Template, transitions int, fn Listener, leaseDur time.Duration) (EventRegistration, error) {
-	if transitions&TransitionAny == 0 {
-		return EventRegistration{}, errors.New("registry: no transitions requested")
-	}
-	if fn == nil {
-		return EventRegistration{}, errors.New("registry: nil listener")
-	}
-	lse := l.eventLeases.Grant(leaseDur)
-	n := &notification{
-		id:          lse.ID,
-		template:    tmpl,
-		transitions: transitions,
-		listener:    fn,
-		queue:       make(chan Event, notifyQueue),
-		done:        make(chan struct{}),
-	}
-	go n.pump()
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		close(n.queue)
-		_ = lse.Cancel()
-		return EventRegistration{}, errors.New("registry: closed")
-	}
-	l.notifs[n.id] = n
-	l.byNLease[lse.ID] = n.id
-	l.mu.Unlock()
-
-	return EventRegistration{NotificationID: n.id, Lease: lse}, nil
-}
-
-// CancelNotify removes an event registration and waits for its pump to
-// drain, so no listener callback runs after CancelNotify returns.
-func (l *LookupService) CancelNotify(notificationID uint64) {
-	l.mu.Lock()
-	n, ok := l.notifs[notificationID]
-	if ok {
-		delete(l.notifs, notificationID)
-		delete(l.byNLease, notificationID)
-		close(n.queue) // under l.mu: serialized against notifyLocked sends
-	}
-	l.mu.Unlock()
-	if ok {
-		_ = l.eventLeases.Cancel(notificationID)
-		<-n.done
-	}
-}
-
 // RenewItemLease renews a registration lease by id — the hook the remote
 // registrar protocol (package remote) uses, since lease.Lease handles do
 // not cross process boundaries.
@@ -514,34 +387,23 @@ func (l *LookupService) CancelItemLease(leaseID uint64) error {
 	return l.Deregister(id)
 }
 
-// SweepNow expires lapsed registration and notification leases immediately.
-// A production deployment pairs the registry with a lease.Janitor; tests
+// SweepNow expires lapsed registration leases immediately. Nothing sweeps
+// in the background: Lookup and Len sweep before they read, and tests
 // drive expiry through the fake clock and call this directly.
 func (l *LookupService) SweepNow() {
 	l.itemLeases.Sweep()
-	l.eventLeases.Sweep()
 }
 
-// Close shuts down the registry and all notification pumps.
+// Close shuts down the registry.
 func (l *LookupService) Close() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
 	l.closed = true
-	notifs := make([]*notification, 0, len(l.notifs))
-	for _, n := range l.notifs {
-		notifs = append(notifs, n)
-		close(n.queue)
-	}
-	l.notifs = map[uint64]*notification{}
 	l.items = map[ids.ServiceID]*record{}
 	l.byType, l.byField = nil, nil
-	l.mu.Unlock()
-	for _, n := range notifs {
-		<-n.done
-	}
 }
 
 func (l *LookupService) onItemLeaseExpired(leaseID uint64) {
@@ -559,7 +421,6 @@ func (l *LookupService) onItemLeaseExpired(leaseID uint64) {
 	delete(l.items, id)
 	delete(l.byLease, leaseID)
 	l.indexRemoveLocked(rec)
-	l.notifyLocked(&rec.item, nil)
 	l.mu.Unlock()
 }
 
@@ -632,69 +493,5 @@ func indexDrop[K comparable](idx map[K]recordSet, key K, rec *record) {
 		if len(set) == 0 {
 			delete(idx, key)
 		}
-	}
-}
-
-func (l *LookupService) onEventLeaseExpired(leaseID uint64) {
-	l.mu.Lock()
-	nid, ok := l.byNLease[leaseID]
-	var n *notification
-	if ok {
-		n = l.notifs[nid]
-		delete(l.notifs, nid)
-		delete(l.byNLease, leaseID)
-		close(n.queue)
-	}
-	l.mu.Unlock()
-	if n != nil {
-		<-n.done
-	}
-}
-
-// notifyLocked computes the events implied by an item changing from prev to
-// cur (either may be nil for appear/disappear) and enqueues them onto the
-// per-notification pumps. Sends are non-blocking: events are dropped if a
-// listener's queue is full, because a slow consumer must not stall the
-// registry (Jini's remote events are similarly best-effort). Caller holds
-// l.mu, which also serializes sends against queue closure.
-func (l *LookupService) notifyLocked(prev, cur *ServiceItem) {
-	for _, n := range l.notifs {
-		before := prev != nil && n.template.Matches(*prev)
-		after := cur != nil && n.template.Matches(*cur)
-		var transition int
-		var snapshot ServiceItem
-		switch {
-		case !before && after:
-			transition = TransitionNoMatchMatch
-			snapshot = cur.Clone()
-		case before && !after:
-			transition = TransitionMatchNoMatch
-			snapshot = prev.Clone()
-		case before && after:
-			transition = TransitionMatchMatch
-			snapshot = cur.Clone()
-		default:
-			continue
-		}
-		if n.transitions&transition == 0 {
-			continue
-		}
-		ev := Event{
-			Registrar:  l.id,
-			SeqNo:      n.seq.Next(),
-			Transition: transition,
-			Item:       snapshot,
-		}
-		select {
-		case n.queue <- ev:
-		default:
-		}
-	}
-}
-
-func (n *notification) pump() {
-	defer close(n.done)
-	for ev := range n.queue {
-		n.listener(ev)
 	}
 }

@@ -188,144 +188,11 @@ func TestModifyAttributes(t *testing.T) {
 	}
 }
 
-func waitEvent(t *testing.T, ch <-chan Event) Event {
-	t.Helper()
-	select {
-	case ev := <-ch:
-		return ev
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for event")
-		return Event{}
-	}
-}
-
-func TestNotifyOnRegister(t *testing.T) {
-	_, lus := newLUS(t)
-	ch := make(chan Event, 16)
-	_, err := lus.Notify(ByType("SensorDataAccessor"), TransitionNoMatchMatch, func(ev Event) { ch <- ev }, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lus.Register(sensorItem("Neem-Sensor"), time.Minute)
-	ev := waitEvent(t, ch)
-	if ev.Transition != TransitionNoMatchMatch {
-		t.Fatalf("transition = %d", ev.Transition)
-	}
-	if attr.NameOf(ev.Item.Attributes) != "Neem-Sensor" {
-		t.Fatalf("item = %v", ev.Item.Attributes)
-	}
-	if ev.SeqNo != 1 {
-		t.Fatalf("seq = %d", ev.SeqNo)
-	}
-	if ev.Registrar != lus.ID() {
-		t.Fatal("wrong registrar id")
-	}
-}
-
-func TestNotifyOnDepartureAndExpiry(t *testing.T) {
-	fc, lus := newLUS(t)
-	ch := make(chan Event, 16)
-	lus.Notify(ByType("SensorDataAccessor"), TransitionMatchNoMatch, func(ev Event) { ch <- ev }, time.Hour)
-	reg1, _ := lus.Register(sensorItem("Neem-Sensor"), time.Minute)
-	// Orderly departure.
-	lus.Deregister(reg1.ServiceID)
-	ev := waitEvent(t, ch)
-	if ev.Transition != TransitionMatchNoMatch || attr.NameOf(ev.Item.Attributes) != "Neem-Sensor" {
-		t.Fatalf("event = %+v", ev)
-	}
-	// Crash-style departure: lease lapses.
-	lus.Register(sensorItem("Jade-Sensor"), time.Minute)
-	fc.Advance(2 * time.Minute)
-	lus.SweepNow()
-	ev = waitEvent(t, ch)
-	if attr.NameOf(ev.Item.Attributes) != "Jade-Sensor" {
-		t.Fatalf("expiry event = %+v", ev)
-	}
-}
-
-func TestNotifyMatchMatchOnAttributeChange(t *testing.T) {
-	_, lus := newLUS(t)
-	ch := make(chan Event, 16)
-	lus.Notify(ByType("SensorDataAccessor"), TransitionMatchMatch, func(ev Event) { ch <- ev }, time.Hour)
-	reg, _ := lus.Register(sensorItem("Neem-Sensor"), time.Minute)
-	lus.ModifyAttributes(reg.ServiceID, attr.Set{attr.Name("Neem-Sensor"), attr.Comment("recalibrated")})
-	ev := waitEvent(t, ch)
-	if ev.Transition != TransitionMatchMatch {
-		t.Fatalf("transition = %d", ev.Transition)
-	}
-}
-
-func TestNotifyTransitionViaAttributeChange(t *testing.T) {
-	// An attribute change can move an item in or out of a template's
-	// match set.
-	_, lus := newLUS(t)
-	tmpl := Template{Attributes: attr.Set{attr.ServiceType("COMPOSITE")}}
-	ch := make(chan Event, 16)
-	lus.Notify(tmpl, TransitionNoMatchMatch|TransitionMatchNoMatch, func(ev Event) { ch <- ev }, time.Hour)
-	reg, _ := lus.Register(sensorItem("S"), time.Minute) // ELEMENTARY: no match
-	lus.ModifyAttributes(reg.ServiceID, attr.Set{attr.Name("S"), attr.ServiceType("COMPOSITE")})
-	ev := waitEvent(t, ch)
-	if ev.Transition != TransitionNoMatchMatch {
-		t.Fatalf("transition = %d, want NoMatchMatch", ev.Transition)
-	}
-	lus.ModifyAttributes(reg.ServiceID, attr.Set{attr.Name("S"), attr.ServiceType("ELEMENTARY")})
-	ev = waitEvent(t, ch)
-	if ev.Transition != TransitionMatchNoMatch {
-		t.Fatalf("transition = %d, want MatchNoMatch", ev.Transition)
-	}
-}
-
-func TestNotifyValidation(t *testing.T) {
-	_, lus := newLUS(t)
-	if _, err := lus.Notify(Template{}, 0, func(Event) {}, time.Minute); err == nil {
-		t.Fatal("zero transitions accepted")
-	}
-	if _, err := lus.Notify(Template{}, TransitionAny, nil, time.Minute); err == nil {
-		t.Fatal("nil listener accepted")
-	}
-}
-
-func TestCancelNotifyStopsEvents(t *testing.T) {
-	_, lus := newLUS(t)
-	var mu sync.Mutex
-	count := 0
-	er, _ := lus.Notify(Template{}, TransitionAny, func(Event) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}, time.Hour)
-	lus.Register(sensorItem("A"), time.Minute)
-	lus.CancelNotify(er.NotificationID)
-	after := func() int { mu.Lock(); defer mu.Unlock(); return count }()
-	lus.Register(sensorItem("B"), time.Minute)
-	time.Sleep(20 * time.Millisecond)
-	if got := func() int { mu.Lock(); defer mu.Unlock(); return count }(); got != after {
-		t.Fatalf("events after cancel: %d -> %d", after, got)
-	}
-}
-
-func TestNotificationLeaseExpiry(t *testing.T) {
-	fc, lus := newLUS(t)
-	ch := make(chan Event, 16)
-	lus.Notify(Template{}, TransitionAny, func(ev Event) { ch <- ev }, time.Minute)
-	fc.Advance(2 * time.Minute)
-	lus.SweepNow()
-	lus.Register(sensorItem("A"), time.Minute)
-	select {
-	case ev := <-ch:
-		t.Fatalf("event after notification lease expiry: %+v", ev)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
 func TestClosedRegistryRejects(t *testing.T) {
 	_, lus := newLUS(t)
 	lus.Close()
 	if _, err := lus.Register(sensorItem("A"), time.Minute); err == nil {
 		t.Fatal("register on closed registry accepted")
-	}
-	if _, err := lus.Notify(Template{}, TransitionAny, func(Event) {}, time.Minute); err == nil {
-		t.Fatal("notify on closed registry accepted")
 	}
 	lus.Close() // idempotent
 }

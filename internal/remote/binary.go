@@ -6,7 +6,9 @@
 // path automatically; a shape-0 payload still decodes into the same
 // structs through their JSON tags.
 //
-// Layouts build on internal/wire's Append/Consume primitives. Dynamic
+// Layouts build on internal/wire's Append/Consume primitives; attribute
+// sets and type lists use package attr's binary format (attr.AppendSet),
+// which the lookup service's journal shares. Dynamic
 // values (attr fields, exertion context values) use wire's tagged-value
 // format (wire.AppendValue): strings, bools, int64 and float64 survive a
 // round trip with their Go types intact, and anything richer rides as a
@@ -74,59 +76,6 @@ func consumeTime(b []byte) (time.Time, []byte, bool) {
 		return time.Time{}, b, false
 	}
 	return time.Unix(sec, int64(nsec)), b, true
-}
-
-func appendAttrSet(b []byte, set attr.Set) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(set)))
-	var err error
-	for _, e := range set {
-		b = wire.AppendString(b, e.Type)
-		b = wire.AppendUvarint(b, uint64(len(e.Fields)))
-		for k, v := range e.Fields {
-			b = wire.AppendString(b, k)
-			if b, err = wire.AppendValue(b, v); err != nil {
-				return b, err
-			}
-		}
-	}
-	return b, nil
-}
-
-func consumeAttrSet(b []byte) (attr.Set, []byte, bool) {
-	n, b, ok := wire.ConsumeUvarint(b)
-	if !ok || n > uint64(len(b)) {
-		return nil, b, false
-	}
-	var set attr.Set
-	if n > 0 {
-		set = make(attr.Set, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var e attr.Entry
-		if e.Type, b, ok = wire.ConsumeString(b); !ok {
-			return nil, b, false
-		}
-		var nf uint64
-		if nf, b, ok = wire.ConsumeUvarint(b); !ok || nf > uint64(len(b)) {
-			return nil, b, false
-		}
-		if nf > 0 {
-			e.Fields = make(map[string]attr.Value, nf)
-		}
-		for j := uint64(0); j < nf; j++ {
-			var k string
-			var v any
-			if k, b, ok = wire.ConsumeString(b); !ok {
-				return nil, b, false
-			}
-			if v, b, ok = wire.ConsumeValue(b); !ok {
-				return nil, b, false
-			}
-			e.Fields[k] = v
-		}
-		set = append(set, e)
-	}
-	return set, b, true
 }
 
 func appendContext(b []byte, ctx map[string]any) ([]byte, error) {
@@ -210,35 +159,10 @@ func consumeProxy(b []byte) (*ProxyDesc, []byte, bool) {
 	return &p, rest, true
 }
 
-func appendTypes(b []byte, types []string) []byte {
-	b = wire.AppendUvarint(b, uint64(len(types)))
-	for _, t := range types {
-		b = wire.AppendString(b, t)
-	}
-	return b
-}
-
-func consumeTypes(b []byte) ([]string, []byte, bool) {
-	n, b, ok := wire.ConsumeUvarint(b)
-	if !ok || n > uint64(len(b)) {
-		return nil, b, false
-	}
-	var types []string
-	if n > 0 {
-		types = make([]string, n)
-	}
-	for i := range types {
-		if types[i], b, ok = wire.ConsumeString(b); !ok {
-			return nil, b, false
-		}
-	}
-	return types, b, true
-}
-
 // appendItem encodes one service item: a lookup match or a registration.
 func appendItem(b []byte, w wireItem) ([]byte, error) {
-	b = appendTypes(appendID(b, w.ID), w.Types)
-	b, err := appendAttrSet(b, w.Attributes)
+	b = attr.AppendTypes(appendID(b, w.ID), w.Types)
+	b, err := attr.AppendSet(b, w.Attributes)
 	if err != nil {
 		return b, err
 	}
@@ -251,10 +175,10 @@ func consumeItem(b []byte) (wireItem, []byte, bool) {
 	if w.ID, b, ok = consumeID(b); !ok {
 		return w, b, false
 	}
-	if w.Types, b, ok = consumeTypes(b); !ok {
+	if w.Types, b, ok = attr.ConsumeTypes(b); !ok {
 		return w, b, false
 	}
-	if w.Attributes, b, ok = consumeAttrSet(b); !ok {
+	if w.Attributes, b, ok = attr.ConsumeSet(b); !ok {
 		return w, b, false
 	}
 	if w.Proxy, b, ok = consumeProxy(b); !ok {
@@ -398,8 +322,8 @@ func (p lookupParams) SrpcShape() byte { return shapeLookupParams }
 
 // AppendSrpc implements srpc.BinaryMarshaler.
 func (p lookupParams) AppendSrpc(buf []byte) ([]byte, error) {
-	buf = appendTypes(appendID(buf, p.ID), p.Types)
-	buf, err := appendAttrSet(buf, p.Attributes)
+	buf = attr.AppendTypes(appendID(buf, p.ID), p.Types)
+	buf, err := attr.AppendSet(buf, p.Attributes)
 	if err != nil {
 		return buf, err
 	}
@@ -415,10 +339,10 @@ func (p *lookupParams) UnmarshalSrpc(shape byte, data []byte) error {
 	if p.ID, data, ok = consumeID(data); !ok {
 		return malformedErr("lookup params")
 	}
-	if p.Types, data, ok = consumeTypes(data); !ok {
+	if p.Types, data, ok = attr.ConsumeTypes(data); !ok {
 		return malformedErr("lookup params")
 	}
-	if p.Attributes, data, ok = consumeAttrSet(data); !ok {
+	if p.Attributes, data, ok = attr.ConsumeSet(data); !ok {
 		return malformedErr("lookup params")
 	}
 	max, rest, ok := wire.ConsumeSvarint(data)
@@ -604,7 +528,7 @@ func (p modifyParams) SrpcShape() byte { return shapeModify }
 
 // AppendSrpc implements srpc.BinaryMarshaler.
 func (p modifyParams) AppendSrpc(buf []byte) ([]byte, error) {
-	return appendAttrSet(appendID(buf, p.ID), p.Attributes)
+	return attr.AppendSet(appendID(buf, p.ID), p.Attributes)
 }
 
 // UnmarshalSrpc implements srpc.BinaryUnmarshaler.
@@ -616,7 +540,7 @@ func (p *modifyParams) UnmarshalSrpc(shape byte, data []byte) error {
 	if p.ID, data, ok = consumeID(data); !ok {
 		return malformedErr("modify params")
 	}
-	attrs, rest, ok := consumeAttrSet(data)
+	attrs, rest, ok := attr.ConsumeSet(data)
 	if !ok || len(rest) != 0 {
 		return malformedErr("modify params")
 	}

@@ -16,9 +16,8 @@ import (
 // lookup service running elsewhere, renew/cancel the registration leases,
 // and let consumer processes run template lookups. Remote proxies cross
 // the wire as ProxyDescs and are materialized into AccessorClients on the
-// consumer side. Event notifications (Registrar.Notify) are intentionally
-// not exposed remotely: remote consumers poll Lookup instead, exactly as
-// the sensor browser does.
+// consumer side. The lookup service pushes nothing: consumers poll Lookup,
+// exactly as the sensor browser does.
 
 type wireItem struct {
 	ID         ids.ServiceID `json:"id"`
@@ -271,14 +270,6 @@ func (r *RegistrarClient) LookupOne(tmpl registry.Template) (registry.ServiceIte
 	}
 	return items[0], nil
 }
-
-// Notify is not supported over the remote protocol; consumers poll Lookup.
-func (r *RegistrarClient) Notify(registry.Template, int, registry.Listener, time.Duration) (registry.EventRegistration, error) {
-	return registry.EventRegistration{}, errors.New("remote: Notify is not supported over srpc; poll Lookup")
-}
-
-// CancelNotify is a no-op (see Notify).
-func (r *RegistrarClient) CancelNotify(uint64) {}
 
 // Close releases the connection.
 func (r *RegistrarClient) Close() { r.client.Close() }

@@ -69,38 +69,3 @@ type Clamp struct {
 func (c Clamp) Apply(raw float64) float64 {
 	return math.Max(c.Lo, math.Min(c.Hi, raw))
 }
-
-// MovingAverage smooths the last Window samples (stateful; one probe per
-// instance). Window <= 1 is identity.
-type MovingAverage struct {
-	Window int
-
-	buf []float64
-	sum float64
-	pos int
-	n   int
-}
-
-// NewMovingAverage creates a smoother over window samples.
-func NewMovingAverage(window int) *MovingAverage {
-	return &MovingAverage{Window: window}
-}
-
-// Apply implements Calibration.
-func (m *MovingAverage) Apply(raw float64) float64 {
-	if m.Window <= 1 {
-		return raw
-	}
-	if m.buf == nil {
-		m.buf = make([]float64, m.Window)
-	}
-	if m.n < m.Window {
-		m.n++
-	} else {
-		m.sum -= m.buf[m.pos]
-	}
-	m.buf[m.pos] = raw
-	m.sum += raw
-	m.pos = (m.pos + 1) % m.Window
-	return m.sum / float64(m.n)
-}

@@ -38,22 +38,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	m := NewMovingAverage(3)
-	seq := []float64{3, 6, 9, 12}
-	want := []float64{3, 4.5, 6, 9}
-	for i, v := range seq {
-		if got := m.Apply(v); math.Abs(got-want[i]) > 1e-12 {
-			t.Fatalf("step %d: %v, want %v", i, got, want[i])
-		}
-	}
-	// Window <= 1 is identity.
-	id := NewMovingAverage(1)
-	if got := id.Apply(7); got != 7 {
-		t.Fatalf("identity = %v", got)
-	}
-}
-
 func TestChain(t *testing.T) {
 	c := Chain{Linear{Gain: 2}, Linear{Offset: 1}, Clamp{Lo: 0, Hi: 10}}
 	if got := c.Apply(3); got != 7 {
@@ -81,30 +65,6 @@ func TestPropertyLinearInvertible(t *testing.T) {
 		y := l.Apply(float64(x))
 		back := (y - float64(offset)) / g
 		return math.Abs(back-float64(x)) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: moving average stays within the min/max of its inputs.
-func TestPropertyMovingAverageBounded(t *testing.T) {
-	f := func(vals []int8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		m := NewMovingAverage(4)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range vals {
-			x := float64(v)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-			got := m.Apply(x)
-			if got < lo-1e-9 || got > hi+1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -28,38 +28,8 @@ const HistoryWindow = 16
 // ErrChildTimeout is returned when a component read exceeds the deadline.
 var ErrChildTimeout = errors.New("sensor: component read timed out")
 
-// ErrQuorum is returned when fewer components than the configured quorum
-// produced a value.
-var ErrQuorum = errors.New("sensor: quorum not met")
-
-// Quality describes how complete the last composite evaluation was — the
-// data-quality annotation degraded reads stamp into task contexts.
-type Quality struct {
-	// Responded is how many components produced a value.
-	Responded int
-	// Composed is how many components the CSP holds.
-	Composed int
-	// Degraded reports that at least one component was missing.
-	Degraded bool
-	// Missing lists the sensor names of the failed components.
-	Missing []string
-}
-
-// String renders the annotation, e.g. "full 4/4" or
-// "degraded 3/4 (missing: rtd-1)".
-func (q Quality) String() string {
-	if !q.Degraded {
-		return fmt.Sprintf("full %d/%d", q.Responded, q.Composed)
-	}
-	return fmt.Sprintf("degraded %d/%d (missing: %s)",
-		q.Responded, q.Composed, strings.Join(q.Missing, ", "))
-}
-
-// QualityReporter is implemented by accessors that can qualify their last
-// value; serveAccessor stamps the annotation into the task context.
-type QualityReporter interface {
-	ReadQuality() (Quality, bool)
-}
+// readTimeout bounds each composite read (all children in parallel).
+const readTimeout = 5 * time.Second
 
 // CSP is the Composite Sensor Provider (§V-B): it composes ESPs and other
 // CSPs, collects their values, binds them to runtime variables (a, b, c,
@@ -75,47 +45,25 @@ type CSP struct {
 	clock clockwork.Clock
 	store *RingStore
 
-	// timeout bounds each composite read (all children in parallel).
-	timeout time.Duration
 	// sequential forces one-at-a-time child reads (ablation benchmark).
 	sequential bool
-	// cacheTTL serves repeated reads from the last computed value while
-	// it is younger than the TTL (0 = recompute every read).
-	cacheTTL time.Duration
-	// quorum, when positive, lets reads degrade gracefully: components
-	// that error or time out are dropped and the expression evaluates
-	// over the survivors, as long as at least quorum of them responded.
-	// Zero keeps the strict historical behavior (any failure fails the
-	// read).
-	quorum int
 
 	mu       sync.Mutex
 	children []childBinding
 	program  *expr.Program
-	// progVars and histWanted are hoisted from the program at SetExpression
-	// time — the read path consults them on every evaluation, and a
-	// compiled program's variable set never changes.
-	progVars   []string
+	// histWanted is hoisted from the program at SetExpression time — the
+	// read path consults it on every evaluation, and a compiled program's
+	// variable set never changes.
 	histWanted map[string]bool
 	// bound is the program slot-bound against the current child ordering
 	// (recomputed whenever children or expression change); nil when there
-	// is no program or the expression needs the generic Env path. Full
-	// (non-degraded) reads evaluate it over raw float64 slots with no
-	// env construction or boxing.
+	// is no program or the expression needs the generic Env path. Reads
+	// evaluate it over raw float64 slots with no env construction or
+	// boxing.
 	bound *expr.BoundProgram
 	// histChild[i] reports whether the expression uses child i's history
-	// variable; varRefs maps each progVar to the child index of its base
-	// variable (-1 unknown, -2 the synthetic "values"), which is what the
-	// degraded-read fallback checks instead of building an Env.
+	// variable.
 	histChild []bool
-	varRefs   []int
-	// lastQuality qualifies the most recent successful evaluation.
-	lastQuality Quality
-	hasQuality  bool
-	// valueHook, when set, observes every successfully computed value —
-	// the subscription plane's feed, so a single evaluation (whoever
-	// triggered it) reaches every subscriber.
-	valueHook func(probe.Reading)
 }
 
 type childBinding struct {
@@ -133,11 +81,6 @@ type ChildInfo struct {
 // CSPOption configures a CSP.
 type CSPOption func(*CSP)
 
-// WithReadTimeout bounds composite reads (default 5s).
-func WithReadTimeout(d time.Duration) CSPOption {
-	return func(c *CSP) { c.timeout = d }
-}
-
 // WithSequentialReads disables parallel child evaluation.
 func WithSequentialReads() CSPOption {
 	return func(c *CSP) { c.sequential = true }
@@ -148,35 +91,13 @@ func WithCSPClock(clock clockwork.Clock) CSPOption {
 	return func(c *CSP) { c.clock = clock }
 }
 
-// WithCacheTTL serves repeated reads from the last computed value while it
-// is younger than ttl — trading freshness for fan-out cost when many
-// requestors share one composite.
-func WithCacheTTL(ttl time.Duration) CSPOption {
-	return func(c *CSP) { c.cacheTTL = ttl }
-}
-
-// WithQuorum lets composite reads survive component faults: failed or
-// timed-out components are dropped and the value is computed over the
-// surviving ones, provided at least min responded. Expressions referring
-// to a missing component's variable fall back to the average of the
-// survivors. Each degraded read is qualified via ReadQuality and, when
-// served through an exertion, annotated at PathQuality.
-func WithQuorum(min int) CSPOption {
-	return func(c *CSP) {
-		if min > 0 {
-			c.quorum = min
-		}
-	}
-}
-
 // NewCSP creates an empty composite sensor provider.
 func NewCSP(name string, opts ...CSPOption) *CSP {
 	c := &CSP{
-		id:      ids.NewServiceID(),
-		name:    name,
-		clock:   clockwork.Real(),
-		store:   NewRingStore(64),
-		timeout: 5 * time.Second,
+		id:    ids.NewServiceID(),
+		name:  name,
+		clock: clockwork.Real(),
+		store: NewRingStore(64),
 	}
 	for _, o := range opts {
 		o(c)
@@ -255,7 +176,6 @@ func (c *CSP) SetExpression(source string) error {
 	if source == "" {
 		c.mu.Lock()
 		c.program = nil
-		c.progVars = nil
 		c.histWanted = nil
 		c.rebindLocked()
 		c.mu.Unlock()
@@ -268,16 +188,14 @@ func (c *CSP) SetExpression(source string) error {
 	// Which history variables ("a_hist") does the expression use? Hoisted
 	// here so every read doesn't rediscover it; only children named in it
 	// pay the history-binding cost.
-	vars := p.Vars()
 	hist := make(map[string]bool)
-	for _, v := range vars {
+	for _, v := range p.Vars() {
 		if strings.HasSuffix(v, "_hist") {
 			hist[strings.TrimSuffix(v, "_hist")] = true
 		}
 	}
 	c.mu.Lock()
 	c.program = p
-	c.progVars = vars
 	c.histWanted = hist
 	c.rebindLocked()
 	c.mu.Unlock()
@@ -294,7 +212,6 @@ func (c *CSP) SetExpression(source string) error {
 func (c *CSP) rebindLocked() {
 	c.bound = nil
 	c.histChild = nil
-	c.varRefs = nil
 	if c.program == nil {
 		return
 	}
@@ -308,22 +225,6 @@ func (c *CSP) rebindLocked() {
 	c.histChild = make([]bool, len(names))
 	for i, n := range names {
 		c.histChild[i] = c.histWanted[n]
-	}
-	c.varRefs = make([]int, 0, len(c.progVars))
-	for _, v := range c.progVars {
-		base := strings.TrimSuffix(v, "_hist")
-		if base == "values" {
-			c.varRefs = append(c.varRefs, -2)
-			continue
-		}
-		ref := -1
-		for i, n := range names {
-			if n == base {
-				ref = i
-				break
-			}
-		}
-		c.varRefs = append(c.varRefs, ref)
 	}
 }
 
@@ -350,7 +251,6 @@ type childValue struct {
 type readScratch struct {
 	children []childBinding
 	results  []childValue
-	arrived  []bool
 	slots    []float64
 	hist     [][]float64
 	histBuf  [][]float64
@@ -374,27 +274,22 @@ func (sc *readScratch) put() {
 
 // GetValue implements DataAccessor: read every component (in parallel
 // unless configured otherwise), bind variables, evaluate the expression.
+// A component that fails, or a read that outlives readTimeout, fails the
+// whole read, and a failed component is named in the error.
 //
 // Three paths, cheapest first: no expression → running-sum average with
-// no expression machinery at all; slot-bound expression on a full read →
+// no expression machinery at all; slot-bound expression →
 // BoundProgram.EvalFloats over pooled float64 slots (allocation-free);
-// otherwise (degraded read, or an expression beyond the fast path) → the
-// generic Env evaluator, which is the semantic reference.
+// otherwise (an expression beyond the fast path) → the generic Env
+// evaluator, which is the semantic reference.
 func (c *CSP) GetValue() (probe.Reading, error) {
-	if c.cacheTTL > 0 {
-		if cached, ok := c.store.Latest(); ok && c.clock.Now().Sub(cached.Timestamp) < c.cacheTTL {
-			return cached, nil
-		}
-	}
 	sc := readScratchPool.Get().(*readScratch)
 	c.mu.Lock()
 	sc.children = append(sc.children[:0], c.children...)
 	program := c.program
-	progVars := c.progVars
 	histWanted := c.histWanted
 	bound := c.bound
 	histChild := c.histChild
-	varRefs := c.varRefs
 	c.mu.Unlock()
 	children := sc.children
 	if len(children) == 0 {
@@ -422,76 +317,42 @@ func (c *CSP) GetValue() (probe.Reading, error) {
 				resCh <- childValue{idx: i, reading: r, err: err}
 			}(i, ch.accessor)
 		}
-		timer := c.clock.NewTimer(c.timeout)
+		timer := c.clock.NewTimer(readTimeout)
 		defer timer.Stop()
-		if cap(sc.arrived) < len(children) {
-			sc.arrived = make([]bool, len(children))
-		}
-		sc.arrived = sc.arrived[:len(children)]
-		arrived := sc.arrived
-		for i := range arrived {
-			arrived[i] = false
-		}
-	collect:
 		for received := 0; received < len(children); received++ {
 			select {
 			case cv := <-resCh:
 				results[cv.idx] = cv
-				arrived[cv.idx] = true
 			case <-timer.C():
-				if c.quorum <= 0 {
-					sc.put()
-					return probe.Reading{}, fmt.Errorf("%w after %v in %q", ErrChildTimeout, c.timeout, c.name)
-				}
-				// Degradable composite: the stragglers are treated as
-				// failed components and the survivors carry the read.
-				for i := range results {
-					if !arrived[i] {
-						results[i] = childValue{idx: i, err: ErrChildTimeout}
-					}
-				}
-				break collect
+				sc.put()
+				return probe.Reading{}, fmt.Errorf("%w after %v in %q", ErrChildTimeout, readTimeout, c.name)
 			}
 		}
 	}
 
-	// First pass: survivor count and running sum, unit uniformity, and
-	// failed-component names (allocated only when something failed).
-	responded, sum := 0, 0.0
-	var missing []string
-	unit, uniformUnit, first := "", true, true
+	// Running sum and unit uniformity; the first failed component fails
+	// the read.
+	sum := 0.0
+	unit, uniformUnit := results[0].reading.Unit, true
 	for i := range children {
 		if results[i].err != nil {
-			if c.quorum <= 0 {
-				err := fmt.Errorf("sensor: component %q (%s) of %q: %w",
-					children[i].accessor.SensorName(), children[i].varName, c.name, results[i].err)
-				sc.put()
-				return probe.Reading{}, err
-			}
-			missing = append(missing, children[i].accessor.SensorName())
-			continue
+			err := fmt.Errorf("sensor: component %q (%s) of %q: %w",
+				children[i].accessor.SensorName(), children[i].varName, c.name, results[i].err)
+			sc.put()
+			return probe.Reading{}, err
 		}
-		responded++
 		sum += results[i].reading.Value
-		if first {
-			unit, first = results[i].reading.Unit, false
-		} else if unit != results[i].reading.Unit {
+		if results[i].reading.Unit != unit {
 			uniformUnit = false
 		}
-	}
-	if len(missing) > 0 && responded < c.quorum {
-		err := fmt.Errorf("%w: %d of %d components of %q responded, quorum %d (missing: %s)",
-			ErrQuorum, responded, len(children), c.name, c.quorum, strings.Join(missing, ", "))
-		sc.put()
-		return probe.Reading{}, err
 	}
 
 	var value float64
 	switch {
 	case program == nil:
 		// Expressionless default: the running sum already is the answer.
-		value = sum / float64(responded)
-	case bound != nil && len(missing) == 0:
+		value = sum / float64(len(children))
+	case bound != nil:
 		v, err := c.evalBound(sc, bound, histChild)
 		if err != nil {
 			sc.put()
@@ -499,7 +360,7 @@ func (c *CSP) GetValue() (probe.Reading, error) {
 		}
 		value = v
 	default:
-		v, err := c.evalEnv(sc, program, progVars, histWanted, varRefs, missing, responded, sum)
+		v, err := c.evalEnv(sc, program, histWanted)
 		if err != nil {
 			sc.put()
 			return probe.Reading{}, err
@@ -516,36 +377,12 @@ func (c *CSP) GetValue() (probe.Reading, error) {
 		Value:     value,
 		Timestamp: c.clock.Now(),
 	}
-	c.mu.Lock()
-	c.lastQuality = Quality{
-		Responded: responded,
-		Composed:  len(children),
-		Degraded:  len(missing) > 0,
-		Missing:   missing,
-	}
-	hook := c.valueHook
-	c.hasQuality = true
-	c.mu.Unlock()
 	c.store.Add(r)
 	sc.put()
-	// The hook runs outside c.mu: it may fan the value out to
-	// subscribers, which must never hold up or deadlock the composite.
-	if hook != nil {
-		hook(r)
-	}
 	return r, nil
 }
 
-// SetValueHook installs fn to observe every successfully computed
-// composite value (nil removes it). The hook runs on the reading
-// goroutine after the value is stored; it must not block.
-func (c *CSP) SetValueHook(fn func(probe.Reading)) {
-	c.mu.Lock()
-	c.valueHook = fn
-	c.mu.Unlock()
-}
-
-// evalBound is the full-read fast path: child values into pooled float64
+// evalBound is the fast path: child values into pooled float64
 // slots, history windows into pooled buffers, one EvalFloats call.
 //
 //lint:noalloc
@@ -600,39 +437,13 @@ func (c *CSP) evalBound(sc *readScratch, bound *expr.BoundProgram, histChild []b
 	return bound.EvalFloats(slots, hist)
 }
 
-// evalEnv is the generic path: degraded reads and expressions the fast
-// path cannot express. It preserves the historical Env semantics exactly,
-// including the survivors'-average fallback when a degraded read lost a
-// variable the expression references.
-func (c *CSP) evalEnv(sc *readScratch, program *expr.Program, progVars []string,
-	histWanted map[string]bool, varRefs []int, missing []string, responded int, sum float64) (float64, error) {
-	// A degraded read may have lost variables the expression refers to;
-	// evaluating would fail on the unbound name, so fall back to the
-	// survivors' average — the same default an expressionless composite
-	// uses. varRefs was resolved at bind time, so this check reads the
-	// result table instead of building an Env first.
-	useProgram := program
-	if len(missing) > 0 {
-		for _, ref := range varRefs {
-			if ref == -2 {
-				continue
-			}
-			if ref < 0 || sc.results[ref].err != nil {
-				useProgram = nil
-				break
-			}
-		}
-	}
-	if useProgram == nil {
-		return sum / float64(responded), nil
-	}
-
+// evalEnv is the generic path for expressions the fast path cannot
+// express. It is the reference semantics, including the eval-time
+// "unbound variable" error.
+func (c *CSP) evalEnv(sc *readScratch, program *expr.Program, histWanted map[string]bool) (float64, error) {
 	env := expr.Env{}
-	values := make([]float64, 0, responded)
+	values := make([]float64, 0, len(sc.children))
 	for i := range sc.children {
-		if sc.results[i].err != nil {
-			continue
-		}
 		v := sc.results[i].reading.Value
 		env[sc.children[i].varName] = v
 		values = append(values, v)
@@ -646,19 +457,11 @@ func (c *CSP) evalEnv(sc *readScratch, program *expr.Program, progVars []string,
 		}
 	}
 	env["values"] = values
-	v, err := useProgram.EvalNumber(env)
+	v, err := program.EvalNumber(env)
 	if err != nil {
-		return 0, fmt.Errorf("sensor: evaluating %q for %q: %w", useProgram.Source(), c.name, err)
+		return 0, fmt.Errorf("sensor: evaluating %q for %q: %w", program.Source(), c.name, err)
 	}
 	return v, nil
-}
-
-// ReadQuality implements QualityReporter: it qualifies the most recent
-// successful evaluation (false before the first one).
-func (c *CSP) ReadQuality() (Quality, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastQuality, c.hasQuality
 }
 
 // GetReadings implements DataAccessor, returning previously computed

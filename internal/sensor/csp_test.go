@@ -32,31 +32,6 @@ func TestCSPAverageDefault(t *testing.T) {
 	}
 }
 
-func TestCSPValueHook(t *testing.T) {
-	c := NewCSP("Composite-Service")
-	e := replayESP("Neem-Sensor", 20)
-	defer e.Close()
-	if _, err := c.AddChild(e); err != nil {
-		t.Fatal(err)
-	}
-	var seen []probe.Reading
-	c.SetValueHook(func(r probe.Reading) { seen = append(seen, r) })
-	r, err := c.GetValue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != r {
-		t.Fatalf("hook saw %+v, read %+v", seen, r)
-	}
-	c.SetValueHook(nil)
-	if _, err := c.GetValue(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 {
-		t.Fatalf("removed hook still fired: %d observations", len(seen))
-	}
-}
-
 func TestCSPVariableBindingOrder(t *testing.T) {
 	c := NewCSP("c")
 	names := []string{"s1", "s2", "s3"}
@@ -295,12 +270,21 @@ func (s *slowAccessor) GetReadings(int) []probe.Reading { return nil }
 func (s *slowAccessor) Describe() probe.Info            { return probe.Info{Name: s.name} }
 
 func TestCSPChildTimeout(t *testing.T) {
-	c := NewCSP("c", WithReadTimeout(30*time.Millisecond))
+	fc := clockworkFake()
+	c := NewCSP("c", WithCSPClock(fc))
 	slow := &slowAccessor{name: "slow", release: make(chan struct{})}
 	defer close(slow.release)
 	c.AddChild(slow)
-	_, err := c.GetValue()
-	if !errors.Is(err, ErrChildTimeout) {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.GetValue()
+		errc <- err
+	}()
+	for fc.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	fc.Advance(readTimeout)
+	if err := <-errc; !errors.Is(err, ErrChildTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -338,33 +322,6 @@ func TestCSPServicer(t *testing.T) {
 	v, err := task.Context().Float(PathValue)
 	if err != nil || v != 42 {
 		t.Fatalf("exerted composite = %v, %v", v, err)
-	}
-}
-
-func TestCSPCacheTTL(t *testing.T) {
-	fc := clockworkFake()
-	c := NewCSP("cached", WithCSPClock(fc), WithCacheTTL(10*time.Second))
-	// The replay probe advances its series on every real read; a cache
-	// hit leaves the series untouched.
-	e := NewESP("s", probe.NewReplayProbe("s", "t", "c", []float64{1, 2, 3}, true, fc))
-	defer e.Close()
-	c.AddChild(e)
-
-	r1, err := c.GetValue()
-	if err != nil || r1.Value != 1 {
-		t.Fatalf("first read = %v, %v", r1, err)
-	}
-	// Within the TTL: cached value, series not consumed.
-	fc.Advance(5 * time.Second)
-	r2, err := c.GetValue()
-	if err != nil || r2.Value != 1 {
-		t.Fatalf("cached read = %v, %v", r2, err)
-	}
-	// Past the TTL: recomputed from the next series value.
-	fc.Advance(6 * time.Second)
-	r3, err := c.GetValue()
-	if err != nil || r3.Value != 2 {
-		t.Fatalf("post-TTL read = %v, %v", r3, err)
 	}
 }
 

@@ -50,11 +50,6 @@ func WithSampleInterval(d time.Duration) ESPOption {
 	return func(e *ESP) { e.interval = d }
 }
 
-// WithStoreCapacity sizes the local reading store (default 64).
-func WithStoreCapacity(n int) ESPOption {
-	return func(e *ESP) { e.store = NewRingStore(n) }
-}
-
 // WithClock injects a clock (tests).
 func WithClock(c clockwork.Clock) ESPOption {
 	return func(e *ESP) { e.clock = c }
@@ -245,14 +240,6 @@ func serveAccessor(acc DataAccessor, ex sorcer.Exertion, _ *txn.Transaction) (so
 				return err
 			}
 			putReading(ctx, r)
-			// Composites qualify their values: a read that survived
-			// component faults carries its completeness alongside the
-			// value, so requestors can judge the number they got.
-			if qr, ok := acc.(QualityReporter); ok {
-				if q, has := qr.ReadQuality(); has {
-					ctx.Put(PathQuality, q.String())
-				}
-			}
 			return nil
 		case SelGetReadings:
 			n := 0

@@ -120,7 +120,7 @@ func TestESPDescribe(t *testing.T) {
 
 func TestESPBackgroundSampling(t *testing.T) {
 	e := NewESP("bg", probe.NewReplayProbe("bg", "k", "u", []float64{1, 2, 3, 4, 5}, true, nil),
-		WithSampleInterval(time.Millisecond), WithStoreCapacity(128))
+		WithSampleInterval(time.Millisecond))
 	defer e.Close()
 	e.Start()
 	e.Start() // idempotent

@@ -132,79 +132,3 @@ func TestReplayProbeSeriesCopied(t *testing.T) {
 		t.Fatal("replay probe shares caller's slice")
 	}
 }
-
-func TestMultiProbeFusesMembers(t *testing.T) {
-	a := NewReplayProbe("a", "temperature", "celsius", []float64{20}, true, nil)
-	b := NewReplayProbe("b", "temperature", "celsius", []float64{24}, true, nil)
-	m, err := NewMultiProbe("cluster", 0, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Value != 22 || r.Sensor != "cluster" {
-		t.Fatalf("fused reading = %+v", r)
-	}
-	info := m.Info()
-	if info.Kind != "temperature" || info.Technology != "multi(replay)" {
-		t.Fatalf("Info = %+v", info)
-	}
-}
-
-func TestMultiProbeQuorum(t *testing.T) {
-	good := NewReplayProbe("g", "temperature", "celsius", []float64{20}, true, nil)
-	dead := NewReplayProbe("d", "temperature", "celsius", nil, false, nil)
-	// Quorum 1: tolerate the dead member.
-	m, err := NewMultiProbe("cluster", 1, good, dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Read()
-	if err != nil || r.Value != 20 {
-		t.Fatalf("quorum-1 read = %+v, %v", r, err)
-	}
-	// Quorum 2 (default all): the dead member fails the read.
-	m2, _ := NewMultiProbe("strict", 0, good, dead)
-	if _, err := m2.Read(); err == nil {
-		t.Fatal("quorum violation accepted")
-	}
-}
-
-func TestMultiProbeValidation(t *testing.T) {
-	if _, err := NewMultiProbe("x", 0); err == nil {
-		t.Fatal("empty multi-probe accepted")
-	}
-	temp := NewReplayProbe("t", "temperature", "celsius", []float64{1}, true, nil)
-	hum := NewReplayProbe("h", "humidity", "percent", []float64{1}, true, nil)
-	if _, err := NewMultiProbe("x", 0, temp, hum); err == nil {
-		t.Fatal("mixed-kind multi-probe accepted")
-	}
-}
-
-func TestMultiProbeClose(t *testing.T) {
-	a := NewReplayProbe("a", "temperature", "celsius", []float64{1}, true, nil)
-	b := NewReplayProbe("b", "temperature", "celsius", []float64{1}, true, nil)
-	m, _ := NewMultiProbe("c", 0, a, b)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Read(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read after close err = %v", err)
-	}
-	// Members are closed too.
-	if _, err := a.Read(); !errors.Is(err, ErrClosed) {
-		t.Fatal("member not closed")
-	}
-}
-
-func TestMultiProbeTechDedup(t *testing.T) {
-	a := NewReplayProbe("a", "k", "u", []float64{1}, true, nil)
-	b := NewReplayProbe("b", "k", "u", []float64{2}, true, nil)
-	s := NewSyntheticProbe("s", spot.ConstantModel{Value: 3, KindName: "k", UnitName: "u"}, nil, nil)
-	m, _ := NewMultiProbe("mix", 0, a, b, s)
-	if got := m.Info().Technology; got != "multi(replay+synthetic)" {
-		t.Fatalf("Technology = %q", got)
-	}
-}

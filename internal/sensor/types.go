@@ -47,9 +47,6 @@ const (
 	PathCount     = "sensor/count"
 	PathReadings  = "sensor/readings"
 	PathHealth    = "sensor/health"
-	// PathQuality carries the data-quality annotation of a composite read
-	// ("full 4/4" or "degraded 3/4 (missing: ...)"); see Quality.
-	PathQuality = "sensor/quality"
 )
 
 // DataAccessor is the paper's SensorDataAccessor: the uniform

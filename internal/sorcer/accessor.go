@@ -93,28 +93,3 @@ func lookupCap(max int, regs []registry.Registrar) int {
 	}
 	return 0
 }
-
-// FindItems returns the raw service items matching the signature (used by
-// the sensor network manager, which needs attributes as well as proxies).
-func (a *Accessor) FindItems(sig Signature, max int) []registry.ServiceItem {
-	tmpl := template(sig)
-	var seen map[ids.ServiceID]bool
-	var out []registry.ServiceItem
-	regs := a.source.Registrars()
-	for _, reg := range regs {
-		for _, item := range reg.Lookup(tmpl, lookupCap(max, regs)) {
-			if seen[item.ID] {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[ids.ServiceID]bool, 1)
-			}
-			seen[item.ID] = true
-			out = append(out, item)
-			if max > 0 && len(out) >= max {
-				return out
-			}
-		}
-	}
-	return out
-}

@@ -100,13 +100,6 @@ func (c *Context) StringAt(path string) (string, error) {
 	return s, nil
 }
 
-// Delete removes a path.
-func (c *Context) Delete(path string) {
-	c.mu.Lock()
-	delete(c.data, path)
-	c.mu.Unlock()
-}
-
 // Paths returns all paths in sorted order.
 func (c *Context) Paths() []string {
 	c.mu.RLock()

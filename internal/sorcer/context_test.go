@@ -65,7 +65,7 @@ func TestContextFromPanicsOnOddArgs(t *testing.T) {
 	NewContextFrom("a")
 }
 
-func TestContextDeleteLenPaths(t *testing.T) {
+func TestContextLenPaths(t *testing.T) {
 	c := NewContextFrom("b", 2, "a", 1)
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
@@ -73,10 +73,6 @@ func TestContextDeleteLenPaths(t *testing.T) {
 	paths := c.Paths()
 	if paths[0] != "a" || paths[1] != "b" {
 		t.Fatalf("Paths = %v", paths)
-	}
-	c.Delete("a")
-	if c.Len() != 1 {
-		t.Fatal("Delete failed")
 	}
 }
 

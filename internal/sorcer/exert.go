@@ -18,6 +18,10 @@ const (
 	SpacerType = "Spacer"
 )
 
+// maxBindings caps how many equivalent providers a failing task is
+// retried against per bind cycle.
+const maxBindings = 4
+
 // Exerter implements federated method invocation (FMI): Exert binds an
 // exertion to currently available providers and runs it. Tasks bind to a
 // provider of the signature's type, retrying equivalent providers on
@@ -28,9 +32,6 @@ const (
 // Jobber when no rendezvous peer is registered.
 type Exerter struct {
 	accessor *Accessor
-	// maxBindings caps how many equivalent providers a failing task is
-	// retried against.
-	maxBindings int
 	// rr rotates the starting candidate so equivalent providers share
 	// load across successive exertions (the federation has no global
 	// queue-depth view; round-robin is the classic blind spreading).
@@ -49,16 +50,6 @@ type Exerter struct {
 
 // ExertOption customizes an Exerter.
 type ExertOption func(*Exerter)
-
-// WithMaxBindings caps how many equivalent providers a failing task is
-// retried against per bind cycle (default 4).
-func WithMaxBindings(n int) ExertOption {
-	return func(e *Exerter) {
-		if n > 0 {
-			e.maxBindings = n
-		}
-	}
-}
 
 // WithBreakers tracks per-provider circuit breakers: candidates whose
 // breaker is open are skipped during binding, and every service outcome
@@ -79,7 +70,7 @@ func WithRebindPolicy(p resilience.Policy) ExertOption {
 
 // NewExerter creates an FMI executor over the accessor.
 func NewExerter(accessor *Accessor, opts ...ExertOption) *Exerter {
-	e := &Exerter{accessor: accessor, maxBindings: 4}
+	e := &Exerter{accessor: accessor}
 	for _, o := range opts {
 		o(e)
 	}
@@ -155,7 +146,7 @@ func (e *Exerter) exertTask(task *Task, tx *txn.Transaction) (Exertion, error) {
 // bindOnce runs one discover-and-bind pass: find candidates, rotate, try
 // each non-open one in turn.
 func (e *Exerter) bindOnce(task *Task, tx *txn.Transaction) (Exertion, error) {
-	candidates, err := e.accessor.FindAll(task.Signature(), e.maxBindings)
+	candidates, err := e.accessor.FindAll(task.Signature(), maxBindings)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"sensorcer/internal/attr"
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/discovery"
 	"sensorcer/internal/lease"
@@ -401,10 +400,6 @@ func TestAccessorFindAllDeduplicatesAcrossRegistrars(t *testing.T) {
 	}
 	if len(all) != 1 {
 		t.Fatalf("FindAll = %d providers, want 1 (dedup)", len(all))
-	}
-	items := acc.FindItems(Sig("Adder", "add"), 0)
-	if len(items) != 1 || attr.NameOf(items[0].Attributes) != "Adder-1" {
-		t.Fatalf("FindItems = %v", items)
 	}
 }
 
