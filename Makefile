@@ -35,13 +35,15 @@ race:
 
 # The concurrency hot spots under the race detector: the space stress
 # test, the srpc package 20 times over (its read-side hand-over and
-# inline reply write), plus reduced-iteration (-short) chaos and
-# chaos-failover sweeps.
+# inline reply write), remote lookups encoding shared items while
+# ModifyAttributes and re-Register replace them, plus reduced-iteration
+# (-short) chaos and chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
 	$(GO) test ./internal/space -count=1 -race -run TestSpaceStressIndexedConcurrency
 	$(GO) test ./internal/srpc -race -count=20
+	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
 		-run 'FailoverReplicationInvariants|FederationJobSurvivesPrimaryFailover'
@@ -49,15 +51,17 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc/subscribe/expr/space/remote/discovery/registry fuzz
+# Run the wire/srpc/subscribe/expr/space/remote/discovery/registry/wal fuzz
 # targets over their seed corpora (the checked-in testdata/fuzz files plus
 # the in-code f.Add seeds): the never-panic / bounded-allocation properties
 # of the frame decoder, of the stream-stateful update decoder, of the
 # tagged-value decoder, of the space's and the lookup service's journal
 # record and snapshot decoders, of the replication ship-batch decoder and
-# of the lookup and registrar-write decoders, the round trip of a
-# discovery announcement datagram, and the expression float64 path's
-# agreement with the tree walker, without paying for open-ended fuzzing. For a real fuzz session:
+# of the lookup and registrar-write decoders, the write-ahead log's
+# recovery of a damaged segment (torn-tail truncation, then replay), the
+# round trip of a discovery announcement datagram, and the expression
+# float64 path's agreement with the tree walker, without paying for
+# open-ended fuzzing. For a real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
 #   go test ./internal/subscribe -fuzz FuzzUpdateDecode -fuzztime 60s
 #   go test ./internal/expr -fuzz FuzzEvalDifferential -fuzztime 60s
@@ -66,15 +70,17 @@ short:
 #   go test ./internal/remote -fuzz FuzzRegistrarShapes -fuzztime 60s
 #   go test ./internal/discovery -fuzz FuzzDecodePacket -fuzztime 60s
 #   go test ./internal/registry -fuzz FuzzRegistryJournalDecode -fuzztime 60s
+#   go test ./internal/wal -fuzz FuzzWALSegment -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote ./internal/discovery ./internal/registry -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/subscribe ./internal/expr ./internal/space ./internal/remote ./internal/discovery ./internal/registry ./internal/wal -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a
-# perf trajectory to compare against. The default re-records the file
-# bench-compare gates on; a PR that starts a new baseline passes
+# perf trajectory to compare against. The default is an untracked file,
+# so a plain `make bench` cannot overwrite the baseline bench-compare
+# gates on; a PR that starts a new baseline passes
 # BENCH_OUT=BENCH_PR<n>.json and points BENCH_BASE at it.
-BENCH_OUT ?= BENCH_PR16.json
+BENCH_OUT ?= bench-latest.json
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 

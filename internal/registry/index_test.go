@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sensorcer/internal/attr"
@@ -135,7 +137,8 @@ func diffTemplate(rng *rand.Rand, live []ids.ServiceID) Template {
 	return tmpl
 }
 
-// checkLookups compares indexed lookups against the brute-force answer.
+// checkLookups compares indexed lookups, copied and shared, against the
+// brute-force answer.
 func checkLookups(t *testing.T, rng *rand.Rand, lus *LookupService, step string) {
 	t.Helper()
 	all := lus.Items() // an empty template is a full scan, sorted
@@ -153,9 +156,10 @@ func checkLookups(t *testing.T, rng *rand.Rand, lus *LookupService, step string)
 			}
 		}
 		got := lus.Lookup(tmpl, max)
-		same := len(got) == len(want)
+		shared := lus.LookupShared(tmpl, max)
+		same := len(got) == len(want) && len(shared) == len(want)
 		for i := 0; same && i < len(got); i++ {
-			same = got[i].ID == want[i]
+			same = got[i].ID == want[i] && shared[i].ID == want[i]
 		}
 		if !same {
 			gotIDs := make([]string, len(got))
@@ -267,4 +271,109 @@ func TestIndexedLookupMatchesBruteForce(t *testing.T) {
 		runLookupDifferential(t, seed, false)
 		runLookupDifferential(t, seed, true)
 	}
+}
+
+// Property: over random populations — items with up to two Location
+// entries, numeric and unindexable Rack fields — random templates and
+// maxMatches, the intersected index walk answers exactly as a brute-force
+// Template.Matches scan of Items() does, order included.
+func TestPropertyIntersectedLookupMatchesScan(t *testing.T) {
+	f := func(seed int64, size uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lus := New("prop", clockwork.NewFake(epoch))
+		defer lus.Close()
+		for n := int(size % 64); n > 0; n-- {
+			if _, err := lus.Register(diffItem(rng), time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkLookups(t, rng, lus, fmt.Sprintf("seed %d size %d", seed, size%64))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An item whose pinned fields are spread over two entries of one type sits
+// in every posting set the template names, yet no single entry matches it:
+// the intersection narrows, Matches decides.
+func TestSplitEntryItemDoesNotMatch(t *testing.T) {
+	_, lus := newLUS(t)
+	split := ServiceItem{
+		Types:      []string{"SensorDataAccessor"},
+		Attributes: attr.Set{attr.Location("B1", "0", "0"), attr.Location("B2", "1", "1")},
+	}
+	if _, err := lus.Register(split, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	tmpl := Template{Attributes: attr.Set{attr.Location("B1", "1", "1")}}
+	lus.mu.RLock()
+	sets := lus.candidatesLocked(tmpl, nil)
+	lus.mu.RUnlock()
+	if len(sets) != 3 {
+		t.Fatalf("template pins %d sets, want 3", len(sets))
+	}
+	for _, set := range sets {
+		if len(set) != 1 {
+			t.Fatalf("split item missing from a pinned set: %d", len(set))
+		}
+	}
+	if got := lus.Lookup(tmpl, 0); len(got) != 0 {
+		t.Fatalf("split item matched Location(B1,1,1): %v", got)
+	}
+	if got := lus.Lookup(Template{Attributes: attr.Set{attr.Location("B2", "1", "1")}}, 0); len(got) != 1 {
+		t.Fatalf("whole entry Location(B2,1,1) found %d items, want 1", len(got))
+	}
+}
+
+// An item from LookupShared keeps what it had however its registration
+// later changes or ends: nothing writes into a stored item.
+func TestSharedLookupSurvivesWrites(t *testing.T) {
+	fc, lus := newLUS(t)
+	reg, err := lus.Register(sensorItem("Shared"), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := lus.LookupShared(ByName("Shared"), 0)
+	if len(shared) != 1 {
+		t.Fatalf("LookupShared found %d items", len(shared))
+	}
+	held, want := shared[0], shared[0].Clone()
+	check := func(after string) {
+		t.Helper()
+		if !reflect.DeepEqual(held, want) {
+			t.Fatalf("after %s the shared item changed: %+v, want %+v", after, held, want)
+		}
+	}
+	id := reg.ServiceID
+	if err := lus.ModifyAttributes(id, attr.Set{attr.Name("Renamed"), attr.Comment("moved"), attr.ServiceType("COMPOSITE")}); err != nil {
+		t.Fatal(err)
+	}
+	check("ModifyAttributes")
+	again := sensorItem("Replaced")
+	again.ID, again.Types = id, []string{"Servicer"}
+	if _, err := lus.Register(again, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	check("re-Register")
+	if err := lus.Deregister(id); err != nil {
+		t.Fatal(err)
+	}
+	check("Deregister")
+
+	if _, err := lus.Register(sensorItem("Fleeting"), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	fleeting := lus.LookupShared(ByName("Fleeting"), 0)
+	if len(fleeting) != 1 {
+		t.Fatalf("LookupShared found %d items", len(fleeting))
+	}
+	held, want = fleeting[0], fleeting[0].Clone()
+	fc.Advance(2 * time.Minute)
+	lus.SweepNow()
+	if lus.Len() != 0 {
+		t.Fatal("lease did not expire")
+	}
+	check("lease expiry")
 }

@@ -119,6 +119,11 @@ type LookupService struct {
 	journal *wal.Log
 }
 
+// record is one live registration. Its item is never written into:
+// Register stores a clone, ModifyAttributes swaps in a fresh CloneSet,
+// durable replay builds fresh items and Checkpoint only reads. So an item
+// copied out of a record (see LookupShared) stays intact whatever later
+// happens to the registration.
 type record struct {
 	item    ServiceItem
 	leaseID uint64
@@ -287,19 +292,33 @@ func (l *LookupService) ModifyAttributes(id ids.ServiceID, attrs attr.Set) error
 }
 
 // Lookup returns up to maxMatches items matching the template (all if
-// maxMatches <= 0), sorted by service name then ID for stable output.
-// Expired registrations are swept first. ID-pinned templates are a direct
-// map hit, templates that name a type or pin an attribute field walk the
-// smallest index set among those (Matches verifies the rest), and only
-// the first maxMatches survivors are deep-copied — the rest are never
-// cloned.
+// maxMatches <= 0), sorted by service name then ID for stable output. The
+// caller owns what it gets: each item is LookupShared's, deep-copied.
 func (l *LookupService) Lookup(tmpl Template, maxMatches int) []ServiceItem {
+	items := l.LookupShared(tmpl, maxMatches)
+	for i := range items {
+		items[i] = items[i].Clone()
+	}
+	return items
+}
+
+// LookupShared is Lookup without the copy: the items share their types
+// and attribute sets with the lookup service. That is sound because no
+// stored item is ever written into (see record), and it binds the caller
+// to the same rule — it serves readers such as the srpc registrar, which
+// only encodes what it gets. Expired registrations are swept first.
+// ID-pinned templates are a direct map hit; a template that names types
+// or pins indexable attribute fields walks the smallest of their index
+// sets, skips a record missing from any of the others, and leaves
+// Matches only the rest to decide.
+func (l *LookupService) LookupShared(tmpl Template, maxMatches int) []ServiceItem {
 	l.SweepNow()
 	l.mu.RLock()
+	defer l.mu.RUnlock()
 	// Candidates carry a precomputed name key so ordering the refs costs no
-	// attribute scans per comparison, and no clones at all. IDs compare as
-	// raw bytes, which orders identically to ServiceID.String (fixed-width
-	// lowercase hex) without formatting anything.
+	// attribute scans per comparison. IDs compare as raw bytes, which
+	// orders identically to ServiceID.String (fixed-width lowercase hex)
+	// without formatting anything.
 	type candidate struct {
 		name string
 		rec  *record
@@ -313,19 +332,29 @@ func (l *LookupService) Lookup(tmpl Template, maxMatches int) []ServiceItem {
 			})
 		}
 	}
+	var buf [8]recordSet // the pinned sets: on the stack, so a miss allocates nothing
 	if !tmpl.ID.IsZero() {
 		// ID-pinned: at most one item can match.
 		if rec, ok := l.items[tmpl.ID]; ok {
 			consider(rec)
 		}
-	} else if set, indexed := l.candidatesLocked(tmpl); indexed {
-		for rec := range set {
+	} else if sets := l.candidatesLocked(tmpl, buf[:0]); len(sets) > 0 {
+	next:
+		for rec := range sets[0] {
+			for _, set := range sets[1:] {
+				if _, ok := set[rec]; !ok {
+					continue next
+				}
+			}
 			consider(rec)
 		}
 	} else {
 		for _, rec := range l.items {
 			consider(rec)
 		}
+	}
+	if len(cands) == 0 {
+		return nil
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].name != cands[j].name {
@@ -337,11 +366,10 @@ func (l *LookupService) Lookup(tmpl Template, maxMatches int) []ServiceItem {
 	if maxMatches > 0 && len(cands) > maxMatches {
 		cands = cands[:maxMatches]
 	}
-	var out []ServiceItem
-	for _, c := range cands {
-		out = append(out, c.rec.item.Clone())
+	out := make([]ServiceItem, len(cands))
+	for i, c := range cands {
+		out[i] = c.rec.item
 	}
-	l.mu.RUnlock()
 	return out
 }
 
@@ -424,29 +452,28 @@ func (l *LookupService) onItemLeaseExpired(leaseID uint64) {
 	l.mu.Unlock()
 }
 
-// candidatesLocked returns the smallest index set among the template's
-// types and pinned attribute fields — every match is in each of them —
-// or false for a template that names neither. A value nothing is indexed
-// under yields the empty set: nothing can match. Caller holds l.mu.
-func (l *LookupService) candidatesLocked(tmpl Template) (recordSet, bool) {
-	var best recordSet
-	indexed := false
-	narrow := func(set recordSet) {
-		if !indexed || len(set) < len(best) {
-			best, indexed = set, true
-		}
-	}
+// candidatesLocked appends to sets every index set the template pins —
+// one per type and per indexable attribute field, each a superset of the
+// matches — smallest first, and returns it; empty for a template that
+// pins nothing. A value nothing is indexed under pins the empty set:
+// nothing can match. Caller holds l.mu.
+func (l *LookupService) candidatesLocked(tmpl Template, sets []recordSet) []recordSet {
 	for _, typ := range tmpl.Types {
-		narrow(l.byType[typ])
+		sets = append(sets, l.byType[typ])
 	}
 	for _, e := range tmpl.Attributes {
 		for f, v := range e.Fields {
 			if key, ok := indexKey(e.Type, f, v); ok {
-				narrow(l.byField[key])
+				sets = append(sets, l.byField[key])
 			}
 		}
 	}
-	return best, indexed
+	for i := 1; i < len(sets); i++ { // insertion sort: a handful of sets
+		for j := i; j > 0 && len(sets[j]) < len(sets[j-1]); j-- {
+			sets[j], sets[j-1] = sets[j-1], sets[j]
+		}
+	}
+	return sets
 }
 
 // indexAddLocked and indexRemoveLocked maintain the type and field

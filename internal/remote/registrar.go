@@ -17,7 +17,10 @@ import (
 // and let consumer processes run template lookups. Remote proxies cross
 // the wire as ProxyDescs and are materialized into AccessorClients on the
 // consumer side. The lookup service pushes nothing: consumers poll Lookup,
-// exactly as the sensor browser does.
+// exactly as the sensor browser does. The server side holds the
+// *registry.LookupService itself: a lookup reply is encoded straight from
+// LookupShared, copying no stored item, and lease renewals and
+// cancellations reach its item-lease table by id.
 
 type wireItem struct {
 	ID         ids.ServiceID `json:"id"`
@@ -78,7 +81,7 @@ type Describer interface {
 // carry proxy descriptors, which are what the item holds as its proxy
 // inside the lookup service's own process; locally registered services
 // are exported to remote lookups only if their proxy implements Describer.
-func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
+func ServeRegistrar(server *srpc.Server, lus *registry.LookupService) {
 	srpc.HandleFunc(server, "registrar.info", func(struct{}) (any, error) {
 		return infoResult{ID: lus.ID(), Name: lus.Name()}, nil
 	})
@@ -105,26 +108,20 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 	srpc.HandleFunc(server, "registrar.renew", func(p leaseParams) (any, error) {
 		// A remote registration's lease names only its id, so renewal
 		// reaches the item-lease table through the lookup service itself.
-		g, ok := lus.(leaseGrantorSource)
-		if !ok {
-			return nil, errors.New("remote: registrar does not expose lease grantor")
-		}
-		exp, err := g.RenewItemLease(p.LeaseID, p.Lease)
+		exp, err := lus.RenewItemLease(p.LeaseID, p.Lease)
 		if err != nil {
 			return nil, err
 		}
 		return renewResult{Expiration: exp}, nil
 	})
 	srpc.HandleFunc(server, "registrar.cancel", func(p leaseParams) (any, error) {
-		g, ok := lus.(leaseGrantorSource)
-		if !ok {
-			return nil, errors.New("remote: registrar does not expose lease grantor")
-		}
-		return nil, g.CancelItemLease(p.LeaseID)
+		return nil, lus.CancelItemLease(p.LeaseID)
 	})
 	srpc.HandleFunc(server, "registrar.lookup", func(p lookupParams) (any, error) {
+		// The reply only encodes the matches, so they may share the
+		// lookup service's attribute sets: nothing writes into those.
 		tmpl := registry.Template{ID: p.ID, Types: p.Types, Attributes: p.Attributes}
-		items := lus.Lookup(tmpl, p.Max)
+		items := lus.LookupShared(tmpl, p.Max)
 		out := make(wireItems, 0, len(items))
 		for _, item := range items {
 			w := wireItem{ID: item.ID, Types: item.Types, Attributes: item.Attributes}
@@ -145,13 +142,6 @@ func ServeRegistrar(server *srpc.Server, lus registry.Registrar) {
 	srpc.HandleFunc(server, "registrar.modify", func(p modifyParams) (any, error) {
 		return nil, lus.ModifyAttributes(p.ID, p.Attributes)
 	})
-}
-
-// leaseGrantorSource is the extra surface the remote protocol needs from
-// the lookup service to renew item leases by id.
-type leaseGrantorSource interface {
-	RenewItemLease(leaseID uint64, d time.Duration) (time.Time, error)
-	CancelItemLease(leaseID uint64) error
 }
 
 // RegistrarClient is a registry.Registrar stub over srpc.

@@ -2,7 +2,9 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,6 +230,73 @@ func TestRemoteDeregisterAndModify(t *testing.T) {
 	}
 	if _, err := r.registrar.LookupOne(registry.ByName("s")); !errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// Remote lookups encode items that share the lookup service's attribute
+// sets while writers swap those sets out: run under -race, any write into
+// a stored item shows up as a data race with the reply encoder.
+func TestRegistrarLookupRacesWrites(t *testing.T) {
+	r := newRemoteRig(t)
+	const items, rounds = 8, 200
+	regs := make([]registry.Registration, items)
+	item := func(i, round int) registry.ServiceItem {
+		return registry.ServiceItem{
+			ID:      regs[i].ServiceID,
+			Service: ProxyDesc{Kind: AccessorKind, Locator: "127.0.0.1:1", Service: fmt.Sprint("s", i)},
+			Types:   []string{sensor.AccessorType},
+			Attributes: attr.Set{
+				attr.Name(fmt.Sprint("s", i)),
+				attr.Location("B1", fmt.Sprint(round%2), "310"),
+			},
+		}
+	}
+	for i := range regs {
+		var err error
+		if regs[i], err = r.lus.Register(item(i, 0), time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmpl := registry.Template{Types: []string{sensor.AccessorType}, Attributes: attr.Set{attr.New(attr.TypeLocation, "building", "B1")}}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				for _, it := range r.registrar.Lookup(tmpl, 0) {
+					if len(it.Attributes) != 2 {
+						t.Errorf("lookup returned a torn item: %v", it.Attributes)
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers := make(chan struct{})
+	go func() { wg.Wait(); close(readers) }()
+writes:
+	for n := 1; ; n++ { // write until every reader is through
+		select {
+		case <-readers:
+			break writes
+		default:
+		}
+		i := n % items
+		var err error
+		if n/items%2 == 0 { // each item alternates between the two writes
+			err = r.lus.ModifyAttributes(regs[i].ServiceID, item(i, n).Attributes)
+		} else {
+			_, err = r.lus.Register(item(i, n), time.Hour)
+		}
+		if err != nil {
+			t.Error(err)
+			<-readers
+			break
+		}
+	}
+	if got := r.registrar.Lookup(tmpl, 0); len(got) != items {
+		t.Fatalf("lookup found %d items, want %d", len(got), items)
 	}
 }
 
