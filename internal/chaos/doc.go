@@ -1,8 +1,9 @@
 // Package chaos holds the fault-injection test suite: federations driven
 // under seeded probabilistic faults (provider errors, dropped messages,
-// crashed workers, partitioned nodes) while the resilience layer —
-// retries, backoff, per-attempt deadlines, circuit breakers, lease expiry
-// — keeps exertions either completing or failing cleanly.
+// crashed workers, partitioned nodes) while what every deployment runs —
+// the Exerter's rebinding to equivalent providers, the Spacer's redispatch
+// of lost envelopes, lease expiry and crash recovery — keeps exertions
+// either completing or failing cleanly.
 //
 // The suite is build-tagged so ordinary test runs skip it:
 //

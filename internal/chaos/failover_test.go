@@ -15,7 +15,6 @@ import (
 	"sensorcer/internal/lease"
 	"sensorcer/internal/registry"
 	"sensorcer/internal/repl"
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/sorcer"
 	"sensorcer/internal/space"
 	"sensorcer/internal/wal"
@@ -382,13 +381,7 @@ func TestFederationJobSurvivesPrimaryFailover(t *testing.T) {
 	coord.Start()
 	defer coord.Stop()
 
-	spacer := sorcer.NewSpacer("failover-spacer", r,
-		sorcer.WithTaskTimeout(time.Second),
-		sorcer.WithAwaitPolicy(resilience.Policy{
-			MaxAttempts: 60,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-		}))
+	spacer := sorcer.NewSpacer("failover-spacer", r, sorcer.WithTaskTimeout(time.Second))
 	var tasks []sorcer.Exertion
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, sorcer.NewTask(fmt.Sprintf("t%d", i),

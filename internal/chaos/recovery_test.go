@@ -15,7 +15,6 @@ import (
 	"sensorcer/internal/faults"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/registry"
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/sorcer"
 	"sensorcer/internal/space"
 	"sensorcer/internal/txn"
@@ -369,13 +368,7 @@ func TestSpacerJobAcrossCrashRecovery(t *testing.T) {
 		return sp, l
 	}
 	sp, l := openSp()
-	spacer := sorcer.NewSpacer("chaos-spacer", sp,
-		sorcer.WithTaskTimeout(500*time.Millisecond),
-		sorcer.WithAwaitPolicy(resilience.Policy{
-			MaxAttempts: 40,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-		}))
+	spacer := sorcer.NewSpacer("chaos-spacer", sp, sorcer.WithTaskTimeout(500*time.Millisecond))
 
 	var tasks []sorcer.Exertion
 	for i := 0; i < 4; i++ {

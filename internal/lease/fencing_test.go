@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
-	"sensorcer/internal/resilience"
 )
 
 func TestFencedAcquireSingleHolder(t *testing.T) {
@@ -126,9 +125,7 @@ func TestFencedRenewalRacesCoordinatorHandover(t *testing.T) {
 
 	lost := make(chan error, 1)
 	m := NewRenewalManager(clock,
-		WithRenewAt(0.5),
 		WithRequest(30*time.Millisecond),
-		WithRetryPolicy(resilience.Policy{MaxAttempts: 1, Clock: clock}),
 		WithFailureHandler(func(_ *Lease, err error) {
 			select {
 			case lost <- err:

@@ -288,19 +288,3 @@ func (t *Table) Sweep() []uint64 {
 	}
 	return expired
 }
-
-// NextExpiry returns the earliest expiration among live grants, and whether
-// any grant exists.
-func (t *Table) NextExpiry() (time.Time, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var min time.Time
-	found := false
-	for _, exp := range t.grants {
-		if !found || exp.Before(min) {
-			min = exp
-			found = true
-		}
-	}
-	return min, found
-}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
-	"sensorcer/internal/resilience"
 )
 
 var epoch = time.Date(2009, 10, 6, 17, 26, 0, 0, time.UTC)
@@ -142,20 +141,6 @@ func TestSweepCallsOnExpire(t *testing.T) {
 	}
 }
 
-func TestNextExpiry(t *testing.T) {
-	fc, tbl := newTable(time.Hour)
-	if _, ok := tbl.NextExpiry(); ok {
-		t.Fatal("empty table reported expiry")
-	}
-	tbl.Grant(time.Hour)
-	l := tbl.Grant(time.Minute)
-	exp, ok := tbl.NextExpiry()
-	if !ok || !exp.Equal(l.Expiration) {
-		t.Fatalf("NextExpiry = %v %v, want %v", exp, ok, l.Expiration)
-	}
-	_ = fc
-}
-
 func TestValidUnknown(t *testing.T) {
 	_, tbl := newTable(time.Minute)
 	if tbl.Valid(999) {
@@ -250,15 +235,10 @@ func TestRenewalManagerStopIdempotent(t *testing.T) {
 }
 
 func TestRenewalOptionsClamp(t *testing.T) {
-	m := NewRenewalManager(clockwork.Real(), WithRenewAt(0.01), WithRequest(time.Second))
+	m := NewRenewalManager(clockwork.Real(), WithRequest(time.Second))
 	defer m.Stop()
-	if m.renewAt != 0.1 {
-		t.Fatalf("renewAt = %v, want clamped 0.1", m.renewAt)
-	}
-	m2 := NewRenewalManager(clockwork.Real(), WithRenewAt(0.99))
-	defer m2.Stop()
-	if m2.renewAt != 0.9 {
-		t.Fatalf("renewAt = %v, want clamped 0.9", m2.renewAt)
+	if m.request != time.Second {
+		t.Fatalf("request = %v, want 1s", m.request)
 	}
 }
 
@@ -407,58 +387,5 @@ func TestRenewalManagerSilentOnDeliberateCancel(t *testing.T) {
 	}
 	if tbl.Valid(l.ID) {
 		t.Fatal("canceled lease still valid")
-	}
-}
-
-// flakyGrantor fails its first n renewals with a transient error.
-type flakyGrantor struct {
-	inner     Grantor
-	mu        sync.Mutex
-	failsLeft int
-	attempts  int
-}
-
-var errFlaky = errors.New("transient grantor outage")
-
-func (g *flakyGrantor) Renew(id uint64, d time.Duration) (time.Time, error) {
-	g.mu.Lock()
-	g.attempts++
-	fail := g.failsLeft > 0
-	if fail {
-		g.failsLeft--
-	}
-	g.mu.Unlock()
-	if fail {
-		return time.Time{}, errFlaky
-	}
-	return g.inner.Renew(id, d)
-}
-
-func (g *flakyGrantor) Cancel(id uint64) error { return g.inner.Cancel(id) }
-
-func TestRenewalManagerRetryPolicyRidesOutTransientFailures(t *testing.T) {
-	clock := clockwork.Real()
-	tbl := NewTable(clock, Policy{Max: 60 * time.Millisecond, Min: time.Millisecond})
-	l := tbl.Grant(60 * time.Millisecond)
-	g := &flakyGrantor{inner: tbl, failsLeft: 2}
-	l.Grantor = g
-	var failures atomic.Int32
-	m := NewRenewalManager(clock,
-		WithRetryPolicy(resilience.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond}),
-		WithFailureHandler(func(*Lease, error) { failures.Add(1) }))
-	defer m.Stop()
-	m.Manage(&l)
-	time.Sleep(300 * time.Millisecond)
-	if !tbl.Valid(l.ID) {
-		t.Fatal("lease lapsed despite retry policy covering the transient failures")
-	}
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("transient failures surfaced %d times", n)
-	}
-	g.mu.Lock()
-	attempts := g.attempts
-	g.mu.Unlock()
-	if attempts < 3 {
-		t.Fatalf("grantor saw only %d attempts", attempts)
 	}
 }

@@ -6,24 +6,24 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
-	"sensorcer/internal/resilience"
 )
 
-// RenewalManager keeps a set of leases alive by renewing each one when a
-// configurable fraction of its term has elapsed. It is the in-process
-// analogue of the Jini Lease Renewal Service that appears in the paper's
-// Fig. 2 service list: providers hand their registration leases to the
-// manager and forget about them.
+// renewAt is the fraction of a lease's term after which the manager renews
+// it: at half-life, so a renewal slowed by its grantor still has half the
+// term to land before the lease lapses.
+const renewAt = 0.5
+
+// RenewalManager keeps a set of leases alive by renewing each one when
+// renewAt of its term has elapsed. It is the in-process analogue of the
+// Jini Lease Renewal Service that appears in the paper's Fig. 2 service
+// list: providers hand their registration leases to the manager and forget
+// about them. A renewal is a single attempt; a lease whose renewal fails
+// is dropped and reported, and the service leaves the network when the
+// lease lapses.
 type RenewalManager struct {
 	clock clockwork.Clock
-	// renewAt is the fraction of the lease term after which renewal is
-	// attempted (e.g. 0.5 renews at half-life).
-	renewAt float64
 	// request is the duration asked for on each renewal.
 	request time.Duration
-	// retry governs each renewal attempt (zero = single attempt, the
-	// historical behavior); see WithRetryPolicy.
-	retry resilience.Policy
 
 	mu sync.Mutex
 	// leases maps each managed lease to its renew deadline: the instant
@@ -40,20 +40,6 @@ type RenewalManager struct {
 // RenewalOption customizes a RenewalManager.
 type RenewalOption func(*RenewalManager)
 
-// WithRenewAt sets the fraction of the term after which renewal happens;
-// values are clamped to [0.1, 0.9]. Default 0.5.
-func WithRenewAt(fraction float64) RenewalOption {
-	return func(m *RenewalManager) {
-		if fraction < 0.1 {
-			fraction = 0.1
-		}
-		if fraction > 0.9 {
-			fraction = 0.9
-		}
-		m.renewAt = fraction
-	}
-}
-
 // WithRequest sets the duration requested on each renewal. Default Forever
 // (the grantor clamps to its policy max).
 func WithRequest(d time.Duration) RenewalOption {
@@ -67,28 +53,10 @@ func WithFailureHandler(fn func(l *Lease, err error)) RenewalOption {
 	return func(m *RenewalManager) { m.onFailure = fn }
 }
 
-// WithRetryPolicy runs each renewal under the resilience policy, so a
-// transiently unreachable grantor does not immediately cost the lease.
-// The policy's clock defaults to the manager's and its Retryable filter
-// defaults to refusing ErrUnknownLease and ErrCanceled (dead or
-// deliberately departed leases are never worth retrying).
-func WithRetryPolicy(p resilience.Policy) RenewalOption {
-	return func(m *RenewalManager) {
-		if p.Clock == nil {
-			p.Clock = m.clock
-		}
-		if p.Retryable == nil {
-			p.Retryable = resilience.NotRetryable(ErrUnknownLease, ErrCanceled)
-		}
-		m.retry = p
-	}
-}
-
 // NewRenewalManager starts the renewal loop. Call Stop to shut it down.
 func NewRenewalManager(clock clockwork.Clock, opts ...RenewalOption) *RenewalManager {
 	m := &RenewalManager{
 		clock:   clock,
-		renewAt: 0.5,
 		request: Forever,
 		leases:  make(map[*Lease]time.Time),
 		wake:    make(chan struct{}, 1),
@@ -117,7 +85,7 @@ func (m *RenewalManager) renewDeadline(l *Lease, now time.Time) time.Time {
 	if term < 0 {
 		term = 0
 	}
-	return now.Add(time.Duration(float64(term) * m.renewAt))
+	return now.Add(time.Duration(float64(term) * renewAt))
 }
 
 // Release removes a lease from management without cancelling it.
@@ -192,9 +160,7 @@ func (m *RenewalManager) loop() {
 			}
 		}
 		for _, l := range due {
-			err := m.retry.Run(func(resilience.Attempt) error {
-				return l.Renew(m.request)
-			})
+			err := l.Renew(m.request)
 			m.mu.Lock()
 			if err != nil {
 				delete(m.leases, l)

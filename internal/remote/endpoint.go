@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sensorcer/internal/ids"
 	"sensorcer/internal/srpc"
 )
 
@@ -133,7 +132,6 @@ func (e *endpoint) close() {
 // and call settings and, once called, a reference on the endpoint.
 type stub struct {
 	desc    ProxyDesc
-	id      ids.ServiceID
 	timeout time.Duration
 	token   string
 
@@ -143,10 +141,6 @@ type stub struct {
 	ep      *endpoint
 	closed  atomic.Bool
 }
-
-// ID is the service ID of the registration the stub was looked up from;
-// zero for a stub built directly from a descriptor.
-func (s *stub) ID() ids.ServiceID { return s.id }
 
 // SetToken sets the shared secret the stub's calls carry. Set before use.
 func (s *stub) SetToken(token string) { s.token = token }

@@ -242,9 +242,9 @@ func (r *RegistrarClient) Lookup(tmpl registry.Template, maxMatches int) []regis
 		if w.Proxy != nil {
 			switch w.Proxy.Kind {
 			case AccessorKind:
-				item.Service = &AccessorClient{stub{desc: *w.Proxy, id: w.ID, timeout: r.timeout, token: r.token}}
+				item.Service = &AccessorClient{stub{desc: *w.Proxy, timeout: r.timeout, token: r.token}}
 			case ServicerKind:
-				item.Service = &ServicerClient{stub{desc: *w.Proxy, id: w.ID, timeout: r.timeout, token: r.token}}
+				item.Service = &ServicerClient{stub{desc: *w.Proxy, timeout: r.timeout, token: r.token}}
 			}
 		}
 		out = append(out, item)

@@ -8,7 +8,6 @@ import (
 
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/lease"
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/space"
 	"sensorcer/internal/wal"
 )
@@ -27,17 +26,11 @@ func recoverSpace(t *testing.T, dir string) (*space.Space, *wal.Log) {
 	return sp, l
 }
 
-// restartSpacer returns a spacer whose await policy rides out a space
-// restart: closed-space errors retry until Rebind installs the recovered
-// space.
+// restartSpacer returns a spacer with short result waits; its awaits ride
+// out a space restart, retrying closed-space errors until Rebind installs
+// the recovered space.
 func restartSpacer(sp *space.Space) *Spacer {
-	return NewSpacer("Spacer-1", sp,
-		WithTaskTimeout(500*time.Millisecond),
-		WithAwaitPolicy(resilience.Policy{
-			MaxAttempts: 40,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-		}))
+	return NewSpacer("Spacer-1", sp, WithTaskTimeout(500*time.Millisecond))
 }
 
 func awaitEnvelopes(t *testing.T, sp *space.Space, want int) {

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"sensorcer/internal/clockwork"
 	"sensorcer/internal/ids"
 	"sensorcer/internal/lease"
-	"sensorcer/internal/resilience"
 	"sensorcer/internal/space"
 	"sensorcer/internal/txn"
 )
@@ -58,12 +58,17 @@ type Spacer struct {
 	taskTimeout time.Duration
 	// envelopeLease bounds how long an unclaimed envelope survives.
 	envelopeLease time.Duration
-	// await, when non-zero, governs result waits: on a timed-out wait the
-	// spacer redispatches the task if its envelope is gone (a worker
-	// crashed holding it, or the write was lost) and waits again. Pull
-	// federation thereby gets at-least-once delivery; see WithAwaitPolicy.
-	await resilience.Policy
 }
+
+// Bounds on a Spacer's result waits; see await.
+const (
+	// maxAwaits caps how many times one task (or one parallel batch) is
+	// waited for before the job fails.
+	maxAwaits = 8
+	// closedPause is how long a wait that found its space closed sleeps
+	// before trying again, giving Rebind time to install the recovered one.
+	closedPause = 20 * time.Millisecond
+)
 
 // SpacerOption customizes a Spacer.
 type SpacerOption func(*Spacer)
@@ -71,28 +76,6 @@ type SpacerOption func(*Spacer)
 // WithTaskTimeout sets the per-task result wait (default 10s).
 func WithTaskTimeout(d time.Duration) SpacerOption {
 	return func(s *Spacer) { s.taskTimeout = d }
-}
-
-// WithAwaitPolicy retries timed-out result waits under the policy. Before
-// each retry the spacer checks whether the task's envelope is still in the
-// space: if it vanished without a result (worker crash mid-execution, lost
-// write, expired lease) the task is redispatched. Tasks may therefore
-// execute more than once — pull-mode semantics become at-least-once, the
-// standard trade for liveness in tuple-space federations. Only timeouts
-// are retried; a worker's clean failure report is final.
-func WithAwaitPolicy(p resilience.Policy) SpacerOption {
-	return func(s *Spacer) {
-		if p.Retryable == nil {
-			// ErrClosed is retryable alongside ErrTimeout so awaits survive
-			// a durable space being closed for crash recovery: once Rebind
-			// installs the recovered space, the retry proceeds against it
-			// and redispatches any envelope the recovery did not preserve.
-			p.Retryable = func(err error) bool {
-				return errors.Is(err, space.ErrTimeout) || errors.Is(err, space.ErrClosed)
-			}
-		}
-		s.await = p
-	}
 }
 
 // NewSpacer creates a pull-mode coordinator over the tuple space (a
@@ -123,9 +106,9 @@ func (s *Spacer) sp() SpaceOps {
 
 // Rebind points the spacer at a recovered tuple space after the previous
 // one was closed by a crash (or an orderly restart). In-flight awaits —
-// retrying on ErrClosed under the await policy — continue against the new
-// space; recovered-but-untaken envelopes are simply taken by workers
-// again, and lost ones are redispatched by the envelope-count check.
+// which pause and retry on ErrClosed — continue against the new space;
+// recovered-but-untaken envelopes are simply taken by workers again, and
+// lost ones are redispatched by the envelope-count check.
 // (A Spacer bound to a repl.Router never needs Rebind: the router
 // re-routes to the promoted primary internally.)
 func (s *Spacer) Rebind(sp SpaceOps) {
@@ -202,9 +185,8 @@ func (s *Spacer) runSequential(job *Job, tasks []*Task, tx *txn.Transaction) err
 // runParallel floods every component envelope into the space as one
 // WriteBatch (one lock, one journal group commit) and collects results
 // with TakeAny against a job-unique batch tag, so an n-task job costs a
-// couple of space operations instead of 2n. The at-least-once contract is
-// unchanged: on a timed-out attempt, every pending task whose envelope
-// vanished without a result is redispatched — again as one batch.
+// couple of space operations instead of 2n. Lost tasks are redispatched
+// under the same tag, again as one batch.
 func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
 	batchID := ids.NewServiceID().String()
 	pending := make(map[string]*Task, len(tasks))
@@ -215,26 +197,9 @@ func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
 		return err
 	}
 	tmpl := space.NewEntry(ResultKind, "batchID", batchID)
-	return s.await.Run(func(a resilience.Attempt) error {
-		if a.N > 1 {
-			var lost []*Task
-			for id, t := range pending {
-				if s.sp().Count(space.NewEntry(EnvelopeKind, "taskID", id)) == 0 {
-					lost = append(lost, t)
-				}
-			}
-			if len(lost) > 0 {
-				if err := s.dispatchBatch(lost, batchID, tx); err != nil {
-					return err
-				}
-			}
-		}
-		timeout := a.Timeout
-		if timeout <= 0 {
-			timeout = s.taskTimeout
-		}
+	wait := func() error {
 		for len(pending) > 0 {
-			results, err := s.sp().TakeAny(tmpl, len(pending), tx, timeout)
+			results, err := s.sp().TakeAny(tmpl, len(pending), tx, s.taskTimeout)
 			if err != nil {
 				return fmt.Errorf("sorcer: awaiting batch results: %w", err)
 			}
@@ -244,18 +209,83 @@ func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
 				if !ok {
 					continue // duplicate from an at-least-once re-execution
 				}
-				if failMsg, _ := res.Field("error").(string); failMsg != "" {
-					return fmt.Errorf("sorcer: task %q failed in space: %s", t.Name(), failMsg)
-				}
-				if rt, ok := res.Field("task").(*Task); ok && rt != t {
-					t.Context().Merge(rt.Context())
-					FinishTask(t, nil, nil)
+				if err := takeResult(t, res); err != nil {
+					return err
 				}
 				delete(pending, id)
 			}
 		}
 		return nil
-	})
+	}
+	redispatchLost := func() (int, error) {
+		var lost []*Task
+		for id, t := range pending {
+			if !s.envelopeLive(id) {
+				lost = append(lost, t)
+			}
+		}
+		if len(lost) == 0 {
+			return 0, nil
+		}
+		return len(lost), s.dispatchBatch(lost, batchID, tx)
+	}
+	return await(wait, redispatchLost)
+}
+
+// await runs wait under the Spacer's at-least-once contract: every task
+// runs, and may run more than once. After a wait times out, redispatchLost
+// puts back into play each outstanding task whose envelope vanished
+// without a result — a worker crashed holding it, or the envelope itself
+// was lost — and the wait starts over. If no envelope vanished, no worker
+// took one, and the timeout is final: a job with no worker fails after one
+// task timeout. A closed space pauses closedPause and retries, so a wait
+// survives the crash-recovery cycle that Rebind completes. Any other error
+// is final, and so is the maxAwaits-th failed wait. A worker's failure
+// report is a result, not a lost task, so it is never retried; duplicate
+// results from a re-execution are ignored by wait.
+func await(wait func() error, redispatchLost func() (int, error)) error {
+	err := wait()
+	for n := 1; err != nil && n < maxAwaits; n++ {
+		switch {
+		case errors.Is(err, space.ErrTimeout):
+		case errors.Is(err, space.ErrClosed):
+			clockwork.Real().Sleep(closedPause)
+		default:
+			return err
+		}
+		resent, rerr := redispatchLost()
+		switch {
+		case rerr != nil:
+			err = rerr
+		case resent == 0 && errors.Is(err, space.ErrTimeout):
+			return err
+		default:
+			err = wait()
+		}
+	}
+	return err
+}
+
+// envelopeLive reports whether the envelope of task id is still in the
+// space, waiting for a worker.
+func (s *Spacer) envelopeLive(id string) bool {
+	return s.sp().Count(space.NewEntry(EnvelopeKind, "taskID", id)) > 0
+}
+
+// takeResult applies a result envelope to the task it answers.
+func takeResult(t *Task, res space.Entry) error {
+	if failMsg, _ := res.Field("error").(string); failMsg != "" {
+		return fmt.Errorf("sorcer: task %q failed in space: %s", t.Name(), failMsg)
+	}
+	if rt, ok := res.Field("task").(*Task); ok && rt != t {
+		// The worker executed a copy of the task — it decoded the
+		// envelope from a recovered durable space, where pointer
+		// identity does not survive. Graft the copy's outputs onto our
+		// instance so the job's aggregated context is complete.
+		t.Context().Merge(rt.Context())
+		FinishTask(t, nil, nil)
+	}
+	return nil
 }
 
 func (s *Spacer) dispatchBatch(tasks []*Task, batchID string, tx *txn.Transaction) error {
@@ -289,40 +319,22 @@ func (s *Spacer) dispatch(t *Task, tx *txn.Transaction) error {
 }
 
 func (s *Spacer) awaitResult(t *Task, tx *txn.Transaction) error {
-	return s.await.Run(func(a resilience.Attempt) error {
-		if a.N > 1 {
-			// Retry: if the envelope is gone but no result ever arrived,
-			// the worker (or the envelope itself) was lost mid-flight —
-			// put the task back into play.
-			envTmpl := space.NewEntry(EnvelopeKind, "taskID", t.ID().String())
-			if s.sp().Count(envTmpl) == 0 {
-				if err := s.dispatch(t, tx); err != nil {
-					return err
-				}
-			}
-		}
-		timeout := a.Timeout
-		if timeout <= 0 {
-			timeout = s.taskTimeout
-		}
-		tmpl := space.NewEntry(ResultKind, "taskID", t.ID().String())
-		res, err := s.sp().Take(tmpl, tx, timeout)
+	id := t.ID().String()
+	tmpl := space.NewEntry(ResultKind, "taskID", id)
+	wait := func() error {
+		res, err := s.sp().Take(tmpl, tx, s.taskTimeout)
 		if err != nil {
 			return fmt.Errorf("sorcer: awaiting result of %q: %w", t.Name(), err)
 		}
-		if failMsg, _ := res.Field("error").(string); failMsg != "" {
-			return fmt.Errorf("sorcer: task %q failed in space: %s", t.Name(), failMsg)
+		return takeResult(t, res)
+	}
+	redispatchLost := func() (int, error) {
+		if s.envelopeLive(id) {
+			return 0, nil
 		}
-		if rt, ok := res.Field("task").(*Task); ok && rt != t {
-			// The worker executed a copy of the task — it decoded the
-			// envelope from a recovered durable space, where pointer
-			// identity does not survive. Graft the copy's outputs onto our
-			// instance so the job's aggregated context is complete.
-			t.Context().Merge(rt.Context())
-			FinishTask(t, nil, nil)
-		}
-		return nil
-	})
+		return 1, s.dispatch(t, tx)
+	}
+	return await(wait, redispatchLost)
 }
 
 // SpaceWorker pulls envelopes for one service type from the space and

@@ -82,7 +82,7 @@ func TestSpacerBatchDispatchDurable(t *testing.T) {
 func TestSpacerBatchRedispatchLostEnvelopes(t *testing.T) {
 	sp := space.New(clockwork.Real(), lease.Policy{Max: time.Hour})
 	defer sp.Close()
-	spacer := restartSpacer(sp) // 500ms waits, 40 retry attempts
+	spacer := restartSpacer(sp) // 500ms waits
 
 	job := pullAdderJob(4)
 	done := make(chan error, 1)

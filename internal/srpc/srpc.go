@@ -795,7 +795,8 @@ func (c *Client) Call(method string, params any, out any) error {
 }
 
 // CallWithTimeout is Call with a per-call deadline override (0 = the
-// client default) — the hook resilience.Policy uses to bound each attempt.
+// client default), for a caller that bounds one call tighter or looser
+// than the rest.
 func (c *Client) CallWithTimeout(method string, params any, out any, timeout time.Duration) error {
 	return c.CallWithToken(method, params, out, timeout, "")
 }
