@@ -34,15 +34,19 @@ race:
 	$(GO) test ./... -count=1 -race
 
 # The concurrency hot spots under the race detector: the space stress
-# test, the srpc package 20 times over (its read-side hand-over and
-# inline reply write), remote lookups encoding shared items while
-# ModifyAttributes and re-Register replace them, plus reduced-iteration
-# (-short) chaos and chaos-failover sweeps.
+# test, the srpc package 20 times over (its read-side hand-over, inline
+# reply write, and the client's shared writer: TestCreditGrantsShareOneWrite,
+# TestStreamCloseThenClientCloseReachesPeer and
+# TestCallOnPeerClosedConnFailsPromptly among the rest), two publishers
+# racing the pump over the hub's reused inline update, remote lookups
+# encoding shared items while ModifyAttributes and re-Register replace
+# them, plus reduced-iteration (-short) chaos and chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
 	$(GO) test ./internal/space -count=1 -race -run TestSpaceStressIndexedConcurrency
 	$(GO) test ./internal/srpc -race -count=20
+	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking'
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
@@ -56,8 +60,9 @@ short:
 # the in-code f.Add seeds): the never-panic / bounded-allocation properties
 # of the frame decoder, of the stream-stateful update decoder, of the
 # tagged-value decoder, of the space's and the lookup service's journal
-# record and snapshot decoders, of the replication ship-batch decoder and
-# of the lookup and registrar-write decoders, the write-ahead log's
+# record and snapshot decoders, of the replication ship-batch decoder, of
+# the lookup and registrar-write decoders and of the remaining replication,
+# accessor and exertion shapes, the write-ahead log's
 # recovery of a damaged segment (torn-tail truncation, then replay), the
 # round trip of a discovery announcement datagram, and the expression
 # float64 path's agreement with the tree walker, without paying for
@@ -68,6 +73,7 @@ short:
 #   go test ./internal/space -fuzz FuzzJournalRecordDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzShipBatchDecode -fuzztime 60s
 #   go test ./internal/remote -fuzz FuzzRegistrarShapes -fuzztime 60s
+#   go test ./internal/remote -fuzz FuzzRemoteShapes -fuzztime 60s
 #   go test ./internal/discovery -fuzz FuzzDecodePacket -fuzztime 60s
 #   go test ./internal/registry -fuzz FuzzRegistryJournalDecode -fuzztime 60s
 #   go test ./internal/wal -fuzz FuzzWALSegment -fuzztime 60s
@@ -91,15 +97,17 @@ bench-smoke:
 
 # Diff a fresh 100x smoke run against the checked-in baseline and fail
 # on regressions past the threshold. 100 iterations amortize cold-start
-# (a 1x run inflates sub-microsecond benchmarks 40x) yet the whole
-# sweep stays under ~10s; the threshold is still loose because the
-# baseline came from full-length runs — this gate catches
-# order-of-magnitude cliffs, not percent-level drift. For the tight
-# version run `make bench` on both commits and
+# (a 1x run inflates sub-microsecond benchmarks 40x); each benchmark runs
+# three times and benchjson judges the median, so one disk or scheduler
+# spike in one sample (BenchmarkAppendNoSync read 6.5–148 µs on one
+# commit that way) cannot fail the gate alone. The threshold is still
+# loose because the baseline came from full-length runs — this gate
+# catches order-of-magnitude cliffs, not percent-level drift. For the
+# tight version run `make bench` on both commits and
 # `benchjson -compare -threshold 1.2 old.json new.json`.
 BENCH_BASE ?= BENCH_PR16.json
 bench-compare:
-	$(GO) test -run '^$$' -bench=. -benchtime 100x -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
+	$(GO) test -run '^$$' -bench=. -benchtime 100x -count=3 -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -compare -threshold 10 $(BENCH_BASE) /tmp/bench-head.json
 
 # The federation benchmark (bench/, contract in BENCHMARK.json): four

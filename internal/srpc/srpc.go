@@ -145,34 +145,38 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connWriter serializes every outgoing frame onto one connection. A
-// reply leaves from the goroutine that produced it: writeFrame writes
-// inline when nothing is pending and no write is in flight, so a request
-// on an idle connection costs one conn.Write and no goroutine wake-up.
-// Otherwise the frame is appended to a pending buffer under a short lock
-// and the flusher goroutine is nudged; it swaps the buffer out and writes
-// it with a single syscall. Frames that accumulate while one write is in
-// flight — inline or the flusher's — all leave in the next one, in the
-// order they were queued.
+// connWriter serializes every outgoing frame onto one connection; both
+// ends write through one, the server per accepted connection and each
+// Client for its own. A frame leaves from the goroutine that produced
+// it: writeFrame writes inline when nothing is pending and no write is
+// in flight, so a request or a reply on an idle connection costs one
+// conn.Write and no goroutine wake-up. Otherwise the frame is appended
+// to a pending buffer under a short lock and the flusher goroutine is
+// nudged; it swaps the buffer out and writes it with a single syscall.
+// Frames that accumulate while one write is in flight — inline or the
+// flusher's — all leave in the next one, in the order they were queued.
 //
 // There are two nudges. An eager kick (writeFrame behind a pending
 // buffer, stream close frames, ServerStream.Flush) writes as soon as the
 // flusher runs. A lazy kick (writeFrameLazy: a stream data frame nobody
-// flushed) lets the flusher linger streamGatherWindow first, so frames
-// from this connection's other streams can join the same write. A
-// fan-out burst does not depend on that timer: the subscription hub
-// appends every frame of one Publish and then calls Flush, so the burst
-// leaves in one write per connection when the Publish ends. Only frames a
-// subscription's pump sends on its own — paced or credit-recovery
-// deliveries, already late by construction — wait out the window.
+// flushed, a client's credit grant) lets the flusher linger
+// streamGatherWindow first, so frames from this connection's other
+// streams can join the same write: the grants a subscriber's Recv loops
+// make for one burst leave together. A fan-out burst does not depend on
+// that timer: the subscription hub appends every frame of one Publish
+// and then calls Flush, so the burst leaves in one write per connection
+// when the Publish ends. Only frames a subscription's pump sends on its
+// own — paced or credit-recovery deliveries, already late by
+// construction — and credit grants wait out the window.
 //
 // Stream data never touches the socket from its producer, so a peer
 // whose socket has stalled cannot block a publisher. An inline write
-// blocks only the goroutine whose reply or stream close it is, and no
-// caller holds a lock across one (deepblock flags any call into srpc
-// under a mutex). The pending buffer stays bounded without any explicit
-// cap: stream data frames are credit-gated by the peer's open windows
-// and responses are matched to in-flight requests.
+// blocks only the goroutine whose request, reply or stream close it is,
+// and no caller holds a lock across one (deepblock flags any call into
+// srpc under a mutex). The pending buffer stays bounded without any
+// explicit cap: stream data frames are credit-gated by the peer's open
+// windows, responses are matched to in-flight requests, and each credit
+// grant answers half a window of data frames received.
 type connWriter struct {
 	conn  net.Conn
 	clock clockwork.Clock
@@ -260,7 +264,7 @@ func (cw *connWriter) flushOnce(spare *[]byte) {
 	cw.pending = (*spare)[:0]
 	cw.writing = true
 	cw.mu.Unlock()
-	cw.write(buf)
+	_ = cw.write(buf) // recorded in cw.err for later writers
 	if cap(buf) > maxRetainedWriteBuf {
 		buf = nil
 	}
@@ -269,7 +273,7 @@ func (cw *connWriter) flushOnce(spare *[]byte) {
 
 // write hands b to the kernel for whoever set cw.writing, records the
 // first error, and kicks the flusher when frames queued behind it.
-func (cw *connWriter) write(b []byte) {
+func (cw *connWriter) write(b []byte) error {
 	_, err := cw.conn.Write(b)
 	cw.mu.Lock()
 	cw.writing = false
@@ -281,6 +285,7 @@ func (cw *connWriter) write(b []byte) {
 	if queued {
 		cw.flush()
 	}
+	return err
 }
 
 // drain is the flusher's last act: it waits out a write in flight that
@@ -316,22 +321,24 @@ func (cw *connWriter) stop() {
 
 // writeFrame sends frame now: inline from the calling goroutine when the
 // connection is idle, else queued behind what is pending with an eager
-// kick. frame may be reused once it returns.
-func (cw *connWriter) writeFrame(frame []byte) {
+// kick. It reports the inline write's error, or the connection's first
+// write error when an earlier write failed; a queued frame reports nil.
+// frame may be reused once it returns.
+func (cw *connWriter) writeFrame(frame []byte) error {
 	cw.mu.Lock()
-	if cw.err != nil {
+	if err := cw.err; err != nil {
 		cw.mu.Unlock()
-		return
+		return err
 	}
 	if !cw.writing && len(cw.pending) == 0 {
 		cw.writing = true
 		cw.mu.Unlock()
-		cw.write(frame)
-		return
+		return cw.write(frame)
 	}
 	cw.pending = append(cw.pending, frame...)
 	cw.mu.Unlock()
 	cw.flush()
+	return nil
 }
 
 // flush wakes the flusher now (the eager kick), cutting short a gather
@@ -420,8 +427,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		gone:    make(chan struct{}),
 	}
 	// Nothing else is queued yet, so the magic is the first bytes on the
-	// wire.
-	rd.cw.writeFrame(magic[:])
+	// wire. A failed write shows on the read side too.
+	_ = rd.cw.writeFrame(magic[:])
 	if err := readMagic(rd.reader); err != nil {
 		// Not an srpc peer: a legacy JSON line, an HTTP probe, a wrong port.
 		s.teardown(rd)
@@ -556,7 +563,7 @@ func (s *Server) serveRequest(cw *connWriter, h handlerFunc, errMsg string, id u
 		full, frame, _ = encodeResponseFrame(full, id, "srpc: marshalling result: "+err.Error(), nil)
 	}
 	*out = full
-	cw.writeFrame(frame)
+	_ = cw.writeFrame(frame) // a dead connection fails on the read side
 	putBuf(out)
 }
 
@@ -622,8 +629,12 @@ type callResult struct {
 // Client is a connection to an srpc server, safe for concurrent calls.
 type Client struct {
 	conn    net.Conn
+	cw      *connWriter
 	timeout time.Duration
 	clock   clockwork.Clock
+	// stopOnce stops cw once: Close drains it, the read loop's exit
+	// drops what is left.
+	stopOnce sync.Once
 
 	mu      sync.Mutex
 	token   string
@@ -653,22 +664,35 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, timeout)
+}
+
+// newClient runs the client side of an srpc connection over conn, which
+// it owns from here on, closing it on failure.
+func newClient(conn net.Conn, timeout time.Duration) (*Client, error) {
+	clock := clockwork.Real()
 	c := &Client{
 		conn:    conn,
+		cw:      newConnWriter(conn, clock),
 		timeout: timeout,
-		clock:   clockwork.Real(),
+		clock:   clock,
 		pending: make(map[uint64]chan callResult),
 		done:    make(chan struct{}),
 	}
 	// TCP order puts the magic ahead of request #1, so nothing waits for
 	// the server's: calls and streams frame from the first byte.
-	if _, err := conn.Write(magic[:]); err != nil {
+	if err := c.cw.writeFrame(magic[:]); err != nil {
 		conn.Close()
+		c.stopWriter()
 		return nil, err
 	}
 	go c.readLoop()
 	return c, nil
 }
+
+// stopWriter stops the connection's writer, draining what it holds, the
+// first time it is called.
+func (c *Client) stopWriter() { c.stopOnce.Do(c.cw.stop) }
 
 // SetToken attaches the shared secret to every subsequent call.
 func (c *Client) SetToken(token string) {
@@ -690,7 +714,10 @@ func (c *Client) SetFaultInjector(inj *faults.Injector, site string) {
 func (c *Client) readLoop() {
 	defer close(c.done)
 	// Whatever ends the loop — EOF, a peer that is not an srpc server, a
-	// framing error — the connection is of no further use.
+	// framing error — the connection is of no further use: it closes
+	// first, so the writer's last drain fails fast instead of waiting on
+	// a peer that may not be reading.
+	defer c.stopWriter()
 	defer c.conn.Close()
 	reader := bufio.NewReader(c.conn)
 	if err := readMagic(reader); err != nil {
@@ -861,9 +888,9 @@ func (c *Client) CallWithToken(method string, params any, out any, timeout time.
 		dropped = inj.Drop(injSite + FaultSiteSend)
 	}
 	if !dropped {
-		// One conn.Write per frame: net serializes concurrent writes, so
-		// frames from concurrent callers never interleave.
-		_, err := c.conn.Write(frame)
+		// Inline on an idle connection, else behind the frames already
+		// queued; either way whole frames, in order.
+		err := c.cw.writeFrame(frame)
 		putBuf(fbuf)
 		if err != nil {
 			c.abandon(id)
@@ -909,7 +936,9 @@ func (c *Client) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// Close tears down the connection; in-flight calls fail.
+// Close tears down the connection; in-flight calls fail. Frames already
+// queued — a stream close, a credit grant — leave first, unless the peer
+// has stopped reading for a whole call timeout.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -918,6 +947,8 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	_ = c.conn.SetWriteDeadline(c.clock.Now().Add(c.timeout)) // bounds the drain; the conn is closing anyway
+	c.stopWriter()
 	c.conn.Close()
 	<-c.done
 }

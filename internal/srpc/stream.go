@@ -189,7 +189,7 @@ func (st *ServerStream) Close(err error) {
 	buf := getBuf()
 	b := appendStreamClose(beginFrame(*buf), st.id, msg)
 	*buf = b
-	st.cw.writeFrame(finishFrame(b, frameStreamClose))
+	_ = st.cw.writeFrame(finishFrame(b, frameStreamClose)) // a dead connection fails on the read side
 	putBuf(buf)
 }
 
@@ -473,7 +473,7 @@ func (c *Client) OpenStream(method string, params any, window uint64) (*ClientSt
 	}
 	*fbuf = b
 	frame := finishFrame(b, frameStreamOpen)
-	if _, err := c.conn.Write(frame); err != nil {
+	if err := c.cw.writeFrame(frame); err != nil {
 		putBuf(fbuf)
 		c.dropStream(st.id)
 		return nil, fmt.Errorf("srpc: opening stream: %w", err)
@@ -543,7 +543,10 @@ func (st *ClientStream) decodeMsg(msg streamMsg, out any) error {
 
 // maybeGrant replenishes the server's window once half of it has been
 // consumed — batched so a busy stream pays one credit frame per
-// window/2 data frames, not one per frame.
+// window/2 data frames, not one per frame. The frame is lazy: the grants
+// this connection's streams make in one burst leave in one write, at
+// most one gather window later, while the half window still open keeps
+// the server sending.
 func (st *ClientStream) maybeGrant() {
 	st.mu.Lock()
 	if st.closed {
@@ -562,8 +565,7 @@ func (st *ClientStream) maybeGrant() {
 	buf := getBuf()
 	b := appendStreamCredit(beginFrame(*buf), st.id, n)
 	*buf = b
-	frame := finishFrame(b, frameStreamCredit)
-	_, _ = st.c.conn.Write(frame)
+	st.c.cw.writeFrameLazy(finishFrame(b, frameStreamCredit))
 	putBuf(buf)
 }
 
@@ -594,8 +596,7 @@ func (st *ClientStream) Close() {
 	buf := getBuf()
 	b := appendStreamClose(beginFrame(*buf), st.id, "")
 	*buf = b
-	frame := finishFrame(b, frameStreamClose)
-	_, _ = st.c.conn.Write(frame)
+	_ = st.c.cw.writeFrame(finishFrame(b, frameStreamClose)) // a dead connection ends the server half anyway
 	putBuf(buf)
 	st.drain()
 }

@@ -128,6 +128,9 @@ type subscription struct {
 	// a time, so updates leave in seq order and an unsent one can be
 	// requeued as if it had never been taken.
 	delivering bool
+	// single is the inline path's update, reused: only the holder of
+	// delivering touches it, and neither the sink nor requeue keeps it.
+	single singleUpdate
 	// notify (capacity 1) wakes the pump when pending gains data.
 	notify chan struct{}
 }
@@ -386,8 +389,10 @@ func (h *Hub) Close() {
 // pump — at fan-out scale that removes a goroutine handoff per
 // subscriber per reading. With nothing pending, which is the steady
 // state, the reading does not visit the conflation buffer at all: the
-// update is built around it right here. The pump keeps everything the
-// inline path declines: pacing, credit waits, and teardown.
+// update is built around it right here, in the subscription's reused
+// singleUpdate, so the delivery allocates nothing. The pump keeps
+// everything the inline path declines: pacing, credit waits, and
+// teardown.
 func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	s.mu.Lock()
 	if s.gone {
@@ -426,7 +431,8 @@ func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	s.delivering = true
 	var u *Update
 	if len(s.order) == 0 {
-		su := &singleUpdate{one: [1]probe.Reading{r}}
+		su := &s.single
+		su.one[0] = r
 		su.Update = s.stampLocked(su.one[:])
 		u = &su.Update
 	} else {
@@ -443,8 +449,8 @@ func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	return flusher, true
 }
 
-// singleUpdate is an Update and the one reading it carries, in one
-// allocation.
+// singleUpdate is an Update and the one reading it carries, with no
+// allocation of its own.
 type singleUpdate struct {
 	Update
 	one [1]probe.Reading

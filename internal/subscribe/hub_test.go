@@ -1,9 +1,11 @@
 package subscribe
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -709,4 +711,133 @@ func TestDirectPathConservesUnderBlocking(t *testing.T) {
 		}
 	}
 	t.Logf("%d updates, %d readings delivered, %d dropped", len(updates), delivered, dropped)
+}
+
+// acceptSink takes every update and allocates nothing.
+type acceptSink struct {
+	sent atomic.Int64
+	done chan struct{}
+}
+
+func (k *acceptSink) TrySend(*Update) error {
+	k.sent.Add(1)
+	return nil
+}
+func (k *acceptSink) Ready() <-chan struct{} { return nil }
+func (k *acceptSink) Done() <-chan struct{}  { return k.done }
+func (k *acceptSink) Close(error)            {}
+
+// TestInlinePublishAllocsFlatInSubscribers: Publish to attached,
+// unpaced subscriptions whose sinks accept builds each inline update in
+// the subscription's reused singleUpdate, so its allocations do not
+// grow with the number of subscriptions.
+func TestInlinePublishAllocsFlatInSubscribers(t *testing.T) {
+	allocs := func(n int) float64 {
+		h := NewHub()
+		defer h.Close()
+		sinks := make([]*acceptSink, n)
+		for i := range sinks {
+			sinks[i] = &acceptSink{done: make(chan struct{})}
+			if err := h.Subscribe(fmt.Sprintf("tok-%d", i), Filter{}, sinks[i], false, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := reading("rtd-1", 21.5)
+		h.Publish(r) // first reading of the sensor fills lastVal
+		got := testing.AllocsPerRun(200, func() { h.Publish(r) })
+		for i, k := range sinks {
+			if k.sent.Load() != 202 {
+				t.Fatalf("subscriptions=%d: sink %d took %d updates, want all 202 inline", n, i, k.sent.Load())
+			}
+		}
+		return got
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("allocs per Publish: %v at 1 subscription, %v at 64", one, many)
+	if many > one {
+		t.Fatalf("Publish allocates %v at 64 subscriptions against %v at 1: a delivery allocates", many, one)
+	}
+}
+
+// stableSink fails the test if an update changes while TrySend holds it
+// — which is what a reused singleUpdate shared by two deliverers would
+// do — and records a copy like testSink.
+type stableSink struct {
+	*testSink
+	t *testing.T
+}
+
+func (k stableSink) TrySend(u *Update) error {
+	seq, dropped := u.SeqNo, u.Dropped
+	readings := append([]probe.Reading(nil), u.Readings...)
+	runtime.Gosched() // let a concurrent publisher run in between
+	if u.SeqNo != seq || u.Dropped != dropped || !slices.Equal(u.Readings, readings) {
+		k.t.Errorf("update %d changed while the sink held it", seq)
+	}
+	return k.testSink.TrySend(u)
+}
+
+// TestReusedSingleUpdateIsNeverShared races two publishers against the
+// pump on one subscription whose credit arrives in dribbles, so every
+// hand-off between the inline path and the pump recurs. Under -race
+// this shows the reused singleUpdate has one user at a time; without,
+// stableSink still catches an update rewritten mid-send. SeqNo stays
+// contiguous and nothing is lost or counted twice.
+func TestReusedSingleUpdateIsNeverShared(t *testing.T) {
+	const perSource = 2000
+	h := NewHub()
+	defer h.Close()
+	sink := stableSink{newTestSink(4), t}
+	if err := h.Subscribe("tok", Filter{}, sink, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	stopGrants := make(chan struct{})
+	var granter sync.WaitGroup
+	granter.Add(1)
+	go func() {
+		defer granter.Done()
+		for {
+			select {
+			case <-stopGrants:
+				return
+			default:
+			}
+			sink.grant(3)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	var pubs sync.WaitGroup
+	for _, sensor := range []string{"a", "b"} {
+		pubs.Add(1)
+		go func(sensor string) {
+			defer pubs.Done()
+			for v := 1; v <= perSource; v++ {
+				h.Publish(reading(sensor, float64(v)))
+			}
+		}(sensor)
+	}
+	pubs.Wait()
+	close(stopGrants)
+	granter.Wait()
+	sink.grant(1 << 20)
+	var delivered, dropped uint64
+	waitFor := time.Now().Add(5 * time.Second)
+	for {
+		updates := sink.all()
+		delivered, dropped = 0, 0
+		for i, u := range updates {
+			if u.SeqNo != uint64(i+1) {
+				t.Fatalf("update %d carries SeqNo %d", i, u.SeqNo)
+			}
+			delivered += uint64(len(u.Readings))
+			dropped += u.Dropped
+		}
+		if delivered+dropped == 2*perSource {
+			return
+		}
+		if delivered+dropped > 2*perSource || time.Now().After(waitFor) {
+			t.Fatalf("delivered %d + dropped %d, want %d", delivered, dropped, 2*perSource)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
