@@ -38,7 +38,9 @@ race:
 # reply write, and the client's shared writer: TestCreditGrantsShareOneWrite,
 # TestStreamCloseThenClientCloseReachesPeer and
 # TestCallOnPeerClosedConnFailsPromptly among the rest), two publishers
-# racing the pump over the hub's reused inline update, remote lookups
+# racing the pump over the hub's reused inline update, three publishers
+# introducing sensors against a paced pump, a credit-starved pump and
+# the inline path over the hub's index-addressed state, remote lookups
 # encoding shared items while ModifyAttributes and re-Register replace
 # them, plus reduced-iteration (-short) chaos and chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
@@ -46,7 +48,7 @@ race:
 race-stress:
 	$(GO) test ./internal/space -count=1 -race -run TestSpaceStressIndexedConcurrency
 	$(GO) test ./internal/srpc -race -count=20
-	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking'
+	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking|TestIndexedStateRacesPacedPump'
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -77,29 +78,131 @@ func genExpr(r *rand.Rand, depth int) string {
 
 // TestDifferentialBoundVsTree drives the float64 fast path: whenever a
 // generated expression binds against a fixed slot layout, EvalFloats must
-// agree with the tree walker over the equivalent Env.
+// agree with the tree walker over the equivalent Env — as a number
+// (Bind) and as a predicate (BindPredicate, which also takes the
+// boolean-rooted expressions Bind refuses).
 func TestDifferentialBoundVsTree(t *testing.T) {
 	r := rand.New(rand.NewSource(8052026))
 	names := []string{"a", "b", "c"}
-	bound := 0
+	bound, boolRooted := 0, 0
 	for i := 0; i < 4000; i++ {
 		src := genExpr(r, 1+r.Intn(4))
 		p, err := Compile(src)
 		if err != nil {
 			t.Fatalf("generated expression failed to parse: %q: %v", src, err)
 		}
-		bp, err := p.Bind(names)
-		if err != nil {
+		bp, numErr := p.Bind(names)
+		pred, predErr := p.BindPredicate(names)
+		if numErr == nil && predErr != nil {
+			t.Fatalf("%q binds as a number but not as a predicate: %v", src, predErr)
+		}
+		if predErr != nil {
 			continue // no fast path; the Env path is the behaviour
 		}
-		bound++
 		slots := []float64{float64(r.Intn(21) - 10), r.NormFloat64() * 5, float64(r.Intn(100))}
 		hist := [][]float64{[]float64{4, 5, 6}[:r.Intn(4)], nil, nil}
-		diffBound(t, p, bp, slots, hist)
+		if numErr == nil {
+			bound++
+			diffBound(t, p, bp, slots, hist)
+		} else {
+			boolRooted++
+		}
+		diffPredicate(t, p, pred, slots, hist)
 	}
-	if bound < 100 {
-		t.Fatalf("only %d/4000 generated expressions took the fast path; generator drifted", bound)
+	if bound < 100 || boolRooted < 100 {
+		t.Fatalf("only %d numeric and %d boolean of 4000 generated expressions took the fast path; generator drifted", bound, boolRooted)
 	}
+}
+
+// TestBoundPredicateAgreesWithEnv pins the boolean-rooted shapes a
+// subscription filter uses, each bound against `value` alone: the bound
+// predicate and EvalPredicate agree on value and error text, including
+// NaN comparisons, short-circuits past an error and division by zero.
+func TestBoundPredicateAgreesWithEnv(t *testing.T) {
+	names := []string{"value"}
+	srcs := []string{
+		"value >= 0", "value < 20", "value == 25", "value != 25",
+		"value > 20 && value < 30", "value < 0 || value > 100",
+		"!(value > 20)", "!(value > 20) == false",
+		"value > 0 ? value < 50 : false", "value - 20", "value",
+		"value == nan", "value != nan", "nan < value", "inf > value",
+		"1 / value > 0", "value % 0 == 0", "false && 1/0 > 0",
+		"true || 1/0 > 0", "abs(value) >= 0 && log(value) > 1",
+		"true", "0",
+	}
+	values := []float64{25, 0, -3.5, 20, 1e9, math.NaN(), math.Inf(-1)}
+	for _, src := range srcs {
+		p := MustCompile(src)
+		pred, err := p.BindPredicate(names)
+		if err != nil {
+			t.Fatalf("BindPredicate(%q): %v", src, err)
+		}
+		for _, v := range values {
+			slots := []float64{v}
+			got, gotErr := pred.EvalFloats(slots, nil)
+			want, wantErr := p.EvalPredicate(Env{"value": v})
+			if !sameOutcome(got, gotErr, want, wantErr) {
+				t.Errorf("%q at value=%v: bound (%v, %v), Env (%v, %v)", src, v, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestBindPredicateRejects: a predicate naming a field the slots do not
+// carry — a reading's sensor, kind or unit — or yielding a list does not
+// bind, so the caller keeps the Env path; and Bind still refuses a
+// boolean root, so a composite's bool-valued expression fails as before.
+func TestBindPredicateRejects(t *testing.T) {
+	names := []string{"value"}
+	for _, src := range []string{
+		`sensor == "rtd-1"`, `kind == "temperature" && value > 20`,
+		`unit != "celsius"`, `[value]`, `value_x > 1`, `median(value, 1) > 0`,
+	} {
+		if _, err := MustCompile(src).BindPredicate(names); err == nil {
+			t.Errorf("BindPredicate(%q) unexpectedly succeeded", src)
+		}
+	}
+	for _, src := range []string{"value >= 0", "!(value > 1) || value == 3"} {
+		if _, err := MustCompile(src).Bind(names); err == nil {
+			t.Errorf("Bind(%q) took a boolean root", src)
+		}
+	}
+}
+
+// sameOutcome compares a bound and a reference result: same error text,
+// else the same value.
+func sameOutcome(got bool, gotErr error, want bool, wantErr error) bool {
+	if (gotErr == nil) != (wantErr == nil) {
+		return false
+	}
+	if gotErr != nil {
+		return gotErr.Error() == wantErr.Error()
+	}
+	return got == want
+}
+
+// diffPredicate is diffBound for a bound predicate: the same result and
+// error text as EvalPredicate over the equivalent Env.
+func diffPredicate(t *testing.T, p *Program, bp *BoundPredicate, slots []float64, hist [][]float64) {
+	t.Helper()
+	got, gotErr := bp.EvalFloats(slots, hist)
+	want, wantErr := p.EvalPredicate(diffEnv(slots, hist))
+	if !sameOutcome(got, gotErr, want, wantErr) {
+		t.Fatalf("%q: predicate fast (%v, %v) vs tree (%v, %v)", p.Source(), got, gotErr, want, wantErr)
+	}
+}
+
+// diffEnv is the Env equivalent to slots and hist bound against a, b, c.
+// A nil history window is an empty list to Eval.
+func diffEnv(slots []float64, hist [][]float64) Env {
+	env := Env{"a": slots[0], "b": slots[1], "c": slots[2], "values": slots}
+	for i, name := range []string{"a_hist", "b_hist", "c_hist"} {
+		env[name] = []float64{}
+		if hist[i] != nil {
+			env[name] = hist[i]
+		}
+	}
+	return env
 }
 
 // diffBound checks that EvalFloats over slots and hist (bound against
@@ -108,14 +211,7 @@ func TestDifferentialBoundVsTree(t *testing.T) {
 func diffBound(t *testing.T, p *Program, bp *BoundProgram, slots []float64, hist [][]float64) {
 	t.Helper()
 	got, gotErr := bp.EvalFloats(slots, hist)
-	env := Env{"a": slots[0], "b": slots[1], "c": slots[2], "values": slots}
-	for i, name := range []string{"a_hist", "b_hist", "c_hist"} {
-		env[name] = []float64{}
-		if hist[i] != nil {
-			env[name] = hist[i]
-		}
-	}
-	want, wantErr := refNumber(t, p, env)
+	want, wantErr := refNumber(t, p, diffEnv(slots, hist))
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%q: fast (%v, %v) vs tree (%v, %v)", p.Source(), got, gotErr, want, wantErr)
 	}
@@ -147,6 +243,17 @@ var fuzzCorpus = []string{
 	"len(\"abc\") + len([1,2])",
 	"c2f(f2c(a))",
 	"a == b != c",
+	// Boolean-rooted: only BindPredicate takes these.
+	"a >= 0",
+	"a > b && b <= c",
+	"a < 0 || !(b == c)",
+	"!(a != a)",
+	"a == nan || nan != b",
+	"a / c > 1",
+	"b % 0 == 0 || true",
+	"false && a / 0 > 1",
+	`a > 1 && "s" == "s"`,
+	"(a > b) == (b > c)",
 }
 
 // FuzzEvalDifferential fuzzes source text against the float64 path:
@@ -177,6 +284,9 @@ func FuzzEvalDifferential(f *testing.F) {
 		_, _ = p.Eval(mixed)
 		if bp, err := p.Bind(names); err == nil {
 			diffBound(t, p, bp, slots, hist)
+		}
+		if bp, err := p.BindPredicate(names); err == nil {
+			diffPredicate(t, p, bp, slots, hist)
 		}
 	})
 }

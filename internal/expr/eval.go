@@ -49,6 +49,23 @@ func (p *Program) EvalNumber(env Env) (float64, error) {
 	return f, nil
 }
 
+// EvalPredicate evaluates a filter predicate: a bool result decides, a
+// number is true when non-zero, and any other result is an error. It is
+// the reference BoundPredicate must agree with.
+func (p *Program) EvalPredicate(env Env) (bool, error) {
+	v, err := p.Eval(env)
+	if err != nil {
+		return false, err
+	}
+	switch t := v.(type) {
+	case bool:
+		return t, nil
+	case float64:
+		return t != 0, nil
+	}
+	return false, evalErrf("expression yielded %T, want bool or number", v)
+}
+
 func eval(n node, env Env) (Value, error) {
 	switch t := n.(type) {
 	case numberNode:

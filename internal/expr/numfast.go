@@ -59,6 +59,50 @@ func (p *Program) Bind(names []string) (*BoundProgram, error) {
 	return &BoundProgram{prog: p, nslots: len(names), root: l.num}, nil
 }
 
+// BoundPredicate is a Program bound like a BoundProgram but read as a
+// predicate: a bool result decides, a number is true when non-zero.
+// Safe for concurrent use.
+type BoundPredicate struct {
+	nslots int
+	root   boolFn
+}
+
+// BindPredicate is Bind for a filter predicate: the expression may yield
+// a bool as well as a number. It fails where Bind fails, and for an
+// expression yielding a list; the caller then evaluates with
+// Program.EvalPredicate, which has identical semantics.
+func (p *Program) BindPredicate(names []string) (*BoundPredicate, error) {
+	b := &binder{names: names}
+	l, err := b.lower(p.root)
+	if err != nil {
+		return nil, err
+	}
+	root := l.b
+	switch l.kind {
+	case nkBool:
+	case nkNum:
+		nf := l.num
+		root = func(s []float64, h [][]float64) (bool, error) {
+			v, err := nf(s, h)
+			return err == nil && v != 0, err
+		}
+	default:
+		return nil, bindErrf("expression yields %s, want bool or number", l.kind)
+	}
+	return &BoundPredicate{nslots: len(names), root: root}, nil
+}
+
+// EvalFloats evaluates the predicate against raw slots, with hist as for
+// BoundProgram.EvalFloats. It allocates nothing on the success path.
+//
+//lint:noalloc
+func (b *BoundPredicate) EvalFloats(slots []float64, hist [][]float64) (bool, error) {
+	if len(slots) < b.nslots {
+		return false, evalErrf("bound program wants %d slot(s), got %d", b.nslots, len(slots))
+	}
+	return b.root(slots, hist)
+}
+
 // Program returns the program this binding was compiled from.
 func (b *BoundProgram) Program() *Program { return b.prog }
 

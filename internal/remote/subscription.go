@@ -63,11 +63,26 @@ func newStreamSink(st *srpc.ServerStream) *streamSink {
 }
 
 // TrySend encodes u into the connection's write buffer before it
-// returns, so nothing of u is retained.
+// returns, so nothing of u is retained; the frame may wait out the
+// connection's gather window for company.
 func (k *streamSink) TrySend(u *subscribe.Update) error {
 	k.w.U = u
 	err := k.st.TrySend(&k.w)
 	k.w.U = nil
+	return sinkErr(err)
+}
+
+// Queue is TrySend without waking the connection's writer: the hub's
+// Publish flushes after its last send.
+func (k *streamSink) Queue(u *subscribe.Update) error {
+	k.w.U = u
+	err := k.st.Queue(&k.w)
+	k.w.U = nil
+	return sinkErr(err)
+}
+
+// sinkErr maps a stream send error onto the hub's Sink contract.
+func sinkErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -80,7 +95,8 @@ func (k *streamSink) TrySend(u *subscribe.Update) error {
 	}
 }
 
-// Flush ends a publish burst: the frames TrySend queued leave now.
+// Flush ends a publish burst: the frames Queue and TrySend queued leave
+// now.
 func (k *streamSink) Flush() { k.st.Flush() }
 
 func (k *streamSink) Ready() <-chan struct{} { return k.st.Ready() }
@@ -192,4 +208,5 @@ func (sc *SubscriberClient) Close() { sc.st.Close() }
 var (
 	_ subscribe.Sink    = (*streamSink)(nil)
 	_ subscribe.Flusher = (*streamSink)(nil)
+	_ subscribe.Queuer  = (*streamSink)(nil)
 )

@@ -3,9 +3,11 @@ package remote
 import (
 	"errors"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sensorcer/internal/clockwork"
 	"sensorcer/internal/sensor/probe"
 	"sensorcer/internal/srpc"
 	"sensorcer/internal/subscribe"
@@ -219,5 +221,68 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never reached")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// timerCounter is a fake clock that counts the timers armed on it.
+type timerCounter struct {
+	*clockwork.Fake
+	armed atomic.Int64
+}
+
+func (c *timerCounter) NewTimer(d time.Duration) clockwork.Timer {
+	c.armed.Add(1)
+	return c.Fake.NewTimer(d)
+}
+
+// TestPublishArmsNoGatherTimer: a Publish delivering inline to 64
+// streams of one connection queues every frame without waking the
+// connection's flusher, so its one wake-up is the Flush that ends the
+// Publish. On the server's fake clock, never advanced, no gather timer
+// is ever armed — one per Publish when the first frame kicked the
+// flusher lazily — and every frame still arrives.
+func TestPublishArmsNoGatherTimer(t *testing.T) {
+	const streams, publishes = 64, 20
+	clock := &timerCounter{Fake: clockwork.NewFake(epoch)}
+	server := srpc.NewServer()
+	server.SetClock(clock)
+	hub := subscribe.NewHub()
+	ServeSubscriptions(server, hub)
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		server.Close()
+		hub.Close()
+	})
+	c := subDial(t, server)
+	subs := make([]*SubscriberClient, streams)
+	for i := range subs {
+		// A window past the run keeps every delivery inline.
+		sub, err := Subscribe(c, subscribe.Filter{}, WithWindow(2*publishes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		subs[i] = sub
+	}
+	waitFor(t, func() bool { return hub.Count() == streams })
+	for p := 1; p <= publishes; p++ {
+		hub.Publish(pubReading("rtd-1", float64(p)))
+		for i, sub := range subs {
+			u, err := sub.Recv(2 * time.Second)
+			if err != nil {
+				t.Fatalf("publish %d, stream %d: %v", p, i, err)
+			}
+			if u.SeqNo != uint64(p) || len(u.Readings) != 1 || u.Readings[0].Value != float64(p) {
+				t.Fatalf("publish %d, stream %d: update %+v", p, i, u)
+			}
+		}
+	}
+	if n := clock.armed.Load(); n != 0 {
+		t.Fatalf("%d publishes to %d streams armed %d gather timers, want 0", publishes, streams, n)
+	}
+	if n := clock.PendingTimers(); n != 0 {
+		t.Fatalf("%d gather timers pending, want 0", n)
 	}
 }

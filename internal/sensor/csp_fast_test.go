@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sensorcer/internal/sensor/probe"
@@ -168,5 +169,22 @@ func TestCSPReadPathAllocationFree(t *testing.T) {
 				t.Errorf("GetValue (%s): %v allocs/op, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// TestCSPBoolExpressionFails: a composite's value is a number, so an
+// expression yielding a bool takes no slot binding and every read fails
+// with the Env path's error, whatever the expression package binds for
+// predicates elsewhere.
+func TestCSPBoolExpressionFails(t *testing.T) {
+	for _, src := range []string{"a > b", "a > 0 && b > 0", "!(a == b)"} {
+		c := fastCSP(t, src, 21.5, 20)
+		if c.boundProgram() != nil {
+			t.Fatalf("%q: bound a bool-valued composite expression", src)
+		}
+		_, err := c.GetValue()
+		if err == nil || !strings.Contains(err.Error(), "expression yielded bool, want number") {
+			t.Fatalf("%q: GetValue error = %v, want the bool-result error", src, err)
+		}
 	}
 }

@@ -156,18 +156,21 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // Frames that accumulate while one write is in flight — inline or the
 // flusher's — all leave in the next one, in the order they were queued.
 //
-// There are two nudges. An eager kick (writeFrame behind a pending
-// buffer, stream close frames, ServerStream.Flush) writes as soon as the
-// flusher runs. A lazy kick (writeFrameLazy: a stream data frame nobody
-// flushed, a client's credit grant) lets the flusher linger
-// streamGatherWindow first, so frames from this connection's other
-// streams can join the same write: the grants a subscriber's Recv loops
-// make for one burst leave together. A fan-out burst does not depend on
-// that timer: the subscription hub appends every frame of one Publish
-// and then calls Flush, so the burst leaves in one write per connection
-// when the Publish ends. Only frames a subscription's pump sends on its
-// own — paced or credit-recovery deliveries, already late by
-// construction — and credit grants wait out the window.
+// A queued frame leaves with the next write, and three things start one.
+// An eager kick (writeFrame behind a pending buffer, stream close frames,
+// ServerStream.Flush) writes as soon as the flusher runs. A lazy kick
+// (kickLazy, after ServerStream.TrySend or a client's credit grant) lets
+// the flusher linger streamGatherWindow first, so frames from this
+// connection's other streams can join the same write: the grants a
+// subscriber's Recv loops make for one burst leave together. No kick at
+// all (ServerStream.Queue) is for a producer that will flush: the
+// subscription hub queues every frame of one Publish that way and then
+// calls Flush, so the burst wakes the flusher once, arms no gather
+// timer, and leaves in one write per connection when the Publish ends;
+// the flushes after the first find the kick already waiting and skip
+// the channel. Only frames a subscription's pump sends on its own —
+// paced or credit-recovery deliveries, already late by construction —
+// and credit grants wait out the window.
 //
 // Stream data never touches the socket from its producer, so a peer
 // whose socket has stalled cannot block a publisher. An inline write
@@ -342,24 +345,35 @@ func (cw *connWriter) writeFrame(frame []byte) error {
 }
 
 // flush wakes the flusher now (the eager kick), cutting short a gather
-// window it may be lingering in.
+// window it may be lingering in. A kick still waiting in the channel
+// already covers every frame queued before this call — the flusher has
+// not taken it, so its flush will — which lets the many streams of one
+// connection that a Publish flushes skip the channel send after the
+// first.
 func (cw *connWriter) flush() {
+	if len(cw.kick) > 0 {
+		return
+	}
 	select {
 	case cw.kick <- struct{}{}:
 	default:
 	}
 }
 
-// writeFrameLazy queues a frame that leaves with the next eager kick or
-// after the gather window, whichever comes first — stream data, whose
-// sender either flushes at the end of its burst (ServerStream.Flush) or
-// is a pump delivery that may wait for company.
-func (cw *connWriter) writeFrameLazy(frame []byte) {
+// queue appends a frame without waking the flusher: it leaves with the
+// next kick or write, whoever makes it.
+func (cw *connWriter) queue(frame []byte) {
 	cw.mu.Lock()
 	if cw.err == nil {
 		cw.pending = append(cw.pending, frame...)
 	}
 	cw.mu.Unlock()
+}
+
+// kickLazy wakes the flusher after the gather window, unless an eager
+// kick comes first: for a frame that may wait for company — a credit
+// grant, or stream data a subscription's pump sends on its own.
+func (cw *connWriter) kickLazy() {
 	select {
 	case cw.lazy <- struct{}{}:
 	default:

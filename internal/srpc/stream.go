@@ -122,6 +122,18 @@ func (st *ServerStream) Done() <-chan struct{} { return st.done }
 // subscriber's progress. The frame leaves with the connection's next
 // write: at the latest one gather window later, at once after Flush.
 func (st *ServerStream) TrySend(payload any) error {
+	if err := st.Queue(payload); err != nil {
+		return err
+	}
+	st.cw.kickLazy()
+	return nil
+}
+
+// Queue is TrySend for a producer that ends its burst with Flush: the
+// frame waits for that Flush (or any other write on the connection) and
+// does not wake the connection's flusher itself, so a burst across many
+// streams costs the flusher one wake-up and no gather timer.
+func (st *ServerStream) Queue(payload any) error {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -142,15 +154,15 @@ func (st *ServerStream) TrySend(payload any) error {
 		st.refund()
 		return fmt.Errorf("srpc: marshalling stream payload: %w", err)
 	}
-	st.cw.writeFrameLazy(finishFrame(b, frameStreamData))
+	st.cw.queue(finishFrame(b, frameStreamData))
 	return nil
 }
 
-// Flush makes the frames TrySend queued on this stream's connection leave
-// now instead of after the gather window. A producer that sends a burst
-// across many streams calls it once per stream after the last TrySend:
-// every frame is already queued by then, so the burst costs one write
-// per connection. It never blocks.
+// Flush makes the frames TrySend or Queue queued on this stream's
+// connection leave now instead of after the gather window. A producer
+// that sends a burst across many streams calls it once per stream after
+// the last send: every frame is already queued by then, so the burst
+// costs one write per connection. It never blocks.
 func (st *ServerStream) Flush() { st.cw.flush() }
 
 // refund returns one consumed credit after a failed encode.
@@ -565,7 +577,8 @@ func (st *ClientStream) maybeGrant() {
 	buf := getBuf()
 	b := appendStreamCredit(beginFrame(*buf), st.id, n)
 	*buf = b
-	st.c.cw.writeFrameLazy(finishFrame(b, frameStreamCredit))
+	st.c.cw.queue(finishFrame(b, frameStreamCredit))
+	st.c.cw.kickLazy()
 	putBuf(buf)
 }
 

@@ -2,12 +2,12 @@ package subscribe
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/event"
-	"sensorcer/internal/expr"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/sensor/probe"
 )
@@ -45,6 +45,13 @@ type Hub struct {
 	subs   map[string]*subscription
 	closed bool
 
+	// sensors interns sensor names: Publish looks a reading's sensor up
+	// once, and every per-sensor table past that point — a
+	// subscription's conflation slot and last value, a stream encoder's
+	// meta cache — is reached by the index it returns. Indexes are never
+	// reused, and the table holds one entry per sensor ever published.
+	sensors map[string]int32
+
 	wg sync.WaitGroup
 	// flushBufs recycles the *[]Flusher scratch Publish collects into;
 	// a pool because Publish runs concurrently from several sources.
@@ -75,6 +82,7 @@ func NewHub(opts ...HubOption) *Hub {
 		clock:   clockwork.Real(),
 		parkCap: DefaultParkCapacity,
 		subs:    make(map[string]*subscription),
+		sensors: make(map[string]int32),
 	}
 	for _, o := range opts {
 		o(h)
@@ -84,14 +92,35 @@ func NewHub(opts ...HubOption) *Hub {
 	return h
 }
 
-// subscription is one registered subscriber. Its pending map conflates
-// undelivered readings latest-per-sensor; the pump goroutine drains it
-// into the sink as credit allows.
+// sensorIndex returns name's interned index, assigning the next one to a
+// name never published before.
+func (h *Hub) sensorIndex(name string) int32 {
+	h.mu.RLock()
+	id, ok := h.sensors[name]
+	h.mu.RUnlock()
+	if ok {
+		return id
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if id, ok := h.sensors[name]; ok {
+		return id
+	}
+	id = int32(len(h.sensors))
+	h.sensors[name] = id
+	return id
+}
+
+// subscription is one registered subscriber. Its pending buffer
+// conflates undelivered readings latest-per-sensor; the pump goroutine
+// drains it into the sink as credit allows. Every per-sensor table is
+// indexed by the hub's sensor index, so a delivery costs no map
+// operation however many sensors the subscription hears.
 type subscription struct {
 	hub     *Hub
 	token   string
 	filter  Filter
-	prog    *expr.Program
+	pred    *predicate
 	durable bool
 	ttl     time.Duration
 
@@ -100,21 +129,28 @@ type subscription struct {
 	// both nil only transiently during resume.
 	sink Sink
 	// flusher is sink's optional Flusher side (nil without one), resolved
-	// once at attach instead of per delivery.
+	// once at attach instead of per delivery; queuer is its optional
+	// Queuer side, which the inline path sends through because Publish
+	// flushes whatever it delivered.
 	flusher  Flusher
+	queuer   Queuer
 	stop     chan struct{}
 	box      *event.Box
 	boxLease lease.Lease
-	// pending is the conflation buffer: latest reading per sensor, with
-	// order preserving first arrival.
-	pending map[string]probe.Reading
-	order   []string
+	// pending is the conflation buffer: the latest reading per sensor in
+	// first-arrival order, pendingIDs their sensor indexes, and
+	// slot[id] the position plus one of sensor id's reading in pending
+	// (0: none).
+	pending    []probe.Reading
+	pendingIDs []int32
+	slot       []int32
 	// dropped counts readings conflated away or lost since the last
 	// delivered update.
 	dropped uint64
-	// lastVal is the last accepted value per sensor (min-change filter).
-	lastVal map[string]float64
-	seq     uint64
+	// last is the last accepted value per sensor index, kept only for a
+	// MinChange filter, the one reader.
+	last []lastValue
+	seq  uint64
 	// evSeq numbers readings stored while parked, so box overflow shows
 	// as a SeqNo discontinuity.
 	evSeq      uint64
@@ -128,9 +164,11 @@ type subscription struct {
 	// a time, so updates leave in seq order and an unsent one can be
 	// requeued as if it had never been taken.
 	delivering bool
-	// single is the inline path's update, reused: only the holder of
+	// out is the update being delivered, reused: only the holder of
 	// delivering touches it, and neither the sink nor requeue keeps it.
-	single singleUpdate
+	// take swaps pending's buffers into it; the inline path fills it
+	// with its one reading.
+	out Update
 	// notify (capacity 1) wakes the pump when pending gains data.
 	notify chan struct{}
 }
@@ -146,7 +184,7 @@ func (h *Hub) Subscribe(token string, f Filter, sink Sink, durable bool, ttl tim
 	if sink == nil {
 		return errors.New("subscribe: nil sink")
 	}
-	prog, err := filterProg(f)
+	pred, err := compilePredicate(f.Expr)
 	if err != nil {
 		return err
 	}
@@ -154,12 +192,10 @@ func (h *Hub) Subscribe(token string, f Filter, sink Sink, durable bool, ttl tim
 		hub:     h,
 		token:   token,
 		filter:  f,
-		prog:    prog,
+		pred:    pred,
 		durable: durable,
 		ttl:     ttl,
 		paced:   f.MinInterval() > 0,
-		pending: make(map[string]probe.Reading),
-		lastVal: make(map[string]float64),
 		notify:  make(chan struct{}, 1),
 	}
 	h.mu.Lock()
@@ -204,16 +240,21 @@ func (h *Hub) Resume(token string, sink Sink) error {
 	s.mu.Unlock()
 	backlog, gap := box.DrainWithDropped(0)
 	_ = lse.Cancel()
+	// Indexed outside s.mu: Publish takes h.mu before s.mu.
+	readings := make([]probe.Reading, 0, len(backlog))
+	ids := make([]int32, 0, len(backlog))
+	for _, ev := range backlog {
+		if r, ok := ev.Payload.(probe.Reading); ok {
+			readings = append(readings, r)
+			ids = append(ids, h.sensorIndex(r.Sensor))
+		}
+	}
 	s.mu.Lock()
 	s.dropped += gap
-	for _, ev := range backlog {
-		r, ok := ev.Payload.(probe.Reading)
-		if !ok {
-			continue
-		}
-		s.mergeLocked(r)
+	for i, r := range readings {
+		s.mergeLocked(r, ids[i])
 	}
-	hasPending := len(s.order) > 0
+	hasPending := len(s.pending) > 0
 	s.mu.Unlock()
 	h.attach(s, sink)
 	if hasPending {
@@ -228,6 +269,7 @@ func (h *Hub) attach(s *subscription, sink Sink) {
 	s.mu.Lock()
 	s.sink = sink
 	s.flusher, _ = sink.(Flusher)
+	s.queuer, _ = sink.(Queuer)
 	s.stop = stop
 	s.mu.Unlock()
 	h.wg.Add(1)
@@ -266,16 +308,15 @@ func (h *Hub) park(s *subscription) {
 		return
 	}
 	stop, sink := s.stop, s.sink
-	s.stop, s.sink, s.flusher = nil, nil, nil
+	s.stop, s.sink, s.flusher, s.queuer = nil, nil, nil, nil
 	s.box = box
 	s.boxLease = lse
-	for _, k := range s.order {
-		r := s.pending[k]
-		delete(s.pending, k)
+	for i, r := range s.pending {
+		s.slot[s.pendingIDs[i]] = 0
 		s.evSeq++
 		_ = box.Notify(event.RemoteEvent{SeqNo: s.evSeq, Timestamp: r.Timestamp, Payload: r})
 	}
-	s.order = s.order[:0]
+	s.pending, s.pendingIDs = s.pending[:0], s.pendingIDs[:0]
 	s.mu.Unlock()
 	close(stop)
 	sink.Close(nil)
@@ -296,7 +337,7 @@ func (h *Hub) remove(token string) {
 	s.gone = true
 	stop, sink := s.stop, s.sink
 	box, lse := s.box, s.boxLease
-	s.stop, s.sink, s.flusher, s.box = nil, nil, nil, nil
+	s.stop, s.sink, s.flusher, s.queuer, s.box = nil, nil, nil, nil, nil
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)
@@ -317,20 +358,25 @@ func (h *Hub) remove(token string) {
 // parked subscriber costs the publisher nothing beyond the filter
 // check.
 //
-// The sends only queue (see Flusher), so Publish ends by flushing every
-// sink it delivered to: all of this reading's frames are queued before
-// the first flush, which is what makes the burst one write per
-// connection — by construction, not by a timer.
+// The sends only queue (see Flusher and Queuer), so Publish ends by
+// flushing every sink it delivered to: all of this reading's frames are
+// queued before the first flush, which is what makes the burst one write
+// per connection — by construction, not by a timer — and the flush its
+// only wake-up of the writer.
+//
+// The reading's sensor is looked up once, here; each subscription
+// reaches its per-sensor state by the index.
 func (h *Hub) Publish(r probe.Reading) {
 	// Expire lapsed park leases first, so offers to dead boxes fail and
 	// their subscriptions get reaped below.
 	h.mailbox.Sweep()
+	id := h.sensorIndex(r.Sensor)
 	var expired []string
 	scratch := h.flushBufs.Get().(*[]Flusher)
 	flush := (*scratch)[:0]
 	h.mu.RLock()
 	for token, s := range h.subs {
-		f, alive := s.offer(r)
+		f, alive := s.offer(r, id)
 		if !alive {
 			expired = append(expired, token)
 		}
@@ -378,10 +424,11 @@ func (h *Hub) Close() {
 	h.wg.Wait()
 }
 
-// offer runs the filter chain and routes an accepted reading: into the
-// sink, the conflation buffer (attached) or the parked box. alive is
-// false when the subscription is dead (parked lease expired) so Publish
-// can reap it; flush is the sink's Flusher when this offer sent into it.
+// offer runs the filter chain and routes an accepted reading of sensor
+// index id: into the sink, the conflation buffer (attached) or the
+// parked box. alive is false when the subscription is dead (parked lease
+// expired) so Publish can reap it; flush is the sink's Flusher when this
+// offer sent into it.
 //
 // An attached, unpaced subscription whose sink is idle is delivered
 // inline on the publisher's goroutine: TrySend never blocks, so the
@@ -390,21 +437,19 @@ func (h *Hub) Close() {
 // subscriber per reading. With nothing pending, which is the steady
 // state, the reading does not visit the conflation buffer at all: the
 // update is built around it right here, in the subscription's reused
-// singleUpdate, so the delivery allocates nothing. The pump keeps
+// out update, so the delivery allocates nothing. The pump keeps
 // everything the inline path declines: pacing, credit waits, and
 // teardown.
-func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
+func (s *subscription) offer(r probe.Reading, id int32) (flush Flusher, alive bool) {
 	s.mu.Lock()
 	if s.gone {
 		s.mu.Unlock()
 		return nil, false
 	}
-	last, have := s.lastVal[r.Sensor]
-	if !matches(s.filter, s.prog, r, last, have) {
+	if !s.matchesLocked(r, id) {
 		s.mu.Unlock()
 		return nil, true
 	}
-	s.lastVal[r.Sensor] = r.Value
 	if s.box != nil {
 		s.evSeq++
 		err := s.box.Notify(event.RemoteEvent{SeqNo: s.evSeq, Timestamp: r.Timestamp, Payload: r})
@@ -421,7 +466,7 @@ func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	if s.paced || s.delivering || sink == nil {
 		// Paced, mid-resume, or a deliverer is active — it rechecks
 		// pending before standing down, so the merge is covered.
-		s.mergeLocked(r)
+		s.mergeLocked(r, id)
 		if !s.delivering {
 			s.signal()
 		}
@@ -430,42 +475,80 @@ func (s *subscription) offer(r probe.Reading) (flush Flusher, alive bool) {
 	}
 	s.delivering = true
 	var u *Update
-	if len(s.order) == 0 {
-		su := &s.single
-		su.one[0] = r
-		su.Update = s.stampLocked(su.one[:])
-		u = &su.Update
+	if len(s.pending) == 0 {
+		u = &s.out
+		u.Readings = append(u.Readings[:0], r)
+		u.ids = append(u.ids[:0], id)
+		s.stampLocked(u)
 	} else {
 		// Something is waiting for the pump (a resume backlog, a requeued
 		// snapshot): join it, so order and conflation hold.
-		s.mergeLocked(r)
+		s.mergeLocked(r, id)
 		u = s.takeLocked()
 	}
-	flusher := s.flusher
+	flusher, queuer := s.flusher, s.queuer
 	s.mu.Unlock()
-	if !s.deliverInline(sink, u) {
+	if !s.deliverInline(sink, queuer, u) {
 		return nil, true
 	}
 	return flusher, true
 }
 
-// singleUpdate is an Update and the one reading it carries, with no
-// allocation of its own.
-type singleUpdate struct {
-	Update
-	one [1]probe.Reading
+// matchesLocked applies the filter chain — sensor set, min-change against
+// the sensor's last accepted value, predicate — to r, the reading of
+// sensor index id, and records an accepted value for min-change.
+func (s *subscription) matchesLocked(r probe.Reading, id int32) bool {
+	f := &s.filter
+	if len(f.Sensors) > 0 && !slices.Contains(f.Sensors, r.Sensor) {
+		return false
+	}
+	var last *lastValue
+	if f.MinChange > 0 {
+		s.last = growTo(s.last, id)
+		last = &s.last[id]
+		if last.ok {
+			d := r.Value - last.v
+			if d < 0 {
+				d = -d
+			}
+			if d < f.MinChange {
+				return false
+			}
+		}
+	}
+	if s.pred != nil && !s.pred.test(r) {
+		return false
+	}
+	if last != nil {
+		*last = lastValue{v: r.Value, ok: true}
+	}
+	return true
+}
+
+// lastValue is a sensor's last accepted value; ok is false until one.
+type lastValue struct {
+	v  float64
+	ok bool
 }
 
 // deliverInline sends u, then whatever became pending meanwhile, on the
 // publisher's goroutine while the sends stay trivially cheap; it
-// reports whether the sink accepted anything. The moment a send cannot
-// complete immediately — no credit, sink closed — it stands down and
-// hands the subscription to the pump, which owns waiting and teardown.
+// reports whether the sink accepted anything. A sink with a Queuer side
+// (q) is sent to through it: Publish flushes it afterwards, so the send
+// need not wake the sink's writer. The moment a send cannot complete
+// immediately — no credit, sink closed — it stands down and hands the
+// subscription to the pump, which owns waiting and teardown.
 //
-//lint:blockok TrySend is contractually non-blocking (a credit check and a buffer append; an exhausted window returns ErrSinkBlocked instead of waiting), so the publisher holding Hub.mu is never coupled to a subscriber's progress
-func (s *subscription) deliverInline(sink Sink, u *Update) (sent bool) {
+//lint:blockok TrySend and Queue are contractually non-blocking (a credit check and a buffer append; an exhausted window returns ErrSinkBlocked instead of waiting), so the publisher holding Hub.mu is never coupled to a subscriber's progress
+func (s *subscription) deliverInline(sink Sink, q Queuer, u *Update) (sent bool) {
 	for {
-		if err := sink.TrySend(u); err != nil {
+		var err error
+		if q != nil {
+			err = q.Queue(u)
+		} else {
+			err = sink.TrySend(u)
+		}
+		if err != nil {
 			if errors.Is(err, ErrSinkBlocked) {
 				s.requeue(u)
 			}
@@ -486,7 +569,7 @@ func (s *subscription) deliverInline(sink Sink, u *Update) (sent bool) {
 func (s *subscription) takeOrRelease() *Update {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.order) == 0 {
+	if len(s.pending) == 0 {
 		s.delivering = false
 		return nil
 	}
@@ -499,22 +582,42 @@ func (s *subscription) takeOrRelease() *Update {
 func (s *subscription) release() {
 	s.mu.Lock()
 	s.delivering = false
-	stranded := len(s.order) > 0
+	stranded := len(s.pending) > 0
 	s.mu.Unlock()
 	if stranded {
 		s.signal()
 	}
 }
 
-// mergeLocked conflates r into pending: latest value wins per sensor,
-// and a superseded reading counts as dropped.
-func (s *subscription) mergeLocked(r probe.Reading) {
-	if _, exists := s.pending[r.Sensor]; exists {
+// mergeLocked conflates r, the reading of sensor index id, into pending:
+// latest value wins per sensor, and a superseded reading counts as
+// dropped.
+func (s *subscription) mergeLocked(r probe.Reading, id int32) {
+	slot := s.slotOf(id)
+	if *slot != 0 {
+		s.pending[*slot-1] = r
 		s.dropped++
-	} else {
-		s.order = append(s.order, r.Sensor)
+		return
 	}
-	s.pending[r.Sensor] = r
+	s.pending = append(s.pending, r)
+	s.pendingIDs = append(s.pendingIDs, id)
+	*slot = int32(len(s.pending))
+}
+
+// slotOf returns sensor index id's entry in slot, growing the table to
+// hold it.
+func (s *subscription) slotOf(id int32) *int32 {
+	s.slot = growTo(s.slot, id)
+	return &s.slot[id]
+}
+
+// growTo extends a table indexed by sensor index to hold index id; new
+// entries are zero.
+func growTo[T any](table []T, id int32) []T {
+	if int(id) >= len(table) {
+		table = append(table, make([]T, int(id)+1-len(table))...)
+	}
+	return table
 }
 
 func (s *subscription) signal() {
@@ -620,32 +723,32 @@ func (s *subscription) deliver(sink Sink, stop <-chan struct{}) bool {
 func (s *subscription) take() (*Update, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.order) == 0 {
+	if len(s.pending) == 0 {
 		return nil, false
 	}
 	return s.takeLocked(), true
 }
 
-// takeLocked drains a non-empty pending into one Update.
+// takeLocked drains a non-empty pending into the out update by swapping
+// buffers with it, so a pump delivery allocates nothing either.
 func (s *subscription) takeLocked() *Update {
-	readings := make([]probe.Reading, 0, len(s.order))
-	for _, k := range s.order {
-		readings = append(readings, s.pending[k])
-		delete(s.pending, k)
+	for _, id := range s.pendingIDs {
+		s.slot[id] = 0
 	}
-	s.order = s.order[:0]
-	u := s.stampLocked(readings)
-	return &u
+	u := &s.out
+	u.Readings, s.pending = s.pending, u.Readings[:0]
+	u.ids, s.pendingIDs = s.pendingIDs, u.ids[:0]
+	s.stampLocked(u)
+	return u
 }
 
-// stampLocked makes readings the subscription's next update: the next
-// SeqNo, and the drops accrued since the previous one. requeue is its
-// inverse.
-func (s *subscription) stampLocked(readings []probe.Reading) Update {
+// stampLocked makes u, holding its readings, the subscription's next
+// update: the next SeqNo, and the drops accrued since the previous one.
+// requeue is its inverse.
+func (s *subscription) stampLocked(u *Update) {
 	s.seq++
-	u := Update{SeqNo: s.seq, Dropped: s.dropped, Readings: readings}
+	u.SeqNo, u.Dropped = s.seq, s.dropped
 	s.dropped = 0
-	return u
 }
 
 // requeue returns an undeliverable update to pending, as if it had never
@@ -659,16 +762,21 @@ func (s *subscription) requeue(u *Update) {
 	defer s.mu.Unlock()
 	s.seq--
 	s.dropped += u.Dropped
-	restored := make([]string, 0, len(u.Readings))
-	for _, r := range u.Readings {
-		if _, exists := s.pending[r.Sensor]; exists {
+	n := 0
+	for i, r := range u.Readings {
+		id := u.ids[i]
+		if *s.slotOf(id) != 0 {
 			s.dropped++
 			continue
 		}
-		s.pending[r.Sensor] = r
-		restored = append(restored, r.Sensor)
+		u.Readings[n], u.ids[n] = r, id
+		n++
 	}
-	s.order = append(restored, s.order...)
+	s.pending = slices.Insert(s.pending, 0, u.Readings[:n]...)
+	s.pendingIDs = slices.Insert(s.pendingIDs, 0, u.ids[:n]...)
+	for i, id := range s.pendingIDs {
+		s.slot[id] = int32(i + 1)
+	}
 }
 
 func (s *subscription) paceDelay(paced bool, clock clockwork.Clock) time.Duration {

@@ -150,26 +150,44 @@ func TestHubBadExprRejected(t *testing.T) {
 
 // TestMatchesPredicate pins the filter predicate's result contract: a bool
 // decides, a number delivers when non-zero, and an evaluation error or a
-// result of any other type suppresses.
+// result of any other type suppresses. A predicate reading only `value`
+// takes the bound float path, one naming the sensor, kind or unit the
+// Env path; both give the Env evaluator's answer.
 func TestMatchesPredicate(t *testing.T) {
 	cases := []struct {
-		src  string
-		r    probe.Reading
-		want bool
+		src   string
+		r     probe.Reading
+		want  bool
+		bound bool
 	}{
-		{`sensor == "rtd-1"`, reading("rtd-1", 25), true},
-		{`sensor == "rtd-1"`, reading("rtd-2", 25), false},
-		{`kind == "temperature" && value > 20`, reading("rtd-1", 25), true},
-		{`kind == "temperature" && value > 20`, reading("rtd-1", 15), false},
-		{`value - 20`, reading("rtd-1", 25), true},
-		{`value - 20`, reading("rtd-1", 20), false},
-		{`value / 0`, reading("rtd-1", 25), false},
-		{`sensor + "x"`, reading("rtd-1", 25), false},
+		{`sensor == "rtd-1"`, reading("rtd-1", 25), true, false},
+		{`sensor == "rtd-1"`, reading("rtd-2", 25), false, false},
+		{`kind == "temperature" && value > 20`, reading("rtd-1", 25), true, false},
+		{`kind == "temperature" && value > 20`, reading("rtd-1", 15), false, false},
+		{`value - 20`, reading("rtd-1", 25), true, true},
+		{`value - 20`, reading("rtd-1", 20), false, true},
+		{`value / 0`, reading("rtd-1", 25), false, true},
+		{`sensor + "x"`, reading("rtd-1", 25), false, false},
+		{`value >= 0`, reading("rtd-1", 25), true, true},
+		{`value >= 0`, reading("rtd-1", -1), false, true},
+		{`value > 20 && !(value == nan)`, reading("rtd-1", 25), true, true},
+		{`len(values) > 0`, reading("rtd-1", 25), false, false},
+		{`value_hist[0] > 0`, reading("rtd-1", 25), false, false},
 	}
 	for _, tc := range cases {
-		prog := expr.MustCompile(tc.src)
-		if got := matches(Filter{Expr: tc.src}, prog, tc.r, 0, false); got != tc.want {
-			t.Errorf("%s on %s=%v: matches = %v, want %v", tc.src, tc.r.Sensor, tc.r.Value, got, tc.want)
+		p, err := compilePredicate(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.bound != nil) != tc.bound {
+			t.Errorf("%s: bound = %v, want %v", tc.src, p.bound != nil, tc.bound)
+		}
+		if got := p.test(tc.r); got != tc.want {
+			t.Errorf("%s on %s=%v: test = %v, want %v", tc.src, tc.r.Sensor, tc.r.Value, got, tc.want)
+		}
+		ref, err := p.prog.EvalPredicate(expr.Env{"value": tc.r.Value, "sensor": tc.r.Sensor, "kind": tc.r.Kind, "unit": tc.r.Unit})
+		if ref = ref && err == nil; ref != tc.want {
+			t.Errorf("%s on %s=%v: Env reference = %v, want %v", tc.src, tc.r.Sensor, tc.r.Value, ref, tc.want)
 		}
 	}
 }
@@ -729,33 +747,61 @@ func (k *acceptSink) Close(error)            {}
 
 // TestInlinePublishAllocsFlatInSubscribers: Publish to attached,
 // unpaced subscriptions whose sinks accept builds each inline update in
-// the subscription's reused singleUpdate, so its allocations do not
-// grow with the number of subscriptions.
+// the subscription's reused out update, and a `value`-only predicate
+// runs on the bound float path, so Publish allocates nothing — at one
+// subscription, at 64, and at 64 each unfiltered, predicate-filtered
+// (`value >= 0`) and sensor-filtered — however many sensors the hub
+// has heard.
 func TestInlinePublishAllocsFlatInSubscribers(t *testing.T) {
-	allocs := func(n int) float64 {
+	filters := map[string]Filter{
+		"unfiltered": {},
+		"predicate":  {Expr: "value >= 0"},
+		"sensor":     {Sensors: []string{"other", "rtd-1"}},
+	}
+	allocs := func(n int, kinds ...string) float64 {
 		h := NewHub()
 		defer h.Close()
-		sinks := make([]*acceptSink, n)
-		for i := range sinks {
-			sinks[i] = &acceptSink{done: make(chan struct{})}
-			if err := h.Subscribe(fmt.Sprintf("tok-%d", i), Filter{}, sinks[i], false, 0); err != nil {
-				t.Fatal(err)
+		var sinks []*acceptSink
+		for _, kind := range kinds {
+			for i := 0; i < n; i++ {
+				k := &acceptSink{done: make(chan struct{})}
+				sinks = append(sinks, k)
+				if err := h.Subscribe(fmt.Sprintf("%s-%d", kind, i), filters[kind], k, false, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		// Other sensors first, so rtd-1's index is not the first one.
+		for i := 0; i < 100; i++ {
+			h.Publish(reading(fmt.Sprintf("s-%d", i), 1))
+		}
 		r := reading("rtd-1", 21.5)
-		h.Publish(r) // first reading of the sensor fills lastVal
+		h.Publish(r) // the first update fills the reused buffers
 		got := testing.AllocsPerRun(200, func() { h.Publish(r) })
 		for i, k := range sinks {
-			if k.sent.Load() != 202 {
-				t.Fatalf("subscriptions=%d: sink %d took %d updates, want all 202 inline", n, i, k.sent.Load())
+			// AllocsPerRun publishes 201 times; all but the sensor filter
+			// also took the 100 other sensors' readings.
+			want := int64(1 + 201 + 100)
+			if kinds[i/n] == "sensor" {
+				want -= 100
+			}
+			if got := k.sent.Load(); got != want {
+				t.Fatalf("%v ×%d: sink %d took %d updates, want all %d inline", kinds, n, i, got, want)
 			}
 		}
 		return got
 	}
-	one, many := allocs(1), allocs(64)
-	t.Logf("allocs per Publish: %v at 1 subscription, %v at 64", one, many)
-	if many > one {
-		t.Fatalf("Publish allocates %v at 64 subscriptions against %v at 1: a delivery allocates", many, one)
+	for _, tc := range []struct {
+		n     int
+		kinds []string
+	}{
+		{1, []string{"unfiltered"}},
+		{64, []string{"unfiltered"}},
+		{64, []string{"unfiltered", "predicate", "sensor"}},
+	} {
+		if got := allocs(tc.n, tc.kinds...); got != 0 {
+			t.Errorf("%v ×%d: Publish allocates %v, want 0", tc.kinds, tc.n, got)
+		}
 	}
 }
 
@@ -839,5 +885,112 @@ func TestReusedSingleUpdateIsNeverShared(t *testing.T) {
 			t.Fatalf("delivered %d + dropped %d, want %d", delivered, dropped, 2*perSource)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIndexedStateRacesPacedPump races three publishers, each cycling
+// through 40 sensors it introduces mid-run, against a paced pump, a
+// credit-starved pump and the inline path, over the index-addressed
+// state: the hub's sensor table and each subscription's slots, pending
+// buffers and last values grow while the pumps swap buffers out and
+// requeue. Under -race this shows every table has one writer at a time;
+// without, stableSink catches a reused update rewritten mid-send. On
+// every subscription SeqNo is contiguous, no sensor goes backwards,
+// every sensor converges on its last published value, and delivered +
+// ΣDropped equals what was published.
+func TestIndexedStateRacesPacedPump(t *testing.T) {
+	const publishers, perPub, sensorsPerPub = 3, 1500, 40
+	h := NewHub()
+	defer h.Close()
+	paced := stableSink{newTestSink(1 << 20), t}
+	starved := stableSink{newTestSink(2), t}
+	inline := stableSink{newTestSink(1 << 20), t}
+	for tok, sub := range map[string]struct {
+		f    Filter
+		sink Sink
+	}{
+		"paced":   {Filter{MinIntervalMS: 1, MinChange: 0.5}, paced},
+		"starved": {Filter{}, starved},
+		"inline":  {Filter{Expr: "value >= 0"}, inline},
+	} {
+		if err := h.Subscribe(tok, sub.f, sub.sink, false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopGrants := make(chan struct{})
+	var granter sync.WaitGroup
+	granter.Add(1)
+	go func() {
+		defer granter.Done()
+		for {
+			select {
+			case <-stopGrants:
+				return
+			default:
+			}
+			starved.grant(2)
+			time.Sleep(30 * time.Microsecond)
+		}
+	}()
+	final := map[string]float64{}
+	var pubs sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		for v := perPub - sensorsPerPub + 1; v <= perPub; v++ {
+			final[fmt.Sprintf("p%d-%d", p, v%sensorsPerPub)] = float64(v)
+		}
+		pubs.Add(1)
+		go func(p int) {
+			defer pubs.Done()
+			for v := 1; v <= perPub; v++ {
+				h.Publish(reading(fmt.Sprintf("p%d-%d", p, v%sensorsPerPub), float64(v)))
+			}
+		}(p)
+	}
+	pubs.Wait()
+	close(stopGrants)
+	granter.Wait()
+	starved.grant(1 << 20)
+	for name, k := range map[string]*testSink{"paced": paced.testSink, "starved": starved.testSink, "inline": inline.testSink} {
+		checkConserved(t, name, k, publishers*perPub, final)
+	}
+}
+
+// checkConserved waits for k's updates to account for every one of
+// published readings, then checks SeqNo runs 1, 2, …, that no sensor's
+// value goes backwards, and that each sensor ends on final[sensor].
+func checkConserved(t *testing.T, name string, k *testSink, published int, final map[string]float64) {
+	t.Helper()
+	var updates []*Update
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		updates = k.all()
+		total := 0
+		for _, u := range updates {
+			total += len(u.Readings) + int(u.Dropped)
+		}
+		if total == published {
+			break
+		}
+		if total > published || time.Now().After(deadline) {
+			t.Fatalf("%s: delivered + dropped = %d, want %d", name, total, published)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	last := map[string]float64{}
+	for i, u := range updates {
+		if u.SeqNo != uint64(i+1) {
+			t.Fatalf("%s: update %d carries SeqNo %d", name, i, u.SeqNo)
+		}
+		for _, r := range u.Readings {
+			if r.Value < last[r.Sensor] {
+				t.Fatalf("%s: update %d: %s went back from %v to %v", name, i, r.Sensor, last[r.Sensor], r.Value)
+			}
+			last[r.Sensor] = r.Value
+		}
+	}
+	for sensor, want := range final {
+		if last[sensor] != want {
+			t.Fatalf("%s: %s converged on %v, want %v", name, sensor, last[sensor], want)
+		}
 	}
 }

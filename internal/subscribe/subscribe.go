@@ -57,6 +57,9 @@ type Update struct {
 	// Readings are the surviving readings, latest per sensor, in first-
 	// arrival key order.
 	Readings []probe.Reading
+	// ids are the hub's sensor indexes of Readings, index-aligned; nil in
+	// an update no hub built. The encoder keys its meta cache on them.
+	ids []int32
 }
 
 // Sink is where a subscription pushes updates — in practice an srpc
@@ -88,6 +91,16 @@ type Flusher interface {
 	Flush()
 }
 
+// Queuer is an optional Flusher capability: Queue is TrySend for a send
+// its caller will flush, so it need not wake the sink's writer. Publish
+// delivers inline through it and ends the burst with Flush, the burst's
+// one wake-up; the pump keeps TrySend, whose frame may wait for company.
+// Queue must not block.
+type Queuer interface {
+	Flusher
+	Queue(u *Update) error
+}
+
 // ErrSinkBlocked is returned by Sink.TrySend when the consumer has no
 // credit; the pump conflates until Ready fires.
 var ErrSinkBlocked = errors.New("subscribe: sink out of credit")
@@ -95,61 +108,49 @@ var ErrSinkBlocked = errors.New("subscribe: sink out of credit")
 // ErrSinkClosed is returned by Sink.TrySend after the consumer is gone.
 var ErrSinkClosed = errors.New("subscribe: sink closed")
 
-// filterProg compiles the Filter's expression predicate ("" = none).
-func filterProg(f Filter) (*expr.Program, error) {
-	if f.Expr == "" {
+// predicate is a compiled filter expression. One that reads no
+// variable but `value` is bound to expr's float path and costs no Env
+// map and no boxing per reading; anything else — a predicate naming the
+// reading's sensor, kind or unit — is evaluated through an Env, which
+// stays the semantic reference. A predicate belongs to one subscription
+// and runs under its lock: slot is the bound path's scratch.
+type predicate struct {
+	prog  *expr.Program
+	bound *expr.BoundPredicate
+	slot  [1]float64
+}
+
+// compilePredicate compiles the Filter's expression ("" = none, nil).
+func compilePredicate(src string) (*predicate, error) {
+	if src == "" {
 		return nil, nil
 	}
-	p, err := expr.Compile(f.Expr)
+	p, err := expr.Compile(src)
 	if err != nil {
 		return nil, errors.Join(errors.New("subscribe: bad filter expression"), err)
 	}
-	return p, nil
+	pr := &predicate{prog: p}
+	if vars := p.Vars(); len(vars) == 0 || len(vars) == 1 && vars[0] == "value" {
+		// Bind resolves "values" and "value_hist" too, which a reading
+		// does not carry; only a program naming nothing else binds.
+		pr.bound, _ = p.BindPredicate([]string{"value"})
+	}
+	return pr, nil
 }
 
-// matches applies the full filter chain (sensor set, min-change,
-// predicate) to one reading given the last accepted value for its
-// sensor.
-func matches(f Filter, prog *expr.Program, r probe.Reading, last float64, haveLast bool) bool {
-	if len(f.Sensors) > 0 {
-		found := false
-		for _, s := range f.Sensors {
-			if s == r.Sensor {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+// test reports whether r passes: a bool result decides, a number passes
+// when non-zero, an error or any other result suppresses.
+func (p *predicate) test(r probe.Reading) bool {
+	if p.bound != nil {
+		p.slot[0] = r.Value
+		ok, err := p.bound.EvalFloats(p.slot[:], nil)
+		return err == nil && ok
 	}
-	if f.MinChange > 0 && haveLast {
-		d := r.Value - last
-		if d < 0 {
-			d = -d
-		}
-		if d < f.MinChange {
-			return false
-		}
-	}
-	if prog != nil {
-		v, err := prog.Eval(expr.Env{
-			"value":  r.Value,
-			"sensor": r.Sensor,
-			"kind":   r.Kind,
-			"unit":   r.Unit,
-		})
-		if err != nil {
-			return false
-		}
-		switch t := v.(type) {
-		case bool:
-			return t
-		case float64:
-			return t != 0
-		default:
-			return false
-		}
-	}
-	return true
+	ok, err := p.prog.EvalPredicate(expr.Env{
+		"value":  r.Value,
+		"sensor": r.Sensor,
+		"kind":   r.Kind,
+		"unit":   r.Unit,
+	})
+	return err == nil && ok
 }

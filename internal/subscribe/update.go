@@ -39,9 +39,22 @@ type updateMeta struct {
 // concurrent use — each stream's pump owns one.
 type UpdateEncoder struct {
 	idx map[updateMeta]uint64
+	// bySensor caches, per hub sensor index (Update.ids), the meta that
+	// sensor last sent and its dictionary index, so a reading whose meta
+	// has not changed is referenced without hashing three strings. A miss
+	// — a new sensor, a changed kind or unit, an update from no hub —
+	// consults idx, which stays the dictionary.
+	bySensor []cachedMeta
 	// prevBaseMS is the decoder-visible base of the last non-empty
 	// update, in unix millis; the next base is sent as a delta from it.
 	prevBaseMS int64
+}
+
+// cachedMeta is one bySensor entry; ref is the dictionary index plus one
+// (0: empty).
+type cachedMeta struct {
+	meta updateMeta
+	ref  uint64
 }
 
 // Append encodes u:
@@ -68,15 +81,11 @@ func (e *UpdateEncoder) Append(b []byte, u *Update) []byte {
 	baseMS := u.Readings[0].Timestamp.UnixMilli()
 	b = wire.AppendSvarint(b, baseMS-e.prevBaseMS)
 	e.prevBaseMS = baseMS
-	for _, r := range u.Readings {
-		m := updateMeta{sensor: r.Sensor, kind: r.Kind, unit: r.Unit}
-		if ref, known := e.idx[m]; known {
+	for i := range u.Readings {
+		r := &u.Readings[i]
+		if ref, known := e.ref(u, i); known {
 			b = wire.AppendUvarint(b, ref+1)
 		} else {
-			if e.idx == nil {
-				e.idx = make(map[updateMeta]uint64)
-			}
-			e.idx[m] = uint64(len(e.idx))
 			b = append(b, 0)
 			b = wire.AppendString(b, r.Sensor)
 			b = wire.AppendString(b, r.Kind)
@@ -86,6 +95,33 @@ func (e *UpdateEncoder) Append(b []byte, u *Update) []byte {
 		b = wire.AppendSvarint(b, int64(math.Round(r.Value/wire.Quantum)))
 	}
 	return b
+}
+
+// ref returns the dictionary index of reading i's meta and whether the
+// decoder already has it; a new meta takes the next index.
+func (e *UpdateEncoder) ref(u *Update, i int) (uint64, bool) {
+	r := &u.Readings[i]
+	m := updateMeta{sensor: r.Sensor, kind: r.Kind, unit: r.Unit}
+	var c *cachedMeta
+	if i < len(u.ids) {
+		e.bySensor = growTo(e.bySensor, u.ids[i])
+		c = &e.bySensor[u.ids[i]]
+		if c.ref != 0 && c.meta == m {
+			return c.ref - 1, true
+		}
+	}
+	ref, known := e.idx[m]
+	if !known {
+		if e.idx == nil {
+			e.idx = make(map[updateMeta]uint64)
+		}
+		ref = uint64(len(e.idx))
+		e.idx[m] = ref
+	}
+	if c != nil {
+		*c = cachedMeta{meta: m, ref: ref + 1}
+	}
+	return ref, known
 }
 
 // UpdateDecoder decodes one stream's updates, growing the meta

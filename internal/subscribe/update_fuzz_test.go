@@ -73,7 +73,56 @@ func fuzzUpdateSeeds() [][]byte {
 		// An outer length that overruns the input.
 		append(wire.AppendUvarint(nil, 1<<40), u1...),
 	}
-	return seeds
+	// Two streams encoded as a hub delivers them, with sensor indexes: a
+	// sensor whose kind and unit change mid-stream and change back, and
+	// a stream that hears more than 100 sensors, so references run past
+	// one uvarint byte.
+	var metaEnc UpdateEncoder
+	var metaStream [][]byte
+	for _, u := range metaChangeUpdates(base) {
+		metaStream = append(metaStream, metaEnc.Append(nil, &u))
+	}
+	var wideEnc UpdateEncoder
+	var wideStream [][]byte
+	for _, u := range wideUpdates(base) {
+		wideStream = append(wideStream, wideEnc.Append(nil, &u))
+	}
+	return append(seeds, fuzzStream(metaStream...), fuzzStream(wideStream...))
+}
+
+// metaChangeUpdates is a stream in which rtd-1 (hub index 3) changes its
+// unit, then its kind, then goes back to its first meta — which the
+// dictionary still holds — beside a steady rtd-2 (index 0).
+func metaChangeUpdates(base time.Time) []Update {
+	metas := [][2]string{{"temperature", "celsius"}, {"temperature", "kelvin"}, {"humidity", "percent"}, {"temperature", "celsius"}, {"temperature", "celsius"}}
+	var out []Update
+	for i, m := range metas {
+		at := base.Add(time.Duration(i) * time.Second)
+		out = append(out, Update{SeqNo: uint64(i + 1), ids: []int32{3, 0}, Readings: []probe.Reading{
+			{Sensor: "rtd-1", Kind: m[0], Unit: m[1], Value: 20 + float64(i), Timestamp: at},
+			{Sensor: "rtd-2", Kind: "temperature", Unit: "celsius", Value: -1, Timestamp: at},
+		}})
+	}
+	return out
+}
+
+// wideUpdates is a stream hearing 120 sensors, 40 to an update, twice
+// over: the second round references dictionary entries up to 119.
+func wideUpdates(base time.Time) []Update {
+	var out []Update
+	for round := 0; round < 2; round++ {
+		for part := 0; part < 3; part++ {
+			u := Update{SeqNo: uint64(len(out) + 1)}
+			for j := 0; j < 40; j++ {
+				n := part*40 + j
+				u.ids = append(u.ids, int32(n))
+				u.Readings = append(u.Readings, probe.Reading{Sensor: fmt.Sprintf("s-%03d", n), Kind: "stamp", Unit: "us",
+					Value: float64(round*1000 + n), Timestamp: base.Add(time.Duration(len(out)*40+j) * time.Millisecond)})
+			}
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // extremeUpdate hand-encodes one reading at the svarint limits.

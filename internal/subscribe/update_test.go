@@ -1,6 +1,7 @@
 package subscribe
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -82,6 +83,42 @@ func TestUpdateCodecHostileInput(t *testing.T) {
 		var dec UpdateDecoder
 		if _, err := dec.Decode(b); err == nil {
 			t.Fatalf("case %d: hostile input decoded", i)
+		}
+	}
+}
+
+// TestUpdateEncoderMetaCacheIsInvisible: the encoder's per-sensor meta
+// cache changes no byte. Streams encoded with the hub's sensor indexes —
+// a sensor changing kind and unit and changing back, 120 sensors — equal
+// the same streams encoded without them, which take the dictionary map
+// alone, and decode to the metas that were sent.
+func TestUpdateEncoderMetaCacheIsInvisible(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	for name, updates := range map[string][]Update{
+		"meta change": metaChangeUpdates(base),
+		"120 sensors": wideUpdates(base),
+	} {
+		var cached, plain UpdateEncoder
+		var dec UpdateDecoder
+		for i := range updates {
+			u := updates[i]
+			if len(u.ids) != len(u.Readings) {
+				t.Fatalf("%s: update %d carries %d ids for %d readings", name, i, len(u.ids), len(u.Readings))
+			}
+			got := cached.Append(nil, &u)
+			u.ids = nil
+			if want := plain.Append(nil, &u); !bytes.Equal(got, want) {
+				t.Fatalf("%s: update %d encodes to %x with sensor indexes, %x without", name, i, got, want)
+			}
+			back, err := dec.Decode(got)
+			if err != nil {
+				t.Fatalf("%s: update %d: %v", name, i, err)
+			}
+			for j, r := range u.Readings {
+				if g := back.Readings[j]; g.Sensor != r.Sensor || g.Kind != r.Kind || g.Unit != r.Unit {
+					t.Fatalf("%s: update %d reading %d meta: got %q/%q/%q, want %q/%q/%q", name, i, j, g.Sensor, g.Kind, g.Unit, r.Sensor, r.Kind, r.Unit)
+				}
+			}
 		}
 	}
 }
