@@ -42,7 +42,10 @@ race:
 # introducing sensors against a paced pump, a credit-starved pump and
 # the inline path over the hub's index-addressed state, remote lookups
 # encoding shared items while ModifyAttributes and re-Register replace
-# them, plus reduced-iteration (-short) chaos and chaos-failover sweeps.
+# them, pull-mode jobs whose envelope and result field maps pass from the
+# writing goroutine to a taker on another without a copy (the Spacer,
+# its workers and the job context built lazily from their tasks), plus
+# reduced-iteration (-short) chaos and chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
@@ -50,6 +53,7 @@ race-stress:
 	$(GO) test ./internal/srpc -race -count=20
 	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking|TestIndexedStateRacesPacedPump'
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
+	$(GO) test ./internal/sorcer -race -count=10 -run 'Spacer|SpaceWorker|JobContext'
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
 		-run 'FailoverReplicationInvariants|FederationJobSurvivesPrimaryFailover'

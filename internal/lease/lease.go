@@ -195,6 +195,23 @@ func (t *Table) Grant(requested time.Duration) Lease {
 	return Lease{ID: id, Expiration: exp, Grantor: t, st: &leaseState{}}
 }
 
+// Spent returns the handle of a lease that ended as it was granted: a
+// fresh id and the expiration Grant would give, but the table never
+// tracks it, so Renew and Cancel fail with ErrUnknownLease, as they do on
+// a grant the table has already cancelled. A resource consumed in the
+// call that creates it (a tuple-space entry handed straight to a waiting
+// taker) returns one instead of a grant it would cancel at once. The
+// handle has no renew/cancel state to serialize: nothing it does can
+// resurrect a grant.
+func (t *Table) Spent(requested time.Duration) Lease {
+	d := t.policy.clamp(requested)
+	t.mu.Lock()
+	t.nextID++
+	id := t.nextID
+	t.mu.Unlock()
+	return Lease{ID: id, Expiration: t.clock.Now().Add(d), Grantor: t}
+}
+
 // Renew implements Grantor.
 func (t *Table) Renew(id uint64, requested time.Duration) (time.Time, error) {
 	d := t.policy.clamp(requested)

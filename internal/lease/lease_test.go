@@ -84,6 +84,32 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestSpentLease: a spent lease has a fresh id and Grant's clamped
+// expiration, but the table never tracks it, so every Renew and Cancel
+// fails as on a grant the table has already cancelled.
+func TestSpentLease(t *testing.T) {
+	_, tbl := newTable(time.Minute)
+	granted := tbl.Grant(time.Minute)
+	l := tbl.Spent(time.Hour)
+	if l.ID == 0 || l.ID == granted.ID || !l.Expiration.Equal(epoch.Add(time.Minute)) {
+		t.Fatalf("spent lease %+v beside grant %d", l, granted.ID)
+	}
+	if tbl.Len() != 1 || tbl.Valid(l.ID) {
+		t.Fatalf("table tracks the spent lease (len %d)", tbl.Len())
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Renew(time.Minute); !errors.Is(err, ErrUnknownLease) {
+			t.Fatalf("Renew = %v, want ErrUnknownLease", err)
+		}
+		if err := l.Cancel(); !errors.Is(err, ErrUnknownLease) {
+			t.Fatalf("Cancel = %v, want ErrUnknownLease", err)
+		}
+	}
+	if next := tbl.Grant(time.Minute); next.ID <= l.ID {
+		t.Fatalf("grant after a spent lease reused id %d", next.ID)
+	}
+}
+
 func TestDetachedLease(t *testing.T) {
 	l := &Lease{ID: 1, Expiration: epoch.Add(time.Minute)}
 	if err := l.Renew(time.Minute); err == nil {

@@ -2,9 +2,12 @@ package repl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"sensorcer/internal/clockwork"
+	"sensorcer/internal/faults"
 	"sensorcer/internal/sorcer"
 	"sensorcer/internal/space"
 	"sensorcer/internal/wal"
@@ -79,5 +82,67 @@ func TestPromotedBackupAfterJobReusesNoID(t *testing.T) {
 	ids := journalIDs(t, b.Log())
 	if id := ids[len(ids)-1]; id <= issued {
 		t.Fatalf("first write after promotion got id %d, not above the old primary's %d", id, issued)
+	}
+}
+
+// TestWriteBatchRetriedAfterFailedShipLandsOnce: the space takes a
+// writer's field maps without copying them, and the router retries a
+// WriteBatch whose ship failed with the same entries on the promoted
+// backup. That is sound because the failed attempt applied nothing on
+// the old primary: each entry is stored exactly once, on the new one.
+func TestWriteBatchRetriedAfterFailedShipLandsOnce(t *testing.T) {
+	r, a, b := newTestRouter(t)
+	old := a.CurrentSpace()
+	inj := faults.New(1, clockwork.Real())
+	inj.Set(FaultSiteShip, faults.Rule{ErrorRate: 1, Err: errors.New("link down")})
+	b.SetFaultInjector(inj, "")
+	batch := make([]space.Entry, 4)
+	for i := range batch {
+		batch[i] = space.NewEntry("job", "n", int64(i))
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.WriteBatch(batch, nil, time.Hour)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.mu.Lock()
+		suspended := a.suspended
+		a.mu.Unlock()
+		if suspended {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the primary never failed its ship")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := old.Count(space.NewEntry("job")); n != 0 {
+		t.Fatalf("the failed ship left %d entries on the old primary", n)
+	}
+	b.SetFaultInjector(nil, "")
+	a.Kill()
+	if _, err := r.Failover(r.Gen()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("WriteBatch across the failover: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WriteBatch never retried on the promoted backup")
+	}
+	got, err := r.TakeAny(space.NewEntry("job"), 16, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, e := range got {
+		seen[fmt.Sprint(e.Field("n"))]++
+	}
+	if len(got) != len(batch) || len(seen) != len(batch) {
+		t.Fatalf("promoted primary holds %v, want each of the %d entries once", seen, len(batch))
 	}
 }

@@ -186,7 +186,7 @@ func TestJobAggregatesComponentContexts(t *testing.T) {
 	if !job.IsJob() || job.Name() != "combo" {
 		t.Fatal("job basics wrong")
 	}
-	job.aggregateContexts()
+	job.finish(nil) // a run: the next Context call aggregates
 	v, ok := job.Context().Get("first/out")
 	if !ok || v != 1.0 {
 		t.Fatalf("aggregate first/out = %v, %v", v, ok)

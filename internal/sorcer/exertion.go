@@ -85,7 +85,10 @@ type Exertion interface {
 // a single provider (or a small federation of equivalent providers, any of
 // which may serve it).
 type Task struct {
-	id        ids.ServiceID
+	id ids.ServiceID
+	// key is id.String(), boxed once: the taskID field of the task's
+	// envelope and result entries, and the Spacer's handle on it.
+	key       any
 	name      string
 	signature Signature
 
@@ -100,7 +103,8 @@ func NewTask(name string, sig Signature, ctx *Context) *Task {
 	if ctx == nil {
 		ctx = NewContext()
 	}
-	return &Task{id: ids.NewServiceID(), name: name, signature: sig, ctx: ctx}
+	id := ids.NewServiceID()
+	return &Task{id: id, key: id.String(), name: name, signature: sig, ctx: ctx}
 }
 
 // ID implements Exertion.
@@ -207,9 +211,13 @@ type Job struct {
 
 	mu        sync.Mutex
 	exertions []Exertion
-	ctx       *Context
-	status    Status
-	err       error
+	// ctx is the aggregated context view, current while built == runs;
+	// finish counts a run, and Context rebuilds the view on first use.
+	ctx    *Context
+	runs   uint64
+	built  uint64
+	status Status
+	err    error
 }
 
 // NewJob creates a job over the component exertions.
@@ -240,10 +248,28 @@ func (j *Job) Exertions() []Exertion {
 }
 
 // Context implements Exertion: a job's context aggregates each component's
-// context under "<component name>/".
+// context under "<component name>/". The view is built on the first call
+// after a run and kept until the job runs again.
 func (j *Job) Context() *Context {
 	j.mu.Lock()
+	if j.built == j.runs {
+		ctx := j.ctx
+		j.mu.Unlock()
+		return ctx
+	}
+	runs := j.runs
+	components := append([]Exertion(nil), j.exertions...)
+	j.mu.Unlock()
+	// Aggregated outside j.mu: a component job's Context takes its own.
+	agg := aggregateContexts(components)
+	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.runs != runs {
+		return agg // the job ran again meanwhile: do not keep this view
+	}
+	if j.built != runs {
+		j.ctx, j.built = agg, runs
+	}
 	return j.ctx
 }
 
@@ -271,17 +297,32 @@ func (j *Job) setStatus(status Status, err error) {
 	j.mu.Unlock()
 }
 
-// aggregateContexts rebuilds the job context from component contexts.
-func (j *Job) aggregateContexts() {
-	agg := NewContext()
-	for _, ex := range j.Exertions() {
-		sub := ex.Context()
-		for _, p := range sub.Paths() {
-			v, _ := sub.Get(p)
-			agg.Put(ex.Name()+"/"+p, v)
-		}
-	}
+// finish ends a run of the job's components: the context view goes stale
+// and the status becomes Done, or Failed with err.
+func (j *Job) finish(err error) (Exertion, error) {
 	j.mu.Lock()
-	j.ctx = agg
+	j.runs++
+	if err != nil {
+		j.status, j.err = Failed, err
+	} else {
+		j.status, j.err = Done, nil
+	}
 	j.mu.Unlock()
+	return j, err
+}
+
+// aggregateContexts flattens component contexts into one, each path under
+// "<component name>/".
+func aggregateContexts(components []Exertion) *Context {
+	agg := NewContext()
+	for _, ex := range components {
+		prefix := ex.Name() + "/"
+		sub := ex.Context()
+		sub.mu.RLock()
+		for p, v := range sub.data {
+			agg.data[prefix+p] = v
+		}
+		sub.mu.RUnlock()
+	}
+	return agg
 }

@@ -48,13 +48,7 @@ func (jb *Jobber) Service(ex Exertion, tx *txn.Transaction) (Exertion, error) {
 	default:
 		err = fmt.Errorf("sorcer: unknown flow %d", job.Strategy().Flow)
 	}
-	job.aggregateContexts()
-	if err != nil {
-		job.setStatus(Failed, err)
-		return job, err
-	}
-	job.setStatus(Done, nil)
-	return job, nil
+	return job.finish(err)
 }
 
 func (jb *Jobber) runSequential(job *Job, components []Exertion, tx *txn.Transaction) error {

@@ -147,13 +147,7 @@ func (s *Spacer) Service(ex Exertion, tx *txn.Transaction) (Exertion, error) {
 	} else {
 		err = s.runParallel(tasks, tx)
 	}
-	job.aggregateContexts()
-	if err != nil {
-		job.setStatus(Failed, err)
-		return job, err
-	}
-	job.setStatus(Done, nil)
-	return job, nil
+	return job.finish(err)
 }
 
 func (s *Spacer) runSequential(job *Job, tasks []*Task, tx *txn.Transaction) error {
@@ -188,10 +182,10 @@ func (s *Spacer) runSequential(job *Job, tasks []*Task, tx *txn.Transaction) err
 // couple of space operations instead of 2n. Lost tasks are redispatched
 // under the same tag, again as one batch.
 func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
-	batchID := ids.NewServiceID().String()
+	var batchID any = ids.NewServiceID().String()
 	pending := make(map[string]*Task, len(tasks))
 	for _, t := range tasks {
-		pending[t.ID().String()] = t
+		pending[t.key.(string)] = t
 	}
 	if err := s.dispatchBatch(tasks, batchID, tx); err != nil {
 		return err
@@ -219,8 +213,8 @@ func (s *Spacer) runParallel(tasks []*Task, tx *txn.Transaction) error {
 	}
 	redispatchLost := func() (int, error) {
 		var lost []*Task
-		for id, t := range pending {
-			if !s.envelopeLive(id) {
+		for _, t := range pending {
+			if !s.envelopeLive(t) {
 				lost = append(lost, t)
 			}
 		}
@@ -266,10 +260,10 @@ func await(wait func() error, redispatchLost func() (int, error)) error {
 	return err
 }
 
-// envelopeLive reports whether the envelope of task id is still in the
-// space, waiting for a worker.
-func (s *Spacer) envelopeLive(id string) bool {
-	return s.sp().Count(space.NewEntry(EnvelopeKind, "taskID", id)) > 0
+// envelopeLive reports whether t's envelope is still in the space,
+// waiting for a worker.
+func (s *Spacer) envelopeLive(t *Task) bool {
+	return s.sp().Count(space.NewEntry(EnvelopeKind, "taskID", t.key)) > 0
 }
 
 // takeResult applies a result envelope to the task it answers.
@@ -288,13 +282,24 @@ func takeResult(t *Task, res space.Entry) error {
 	return nil
 }
 
-func (s *Spacer) dispatchBatch(tasks []*Task, batchID string, tx *txn.Transaction) error {
+// dispatchBatch writes one envelope per task, tagged with batchID. The
+// space takes ownership of each envelope's field map; the values in it
+// are boxed once per task (its key) or once per batch (the tag, and a
+// signature the previous task shares).
+func (s *Spacer) dispatchBatch(tasks []*Task, batchID any, tx *txn.Transaction) error {
 	envs := make([]space.Entry, len(tasks))
+	var typ, sel any
 	for i, t := range tasks {
+		if typ != t.signature.ServiceType {
+			typ = t.signature.ServiceType
+		}
+		if sel != t.signature.Selector {
+			sel = t.signature.Selector
+		}
 		envs[i] = space.NewEntry(EnvelopeKind,
-			"type", t.Signature().ServiceType,
-			"selector", t.Signature().Selector,
-			"taskID", t.ID().String(),
+			"type", typ,
+			"selector", sel,
+			"taskID", t.key,
 			"batchID", batchID,
 			"task", t,
 		)
@@ -309,7 +314,7 @@ func (s *Spacer) dispatch(t *Task, tx *txn.Transaction) error {
 	env := space.NewEntry(EnvelopeKind,
 		"type", t.Signature().ServiceType,
 		"selector", t.Signature().Selector,
-		"taskID", t.ID().String(),
+		"taskID", t.key,
 		"task", t,
 	)
 	if _, err := s.sp().Write(env, tx, s.envelopeLease); err != nil {
@@ -319,8 +324,7 @@ func (s *Spacer) dispatch(t *Task, tx *txn.Transaction) error {
 }
 
 func (s *Spacer) awaitResult(t *Task, tx *txn.Transaction) error {
-	id := t.ID().String()
-	tmpl := space.NewEntry(ResultKind, "taskID", id)
+	tmpl := space.NewEntry(ResultKind, "taskID", t.key)
 	wait := func() error {
 		res, err := s.sp().Take(tmpl, tx, s.taskTimeout)
 		if err != nil {
@@ -329,7 +333,7 @@ func (s *Spacer) awaitResult(t *Task, tx *txn.Transaction) error {
 		return takeResult(t, res)
 	}
 	redispatchLost := func() (int, error) {
-		if s.envelopeLive(id) {
+		if s.envelopeLive(t) {
 			return 0, nil
 		}
 		return 1, s.dispatch(t, tx)
@@ -401,9 +405,9 @@ func (w *SpaceWorker) loop() {
 			// instance (envelope recovered from a durable space) still gets
 			// the outputs. The batch tag rides along too, so a spacer
 			// awaiting a whole batch sees this result.
-			result := space.NewEntry(ResultKind, "taskID", task.ID().String(), "task", task)
+			result := space.NewEntry(ResultKind, "taskID", task.key, "task", task)
 			if batchID, _ := env.Field("batchID").(string); batchID != "" {
-				result.Fields["batchID"] = batchID
+				result.Fields["batchID"] = env.Fields["batchID"] // boxed once per batch
 			}
 			if execErr != nil {
 				result.Fields["error"] = execErr.Error()

@@ -81,6 +81,7 @@ func (taskCodec) Decode(data []byte) (any, error) {
 		return nil, errBadTask
 	}
 	copy(t.id[:], data)
+	t.key = t.id.String()
 	r := taskReader{b: data[len(t.id):], ok: true}
 	t.name = r.str()
 	t.signature = Signature{ServiceType: r.str(), Selector: r.str(), ProviderName: r.str()}

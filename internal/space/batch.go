@@ -14,11 +14,19 @@ import (
 // per entry are identical to Write: with a transaction the entries are
 // staged until commit, and a nil error means every non-dropped entry is
 // durable. The batch is all-or-nothing at the acknowledgement level: a
-// journaling failure stores nothing and cancels every granted lease.
-// Blocked takers the entries serve are handed them in the same group
-// commit (see planHandoffsLocked).
+// journaling failure stores nothing and grants no lease. Blocked takers
+// the entries serve are handed them in the same group commit (see
+// planHandoffsLocked).
 //
-// Returned leases are positionally aligned with entries.
+// WriteBatch takes ownership of each entry's field map: the space stores
+// it, or hands it to a taker, without copying it, so the caller must not
+// modify the map after the call. The space itself never writes into it.
+//
+// Returned leases are positionally aligned with entries. An entry handed
+// to a taker in the commit that writes it never lands and is granted no
+// lease: the entries handed off in one call share one spent lease
+// (lease.Table.Spent), whose Renew and Cancel fail with
+// lease.ErrUnknownLease, as for a lease already cancelled at its grantor.
 func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.Duration) ([]lease.Lease, error) {
 	if len(entries) == 0 {
 		return nil, nil
@@ -33,37 +41,59 @@ func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.D
 		return nil, err
 	}
 	leases := make([]lease.Lease, len(entries))
+	// One allocation holds the batch's stored entries.
+	slab := make([]storedEntry, len(entries))
 	ses := make([]*storedEntry, 0, len(entries))
 	for i, e := range entries {
-		leases[i] = s.leases.Grant(leaseDur)
 		if inj.Drop(site + FaultSiteWrite) {
 			// Lost write: the caller gets a lease and believes the entry
 			// was stored, but nothing ever becomes visible — the
 			// tuple-space analogue of a message lost on the wire.
+			leases[i] = s.leases.Grant(leaseDur)
 			continue
 		}
-		ses = append(ses, &storedEntry{entry: e.Clone(), leaseID: leases[i].ID})
+		slab[i].entry = e
+		ses = append(ses, &slab[i])
 	}
 	if len(ses) == 0 {
 		return leases, nil
 	}
+	// storeLocked fills the leases of the entries that reach the space;
+	// beside lost writes, they go to the positions still empty.
+	landed := leases
+	if len(ses) < len(entries) {
+		landed = make([]lease.Lease, len(ses))
+	}
 	s.mu.Lock()
-	err := s.storeLocked(ses, tx, leaseDur)
+	err := s.storeLocked(ses, landed, tx, leaseDur)
 	s.mu.Unlock()
 	if err != nil {
 		for _, l := range leases {
-			_ = l.Cancel()
+			if l.Grantor != nil { // a lost write's
+				_ = l.Cancel()
+			}
 		}
 		return nil, err
+	}
+	if len(ses) < len(entries) {
+		k := 0
+		for i := range leases {
+			if leases[i].Grantor == nil {
+				leases[i] = landed[k]
+				k++
+			}
+		}
 	}
 	return leases, nil
 }
 
 // storeLocked journals and applies new entries together with the
-// hand-offs they make to blocked waiters, under one group commit. An
-// entry taken in that commit is journaled as its take alone and handed
-// over without being stored.
-func (s *Space) storeLocked(ses []*storedEntry, tx *txn.Transaction, leaseDur time.Duration) error {
+// hand-offs they make to blocked waiters, under one group commit, and
+// fills leases (aligned with ses). An entry taken in that commit is
+// journaled as its take alone and handed over without being stored or
+// granted a lease; every other entry's lease is granted once the commit
+// has landed.
+func (s *Space) storeLocked(ses []*storedEntry, leases []lease.Lease, tx *txn.Transaction, leaseDur time.Duration) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -108,15 +138,23 @@ func (s *Space) storeLocked(ses []*storedEntry, tx *txn.Transaction, leaseDur ti
 		}
 	}
 	s.nextID += uint64(len(ses))
-	for _, se := range ses {
+	var spent lease.Lease // one handle for every entry handed off here
+	for i, se := range ses {
 		if part != nil {
 			part.written = append(part.written, se.id)
 		}
-		if !se.handed {
-			s.entries[se.id] = se
-			s.byLease[se.leaseID] = se.id
-			s.indexAddLocked(se)
+		if se.handed {
+			if spent.Grantor == nil {
+				spent = s.leases.Spent(leaseDur)
+			}
+			leases[i] = spent
+			continue
 		}
+		leases[i] = s.leases.Grant(leaseDur)
+		se.leaseID = leases[i].ID
+		s.entries[se.id] = se
+		s.byLease[se.leaseID] = se.id
+		s.indexAddLocked(se)
 	}
 	s.handOffLocked(plan)
 	return nil

@@ -110,3 +110,40 @@ func TestSpaceRollsBackWhenCoParticipantFailsPrepare(t *testing.T) {
 		t.Fatalf("restored entry not takeable: %v", err)
 	}
 }
+
+// TestPartlyLostBatchAlignsLeases: in a batch some of whose writes are
+// lost, every position still gets its own lease, and a landed entry's
+// lease is the one at its position.
+func TestPartlyLostBatchAlignsLeases(t *testing.T) {
+	s := New(clockwork.Real(), lease.Policy{Max: time.Hour})
+	defer s.Close()
+	inj := faults.New(3, clockwork.Real())
+	inj.Set("sp"+FaultSiteWrite, faults.Rule{DropRate: 0.5})
+	s.SetFaultInjector(inj, "sp")
+	leases, err := s.WriteBatch(batchOf(16), nil, time.Minute)
+	if err != nil || len(leases) != 16 {
+		t.Fatalf("WriteBatch = %d leases, %v", len(leases), err)
+	}
+	landed := s.Count(NewEntry("ExertionEnvelope"))
+	if landed == 0 || landed == 16 {
+		t.Fatalf("%d of 16 landed; the seed should lose some and keep some", landed)
+	}
+	seen := map[uint64]bool{}
+	for i, l := range leases {
+		if l.ID == 0 || seen[l.ID] {
+			t.Fatalf("lease %d has id %d (seen before: %v)", i, l.ID, seen[l.ID])
+		}
+		seen[l.ID] = true
+		before := s.Count(NewEntry("ExertionEnvelope", "n", i))
+		if err := l.Cancel(); err != nil {
+			t.Fatalf("cancel lease %d: %v", i, err)
+		}
+		if n := s.Count(NewEntry("ExertionEnvelope", "n", i)); n != 0 {
+			t.Fatalf("entry %d outlived the lease at its position", i)
+		}
+		landed -= before
+	}
+	if landed != 0 {
+		t.Fatalf("%d landed entries were not under their position's lease", landed)
+	}
+}

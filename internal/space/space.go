@@ -46,11 +46,13 @@ func NewEntry(kind string, kv ...any) Entry {
 // (adding, removing or reassigning keys) cannot affect the clone, and vice
 // versa. The copy is shallow one level down — field values themselves are
 // shared, so payload values should be treated as immutable once written.
-// The space clones on Write, on Read and on a provisional (transactional)
-// take, so stored entries never alias caller-held maps; an entry that
-// leaves the space is handed to its taker without a second copy. Recovery
-// rebuilds field maps from the journal, so replayed entries cannot alias
-// pre-crash ones either.
+// Write and WriteBatch take ownership of the map they are given — the
+// writer must not modify it afterwards — and the space never writes into
+// a map it was given or has handed out. Read, a read waiter's hand-off
+// and a provisional (transactional) take return clones, because the entry
+// stays stored; an entry that leaves the space goes to its taker as
+// stored, without a copy. Recovery rebuilds field maps from the journal,
+// so replayed entries cannot alias pre-crash ones either.
 func (e Entry) Clone() Entry {
 	c := Entry{Kind: e.Kind}
 	if e.Fields != nil {
@@ -114,7 +116,7 @@ type storedEntry struct {
 	takenTxn uint64
 	// handed marks a non-transactional write promised to a
 	// non-transactional taker in the commit that writes it: it is
-	// journaled as its take alone and never stored.
+	// journaled as its take alone, never stored and granted no lease.
 	handed bool
 }
 
@@ -213,7 +215,9 @@ func (s *Space) faultHooks() (*faults.Injector, string) {
 // Write stores an entry under a lease. With a transaction, the entry is
 // visible only inside that transaction until it commits. On a durable
 // space the entry is journaled before Write returns: a nil error means the
-// write survives a crash. It is a one-entry WriteBatch.
+// write survives a crash. It is a one-entry WriteBatch, under the same
+// contract: the space takes ownership of e's field map, which the caller
+// must not modify after the call.
 func (s *Space) Write(e Entry, tx *txn.Transaction, leaseDur time.Duration) (lease.Lease, error) {
 	leases, err := s.WriteBatch([]Entry{e}, tx, leaseDur)
 	if err != nil {
@@ -424,9 +428,8 @@ func takeRecord(se *storedEntry, txnID uint64) record {
 // applyTakeLocked applies a journaled take of se by part (nil outside a
 // transaction) and returns the taker's entry. An entry that leaves the
 // space — a take outside a transaction, or of the transaction's own staged
-// write — is handed over as stored: the space cloned it on Write and keeps
-// no reference. A provisional take gets a clone, because Abort restores
-// the stored entry.
+// write — is handed over as stored: the space keeps no reference to it. A
+// provisional take gets a clone, because Abort restores the stored entry.
 func (s *Space) applyTakeLocked(se *storedEntry, part *spaceTxnPart) Entry {
 	if part != nil && se.writtenTxn != part.tx.ID() {
 		se.takenTxn = part.tx.ID()
@@ -446,11 +449,12 @@ func (s *Space) applyTakeLocked(se *storedEntry, part *spaceTxnPart) Entry {
 }
 
 func (s *Space) removeLocked(se *storedEntry) {
-	if !se.handed {
-		delete(s.entries, se.id)
-		delete(s.byLease, se.leaseID)
-		s.indexRemoveLocked(se)
+	if se.handed {
+		return // never stored, and granted no lease
 	}
+	delete(s.entries, se.id)
+	delete(s.byLease, se.leaseID)
+	s.indexRemoveLocked(se)
 	_ = s.leases.Cancel(se.leaseID)
 }
 
@@ -466,14 +470,15 @@ type handoff struct {
 // blocked waiters of their kinds, FIFO per kind: a read waiter is promised
 // a clone of its first match, a take waiter up to its max matches not
 // promised to an earlier taker. Revealed entries are in ascending id
-// order. Nothing is applied here: the caller journals the plan's take
+// order; a write's entries have no lease yet (leaseID 0) and count as
+// live. Nothing is applied here: the caller journals the plan's take
 // records (takeRecords) in its one batch, so that batch acknowledges the
 // mutation and its hand-offs together, and handOffLocked applies the plan
 // once it has landed. If it does not, the caller drops the plan and every
 // waiter keeps waiting.
 func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64) []handoff {
 	var plan []handoff
-	var promised map[*storedEntry]bool
+	var promised []bool // by position in revealed, once a taker is planned
 	for i, se := range revealed {
 		kind := se.entry.Kind
 		if len(s.waitq[kind]) == 0 || kindBefore(revealed[:i], kind) {
@@ -484,11 +489,13 @@ func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64) []hand
 				continue
 			}
 			var got []*storedEntry
-			for _, c := range revealed[i:] {
-				if len(got) == w.max {
-					break
-				}
-				if c.entry.Kind == kind && !promised[c] && s.leases.Valid(c.leaseID) && w.template.Matches(c.entry) {
+			for j := i; j < len(revealed) && len(got) < w.max; j++ {
+				c := revealed[j]
+				if c.entry.Kind == kind && (promised == nil || !promised[j]) &&
+					(c.leaseID == 0 || s.leases.Valid(c.leaseID)) && w.template.Matches(c.entry) {
+					if got == nil {
+						got = make([]*storedEntry, 0, min(w.max, len(revealed)-j))
+					}
 					got = append(got, c)
 				}
 			}
@@ -505,10 +512,14 @@ func (s *Space) planHandoffsLocked(revealed []*storedEntry, txnID uint64) []hand
 					h.part = part
 				}
 				if promised == nil {
-					promised = make(map[*storedEntry]bool)
+					promised = make([]bool, len(revealed))
 				}
-				for _, c := range got {
-					promised[c] = true
+				// got is in revealed's order: mark it in one walk.
+				for j, k := i, 0; k < len(got); j++ {
+					if revealed[j] == got[k] {
+						promised[j] = true
+						k++
+					}
 				}
 			}
 			plan = append(plan, h)
