@@ -44,8 +44,11 @@ race:
 # encoding shared items while ModifyAttributes and re-Register replace
 # them, pull-mode jobs whose envelope and result field maps pass from the
 # writing goroutine to a taker on another without a copy (the Spacer,
-# its workers and the job context built lazily from their tasks), plus
-# reduced-iteration (-short) chaos and chaos-failover sweeps.
+# its workers and the job context built lazily from their tasks), a
+# holder's lease Cancel racing a Sweep at the expiry instant and a Renew
+# on the same grant 1000 times (the end callback runs once, outside the
+# table's lock), plus reduced-iteration (-short) chaos and chaos-failover
+# sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
@@ -54,6 +57,7 @@ race-stress:
 	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking|TestIndexedStateRacesPacedPump'
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	$(GO) test ./internal/sorcer -race -count=10 -run 'Spacer|SpaceWorker|JobContext'
+	$(GO) test ./internal/lease -race -count=1 -run TestEndRacesFireOnce
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
 		-run 'FailoverReplicationInvariants|FederationJobSurvivesPrimaryFailover'

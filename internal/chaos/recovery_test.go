@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,10 @@ import (
 //  2. no entry taken twice (drains must yield no duplicates and no
 //     durably-taken entry),
 //  3. no aborted (or unresolved) transaction resurrected.
+//
+// A seeded sample of entries has its lease cancelled by the holder; the
+// model treats a cancelled entry like a taken one, so it must be absent
+// after every crash and replay.
 //
 // The op in flight at the crash is indeterminate by definition (the
 // caller never got an ack) and is excluded from the model.
@@ -109,21 +114,22 @@ func crashSpaceIteration(t *testing.T, iter int, rng *rand.Rand) {
 	// cannot be candidates for later takes — though replay's forced abort
 	// will bounce them back, which is what the model's `present` asserts.
 	locked := make(map[int64]bool)
+	leases := make(map[int64]lease.Lease)
 
 	write := func(tx *txn.Transaction) int64 {
 		uid := m.uid()
-		_, err := s.Write(uidEntry(uid), tx, time.Hour)
+		l, err := s.Write(uidEntry(uid), tx, time.Hour)
 		if err != nil {
 			t.Fatalf("iter %d: write uid=%d: %v", iter, uid, err)
 		}
+		leases[uid] = l
 		if tx == nil {
 			m.present[uid] = true // acked, outside any txn
 		}
 		return uid
 	}
-	// takeRandom takes one currently-present entry (nil tx: the removal is
-	// durable on ack).
-	takeRandom := func(tx *txn.Transaction) (int64, bool) {
+	// pickRandom picks one currently-present entry no transaction holds.
+	pickRandom := func() (int64, bool) {
 		var candidates []int64
 		for uid, p := range m.present {
 			if p && !locked[uid] {
@@ -133,7 +139,16 @@ func crashSpaceIteration(t *testing.T, iter int, rng *rand.Rand) {
 		if len(candidates) == 0 {
 			return 0, false
 		}
-		uid := candidates[rng.Intn(len(candidates))]
+		sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+		return candidates[rng.Intn(len(candidates))], true
+	}
+	// takeRandom takes one currently-present entry (nil tx: the removal is
+	// durable on ack).
+	takeRandom := func(tx *txn.Transaction) (int64, bool) {
+		uid, ok := pickRandom()
+		if !ok {
+			return 0, false
+		}
 		if _, err := s.Take(uidEntry(uid), tx, 0); err != nil {
 			t.Fatalf("iter %d: take uid=%d: %v", iter, uid, err)
 		}
@@ -148,10 +163,20 @@ func crashSpaceIteration(t *testing.T, iter int, rng *rand.Rand) {
 	nOps := 10 + rng.Intn(40)
 	for op := 0; op < nOps; op++ {
 		switch r := rng.Float64(); {
-		case r < 0.50:
+		case r < 0.45:
 			write(nil)
-		case r < 0.75:
+		case r < 0.65:
 			takeRandom(nil)
+		case r < 0.75:
+			// The holder cancels the entry's lease: the release is
+			// journaled, so the entry is gone for good, as if taken.
+			if uid, ok := pickRandom(); ok {
+				l := leases[uid]
+				if err := l.Cancel(); err != nil {
+					t.Fatalf("iter %d: cancel uid=%d: %v", iter, uid, err)
+				}
+				delete(m.present, uid)
+			}
 		case r < 0.90:
 			// Transaction block: stage writes and takes, then resolve —
 			// or don't, leaving it for replay to abort.

@@ -216,6 +216,49 @@ func TestJoinTerminateDeregisters(t *testing.T) {
 	}
 }
 
+// heldRegistrar holds Register until released, so a test can run
+// Join.Terminate while a registration is in flight.
+type heldRegistrar struct {
+	*registry.LookupService
+	entered, release chan struct{}
+}
+
+func (h *heldRegistrar) Register(item registry.ServiceItem, d time.Duration) (registry.Registration, error) {
+	close(h.entered)
+	<-h.release
+	return h.LookupService.Register(item, d)
+}
+
+// TestJoinTerminateDuringRegistration: a registration that lands after
+// Terminate has run is cancelled on arrival, and the cancel alone removes
+// it from the lookup service.
+func TestJoinTerminateDuringRegistration(t *testing.T) {
+	bus := NewBus()
+	lus := newLUS("one")
+	defer lus.Close()
+	stub := &heldRegistrar{LookupService: lus, entered: make(chan struct{}), release: make(chan struct{})}
+	m := NewManager(bus)
+	defer m.Terminate()
+	j := NewJoin(clockwork.Real(), m, registry.ServiceItem{
+		Service: "p", Types: []string{"X"}, Attributes: attr.Set{attr.Name("S")},
+	})
+	announced := make(chan func())
+	go func() { announced <- bus.Announce(stub) }()
+	<-stub.entered
+	j.Terminate()
+	close(stub.release)
+	defer (<-announced)()
+	if n := lus.Len(); n != 0 {
+		t.Fatalf("lookup service holds %d registrations after Terminate", n)
+	}
+	if _, err := lus.LookupOne(registry.ByName("S")); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("terminated item still looked up: %v", err)
+	}
+	if n := j.RegistrarCount(); n != 0 {
+		t.Fatalf("RegistrarCount = %d after Terminate", n)
+	}
+}
+
 func TestJoinKeepsLeaseAlive(t *testing.T) {
 	// Real clock, short leases: the join's renewal manager must keep the
 	// registration alive across several lease terms.

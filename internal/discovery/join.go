@@ -24,13 +24,8 @@ type Join struct {
 
 	mu         sync.Mutex
 	item       registry.ServiceItem
-	entries    map[ids.ServiceID]*joinEntry // registrar ID -> registration
+	leases     map[ids.ServiceID]*lease.Lease // registrar ID -> registration lease
 	terminated bool
-}
-
-type joinEntry struct {
-	registrar registry.Registrar
-	lease     *lease.Lease
 }
 
 // JoinOption customizes a Join.
@@ -54,7 +49,7 @@ func NewJoin(clock clockwork.Clock, mgr *Manager, item registry.ServiceItem, opt
 		leaseDur: 30 * time.Second,
 		mgr:      mgr,
 		item:     item.Clone(),
-		entries:  make(map[ids.ServiceID]*joinEntry),
+		leases:   make(map[ids.ServiceID]*lease.Lease),
 	}
 	for _, o := range opts {
 		o(j)
@@ -77,12 +72,12 @@ func (j *Join) ServiceID() ids.ServiceID {
 func (j *Join) RegistrarCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return len(j.leases)
 }
 
 func (j *Join) onDiscovered(reg registry.Registrar) {
 	j.mu.Lock()
-	if j.terminated || j.entries[reg.ID()] != nil {
+	if j.terminated || j.leases[reg.ID()] != nil {
 		j.mu.Unlock()
 		return
 	}
@@ -101,25 +96,25 @@ func (j *Join) onDiscovered(reg registry.Registrar) {
 		_ = l.Cancel()
 		return
 	}
-	j.entries[reg.ID()] = &joinEntry{registrar: reg, lease: &l}
+	j.leases[reg.ID()] = &l
 	j.mu.Unlock()
 	j.renewals.Manage(&l)
 }
 
 func (j *Join) onDiscarded(reg registry.Registrar) {
 	j.mu.Lock()
-	e, ok := j.entries[reg.ID()]
+	l, ok := j.leases[reg.ID()]
 	if ok {
-		delete(j.entries, reg.ID())
+		delete(j.leases, reg.ID())
 	}
 	j.mu.Unlock()
 	if ok {
-		j.renewals.Release(e.lease)
+		j.renewals.Release(l)
 	}
 }
 
 // Terminate deregisters the item from every registrar (orderly departure)
-// and stops lease renewal.
+// by cancelling its registration leases, and stops lease renewal.
 func (j *Join) Terminate() {
 	j.mu.Lock()
 	if j.terminated {
@@ -127,18 +122,16 @@ func (j *Join) Terminate() {
 		return
 	}
 	j.terminated = true
-	id := j.item.ID
-	entries := make([]*joinEntry, 0, len(j.entries))
-	for _, e := range j.entries {
-		entries = append(entries, e)
+	leases := make([]*lease.Lease, 0, len(j.leases))
+	for _, l := range j.leases {
+		leases = append(leases, l)
 	}
-	j.entries = map[ids.ServiceID]*joinEntry{}
+	j.leases = map[ids.ServiceID]*lease.Lease{}
 	j.mu.Unlock()
 
-	for _, e := range entries {
-		j.renewals.Release(e.lease)
-		_ = e.lease.Cancel()
-		_ = e.registrar.Deregister(id)
+	for _, l := range leases {
+		j.renewals.Release(l)
+		_ = l.Cancel()
 	}
 	j.renewals.Stop()
 }

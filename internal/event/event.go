@@ -49,12 +49,6 @@ func (f ListenerFunc) Notify(ev RemoteEvent) error { return f(ev) }
 // AnyEvent as an EventID filter matches every event kind.
 const AnyEvent = ^uint64(0)
 
-// Registration is returned by Generator.Register.
-type Registration struct {
-	RegistrationID uint64
-	Lease          lease.Lease
-}
-
 const deliveryQueue = 512
 
 // Generator manages leased listener registrations for one event source and
@@ -91,14 +85,15 @@ func NewGenerator(source ids.ServiceID, clock clockwork.Clock, policy lease.Poli
 		leases: lease.NewTable(clock, policy),
 		regs:   make(map[uint64]*eventReg),
 	}
-	g.leases.OnExpire(g.onLeaseExpired)
+	g.leases.OnEnd(g.onLeaseEnd)
 	return g
 }
 
 // Register adds a leased listener for the event kind (AnyEvent for all).
-func (g *Generator) Register(eventID uint64, l Listener, leaseDur time.Duration) (Registration, error) {
+// Cancelling the lease removes the registration.
+func (g *Generator) Register(eventID uint64, l Listener, leaseDur time.Duration) (lease.Lease, error) {
 	if l == nil {
-		return Registration{}, errors.New("event: nil listener")
+		return lease.Lease{}, errors.New("event: nil listener")
 	}
 	lse := g.leases.Grant(leaseDur)
 	r := &eventReg{
@@ -110,13 +105,13 @@ func (g *Generator) Register(eventID uint64, l Listener, leaseDur time.Duration)
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		_ = lse.Cancel()
-		return Registration{}, errors.New("event: generator closed")
+		g.leases.Retire(lse.ID)
+		return lease.Lease{}, errors.New("event: generator closed")
 	}
 	g.regs[lse.ID] = r
 	g.mu.Unlock()
 	go g.pump(lse.ID, r)
-	return Registration{RegistrationID: lse.ID, Lease: lse}, nil
+	return lse, nil
 }
 
 // Fire emits an event of the given kind to all matching registrations.
@@ -142,11 +137,6 @@ func (g *Generator) Fire(eventID uint64, payload any) {
 		}
 	}
 	g.mu.Unlock()
-}
-
-// Cancel removes a registration immediately.
-func (g *Generator) Cancel(registrationID uint64) {
-	g.removeReg(registrationID, true)
 }
 
 // Count reports live registrations.
@@ -177,9 +167,9 @@ func (g *Generator) Close() {
 	}
 }
 
-func (g *Generator) onLeaseExpired(leaseID uint64) { g.removeReg(leaseID, false) }
-
-func (g *Generator) removeReg(id uint64, cancelLease bool) {
+// onLeaseEnd drops the registration whose lease ended and waits for its
+// pump to exit, so a Notify must not cancel its own registration's lease.
+func (g *Generator) onLeaseEnd(id uint64, _ lease.Reason) error {
 	g.mu.Lock()
 	r, ok := g.regs[id]
 	if ok {
@@ -188,11 +178,9 @@ func (g *Generator) removeReg(id uint64, cancelLease bool) {
 	}
 	g.mu.Unlock()
 	if ok {
-		if cancelLease {
-			_ = g.leases.Cancel(id)
-		}
 		<-r.done
 	}
+	return nil
 }
 
 // pump delivers queued events in order; after maxFailures consecutive
@@ -203,9 +191,9 @@ func (g *Generator) pump(id uint64, r *eventReg) {
 		if err := r.listener.Notify(ev); err != nil {
 			r.failures++
 			if r.failures >= maxFailures {
-				// Drop asynchronously; removeReg waits on done, so it
-				// must not be called from this goroutine.
-				go g.removeReg(id, true)
+				// End the lease asynchronously: its end callback waits
+				// on done, so it must not run on this goroutine.
+				go g.leases.Cancel(id)
 				// Drain remaining events without delivery.
 				for range r.queue {
 				}

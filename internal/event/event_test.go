@@ -127,12 +127,17 @@ func TestRegistrationLeaseExpiry(t *testing.T) {
 func TestCancelRegistration(t *testing.T) {
 	_, g := newGen(t)
 	c := &collector{}
-	r, _ := g.Register(AnyEvent, c, time.Minute)
-	g.Cancel(r.RegistrationID)
+	l, _ := g.Register(AnyEvent, c, time.Minute)
+	if err := l.Cancel(); err != nil {
+		t.Fatal(err)
+	}
 	g.Fire(1, nil)
 	time.Sleep(10 * time.Millisecond)
 	if c.count() != 0 {
 		t.Fatal("cancelled registration received event")
+	}
+	if g.Count() != 0 {
+		t.Fatalf("Count = %d after cancel", g.Count())
 	}
 }
 

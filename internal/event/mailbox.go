@@ -38,7 +38,7 @@ func NewMailbox(clock clockwork.Clock, policy lease.Policy, capacity int) *Mailb
 		cap:    capacity,
 		boxes:  make(map[uint64]*Box),
 	}
-	m.leases.OnExpire(m.onExpire)
+	m.leases.OnEnd(m.onLeaseEnd)
 	return m
 }
 
@@ -66,7 +66,8 @@ func (m *Mailbox) BoxCount() int {
 // Sweep expires lapsed box leases.
 func (m *Mailbox) Sweep() { m.leases.Sweep() }
 
-func (m *Mailbox) onExpire(leaseID uint64) {
+// onLeaseEnd empties the box whose lease ended and fails its later Notify.
+func (m *Mailbox) onLeaseEnd(leaseID uint64, _ lease.Reason) error {
 	m.mu.Lock()
 	b, ok := m.boxes[leaseID]
 	if ok {
@@ -76,9 +77,10 @@ func (m *Mailbox) onExpire(leaseID uint64) {
 	if ok {
 		b.expire()
 	}
+	return nil
 }
 
-// ErrBoxExpired is returned by Notify after the box's lease lapsed, which
+// ErrBoxExpired is returned by Notify after the box's lease ended, which
 // signals generators to drop the registration.
 var ErrBoxExpired = errors.New("event: mailbox box expired")
 

@@ -140,17 +140,13 @@ func (t *FencedTable) Renew(id uint64, requested time.Duration) (time.Time, erro
 func (t *FencedTable) Cancel(id uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := t.findLocked(id)
-	if rec == nil {
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
-	}
-	for name, r := range t.records {
-		if r == rec {
+	for name, rec := range t.records {
+		if rec.leaseID == id {
 			delete(t.records, name)
-			break
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("%w: %d", ErrUnknownLease, id)
 }
 
 var _ Grantor = (*FencedTable)(nil)

@@ -8,10 +8,13 @@
 //
 //   - Lease: the client-side handle (id + expiration + grantor reference).
 //   - Table: the server-side grant ledger ("landlord"), used by the lookup
-//     service, tuple space, event mailbox and transaction manager.
+//     service, tuple space, event plane, transactions and provisioning.
 //   - RenewalManager: a client agent that keeps a set of leases renewed,
 //     playing the role of the "Lease Renewal Service" visible in the
 //     paper's Fig. 2.
+//
+// A grant ends once, by expiry or by its holder's Cancel, and either way
+// the Table's one end callback (OnEnd) releases what the lease held.
 package lease
 
 import (
@@ -39,7 +42,7 @@ var ErrCanceled = errors.New("lease: canceled")
 type Grantor interface {
 	// Renew extends the lease and returns the new expiration.
 	Renew(id uint64, requested time.Duration) (time.Time, error)
-	// Cancel relinquishes the lease immediately.
+	// Cancel ends the lease and releases what it held, or says why not.
 	Cancel(id uint64) error
 }
 
@@ -100,7 +103,7 @@ func (l *Lease) Renew(requested time.Duration) error {
 
 // Cancel relinquishes the lease. It waits out any in-flight renewal of
 // the same handle, then revokes the grant, so the post-condition is
-// unconditional: after Cancel returns, the grant is gone.
+// unconditional: after Cancel returns, the grant and what it held are gone.
 //
 //lint:blockok st.mu is per-handle: only copies of this one lease handle contend, and serializing cancel against renew across the grantor round-trip is the documented resurrection-prevention contract
 func (l *Lease) Cancel() error {
@@ -151,9 +154,18 @@ func (p Policy) clamp(requested time.Duration) time.Duration {
 	return requested
 }
 
+// Reason says how a grant ended.
+type Reason string
+
+// A grant lapses unrenewed, or its holder cancels it.
+const (
+	Expired  Reason = "expired"
+	Canceled Reason = "canceled"
+)
+
 // Table is the landlord-side grant ledger. It is passive: expiry is
-// detected by Sweep, which its owner calls lazily before reads. All
-// methods are safe for concurrent use.
+// detected by Sweep, which its owner calls lazily before reads. A grant ends
+// once, through OnEnd's callback. All methods are safe for concurrent use.
 type Table struct {
 	clock  clockwork.Clock
 	policy Policy
@@ -168,17 +180,19 @@ type Table struct {
 	minExp    time.Time
 	hasMinExp bool
 
-	onExpire func(id uint64)
+	onEnd func(id uint64, r Reason) error
 }
 
 // NewTable creates a grant ledger using the clock and policy.
 func NewTable(clock clockwork.Clock, policy Policy) *Table {
-	return &Table{clock: clock, policy: policy, grants: make(map[uint64]time.Time)}
+	return &Table{clock: clock, policy: policy, grants: make(map[uint64]time.Time),
+		onEnd: func(uint64, Reason) error { return nil }}
 }
 
-// OnExpire installs a callback invoked (synchronously from Sweep) with each
-// expired grant id. Must be set before concurrent use.
-func (t *Table) OnExpire(fn func(id uint64)) { t.onExpire = fn }
+// OnEnd installs the callback that releases what an ended grant held, run
+// outside the Table's lock. Cancel returns its error; an expiry, idempotent
+// on replay, ignores it. Must be set before concurrent use.
+func (t *Table) OnEnd(fn func(id uint64, r Reason) error) { t.onEnd = fn }
 
 // Grant issues a new lease for the clamped requested duration.
 func (t *Table) Grant(requested time.Duration) Lease {
@@ -212,33 +226,44 @@ func (t *Table) Spent(requested time.Duration) Lease {
 	return Lease{ID: id, Expiration: t.clock.Now().Add(d), Grantor: t}
 }
 
-// Renew implements Grantor.
+// Renew implements Grantor; a lapsed grant ends here, as in Sweep.
 func (t *Table) Renew(id uint64, requested time.Duration) (time.Time, error) {
 	d := t.policy.clamp(requested)
 	now := t.clock.Now()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	exp, ok := t.grants[id]
-	if !ok || !now.Before(exp) {
-		if ok {
-			delete(t.grants, id)
-		}
-		return time.Time{}, fmt.Errorf("%w: %d", ErrUnknownLease, id)
-	}
-	newExp := now.Add(d)
-	t.grants[id] = newExp
-	return newExp, nil
-}
-
-// Cancel implements Grantor.
-func (t *Table) Cancel(id uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.grants[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
+	if ok && now.Before(exp) {
+		exp = now.Add(d)
+		t.grants[id] = exp
+		t.mu.Unlock()
+		return exp, nil
 	}
 	delete(t.grants, id)
-	return nil
+	t.mu.Unlock()
+	if ok {
+		_ = t.onEnd(id, Expired)
+	}
+	return time.Time{}, fmt.Errorf("%w: %d", ErrUnknownLease, id)
+}
+
+// Cancel implements Grantor; an untracked id fails with ErrUnknownLease.
+func (t *Table) Cancel(id uint64) error {
+	t.mu.Lock()
+	_, ok := t.grants[id]
+	delete(t.grants, id)
+	t.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
+	}
+	return t.onEnd(id, Canceled)
+}
+
+// Retire ends a grant without calling OnEnd's callback: for an owner that
+// has released the resource itself, under a lock the callback would take.
+func (t *Table) Retire(id uint64) {
+	t.mu.Lock()
+	delete(t.grants, id)
+	t.mu.Unlock()
 }
 
 // Expiration returns the grant's current deadline and whether the grant
@@ -272,7 +297,7 @@ func (t *Table) Len() int {
 	return len(t.grants)
 }
 
-// Sweep removes lapsed grants, invoking the OnExpire callback for each, and
+// Sweep removes lapsed grants, ending each through the OnEnd callback, and
 // returns the expired ids. While the earliest possible expiration lies in
 // the future, Sweep is O(1).
 func (t *Table) Sweep() []uint64 {
@@ -296,12 +321,9 @@ func (t *Table) Sweep() []uint64 {
 		}
 	}
 	t.minExp, t.hasMinExp = newMin, hasNewMin
-	cb := t.onExpire
 	t.mu.Unlock()
-	if cb != nil {
-		for _, id := range expired {
-			cb(id)
-		}
+	for _, id := range expired {
+		_ = t.onEnd(id, Expired)
 	}
 	return expired
 }

@@ -133,37 +133,141 @@ func TestExpiredAndRemaining(t *testing.T) {
 	}
 }
 
-func TestSweepCallsOnExpire(t *testing.T) {
+// TestSweepCallsOnEnd: Sweep ends each lapsed grant through the end
+// callback with reason Expired, and a holder's Cancel ends its grant
+// through the same callback with reason Canceled and returns its error.
+func TestSweepCallsOnEnd(t *testing.T) {
 	fc, tbl := newTable(time.Minute)
 	var mu sync.Mutex
-	var expired []uint64
-	tbl.OnExpire(func(id uint64) {
+	ended := make(map[uint64]Reason)
+	errRelease := errors.New("release failed")
+	tbl.OnEnd(func(id uint64, r Reason) error {
 		mu.Lock()
-		expired = append(expired, id)
-		mu.Unlock()
+		defer mu.Unlock()
+		if prev, ok := ended[id]; ok {
+			t.Errorf("grant %d ended twice (%v, then %v)", id, prev, r)
+		}
+		ended[id] = r
+		return errRelease
 	})
 	l1 := tbl.Grant(time.Minute)
-	tbl.Grant(time.Minute)
+	l2 := tbl.Grant(time.Minute)
+	l3 := tbl.Grant(time.Minute)
 	fc.Advance(30 * time.Second)
 	if ids := tbl.Sweep(); len(ids) != 0 {
 		t.Fatalf("early sweep expired %v", ids)
 	}
-	// Renew one so it survives.
+	// Renew one so it survives; cancel another.
 	if err := l1.Renew(time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	if err := l3.Cancel(); !errors.Is(err, errRelease) {
+		t.Fatalf("Cancel = %v, want the end callback's error", err)
+	}
 	fc.Advance(45 * time.Second)
 	ids := tbl.Sweep()
-	if len(ids) != 1 {
-		t.Fatalf("sweep expired %d grants, want 1", len(ids))
+	if len(ids) != 1 || ids[0] != l2.ID {
+		t.Fatalf("sweep expired %v, want [%d]", ids, l2.ID)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(expired) != 1 || expired[0] != ids[0] {
-		t.Fatalf("OnExpire got %v, sweep returned %v", expired, ids)
+	want := map[uint64]Reason{l2.ID: Expired, l3.ID: Canceled}
+	if len(ended) != len(want) || ended[l2.ID] != Expired || ended[l3.ID] != Canceled {
+		t.Fatalf("end callback got %v, want %v", ended, want)
 	}
 	if tbl.Len() != 1 {
 		t.Fatalf("table len = %d, want 1", tbl.Len())
+	}
+}
+
+// TestRetireCallsNothing: an owner's Retire drops the grant silently, and
+// a later Cancel of it, like a Cancel of a spent lease, fails and releases
+// nothing.
+func TestRetireCallsNothing(t *testing.T) {
+	_, tbl := newTable(time.Minute)
+	calls := 0
+	tbl.OnEnd(func(uint64, Reason) error { calls++; return nil })
+	l := tbl.Grant(time.Minute)
+	tbl.Retire(l.ID)
+	if tbl.Valid(l.ID) || tbl.Len() != 0 {
+		t.Fatal("retired grant still tracked")
+	}
+	if err := l.Cancel(); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("Cancel after Retire = %v, want ErrUnknownLease", err)
+	}
+	spent := tbl.Spent(time.Minute)
+	if err := spent.Cancel(); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("Cancel of a spent lease = %v, want ErrUnknownLease", err)
+	}
+	if calls != 0 {
+		t.Fatalf("end callback ran %d times", calls)
+	}
+}
+
+// TestLateRenewEndsGrant: a Renew that finds its grant lapsed but not yet
+// swept ends it as Sweep would, so the resource is released even though
+// no Sweep ever sees the grant.
+func TestLateRenewEndsGrant(t *testing.T) {
+	fc, tbl := newTable(time.Minute)
+	var got []Reason
+	tbl.OnEnd(func(_ uint64, r Reason) error { got = append(got, r); return nil })
+	l := tbl.Grant(time.Minute)
+	fc.Advance(time.Minute)
+	if err := l.Renew(time.Minute); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("late Renew = %v, want ErrUnknownLease", err)
+	}
+	if ids := tbl.Sweep(); len(ids) != 0 {
+		t.Fatalf("sweep after late renew expired %v", ids)
+	}
+	if len(got) != 1 || got[0] != Expired {
+		t.Fatalf("end callback got %v, want [expired]", got)
+	}
+}
+
+// TestEndRacesFireOnce races a holder's Cancel, a Sweep at the expiry
+// instant and a Renew on the same grant, 1000 times. Whichever wins, the
+// end callback runs exactly once per grant, with one reason — Canceled
+// exactly when Cancel succeeded — and never while the table's lock is
+// held: the callback takes that lock itself (Len), which would deadlock.
+func TestEndRacesFireOnce(t *testing.T) {
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		fc, tbl := newTable(time.Minute)
+		var calls atomic.Int32
+		var reason atomic.Value
+		tbl.OnEnd(func(_ uint64, r Reason) error {
+			_ = tbl.Len() // deadlocks if the caller still holds t.mu
+			calls.Add(1)
+			reason.Store(r)
+			return nil
+		})
+		l := tbl.Grant(time.Minute)
+		fc.Advance(time.Minute) // the expiry instant
+		renewer, canceller := l, l
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var cancelErr error
+		wg.Add(3)
+		go func() { defer wg.Done(); <-start; cancelErr = canceller.Cancel() }()
+		go func() { defer wg.Done(); <-start; tbl.Sweep() }()
+		go func() { defer wg.Done(); <-start; _ = renewer.Renew(time.Minute) }()
+		close(start)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: end callback deadlocked (ran under the table's lock)", i)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("round %d: end callback ran %d times, want 1", i, n)
+		}
+		if got := reason.Load(); (got == Canceled) != (cancelErr == nil) {
+			t.Fatalf("round %d: reason %v, Cancel returned %v", i, got, cancelErr)
+		}
+		if tbl.Len() != 0 {
+			t.Fatalf("round %d: table still holds %d grants", i, tbl.Len())
+		}
 	}
 }
 

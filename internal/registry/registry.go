@@ -196,7 +196,7 @@ func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 		byField:     make(map[fieldKey]recordSet),
 		coordPolicy: cfg.coordPolicy,
 	}
-	l.itemLeases.OnExpire(l.onItemLeaseExpired)
+	l.itemLeases.OnEnd(l.onItemLeaseEnd)
 	return l
 }
 
@@ -223,7 +223,7 @@ func (l *LookupService) Register(item ServiceItem, leaseDur time.Duration) (Regi
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		_ = lse.Cancel()
+		l.itemLeases.Retire(lse.ID)
 		return Registration{}, errors.New("registry: closed")
 	}
 	if err := l.journalLocked(regRecord{
@@ -232,13 +232,13 @@ func (l *LookupService) Register(item ServiceItem, leaseDur time.Duration) (Regi
 		LeaseMS: int64(leaseDur / time.Millisecond),
 	}); err != nil {
 		l.mu.Unlock()
-		_ = lse.Cancel()
+		l.itemLeases.Retire(lse.ID)
 		return Registration{}, err
 	}
 	if old, ok := l.items[item.ID]; ok {
 		// Replacement: retire the old lease silently.
 		delete(l.byLease, old.leaseID)
-		_ = l.itemLeases.Cancel(old.leaseID)
+		l.itemLeases.Retire(old.leaseID)
 		l.indexRemoveLocked(old)
 	}
 	rec := &record{item: item, leaseID: lse.ID}
@@ -264,7 +264,7 @@ func (l *LookupService) Deregister(id ids.ServiceID) error {
 	}
 	delete(l.items, id)
 	delete(l.byLease, rec.leaseID)
-	_ = l.itemLeases.Cancel(rec.leaseID)
+	l.itemLeases.Retire(rec.leaseID)
 	l.indexRemoveLocked(rec)
 	l.mu.Unlock()
 
@@ -396,24 +396,10 @@ func (l *LookupService) Len() int {
 	return len(l.items)
 }
 
-// RenewItemLease renews a registration lease by id — the hook the remote
-// registrar protocol (package remote) uses, since lease.Lease handles do
-// not cross process boundaries.
-func (l *LookupService) RenewItemLease(leaseID uint64, d time.Duration) (time.Time, error) {
-	return l.itemLeases.Renew(leaseID, d)
-}
-
-// CancelItemLease cancels a registration lease by id, deregistering the
-// item (remote protocol support).
-func (l *LookupService) CancelItemLease(leaseID uint64) error {
-	l.mu.RLock()
-	id, ok := l.byLease[leaseID]
-	l.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", lease.ErrUnknownLease, leaseID)
-	}
-	return l.Deregister(id)
-}
+// ItemLeases is the registration-lease grantor, by which the remote
+// registrar protocol (package remote) renews and cancels leases by id,
+// since lease.Lease handles do not cross process boundaries.
+func (l *LookupService) ItemLeases() lease.Grantor { return l.itemLeases }
 
 // SweepNow expires lapsed registration leases immediately. Nothing sweeps
 // in the background: Lookup and Len sweep before they read, and tests
@@ -434,22 +420,22 @@ func (l *LookupService) Close() {
 	l.byType, l.byField = nil, nil
 }
 
-func (l *LookupService) onItemLeaseExpired(leaseID uint64) {
+// onItemLeaseEnd removes the item whose lease expired or was cancelled,
+// journaled as its expire record. An unjournaled release still removes it
+// here: replay re-grants the rebased lease and the item expires again.
+func (l *LookupService) onItemLeaseEnd(leaseID uint64, _ lease.Reason) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	id, ok := l.byLease[leaseID]
-	if !ok {
-		l.mu.Unlock()
-		return
-	}
 	rec := l.items[id]
-	// Best-effort journaling: if the expire record fails to land, replay
-	// re-grants the rebased lease and the item re-expires after recovery
-	// instead — expiry is idempotent.
-	_ = l.journalLocked(regRecord{Op: regOpExpire, ID: id})
+	if !ok || rec == nil {
+		return nil
+	}
+	err := l.journalLocked(regRecord{Op: regOpExpire, ID: id})
 	delete(l.items, id)
 	delete(l.byLease, leaseID)
 	l.indexRemoveLocked(rec)
-	l.mu.Unlock()
+	return err
 }
 
 // candidatesLocked appends to sets every index set the template pins —

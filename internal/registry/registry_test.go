@@ -197,6 +197,29 @@ func TestClosedRegistryRejects(t *testing.T) {
 	lus.Close() // idempotent
 }
 
+// TestLeaseEndAfterClose: a registration lease that ends after Close —
+// cancelled by its holder or expired under a late sweep — releases
+// nothing and does not panic on the emptied registry.
+func TestLeaseEndAfterClose(t *testing.T) {
+	fc, lus := newLUS(t)
+	a, err := lus.Register(sensorItem("A"), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lus.Register(sensorItem("B"), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	lus.Close()
+	if err := a.Lease.Cancel(); err != nil {
+		t.Fatalf("Cancel after Close: %v", err)
+	}
+	fc.Advance(time.Hour)
+	lus.SweepNow()
+	if n := lus.Len(); n != 0 {
+		t.Fatalf("Len = %d after Close", n)
+	}
+}
+
 func TestLookupOneNotFound(t *testing.T) {
 	_, lus := newLUS(t)
 	if _, err := lus.LookupOne(ByName("ghost")); !errors.Is(err, ErrNotFound) {

@@ -105,17 +105,18 @@ func ServeRegistrar(server *srpc.Server, lus *registry.LookupService) {
 			Expiration: reg.Lease.Expiration,
 		}, nil
 	})
+	// A remote registration's lease names only its id, so renewal and
+	// cancellation reach the item-lease table through the lookup service.
+	leases := lus.ItemLeases()
 	srpc.HandleFunc(server, "registrar.renew", func(p leaseParams) (any, error) {
-		// A remote registration's lease names only its id, so renewal
-		// reaches the item-lease table through the lookup service itself.
-		exp, err := lus.RenewItemLease(p.LeaseID, p.Lease)
+		exp, err := leases.Renew(p.LeaseID, p.Lease)
 		if err != nil {
 			return nil, err
 		}
 		return renewResult{Expiration: exp}, nil
 	})
 	srpc.HandleFunc(server, "registrar.cancel", func(p leaseParams) (any, error) {
-		return nil, lus.CancelItemLease(p.LeaseID)
+		return nil, leases.Cancel(p.LeaseID)
 	})
 	srpc.HandleFunc(server, "registrar.lookup", func(p lookupParams) (any, error) {
 		// The reply only encodes the matches, so they may share the

@@ -80,7 +80,7 @@ func NewMonitor(clock clockwork.Clock, policy SelectionPolicy) *Monitor {
 		deployed: make(map[string]*deployment),
 	}
 	m.leases = lease.NewTable(clock, lease.Policy{Max: lease.DefaultMax})
-	m.leases.OnExpire(m.onNodeLeaseExpired)
+	m.leases.OnEnd(m.onNodeLeaseEnd)
 	return m
 }
 
@@ -89,7 +89,7 @@ func NewMonitor(clock clockwork.Clock, policy SelectionPolicy) *Monitor {
 func (m *Monitor) Events() *event.Generator { return m.events }
 
 // RegisterCybernode adds a compute node under a lease. The node's owner
-// keeps the lease renewed (heartbeat); Kill() is also observed directly.
+// keeps the lease renewed (heartbeat); Kill() cancels it at once.
 // Registration triggers reconciliation, so pending elements provision as
 // soon as a capable node appears.
 func (m *Monitor) RegisterCybernode(c *Cybernode, leaseDur time.Duration) (lease.Lease, error) {
@@ -101,10 +101,7 @@ func (m *Monitor) RegisterCybernode(c *Cybernode, leaseDur time.Duration) (lease
 	m.nodes[c.ID()] = c
 	m.byLease[lse.ID] = c.ID()
 	m.mu.Unlock()
-	c.OnDeath(func(dead *Cybernode) {
-		_ = lse.Cancel()
-		m.handleNodeLoss(dead.ID(), "killed")
-	})
+	c.OnDeath(func(*Cybernode) { _ = lse.Cancel() })
 	m.Reconcile()
 	return lse, nil
 }
@@ -355,7 +352,8 @@ func (m *Monitor) selectNode(elem ServiceElement) *Cybernode {
 	return m.policy.Select(candidates, elem)
 }
 
-func (m *Monitor) onNodeLeaseExpired(leaseID uint64) {
+// onNodeLeaseEnd loses the node whose lease expired (silent) or was cancelled.
+func (m *Monitor) onNodeLeaseEnd(leaseID uint64, reason lease.Reason) error {
 	m.mu.Lock()
 	nodeID, ok := m.byLease[leaseID]
 	if ok {
@@ -363,12 +361,13 @@ func (m *Monitor) onNodeLeaseExpired(leaseID uint64) {
 	}
 	m.mu.Unlock()
 	if ok {
-		m.handleNodeLoss(nodeID, "lease expired")
+		m.handleNodeLoss(nodeID, reason)
 	}
+	return nil
 }
 
 // handleNodeLoss drops the node and its instances, then re-provisions.
-func (m *Monitor) handleNodeLoss(nodeID ids.ServiceID, reason string) {
+func (m *Monitor) handleNodeLoss(nodeID ids.ServiceID, reason lease.Reason) {
 	m.mu.Lock()
 	node, known := m.nodes[nodeID]
 	if !known {
@@ -390,7 +389,7 @@ func (m *Monitor) handleNodeLoss(nodeID ids.ServiceID, reason string) {
 	}
 	m.mu.Unlock()
 
-	m.events.Fire(EventNodeLost, ProvisionNotice{Node: node.Name(), Detail: reason})
+	m.events.Fire(EventNodeLost, ProvisionNotice{Node: node.Name(), Detail: "lease " + string(reason)})
 	if relocating > 0 {
 		m.Reconcile()
 		m.events.Fire(EventRelocated, ProvisionNotice{

@@ -557,3 +557,25 @@ func TestScaledElementFailoverKeepsCount(t *testing.T) {
 		t.Fatalf("survivor hosts %d", len(n2.Services()))
 	}
 }
+
+// TestKilledNodesLeaveNoLeaseIndex: a kill cancels the node's lease, and
+// the lease's end removes the node everywhere the monitor tracks it,
+// lease index included.
+func TestKilledNodesLeaveNoLeaseIndex(t *testing.T) {
+	_, reg, _, m := newRig(t)
+	for i := 0; i < 100; i++ {
+		n := NewCybernode(fmt.Sprintf("n%d", i), Capability{CPUs: 1}, reg)
+		if _, err := m.RegisterCybernode(n, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		n.Kill()
+	}
+	if nodes := m.Nodes(); len(nodes) != 0 {
+		t.Fatalf("%d killed nodes still listed", len(nodes))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.byLease); n != 0 {
+		t.Fatalf("lease index holds %d killed nodes", n)
+	}
+}

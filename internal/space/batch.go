@@ -70,7 +70,7 @@ func (s *Space) WriteBatch(entries []Entry, tx *txn.Transaction, leaseDur time.D
 	if err != nil {
 		for _, l := range leases {
 			if l.Grantor != nil { // a lost write's
-				_ = l.Cancel()
+				s.leases.Retire(l.ID)
 			}
 		}
 		return nil, err

@@ -387,6 +387,39 @@ func TestJournalFailureFailsWrite(t *testing.T) {
 	}
 }
 
+// TestCancelJournalFailureIsReported: a holder's Cancel whose expire
+// record cannot land returns the journal error and still drops the entry
+// (its grant is gone); recovery restores it under a rebased lease, as for
+// an expiry whose record was lost, and it expires again.
+func TestCancelJournalFailureIsReported(t *testing.T) {
+	dir := t.TempDir()
+	fc, s, l := durableSpace(t, dir)
+	lse, err := s.Write(envelope("doomed", 1), nil, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(1, fc)
+	inj.Set(wal.FaultSiteAppend, faults.Rule{ErrorRate: 1})
+	l.SetFaultInjector(inj, "")
+	if err := lse.Cancel(); err == nil {
+		t.Fatal("Cancel reported no journal failure")
+	}
+	if n := s.Count(NewEntry("ExertionEnvelope")); n != 0 {
+		t.Fatalf("Count = %d after the cancel, want 0", n)
+	}
+	s.Close()
+	_ = l.Close()
+
+	fc2, re, _ := durableSpace(t, dir)
+	if n := re.Count(NewEntry("ExertionEnvelope")); n != 1 {
+		t.Fatalf("recovered Count = %d, want the entry back under a rebased lease", n)
+	}
+	fc2.Advance(2 * time.Minute)
+	if n := re.Count(NewEntry("ExertionEnvelope")); n != 0 {
+		t.Fatalf("Count = %d after the rebased lease lapsed", n)
+	}
+}
+
 // TestReplayedEntriesDoNotAliasJournalState pins the no-aliasing guarantee
 // recovery depends on: mutating a field map the caller kept after Write
 // must not leak into what a later recovery returns, and mutating a

@@ -177,7 +177,7 @@ func New(clock clockwork.Clock, policy lease.Policy) *Space {
 		waitq:   make(map[string][]*waiter),
 		txns:    make(map[uint64]*spaceTxnPart),
 	}
-	s.leases.OnExpire(s.onLeaseExpired)
+	s.leases.OnEnd(s.onLeaseEnd)
 	return s
 }
 
@@ -455,7 +455,7 @@ func (s *Space) removeLocked(se *storedEntry) {
 	delete(s.entries, se.id)
 	delete(s.byLease, se.leaseID)
 	s.indexRemoveLocked(se)
-	_ = s.leases.Cancel(se.leaseID)
+	s.leases.Retire(se.leaseID)
 }
 
 // handoff is a blocked waiter served by entries a mutation revealed.
@@ -570,26 +570,28 @@ func (s *Space) handOffLocked(plan []handoff) {
 	}
 }
 
-func (s *Space) onLeaseExpired(leaseID uint64) {
+// onLeaseEnd drops the entry whose lease expired or was cancelled,
+// journaled as its expire record either way, so replay and a promoted
+// backup drop it too. An unjournaled release still drops it here: replay
+// re-grants the rebased lease and the entry expires again. A fenced space
+// releases nothing; the promoted peer owns the entry.
+func (s *Space) onLeaseEnd(leaseID uint64, _ lease.Reason) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.byLease[leaseID]
+	if !ok {
+		return nil
+	}
 	if err := s.checkGuardLocked(); err != nil {
-		// Fenced: the promoted peer owns expiry now. The entry stays; the
-		// superseded space is about to be closed anyway.
-		s.mu.Unlock()
-		return
+		return err
 	}
-	if id, ok := s.byLease[leaseID]; ok {
-		// Best-effort journaling: if the expire record fails to land,
-		// replay re-grants the rebased lease and the entry re-expires
-		// after recovery instead — expiry is idempotent.
-		_ = s.journalBatchLocked([]record{{op: opExpire, id: id}})
-		delete(s.byLease, leaseID)
-		if se, ok := s.entries[id]; ok {
-			delete(s.entries, id)
-			s.indexRemoveLocked(se)
-		}
+	err := s.journalBatchLocked([]record{{op: opExpire, id: id}})
+	delete(s.byLease, leaseID)
+	if se, ok := s.entries[id]; ok {
+		delete(s.entries, id)
+		s.indexRemoveLocked(se)
 	}
-	s.mu.Unlock()
+	return err
 }
 
 // --- transaction participation ---

@@ -76,7 +76,8 @@ var (
 )
 
 // Manager creates and tracks transactions. A transaction whose lease lapses
-// is aborted — the crash-safety net for federations that die mid-exertion.
+// is aborted — the crash-safety net for federations that die mid-exertion —
+// and so is one whose holder cancels its lease.
 type Manager struct {
 	clock  clockwork.Clock
 	leases *lease.Table
@@ -92,7 +93,7 @@ func NewManager(clock clockwork.Clock, policy lease.Policy) *Manager {
 		txns:  make(map[uint64]*Transaction),
 	}
 	m.leases = lease.NewTable(clock, policy)
-	m.leases.OnExpire(m.onLeaseExpired)
+	m.leases.OnEnd(m.onLeaseEnd)
 	return m
 }
 
@@ -131,20 +132,20 @@ func (m *Manager) Active() int {
 // Sweep aborts transactions whose leases lapsed.
 func (m *Manager) Sweep() { m.leases.Sweep() }
 
-func (m *Manager) onLeaseExpired(leaseID uint64) {
-	m.mu.Lock()
-	t := m.txns[leaseID]
-	m.mu.Unlock()
-	if t != nil {
-		_ = t.Abort()
+// onLeaseEnd aborts the transaction whose lease expired or was cancelled.
+func (m *Manager) onLeaseEnd(id uint64, _ lease.Reason) error {
+	if t, ok := m.Get(id); ok {
+		return t.Abort()
 	}
+	return nil
 }
 
+// settle forgets a settled transaction; its lease has nothing to release.
 func (m *Manager) settle(id uint64) {
 	m.mu.Lock()
 	delete(m.txns, id)
 	m.mu.Unlock()
-	_ = m.leases.Cancel(id)
+	m.leases.Retire(id)
 }
 
 // Transaction is a single lease-bounded unit of work.
