@@ -40,7 +40,9 @@ race:
 # TestCallOnPeerClosedConnFailsPromptly among the rest), two publishers
 # racing the pump over the hub's reused inline update, three publishers
 # introducing sensors against a paced pump, a credit-starved pump and
-# the inline path over the hub's index-addressed state, remote lookups
+# the inline path over the hub's index-addressed state, a Resume racing
+# a parked subscription's lease end and a Publish 1000 times (either the
+# resume wins and delivery goes on, or the subscription is gone), remote lookups
 # encoding shared items while ModifyAttributes and re-Register replace
 # them, pull-mode jobs whose envelope and result field maps pass from the
 # writing goroutine to a taker on another without a copy (the Spacer,
@@ -54,7 +56,7 @@ race:
 race-stress:
 	$(GO) test ./internal/space -count=1 -race -run TestSpaceStressIndexedConcurrency
 	$(GO) test ./internal/srpc -race -count=20
-	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking|TestIndexedStateRacesPacedPump'
+	$(GO) test ./internal/subscribe -race -count=10 -run 'TestReusedSingleUpdateIsNeverShared|TestDirectPathConservesUnderBlocking|TestIndexedStateRacesPacedPump|TestParkEndRacesResume'
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	$(GO) test ./internal/sorcer -race -count=10 -run 'Spacer|SpaceWorker|JobContext'
 	$(GO) test ./internal/lease -race -count=1 -run TestEndRacesFireOnce

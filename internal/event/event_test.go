@@ -310,3 +310,25 @@ func TestMailboxDefaultCapacity(t *testing.T) {
 		t.Fatalf("cap = %d", box.cap)
 	}
 }
+
+// TestCancelLeavesNoRegistration: a holder's Cancel takes the
+// registration out of the generator's map, not only out of Count.
+func TestCancelLeavesNoRegistration(t *testing.T) {
+	_, g := newGen(t)
+	kept, err := g.Register(AnyEvent, &collector{}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := g.Register(AnyEvent, &collector{}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, ok := g.regs[kept.ID]; !ok || len(g.regs) != 1 {
+		t.Fatalf("registrations after cancel = %v, want only %d", g.regs, kept.ID)
+	}
+}

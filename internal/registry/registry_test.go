@@ -413,3 +413,51 @@ func TestPropertyIndexMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCancelLeavesNothingBehind: a holder's Cancel takes the item out of
+// the item table, the lease index and both lookup indexes, not only out
+// of Len.
+func TestCancelLeavesNothingBehind(t *testing.T) {
+	_, lus := newLUS(t)
+	kept, err := lus.Register(sensorItem("kept"), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := sensorItem("gone")
+	gone.Types = append(gone.Types, "Camera")
+	gone.Attributes = append(gone.Attributes, attr.Location("b", "1", "r"))
+	reg, err := lus.Register(gone, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Lease.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	lus.mu.RLock()
+	defer lus.mu.RUnlock()
+	rec := lus.items[kept.ServiceID]
+	if rec == nil || len(lus.items) != 1 {
+		t.Fatalf("%d items after cancel, want only %v", len(lus.items), kept.ServiceID)
+	}
+	if id, ok := lus.byLease[kept.Lease.ID]; !ok || id != kept.ServiceID || len(lus.byLease) != 1 {
+		t.Fatalf("lease index after cancel = %v, want only lease %d", lus.byLease, kept.Lease.ID)
+	}
+	var sets []recordSet
+	for _, set := range lus.byType {
+		sets = append(sets, set)
+	}
+	types := len(sets)
+	for _, set := range lus.byField {
+		sets = append(sets, set)
+	}
+	// The kept item has two types and four indexed fields: name, kind,
+	// unit and category.
+	if types != 2 || len(sets)-types != 4 {
+		t.Fatalf("indexes hold %d type and %d field sets after cancel, want 2 and 4", types, len(sets)-types)
+	}
+	for _, set := range sets {
+		if _, ok := set[rec]; !ok || len(set) != 1 {
+			t.Fatalf("an index set of %d holds more than the kept item", len(set))
+		}
+	}
+}

@@ -25,6 +25,7 @@ import (
 
 	"sensorcer/internal/attr"
 	"sensorcer/internal/ids"
+	"sensorcer/internal/sorcer"
 	"sensorcer/internal/wire"
 )
 
@@ -76,41 +77,6 @@ func consumeTime(b []byte) (time.Time, []byte, bool) {
 		return time.Time{}, b, false
 	}
 	return time.Unix(sec, int64(nsec)), b, true
-}
-
-func appendContext(b []byte, ctx map[string]any) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(ctx)))
-	var err error
-	for k, v := range ctx {
-		b = wire.AppendString(b, k)
-		if b, err = wire.AppendValue(b, v); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-func consumeContext(b []byte) (map[string]any, []byte, bool) {
-	n, b, ok := wire.ConsumeUvarint(b)
-	if !ok || n > uint64(len(b)) {
-		return nil, b, false
-	}
-	var ctx map[string]any
-	if n > 0 {
-		ctx = make(map[string]any, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v any
-		if k, b, ok = wire.ConsumeString(b); !ok {
-			return nil, b, false
-		}
-		if v, b, ok = wire.ConsumeValue(b); !ok {
-			return nil, b, false
-		}
-		ctx[k] = v
-	}
-	return ctx, b, true
 }
 
 func appendID(b []byte, id ids.ServiceID) []byte {
@@ -705,7 +671,7 @@ func (t wireTask) AppendSrpc(buf []byte) ([]byte, error) {
 	buf = wire.AppendString(buf, t.ServiceType)
 	buf = wire.AppendString(buf, t.Selector)
 	buf = wire.AppendString(buf, t.ProviderName)
-	return appendContext(buf, t.Context)
+	return sorcer.AppendContext(buf, t.Context)
 }
 
 // UnmarshalSrpc implements srpc.BinaryUnmarshaler.
@@ -726,7 +692,7 @@ func (t *wireTask) UnmarshalSrpc(shape byte, data []byte) error {
 	if t.ProviderName, data, ok = wire.ConsumeString(data); !ok {
 		return malformedErr("task")
 	}
-	ctx, rest, ok := consumeContext(data)
+	ctx, rest, ok := sorcer.ConsumeContext(data)
 	if !ok || len(rest) != 0 {
 		return malformedErr("task")
 	}
@@ -739,7 +705,7 @@ func (t wireTaskResult) SrpcShape() byte { return shapeTaskResult }
 
 // AppendSrpc implements srpc.BinaryMarshaler.
 func (t wireTaskResult) AppendSrpc(buf []byte) ([]byte, error) {
-	return appendContext(buf, t.Context)
+	return sorcer.AppendContext(buf, t.Context)
 }
 
 // UnmarshalSrpc implements srpc.BinaryUnmarshaler.
@@ -747,7 +713,7 @@ func (t *wireTaskResult) UnmarshalSrpc(shape byte, data []byte) error {
 	if shape != shapeTaskResult {
 		return shapeErr("task result", shape)
 	}
-	ctx, rest, ok := consumeContext(data)
+	ctx, rest, ok := sorcer.ConsumeContext(data)
 	if !ok || len(rest) != 0 {
 		return malformedErr("task result")
 	}

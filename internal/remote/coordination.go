@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"sensorcer/internal/lease"
@@ -83,23 +81,9 @@ func ServeCoordination(server *srpc.Server, src CoordLeaseSource) {
 	})
 }
 
-// coordErr maps a server-side failure string back onto the sentinel a
-// coordinator replica branches on (srpc flattens errors to strings).
-func coordErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var re *srpc.RemoteError
-	if !errors.As(err, &re) {
-		return err
-	}
-	for _, sentinel := range []error{lease.ErrHeld, lease.ErrUnknownLease, lease.ErrCanceled} {
-		if strings.Contains(re.Message, sentinel.Error()) {
-			return fmt.Errorf("%w: %s", sentinel, re.Message)
-		}
-	}
-	return err
-}
+// coordSentinels are the server-side failures a coordinator replica
+// branches on (see sentinelErr).
+var coordSentinels = []error{lease.ErrHeld, lease.ErrUnknownLease, lease.ErrCanceled}
 
 // CoordinationClient is a registry.CoordGrantor stub over srpc: the
 // handle a separate-process coordinator replica competes through.
@@ -124,7 +108,7 @@ func (c *CoordinationClient) AcquireCoordination(name, holder string, dur time.D
 	err := c.client.CallWithTimeout("coord.acquire",
 		wireCoordAcquire{Name: name, Holder: holder, DurSec: dur.Seconds()}, &res, c.timeout)
 	if err != nil {
-		return lease.FencedGrant{}, coordErr(err)
+		return lease.FencedGrant{}, sentinelErr(err, coordSentinels...)
 	}
 	return lease.FencedGrant{
 		Token:  res.Token,
@@ -161,11 +145,11 @@ func (g *coordGrantor) Renew(id uint64, requested time.Duration) (time.Time, err
 	var exp time.Time
 	err := g.client.client.CallWithTimeout("coord.renew",
 		wireCoordLease{LeaseID: id, DurSec: requested.Seconds()}, &exp, g.client.timeout)
-	return exp, coordErr(err)
+	return exp, sentinelErr(err, coordSentinels...)
 }
 
 // Cancel implements lease.Grantor.
 func (g *coordGrantor) Cancel(id uint64) error {
-	return coordErr(g.client.client.CallWithTimeout("coord.cancel",
-		wireCoordLease{LeaseID: id}, nil, g.client.timeout))
+	return sentinelErr(g.client.client.CallWithTimeout("coord.cancel",
+		wireCoordLease{LeaseID: id}, nil, g.client.timeout), coordSentinels...)
 }

@@ -1,7 +1,9 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,4 +175,20 @@ func (s *stub) Close() {
 	if s.ep != nil {
 		endpoints.release(s.ep)
 	}
+}
+
+// sentinelErr maps a server-side failure back onto the first of
+// sentinels its message names: srpc flattens errors to strings, and the
+// caller branches on the sentinel. Any other error passes through.
+func sentinelErr(err error, sentinels ...error) error {
+	var re *srpc.RemoteError
+	if !errors.As(err, &re) {
+		return err
+	}
+	for _, sentinel := range sentinels {
+		if strings.Contains(re.Message, sentinel.Error()) {
+			return fmt.Errorf("%w: %s", sentinel, re.Message)
+		}
+	}
+	return err
 }

@@ -412,6 +412,39 @@ func TestServicerOverSRPC(t *testing.T) {
 	}
 }
 
+// TestServicerCarriesIntegersAsTheJournalDoes: a Go int in a task
+// context reaches a remote provider, and its result comes back, as
+// int64, the kind the space's task journal restores it as, not as a
+// JSON float64.
+func TestServicerCarriesIntegersAsTheJournalDoes(t *testing.T) {
+	provServer := srpc.NewServer()
+	provServer.Listen("127.0.0.1:0")
+	defer provServer.Close()
+	p := sorcer.NewProvider("Counter-1", "Counter")
+	seen := make(chan any, 1)
+	p.RegisterOp("inc", func(ctx *sorcer.Context) error {
+		v, _ := ctx.Get("arg/n")
+		seen <- v
+		ctx.Put("result/n", 8)
+		return nil
+	})
+	client, err := NewServicerClient(ServeServicer(provServer, "Counter-1", p), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, err := client.Service(sorcer.NewTask("t", sorcer.Sig("Counter", "inc"), sorcer.NewContextFrom("arg/n", 7)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := <-seen; v != int64(7) {
+		t.Fatalf("provider saw arg/n = %#v, want int64(7)", v)
+	}
+	if v, _ := res.Context().Get("result/n"); v != int64(8) {
+		t.Fatalf("requestor got result/n = %#v, want int64(8)", v)
+	}
+}
+
 func TestServicerClientErrors(t *testing.T) {
 	if _, err := NewServicerClient(ProxyDesc{Kind: "wrong"}, time.Second); err == nil {
 		t.Fatal("wrong kind accepted")

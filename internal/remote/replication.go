@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"sensorcer/internal/repl"
@@ -89,30 +87,10 @@ func NewReplicationClient(desc ProxyDesc, timeout time.Duration) (*ReplicationCl
 	return &ReplicationClient{desc: desc, client: client, timeout: timeout}, nil
 }
 
-// replErr maps a server-side failure string back onto the sentinel the
-// replication layer branches on — srpc flattens errors to strings, and
-// a primary must distinguish "stale epoch, fence yourself" from "backup
-// unreachable, suspend".
-func replErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var re *srpc.RemoteError
-	if !errors.As(err, &re) {
-		return err
-	}
-	for _, sentinel := range []error{
-		repl.ErrStaleEpoch,
-		repl.ErrNodeDown,
-		wal.ErrSeqGap,
-		wal.ErrCompacted,
-	} {
-		if strings.Contains(re.Message, sentinel.Error()) {
-			return fmt.Errorf("%w: %s", sentinel, re.Message)
-		}
-	}
-	return err
-}
+// replSentinels are the server-side failures the replication layer
+// branches on (see sentinelErr): a primary must distinguish "stale
+// epoch, fence yourself" from "backup unreachable, suspend".
+var replSentinels = []error{repl.ErrStaleEpoch, repl.ErrNodeDown, wal.ErrSeqGap, wal.ErrCompacted}
 
 // ShipBatch implements repl.Follower over srpc.
 func (c *ReplicationClient) ShipBatch(epoch, firstSeq uint64, payloads [][]byte) (uint64, error) {
@@ -120,7 +98,7 @@ func (c *ReplicationClient) ShipBatch(epoch, firstSeq uint64, payloads [][]byte)
 	err := c.client.CallWithTimeout("repl.ship."+c.desc.Service,
 		wireShipBatch{Epoch: epoch, FirstSeq: firstSeq, Payloads: payloads}, &res, c.timeout)
 	if err != nil {
-		return 0, replErr(err)
+		return 0, sentinelErr(err, replSentinels...)
 	}
 	return res.NextSeq, nil
 }
@@ -130,7 +108,7 @@ func (c *ReplicationClient) ShipSnapshot(epoch, seq uint64, data []byte) error {
 	var res wireShipResult
 	err := c.client.CallWithTimeout("repl.snapshot."+c.desc.Service,
 		wireShipSnapshot{Epoch: epoch, Seq: seq, Data: data}, &res, c.timeout)
-	return replErr(err)
+	return sentinelErr(err, replSentinels...)
 }
 
 // Heartbeat implements repl.Follower over srpc.
@@ -138,7 +116,7 @@ func (c *ReplicationClient) Heartbeat(epoch uint64) error {
 	var res struct{}
 	err := c.client.CallWithTimeout("repl.heartbeat."+c.desc.Service,
 		wireHeartbeat{Epoch: epoch}, &res, c.timeout)
-	return replErr(err)
+	return sentinelErr(err, replSentinels...)
 }
 
 // Close releases the stub's connection.

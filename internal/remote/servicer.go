@@ -15,29 +15,22 @@ import (
 // provider serves tasks exactly as an in-process one does.
 const ServicerKind = "servicer"
 
-// wireTask is the JSON form of an elementary exertion: its signature and
-// a flat service context. Context values must be JSON-representable
-// (numbers, strings, booleans, lists); richer values stay in-process.
+// wireTask is the wire form of an elementary exertion: its signature and
+// its service context, encoded as the space's task journal encodes it
+// (sorcer.AppendContext). Context values must be strings, booleans,
+// integers, floats or JSON-representable; richer values stay in-process.
+// It has a binary form only: a JSON payload leaves the context empty.
 type wireTask struct {
-	Name         string         `json:"name"`
-	ServiceType  string         `json:"serviceType"`
-	Selector     string         `json:"selector"`
-	ProviderName string         `json:"providerName,omitempty"`
-	Context      map[string]any `json:"context,omitempty"`
+	Name         string
+	ServiceType  string
+	Selector     string
+	ProviderName string
+	Context      *sorcer.Context `json:"-"`
 }
 
 // wireTaskResult carries the post-execution context back.
 type wireTaskResult struct {
-	Context map[string]any `json:"context,omitempty"`
-}
-
-func contextToWire(ctx *sorcer.Context) map[string]any {
-	out := make(map[string]any, ctx.Len())
-	for _, p := range ctx.Paths() {
-		v, _ := ctx.Get(p)
-		out[p] = v
-	}
-	return out
+	Context *sorcer.Context `json:"-"`
 }
 
 // ServeServicer exports a Servicer on the srpc server under the service
@@ -50,16 +43,11 @@ func ServeServicer(server *srpc.Server, serviceName string, svc sorcer.Servicer)
 			Selector:     p.Selector,
 			ProviderName: p.ProviderName,
 		}
-		ctx := sorcer.NewContext()
-		for k, v := range p.Context {
-			ctx.Put(k, v)
-		}
-		task := sorcer.NewTask(p.Name, sig, ctx)
-		res, err := svc.Service(task, nil)
+		res, err := svc.Service(sorcer.NewTask(p.Name, sig, p.Context), nil)
 		if err != nil {
 			return nil, err
 		}
-		return wireTaskResult{Context: contextToWire(res.Context())}, nil
+		return wireTaskResult{Context: res.Context()}, nil
 	})
 	return ProxyDesc{Kind: ServicerKind, Locator: server.Addr(), Service: serviceName}
 }
@@ -95,7 +83,7 @@ func (s *ServicerClient) Service(ex sorcer.Exertion, tx *txn.Transaction) (sorce
 		ServiceType:  sig.ServiceType,
 		Selector:     sig.Selector,
 		ProviderName: sig.ProviderName,
-		Context:      contextToWire(task.Context()),
+		Context:      task.Context(),
 	}
 	var res wireTaskResult
 	if err := s.call("servicer.service."+s.desc.Service, req, &res); err != nil {
@@ -103,9 +91,7 @@ func (s *ServicerClient) Service(ex sorcer.Exertion, tx *txn.Transaction) (sorce
 		return task, err
 	}
 	ctx := task.Context()
-	for k, v := range res.Context {
-		ctx.Put(k, v)
-	}
+	ctx.Merge(res.Context)
 	sorcer.FinishTask(task, ctx, nil)
 	return task, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sensorcer/internal/sorcer"
 	"sensorcer/internal/srpc"
 )
 
@@ -31,7 +32,7 @@ var remoteShapes = map[byte]func() srpc.BinaryUnmarshaler{
 func FuzzRemoteShapes(f *testing.F) {
 	ts := time.Unix(1700000000, 42)
 	r := wireReading{Sensor: "Neem-Sensor", Kind: "temperature", Unit: "celsius", Value: 21.5, Timestamp: ts}
-	ctx := map[string]any{"arg/x": 2.5, "arg/n": int64(-3), "arg/ok": true, "arg/name": "avg", "arg/list": []any{"a", 1.0}}
+	ctx := sorcer.NewContextFrom("arg/x", 2.5, "arg/n", int64(-3), "arg/ok", true, "arg/name", "avg", "arg/list", []any{"a", 1.0})
 	for _, v := range []srpc.BinaryMarshaler{
 		wireShipResult{NextSeq: 41},
 		wireShipSnapshot{Epoch: 3, Seq: 40, Data: []byte("snapshot")},
@@ -99,9 +100,7 @@ func canonRemote(v srpc.BinaryUnmarshaler) any {
 		}
 		return c
 	case *wireTask:
-		c := *x
-		c.Context = canonContext(c.Context)
-		return c
+		return []any{x.Name, x.ServiceType, x.Selector, x.ProviderName, canonContext(x.Context)}
 	case *wireTaskResult:
 		return canonContext(x.Context)
 	}
@@ -115,16 +114,14 @@ func canonReading(r wireReading) any {
 	}{wireReading{Sensor: r.Sensor, Kind: r.Kind, Unit: r.Unit, Timestamp: r.Timestamp}, math.Float64bits(r.Value)}
 }
 
-func canonContext(ctx map[string]any) map[string]any {
-	if ctx == nil {
-		return nil
-	}
-	out := make(map[string]any, len(ctx))
-	for k, v := range ctx {
+func canonContext(ctx *sorcer.Context) map[string]any {
+	out := make(map[string]any, ctx.Len())
+	for _, p := range ctx.Paths() {
+		v, _ := ctx.Get(p)
 		if fl, ok := v.(float64); ok {
 			v = math.Float64bits(fl)
 		}
-		out[k] = v
+		out[p] = v
 	}
 	return out
 }

@@ -30,7 +30,7 @@ type subscribeParams struct {
 	// creating one.
 	Resume bool `json:"resume,omitempty"`
 	// Durable subscriptions survive disconnects: the hub parks them
-	// (TTL below) and buffers filtered readings for a Resume.
+	// (TTL below) and conflates filtered readings for a Resume.
 	Durable bool `json:"durable,omitempty"`
 	// DurableTTLMS bounds how long a parked subscription is kept.
 	DurableTTLMS int64            `json:"durable_ttl_ms,omitempty"`
@@ -142,7 +142,7 @@ type SubscribeOption func(*subscribeParams)
 
 // WithDurable makes the subscription survive disconnects: the provider
 // parks it for ttl (DefaultDurableTTL if 0) and ResumeSubscription picks
-// the backlog up.
+// up what it conflated meanwhile.
 func WithDurable(ttl time.Duration) SubscribeOption {
 	return func(p *subscribeParams) {
 		p.Durable = true
@@ -172,8 +172,10 @@ func Subscribe(c *srpc.Client, f subscribe.Filter, opts ...SubscribeOption) (*Su
 }
 
 // ResumeSubscription reattaches a durable subscription by token after a
-// disconnect. Buffered readings (and the count of any the retention
-// bound dropped) arrive as the first update.
+// disconnect. The latest reading per sensor published while parked (and
+// the count of those superseded) arrive as the first update. Once the
+// park's lease has ended, the first Recv fails with
+// subscribe.ErrUnknownToken: subscribe afresh.
 func ResumeSubscription(c *srpc.Client, token string, opts ...SubscribeOption) (*SubscriberClient, error) {
 	p := subscribeParams{Token: token, Resume: true}
 	for _, o := range opts {
@@ -189,14 +191,21 @@ func ResumeSubscription(c *srpc.Client, token string, opts ...SubscribeOption) (
 // Token identifies the subscription (for ResumeSubscription).
 func (sc *SubscriberClient) Token() string { return sc.token }
 
+// subscribeSentinels are the hub's refusals a subscriber branches on
+// (see sentinelErr): ErrUnknownToken means the subscription is gone and
+// must be made afresh.
+var subscribeSentinels = []error{subscribe.ErrUnknownToken, subscribe.ErrAlreadyAttached, subscribe.ErrDuplicateToken}
+
 // Recv waits for the next update (timeout 0 = indefinitely). It returns
-// io.EOF after an orderly provider close and a *srpc.RemoteError when
-// the provider rejected or ended the subscription.
+// io.EOF after an orderly provider close, an error wrapping the hub's
+// sentinel when the provider refused the subscription (for one,
+// subscribe.ErrUnknownToken on a resume after the park's lease ended),
+// and a *srpc.RemoteError when the provider otherwise ended it.
 func (sc *SubscriberClient) Recv(timeout time.Duration) (subscribe.Update, error) {
 	var u subscribe.Update
 	w := subscribe.WireUpdate{U: &u, Dec: &sc.dec}
 	if err := sc.st.Recv(&w, timeout); err != nil {
-		return subscribe.Update{}, err
+		return subscribe.Update{}, sentinelErr(err, subscribeSentinels...)
 	}
 	return u, nil
 }

@@ -151,6 +151,42 @@ func TestSubscriptionDurableResume(t *testing.T) {
 	}
 }
 
+// TestSubscriptionResumeAfterParkLease: once a parked subscription's
+// lease has ended, with nothing published meanwhile, a resume is refused
+// with subscribe.ErrUnknownToken, which a subscriber can tell from a
+// transport error.
+func TestSubscriptionResumeAfterParkLease(t *testing.T) {
+	clock := clockwork.NewFake(epoch)
+	server := srpc.NewServer()
+	hub := subscribe.NewHub(subscribe.WithHubClock(clock))
+	ServeSubscriptions(server, hub)
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		server.Close()
+		hub.Close()
+	})
+	c := subDial(t, server)
+	sub, err := Subscribe(c, subscribe.Filter{}, WithDurable(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return hub.Count() == 1 })
+	c.Close()
+	// The park lease starts when the hub notices the disconnect; move
+	// the clock on until it has ended.
+	waitFor(t, func() bool { clock.Advance(time.Second); return hub.Count() == 0 })
+	sub2, err := ResumeSubscription(subDial(t, server), sub.Token())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub2.Close()
+	if _, err := sub2.Recv(2 * time.Second); !errors.Is(err, subscribe.ErrUnknownToken) {
+		t.Fatalf("resume after the park's lease: %v, want ErrUnknownToken", err)
+	}
+}
+
 // TestSubscriptionEphemeralDisconnectCancels: a non-durable subscriber's
 // disconnect removes the subscription.
 func TestSubscriptionEphemeralDisconnectCancels(t *testing.T) {

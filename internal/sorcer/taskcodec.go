@@ -19,9 +19,10 @@ import (
 //
 // The encoding (on-disk format) is the 16-byte id, then name, service
 // type, selector and provider name as wire strings, then the signature's
-// attribute entries and the context, each a count followed by keys and
-// wire tagged values (wire.AppendValue). A Go int is written as int64, so
-// integers come back as int64, the kind package attr matches on.
+// attribute entries and the context (AppendContext), each a count
+// followed by keys and wire tagged values (wire.AppendValue). A Go int is
+// written as int64, so integers come back as int64, the kind package attr
+// matches on.
 type taskCodec struct{}
 
 func init() { space.RegisterPayloadCodec(taskCodec{}) }
@@ -53,16 +54,33 @@ func (taskCodec) Append(b []byte, v any) ([]byte, bool) {
 			}
 		}
 	}
-	ctx := t.Context()
-	ctx.mu.RLock()
-	defer ctx.mu.RUnlock()
-	b = wire.AppendUvarint(b, uint64(len(ctx.data)))
-	for p, v := range ctx.data {
+	b, err = AppendContext(b, t.Context())
+	return b, err == nil
+}
+
+// AppendContext appends c in the task encoding's context layout: a path
+// count, then each path and its wire tagged value, a Go int as int64.
+// The space's task journal and the remote exertion shapes both encode
+// contexts with it, so a value comes back the same kind from either.
+func AppendContext(b []byte, c *Context) ([]byte, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	b = wire.AppendUvarint(b, uint64(len(c.data)))
+	var err error
+	for p, v := range c.data {
 		if b, err = appendTaskValue(wire.AppendString(b, p), v); err != nil {
-			return b, false
+			return b, err
 		}
 	}
-	return b, true
+	return b, nil
+}
+
+// ConsumeContext parses a context AppendContext wrote. Strings are copied
+// out, so the context never aliases b.
+func ConsumeContext(b []byte) (*Context, []byte, bool) {
+	r := taskReader{b: b, ok: true}
+	c := r.context()
+	return c, r.b, r.ok
 }
 
 func appendTaskValue(b []byte, v any) ([]byte, error) {
@@ -76,7 +94,7 @@ var errBadTask = errors.New("sorcer: malformed task payload")
 
 // Decode implements space.PayloadCodec.
 func (taskCodec) Decode(data []byte) (any, error) {
-	t := &Task{ctx: NewContext()}
+	t := &Task{}
 	if len(data) < len(t.id) {
 		return nil, errBadTask
 	}
@@ -95,9 +113,7 @@ func (taskCodec) Decode(data []byte) (any, error) {
 		}
 		t.signature.Attributes = append(t.signature.Attributes, e)
 	}
-	for n := r.count(); n > 0 && r.ok; n-- {
-		t.ctx.data[r.str()] = r.value()
-	}
+	t.ctx = r.context()
 	if !r.ok || len(r.b) != 0 {
 		return nil, errBadTask
 	}
@@ -127,4 +143,12 @@ func (r *taskReader) value() any {
 	v, rest, ok := wire.ConsumeValue(r.b)
 	r.b, r.ok = rest, r.ok && ok
 	return v
+}
+
+func (r *taskReader) context() *Context {
+	c := NewContext()
+	for n := r.count(); n > 0 && r.ok; n-- {
+		c.data[r.str()] = r.value()
+	}
+	return c
 }

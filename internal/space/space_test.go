@@ -518,3 +518,37 @@ func TestStressConservationUnderConcurrency(t *testing.T) {
 		t.Fatal("aborted writes leaked")
 	}
 }
+
+// TestCancelLeavesNothingBehind: a holder's Cancel takes the entry out of
+// the entry table, the lease index and the match index, not only out of
+// Count.
+func TestCancelLeavesNothingBehind(t *testing.T) {
+	_, s := newSpace(t)
+	kept, err := s.Write(NewEntry("job", "uid", int64(1)), nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.Write(NewEntry("job", "uid", int64(2)), nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.byLease[kept.ID]
+	if !ok || len(s.byLease) != 1 {
+		t.Fatalf("lease index after cancel = %v, want only lease %d", s.byLease, kept.ID)
+	}
+	if _, ok := s.entries[id]; !ok || len(s.entries) != 1 {
+		t.Fatalf("%d entries after cancel, want only entry %d", len(s.entries), id)
+	}
+	ki := s.byKind["job"]
+	if len(ki.ids) != 1 || ki.ids[0] != id {
+		t.Fatalf("kind index after cancel = %v, want [%d]", ki.ids, id)
+	}
+	if uid := ki.byField["uid"]; len(uid) != 1 || len(uid[int64(1)]) != 1 {
+		t.Fatalf("field index after cancel = %v, want only uid 1", uid)
+	}
+}

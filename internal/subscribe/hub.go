@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sensorcer/internal/clockwork"
-	"sensorcer/internal/event"
 	"sensorcer/internal/lease"
 	"sensorcer/internal/sensor/probe"
 )
@@ -16,7 +15,8 @@ import (
 var ErrDuplicateToken = errors.New("subscribe: token already subscribed")
 
 // ErrUnknownToken rejects a Resume for a token the hub does not hold —
-// never subscribed, cancelled, or parked past its lease.
+// never subscribed, cancelled, or parked until its park lease ended,
+// whether or not a reading arrived meanwhile.
 var ErrUnknownToken = errors.New("subscribe: unknown subscription token")
 
 // ErrAlreadyAttached rejects a Resume while the subscription still has a
@@ -26,23 +26,21 @@ var ErrAlreadyAttached = errors.New("subscribe: subscription already attached")
 // ErrHubClosed rejects operations on a closed hub.
 var ErrHubClosed = errors.New("subscribe: hub closed")
 
-// DefaultParkCapacity bounds readings stored per parked subscription.
-const DefaultParkCapacity = 256
-
 // Hub owns the subscriber registry and the fan-out: Publish offers one
 // reading to every subscription's filter and sends it straight into
 // every sink that can take it at once; each subscription's pump
 // goroutine delivers the rest — paced, conflated, at the consumer's
 // pace. Publish never blocks on any subscriber.
 type Hub struct {
-	clock   clockwork.Clock
-	parkCap int
-	// mailbox store-and-forwards readings for parked durable
-	// subscriptions, with lease-bounded retention.
-	mailbox *event.Mailbox
+	clock clockwork.Clock
+	// parks leases every parked durable subscription its TTL; a park
+	// lease's end removes the subscription (see parkEnded).
+	parks *lease.Table
 
-	mu     sync.RWMutex
-	subs   map[string]*subscription
+	mu   sync.RWMutex
+	subs map[string]*subscription
+	// parked holds each parked subscription under its park lease's id.
+	parked map[uint64]*subscription
 	closed bool
 
 	// sensors interns sensor names: Publish looks a reading's sensor up
@@ -66,28 +64,19 @@ func WithHubClock(c clockwork.Clock) HubOption {
 	return func(h *Hub) { h.clock = c }
 }
 
-// WithParkCapacity bounds the stored backlog per parked subscription
-// (default DefaultParkCapacity; oldest readings drop first).
-func WithParkCapacity(n int) HubOption {
-	return func(h *Hub) {
-		if n > 0 {
-			h.parkCap = n
-		}
-	}
-}
-
 // NewHub creates an empty subscription hub.
 func NewHub(opts ...HubOption) *Hub {
 	h := &Hub{
 		clock:   clockwork.Real(),
-		parkCap: DefaultParkCapacity,
 		subs:    make(map[string]*subscription),
+		parked:  make(map[uint64]*subscription),
 		sensors: make(map[string]int32),
 	}
 	for _, o := range opts {
 		o(h)
 	}
-	h.mailbox = event.NewMailbox(h.clock, lease.Policy{Max: lease.DefaultMax}, h.parkCap)
+	h.parks = lease.NewTable(h.clock, lease.Policy{})
+	h.parks.OnEnd(h.parkEnded)
 	h.flushBufs.New = func() any { return new([]Flusher) }
 	return h
 }
@@ -123,20 +112,21 @@ type subscription struct {
 	pred    *predicate
 	durable bool
 	ttl     time.Duration
+	// park is the park lease's id while the subscription is parked, 0
+	// while it is attached. Guarded by hub.mu.
+	park uint64
 
 	mu sync.Mutex
-	// Exactly one of sink (attached) or box (parked durable) is non-nil;
-	// both nil only transiently during resume.
+	// sink is nil while the subscription is parked and once it is
+	// removed.
 	sink Sink
 	// flusher is sink's optional Flusher side (nil without one), resolved
 	// once at attach instead of per delivery; queuer is its optional
 	// Queuer side, which the inline path sends through because Publish
 	// flushes whatever it delivered.
-	flusher  Flusher
-	queuer   Queuer
-	stop     chan struct{}
-	box      *event.Box
-	boxLease lease.Lease
+	flusher Flusher
+	queuer  Queuer
+	stop    chan struct{}
 	// pending is the conflation buffer: the latest reading per sensor in
 	// first-arrival order, pendingIDs their sensor indexes, and
 	// slot[id] the position plus one of sensor id's reading in pending
@@ -144,18 +134,14 @@ type subscription struct {
 	pending    []probe.Reading
 	pendingIDs []int32
 	slot       []int32
-	// dropped counts readings conflated away or lost since the last
-	// delivered update.
+	// dropped counts readings conflated away since the last delivered
+	// update.
 	dropped uint64
 	// last is the last accepted value per sensor index, kept only for a
 	// MinChange filter, the one reader.
-	last []lastValue
-	seq  uint64
-	// evSeq numbers readings stored while parked, so box overflow shows
-	// as a SeqNo discontinuity.
-	evSeq      uint64
+	last       []lastValue
+	seq        uint64
 	lastSentAt time.Time
-	gone       bool
 	// paced is the filter's MinInterval > 0, fixed at Subscribe: paced
 	// subscriptions always deliver through the pump.
 	paced bool
@@ -175,8 +161,8 @@ type subscription struct {
 
 // Subscribe registers a new subscription under the caller-chosen token
 // and starts pushing matching updates into sink. A durable subscription
-// survives sink loss: it parks with a lease of ttl, buffering filtered
-// readings for a later Resume.
+// survives sink loss: it parks for ttl, conflating filtered readings for
+// a later Resume.
 func (h *Hub) Subscribe(token string, f Filter, sink Sink, durable bool, ttl time.Duration) error {
 	if token == "" {
 		return errors.New("subscribe: empty subscription token")
@@ -199,71 +185,45 @@ func (h *Hub) Subscribe(token string, f Filter, sink Sink, durable bool, ttl tim
 		notify:  make(chan struct{}, 1),
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.closed {
-		h.mu.Unlock()
 		return ErrHubClosed
 	}
 	if _, dup := h.subs[token]; dup {
-		h.mu.Unlock()
 		return ErrDuplicateToken
 	}
 	h.subs[token] = s
-	h.mu.Unlock()
 	h.attach(s, sink)
 	return nil
 }
 
-// Resume reattaches a parked durable subscription: the buffered backlog
-// (plus the drop count of anything the capacity bound discarded) ships
-// as the first update on the new sink.
+// Resume reattaches a parked durable subscription to sink and ends its
+// park lease: the readings it conflated while parked, and the count of
+// those superseded, ship as the first update.
 func (h *Hub) Resume(token string, sink Sink) error {
 	if sink == nil {
 		return errors.New("subscribe: nil sink")
 	}
-	h.mu.RLock()
+	h.parks.Sweep()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	s := h.subs[token]
-	h.mu.RUnlock()
 	if s == nil {
 		return ErrUnknownToken
 	}
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return ErrUnknownToken
-	}
-	if s.box == nil {
-		s.mu.Unlock()
+	if s.park == 0 {
 		return ErrAlreadyAttached
 	}
-	box, lse := s.box, s.boxLease
-	s.box = nil
-	s.mu.Unlock()
-	backlog, gap := box.DrainWithDropped(0)
-	_ = lse.Cancel()
-	// Indexed outside s.mu: Publish takes h.mu before s.mu.
-	readings := make([]probe.Reading, 0, len(backlog))
-	ids := make([]int32, 0, len(backlog))
-	for _, ev := range backlog {
-		if r, ok := ev.Payload.(probe.Reading); ok {
-			readings = append(readings, r)
-			ids = append(ids, h.sensorIndex(r.Sensor))
-		}
-	}
-	s.mu.Lock()
-	s.dropped += gap
-	for i, r := range readings {
-		s.mergeLocked(r, ids[i])
-	}
-	hasPending := len(s.pending) > 0
-	s.mu.Unlock()
+	delete(h.parked, s.park)
+	h.parks.Retire(s.park)
+	s.park = 0
 	h.attach(s, sink)
-	if hasPending {
-		s.signal()
-	}
+	s.signal()
 	return nil
 }
 
-// attach installs sink and starts its pump.
+// attach installs sink and starts its pump. The caller holds h.mu, so no
+// remove can come between the two.
 func (h *Hub) attach(s *subscription, sink Sink) {
 	stop := make(chan struct{})
 	s.mu.Lock()
@@ -280,46 +240,58 @@ func (h *Hub) attach(s *subscription, sink Sink) {
 }
 
 // Detach handles sink loss (the subscriber's connection dropped): a
-// durable subscription parks behind a leased store-and-forward box; an
-// ephemeral one is cancelled. Idempotent.
+// durable subscription parks; an ephemeral one is cancelled. Idempotent.
 func (h *Hub) Detach(token string) {
 	h.mu.RLock()
 	s := h.subs[token]
 	h.mu.RUnlock()
-	if s == nil {
-		return
+	if s != nil {
+		h.detach(s, nil)
 	}
-	if !s.durable {
-		h.remove(token)
-		return
-	}
-	h.park(s)
 }
 
-// park moves a durable subscription from its sink to a leased box,
-// migrating any pending conflated readings so nothing delivered late is
-// lost.
-func (h *Hub) park(s *subscription) {
-	box, lse := h.mailbox.Register(s.ttl)
+// detach ends s's attachment whose pump stops on of (whichever it has,
+// if of is nil), so a pump that outlived its attachment cannot detach
+// the next one. A durable subscription then parks: its park lease of
+// ttl keeps it until Resume or the lease's end, and meanwhile readings
+// conflate in pending as they do for a sink without credit, so it holds
+// at most one reading per sensor its filter admits. An ephemeral one is
+// removed.
+func (h *Hub) detach(s *subscription, of <-chan struct{}) {
+	h.mu.Lock()
 	s.mu.Lock()
-	if s.gone || s.box != nil || s.sink == nil {
+	stop, sink := s.stop, s.sink
+	if sink == nil || (of != nil && of != stop) {
+		// Parked, removed, or attached anew.
 		s.mu.Unlock()
-		_ = lse.Cancel()
+		h.mu.Unlock()
 		return
 	}
-	stop, sink := s.stop, s.sink
 	s.stop, s.sink, s.flusher, s.queuer = nil, nil, nil, nil
-	s.box = box
-	s.boxLease = lse
-	for i, r := range s.pending {
-		s.slot[s.pendingIDs[i]] = 0
-		s.evSeq++
-		_ = box.Notify(event.RemoteEvent{SeqNo: s.evSeq, Timestamp: r.Timestamp, Payload: r})
-	}
-	s.pending, s.pendingIDs = s.pending[:0], s.pendingIDs[:0]
 	s.mu.Unlock()
+	if s.durable {
+		s.park = h.parks.Grant(s.ttl).ID
+		h.parked[s.park] = s
+	} else {
+		delete(h.subs, s.token)
+	}
+	h.mu.Unlock()
 	close(stop)
 	sink.Close(nil)
+}
+
+// parkEnded is the park table's end callback: the subscription parked
+// under lease id is removed. Sweep calls it outside the table's lock, so
+// a Resume or Cancel may have retired the lease just before; they take
+// the subscription out of parked first, and then it is left alone.
+func (h *Hub) parkEnded(id uint64, _ lease.Reason) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if s := h.parked[id]; s != nil {
+		delete(h.parked, id)
+		delete(h.subs, s.token)
+	}
+	return nil
 }
 
 // Cancel removes a subscription entirely, durable or not.
@@ -328,25 +300,25 @@ func (h *Hub) Cancel(token string) { h.remove(token) }
 func (h *Hub) remove(token string) {
 	h.mu.Lock()
 	s := h.subs[token]
-	delete(h.subs, token)
-	h.mu.Unlock()
 	if s == nil {
+		h.mu.Unlock()
 		return
 	}
+	delete(h.subs, token)
+	if s.park != 0 {
+		delete(h.parked, s.park)
+		h.parks.Retire(s.park)
+	}
 	s.mu.Lock()
-	s.gone = true
 	stop, sink := s.stop, s.sink
-	box, lse := s.box, s.boxLease
-	s.stop, s.sink, s.flusher, s.queuer, s.box = nil, nil, nil, nil, nil
+	s.stop, s.sink, s.flusher, s.queuer = nil, nil, nil, nil
 	s.mu.Unlock()
+	h.mu.Unlock()
 	if stop != nil {
 		close(stop)
 	}
 	if sink != nil {
 		sink.Close(nil)
-	}
-	if box != nil {
-		_ = lse.Cancel()
 	}
 }
 
@@ -367,39 +339,31 @@ func (h *Hub) remove(token string) {
 // The reading's sensor is looked up once, here; each subscription
 // reaches its per-sensor state by the index.
 func (h *Hub) Publish(r probe.Reading) {
-	// Expire lapsed park leases first, so offers to dead boxes fail and
-	// their subscriptions get reaped below.
-	h.mailbox.Sweep()
+	// A park whose lease lapsed ends first, so it is offered nothing.
+	h.parks.Sweep()
 	id := h.sensorIndex(r.Sensor)
-	var expired []string
 	scratch := h.flushBufs.Get().(*[]Flusher)
 	flush := (*scratch)[:0]
 	h.mu.RLock()
-	for token, s := range h.subs {
-		f, alive := s.offer(r, id)
-		if !alive {
-			expired = append(expired, token)
-		}
-		if f != nil {
+	for _, s := range h.subs {
+		if f := s.offer(r, id); f != nil {
 			flush = append(flush, f)
 		}
 	}
 	h.mu.RUnlock()
-	// Flushing and reaping both happen outside the registry read lock.
+	// Flushing happens outside the registry read lock.
 	for i, f := range flush {
 		f.Flush()
 		flush[i] = nil
 	}
 	*scratch = flush
 	h.flushBufs.Put(scratch)
-	// Parked subscriptions whose lease lapsed are dropped.
-	for _, token := range expired {
-		h.remove(token)
-	}
 }
 
-// Count reports live subscriptions (attached and parked).
+// Count reports live subscriptions, attached and parked; a park whose
+// lease lapsed ends first.
 func (h *Hub) Count() int {
+	h.parks.Sweep()
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.subs)
@@ -425,10 +389,9 @@ func (h *Hub) Close() {
 }
 
 // offer runs the filter chain and routes an accepted reading of sensor
-// index id: into the sink, the conflation buffer (attached) or the
-// parked box. alive is false when the subscription is dead (parked lease
-// expired) so Publish can reap it; flush is the sink's Flusher when this
-// offer sent into it.
+// index id into the sink or the conflation buffer, where a parked
+// subscription's readings wait for Resume; flush is the sink's Flusher
+// when this offer sent into it.
 //
 // An attached, unpaced subscription whose sink is idle is delivered
 // inline on the publisher's goroutine: TrySend never blocks, so the
@@ -440,38 +403,22 @@ func (h *Hub) Close() {
 // out update, so the delivery allocates nothing. The pump keeps
 // everything the inline path declines: pacing, credit waits, and
 // teardown.
-func (s *subscription) offer(r probe.Reading, id int32) (flush Flusher, alive bool) {
+func (s *subscription) offer(r probe.Reading, id int32) (flush Flusher) {
 	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return nil, false
-	}
 	if !s.matchesLocked(r, id) {
 		s.mu.Unlock()
-		return nil, true
-	}
-	if s.box != nil {
-		s.evSeq++
-		err := s.box.Notify(event.RemoteEvent{SeqNo: s.evSeq, Timestamp: r.Timestamp, Payload: r})
-		if err != nil {
-			// The park lease expired underneath us.
-			s.gone = true
-			s.mu.Unlock()
-			return nil, false
-		}
-		s.mu.Unlock()
-		return nil, true
+		return nil
 	}
 	sink := s.sink
 	if s.paced || s.delivering || sink == nil {
-		// Paced, mid-resume, or a deliverer is active — it rechecks
-		// pending before standing down, so the merge is covered.
+		// Paced, parked, or a deliverer is active — it rechecks pending
+		// before standing down, so the merge is covered.
 		s.mergeLocked(r, id)
 		if !s.delivering {
 			s.signal()
 		}
 		s.mu.Unlock()
-		return nil, true
+		return nil
 	}
 	s.delivering = true
 	var u *Update
@@ -481,17 +428,17 @@ func (s *subscription) offer(r probe.Reading, id int32) (flush Flusher, alive bo
 		u.ids = append(u.ids[:0], id)
 		s.stampLocked(u)
 	} else {
-		// Something is waiting for the pump (a resume backlog, a requeued
-		// snapshot): join it, so order and conflation hold.
+		// Something is waiting for the pump (what a park conflated, a
+		// requeued snapshot): join it, so order and conflation hold.
 		s.mergeLocked(r, id)
 		u = s.takeLocked()
 	}
 	flusher, queuer := s.flusher, s.queuer
 	s.mu.Unlock()
 	if !s.deliverInline(sink, queuer, u) {
-		return nil, true
+		return nil
 	}
-	return flusher, true
+	return flusher
 }
 
 // matchesLocked applies the filter chain — sensor set, min-change against
@@ -536,8 +483,8 @@ type lastValue struct {
 // reports whether the sink accepted anything. A sink with a Queuer side
 // (q) is sent to through it: Publish flushes it afterwards, so the send
 // need not wake the sink's writer. The moment a send cannot complete
-// immediately — no credit, sink closed — it stands down and hands the
-// subscription to the pump, which owns waiting and teardown.
+// immediately — no credit, sink closed — it puts the update back and
+// hands the subscription to the pump, which owns waiting and teardown.
 //
 //lint:blockok TrySend and Queue are contractually non-blocking (a credit check and a buffer append; an exhausted window returns ErrSinkBlocked instead of waiting), so the publisher holding Hub.mu is never coupled to a subscriber's progress
 func (s *subscription) deliverInline(sink Sink, q Queuer, u *Update) (sent bool) {
@@ -549,9 +496,7 @@ func (s *subscription) deliverInline(sink Sink, q Queuer, u *Update) (sent bool)
 			err = sink.TrySend(u)
 		}
 		if err != nil {
-			if errors.Is(err, ErrSinkBlocked) {
-				s.requeue(u)
-			}
+			s.requeue(u)
 			s.release()
 			s.signal()
 			return sent
@@ -639,7 +584,7 @@ func (s *subscription) pump(sink Sink, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-sink.Done():
-			s.hub.Detach(s.token)
+			s.hub.detach(s, stop)
 			return
 		}
 		if !s.acquire() {
@@ -685,7 +630,7 @@ func (s *subscription) deliver(sink Sink, stop <-chan struct{}) bool {
 				return false
 			case <-sink.Done():
 				timer.Stop()
-				s.hub.Detach(s.token)
+				s.hub.detach(s, stop)
 				return false
 			}
 		}
@@ -708,12 +653,14 @@ func (s *subscription) deliver(sink Sink, stop <-chan struct{}) bool {
 			case <-stop:
 				return false
 			case <-sink.Done():
-				s.hub.Detach(s.token)
+				s.hub.detach(s, stop)
 				return false
 			}
 		default:
-			// Closed or broken sink: treat as a disconnect.
-			s.hub.Detach(s.token)
+			// Closed or broken sink: treat as a disconnect. The update
+			// goes back to pending, which a park keeps for Resume.
+			s.requeue(u)
+			s.hub.detach(s, stop)
 			return false
 		}
 	}

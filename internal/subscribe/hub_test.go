@@ -320,61 +320,106 @@ func TestHubDetachCancelsEphemeral(t *testing.T) {
 	}
 }
 
-// TestHubParkResume: a durable subscription survives sink loss, buffers
-// while parked, and the resume update carries backlog plus the drop gap.
+// parkedUnder reports the park lease id token's subscription is parked
+// under (0: attached or gone).
+func parkedUnder(h *Hub, token string) uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if s := h.subs[token]; s != nil {
+		return s.park
+	}
+	return 0
+}
+
+// TestHubParkResume: a parked subscription conflates like one whose sink
+// has no credit. The resume update carries each sensor's latest value
+// and counts every superseded reading in Dropped, SeqNo runs on across
+// the park, and delivered plus dropped readings equal those published.
 func TestHubParkResume(t *testing.T) {
-	h := NewHub(WithParkCapacity(4))
+	h := NewHub()
 	defer h.Close()
 	sink := newTestSink(10)
 	if err := h.Subscribe("tok", Filter{}, sink, true, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	h.Publish(reading("rtd-1", 1))
-	sink.recv(t, 2*time.Second)
-	sink.Close(nil) // disconnect → parks
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		h.mu.RLock()
-		s := h.subs["tok"]
-		h.mu.RUnlock()
-		s.mu.Lock()
-		parked := s.box != nil
-		s.mu.Unlock()
-		if parked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("durable subscription never parked")
-		}
-		time.Sleep(time.Millisecond)
+	published := 0
+	publish := func(sensor string, v float64) {
+		h.Publish(reading(sensor, v))
+		published++
 	}
-	if h.Count() != 1 {
-		t.Fatalf("count after park = %d, want 1", h.Count())
+	var got []*Update
+	publish("a", 0)
+	got = append(got, sink.recv(t, 2*time.Second))
+	h.Detach("tok")
+	if parkedUnder(h, "tok") == 0 || h.Count() != 1 {
+		t.Fatalf("durable subscription not parked: park %d, count %d", parkedUnder(h, "tok"), h.Count())
 	}
-	// 6 distinct sensors into a capacity-4 box: 2 oldest drop.
-	for i := 0; i < 6; i++ {
-		h.Publish(probe.Reading{Sensor: "s" + string(rune('a'+i)), Value: float64(i), Timestamp: time.Unix(1700000100, 0)})
+	for v := 1; v <= 4; v++ {
+		for _, sensor := range []string{"a", "b", "c"} {
+			publish(sensor, float64(v))
+		}
 	}
 	sink2 := newTestSink(10)
 	if err := h.Resume("tok", sink2); err != nil {
 		t.Fatal(err)
 	}
 	u := sink2.recv(t, 2*time.Second)
-	if len(u.Readings) != 4 {
-		t.Fatalf("resume update has %d readings, want 4", len(u.Readings))
+	got = append(got, u)
+	if len(u.Readings) != 3 {
+		t.Fatalf("resume update = %+v, want one reading per sensor", u.Readings)
 	}
-	if u.Dropped != 2 {
-		t.Fatalf("resume dropped = %d, want 2 (gap from park overflow)", u.Dropped)
+	for i, r := range u.Readings {
+		if want := string(rune('a' + i)); r.Sensor != want || r.Value != 4 {
+			t.Fatalf("resume reading %d = %s=%v, want %s=4", i, r.Sensor, r.Value, want)
+		}
 	}
-	// The survivors are the newest 4.
-	if u.Readings[0].Sensor != "sc" || u.Readings[3].Sensor != "sf" {
-		t.Fatalf("resume kept wrong window: %+v", u.Readings)
+	if u.Dropped != 9 {
+		t.Fatalf("resume dropped = %d, want 9 superseded readings", u.Dropped)
 	}
 	// And delivery continues live.
-	h.Publish(reading("rtd-1", 2))
-	u2 := sink2.recv(t, 2*time.Second)
-	if u2.Readings[0].Value != 2 {
-		t.Fatalf("post-resume update = %+v", u2)
+	publish("a", 5)
+	got = append(got, sink2.recv(t, 2*time.Second))
+	delivered := 0
+	for i, u := range got {
+		if u.SeqNo != uint64(i+1) {
+			t.Fatalf("update %d has SeqNo %d: not contiguous across the park", i, u.SeqNo)
+		}
+		delivered += len(u.Readings) + int(u.Dropped)
+	}
+	if delivered != published {
+		t.Fatalf("delivered + dropped = %d, published %d", delivered, published)
+	}
+	if len(sink.all()) != 1 {
+		t.Fatalf("detached sink got %d updates, want 1", len(sink.all()))
+	}
+}
+
+// TestParkKeepsUpdateTheSinkRefused: a sink that reports itself closed
+// before its consumer's loss is noticed refuses the update in hand; the
+// park keeps it, and Resume delivers it.
+func TestParkKeepsUpdateTheSinkRefused(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	broken := newTestSink(10)
+	broken.closed = true // TrySend fails, Done stays open
+	if err := h.Subscribe("tok", Filter{}, broken, true, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	h.Publish(reading("a", 7))
+	deadline := time.Now().Add(2 * time.Second)
+	for parkedUnder(h, "tok") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription with a closed sink never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sink := newTestSink(10)
+	if err := h.Resume("tok", sink); err != nil {
+		t.Fatal(err)
+	}
+	u := sink.recv(t, 2*time.Second)
+	if len(u.Readings) != 1 || u.Readings[0].Value != 7 || u.Dropped != 0 || u.SeqNo != 1 {
+		t.Fatalf("resume update = %+v, want the refused reading as SeqNo 1", u)
 	}
 }
 
@@ -418,6 +463,100 @@ func TestHubParkedLeaseExpiry(t *testing.T) {
 	if err := h.Resume("tok", newTestSink(1)); err != ErrUnknownToken {
 		t.Fatalf("resume after expiry = %v, want ErrUnknownToken", err)
 	}
+}
+
+// TestParkedLeaseEndRemovesSubscription: a park lease that lapses
+// removes its subscription though no reading it would take is published.
+func TestParkedLeaseEndRemovesSubscription(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		publish int
+	}{{"no publish", 0}, {"non-matching publishes", 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := clockwork.NewFake(time.Unix(1700000000, 0))
+			h := NewHub(WithHubClock(clock))
+			defer h.Close()
+			if err := h.Subscribe("tok", Filter{Sensors: []string{"a"}}, newTestSink(10), true, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			h.Detach("tok")
+			if n := h.Count(); n != 1 {
+				t.Fatalf("count after park = %d, want 1", n)
+			}
+			clock.Advance(time.Hour)
+			for i := 0; i < tc.publish; i++ {
+				h.Publish(reading("b", float64(i)))
+			}
+			if tc.publish == 0 {
+				// Resume itself ends the lapsed park.
+				if err := h.Resume("tok", newTestSink(1)); err != ErrUnknownToken {
+					t.Fatalf("resume after the lease = %v, want ErrUnknownToken", err)
+				}
+			}
+			if n := h.Count(); n != 0 {
+				t.Fatalf("count after the lease = %d, want 0", n)
+			}
+			if err := h.Resume("tok", newTestSink(1)); err != ErrUnknownToken {
+				t.Fatalf("resume after the lease = %v, want ErrUnknownToken", err)
+			}
+			if len(h.parked) != 0 || h.parks.Len() != 0 {
+				t.Fatalf("park left %d entries and %d grants behind", len(h.parked), h.parks.Len())
+			}
+		})
+	}
+}
+
+// TestParkEndRacesResume: a Resume, the park lease's end (the clock
+// reaching the expiry instant, then a Sweep) and a Publish race, 1000
+// rounds. Either the resume wins
+// and the subscription keeps delivering, or Resume reports the token
+// unknown and the subscription is gone; no update reaches a sink the
+// subscription does not hold.
+func TestParkEndRacesResume(t *testing.T) {
+	won := 0
+	for round := 0; round < 1000; round++ {
+		clock := clockwork.NewFake(time.Unix(1700000000, 0))
+		h := NewHub(WithHubClock(clock))
+		first := newTestSink(10)
+		if err := h.Subscribe("tok", Filter{}, first, true, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		h.Detach("tok")
+		sink := newTestSink(10)
+		var err error
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); err = h.Resume("tok", sink) }()
+		go func() { defer wg.Done(); clock.Advance(time.Second); h.parks.Sweep() }()
+		go func() { defer wg.Done(); h.Publish(reading("a", 1)) }()
+		wg.Wait()
+		switch err {
+		case nil:
+			won++
+			if n := h.Count(); n != 1 {
+				t.Fatalf("round %d: resumed, but count = %d", round, n)
+			}
+			h.Publish(reading("a", 2))
+			for u := sink.recv(t, 2*time.Second); u.Readings[len(u.Readings)-1].Value != 2; {
+				u = sink.recv(t, 2*time.Second)
+			}
+		case ErrUnknownToken:
+			if n := h.Count(); n != 0 {
+				t.Fatalf("round %d: resume refused, but count = %d", round, n)
+			}
+			h.Publish(reading("a", 2))
+			if n := len(sink.all()); n != 0 {
+				t.Fatalf("round %d: refused sink got %d updates", round, n)
+			}
+		default:
+			t.Fatalf("round %d: resume = %v", round, err)
+		}
+		if n := len(first.all()); n != 0 {
+			t.Fatalf("round %d: detached sink got %d updates", round, n)
+		}
+		h.Close()
+	}
+	t.Logf("resume won %d of 1000 rounds", won)
 }
 
 // TestHubMinIntervalPacing: with a min-interval, deliveries space out and
