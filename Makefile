@@ -49,8 +49,10 @@ race:
 # its workers and the job context built lazily from their tasks), a
 # holder's lease Cancel racing a Sweep at the expiry instant and a Renew
 # on the same grant 1000 times (the end callback runs once, outside the
-# table's lock), plus reduced-iteration (-short) chaos and chaos-failover
-# sweeps.
+# table's lock), the write-ahead log five times over (each durable append
+# fsyncs under the log's lock, which its concurrent-append,
+# snapshot-vs-append and follower tests contend on), plus
+# reduced-iteration (-short) chaos and chaos-failover sweeps.
 # Seeded like the chaos targets — a failure prints the CHAOS_SEED to
 # replay with.
 race-stress:
@@ -60,6 +62,7 @@ race-stress:
 	$(GO) test ./internal/remote -race -count=10 -run TestRegistrarLookupRacesWrites
 	$(GO) test ./internal/sorcer -race -count=10 -run 'Spacer|SpaceWorker|JobContext'
 	$(GO) test ./internal/lease -race -count=1 -run TestEndRacesFireOnce
+	$(GO) test ./internal/wal -race -count=5
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -tags chaos -race -short ./internal/chaos -count=1 \
 		-run 'FailoverReplicationInvariants|FederationJobSurvivesPrimaryFailover'

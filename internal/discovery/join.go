@@ -18,7 +18,6 @@ import (
 // semantics).
 type Join struct {
 	clock    clockwork.Clock
-	leaseDur time.Duration
 	renewals *lease.RenewalManager
 	mgr      *Manager
 
@@ -28,33 +27,24 @@ type Join struct {
 	terminated bool
 }
 
-// JoinOption customizes a Join.
-type JoinOption func(*Join)
-
-// WithLeaseDuration sets the requested registration lease term (default 30s,
-// clamped by each registrar's policy).
-func WithLeaseDuration(d time.Duration) JoinOption {
-	return func(j *Join) { j.leaseDur = d }
-}
+// joinLeaseDuration is the registration lease term a Join requests, clamped
+// by each registrar's policy.
+const joinLeaseDuration = 30 * time.Second
 
 // NewJoin starts managing the item's registrations across all registrars
 // the Manager discovers. A zero item ID is assigned here so the service has
 // one identity on every registrar.
-func NewJoin(clock clockwork.Clock, mgr *Manager, item registry.ServiceItem, opts ...JoinOption) *Join {
+func NewJoin(clock clockwork.Clock, mgr *Manager, item registry.ServiceItem) *Join {
 	if item.ID.IsZero() {
 		item.ID = ids.NewServiceID()
 	}
 	j := &Join{
-		clock:    clock,
-		leaseDur: 30 * time.Second,
-		mgr:      mgr,
-		item:     item.Clone(),
-		leases:   make(map[ids.ServiceID]*lease.Lease),
+		clock:  clock,
+		mgr:    mgr,
+		item:   item.Clone(),
+		leases: make(map[ids.ServiceID]*lease.Lease),
 	}
-	for _, o := range opts {
-		o(j)
-	}
-	j.renewals = lease.NewRenewalManager(clock, lease.WithRequest(j.leaseDur))
+	j.renewals = lease.NewRenewalManager(clock, lease.WithRequest(joinLeaseDuration))
 	mgr.OnDiscovered(j.onDiscovered)
 	mgr.OnDiscarded(j.onDiscarded)
 	return j
@@ -67,14 +57,6 @@ func (j *Join) ServiceID() ids.ServiceID {
 	return j.item.ID
 }
 
-// RegistrarCount reports how many registrars currently hold a live
-// registration for the item.
-func (j *Join) RegistrarCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.leases)
-}
-
 func (j *Join) onDiscovered(reg registry.Registrar) {
 	j.mu.Lock()
 	if j.terminated || j.leases[reg.ID()] != nil {
@@ -84,7 +66,7 @@ func (j *Join) onDiscovered(reg registry.Registrar) {
 	item := j.item.Clone()
 	j.mu.Unlock()
 
-	r, err := reg.Register(item, j.leaseDur)
+	r, err := reg.Register(item, joinLeaseDuration)
 	if err != nil {
 		return
 	}

@@ -95,7 +95,7 @@ func BenchmarkLookupIndexed(b *testing.B) {
 	})
 	b.Run("type-hit", func(b *testing.B) {
 		lus := populateLUS(b, population)
-		tmpl := ByType("ActuatorControl")
+		tmpl := Template{Types: []string{"ActuatorControl"}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if got := lus.Lookup(tmpl, 4); len(got) != 4 {
@@ -105,7 +105,7 @@ func BenchmarkLookupIndexed(b *testing.B) {
 	})
 	b.Run("type-miss", func(b *testing.B) {
 		lus := populateLUS(b, population)
-		tmpl := ByType("NoSuchInterface")
+		tmpl := Template{Types: []string{"NoSuchInterface"}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if got := lus.Lookup(tmpl, 1); len(got) != 0 {
@@ -115,7 +115,7 @@ func BenchmarkLookupIndexed(b *testing.B) {
 	})
 	b.Run("id-hit", func(b *testing.B) {
 		lus := populateLUS(b, population)
-		all := lus.Lookup(ByType("SensorDataAccessor"), 1)
+		all := lus.Lookup(Template{Types: []string{"SensorDataAccessor"}}, 1)
 		if len(all) != 1 {
 			b.Fatal("no seed item")
 		}

@@ -73,9 +73,6 @@ func ByName(name string, types ...string) Template {
 	return Template{Types: types, Attributes: attr.Set{attr.Name(name)}}
 }
 
-// ByType builds a template matching any provider of the interface types.
-func ByType(types ...string) Template { return Template{Types: types} }
-
 // Registration is returned from Register; keep the lease renewed to stay in
 // the registry.
 type Registration struct {

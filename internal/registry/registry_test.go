@@ -45,7 +45,7 @@ func TestRegisterAndLookupByType(t *testing.T) {
 	if reg.ServiceID.IsZero() {
 		t.Fatal("no service ID assigned")
 	}
-	got := lus.Lookup(ByType("SensorDataAccessor"), 0)
+	got := lus.Lookup(Template{Types: []string{"SensorDataAccessor"}}, 0)
 	if len(got) != 1 || attr.NameOf(got[0].Attributes) != "Neem-Sensor" {
 		t.Fatalf("Lookup = %v", got)
 	}
@@ -71,7 +71,7 @@ func TestLookupByNameAndAttrs(t *testing.T) {
 		t.Fatalf("temperature sensors = %d, want 4", len(got))
 	}
 	// Missing type name filters out.
-	if got := lus.Lookup(ByType("NoSuchInterface"), 0); len(got) != 0 {
+	if got := lus.Lookup(Template{Types: []string{"NoSuchInterface"}}, 0); len(got) != 0 {
 		t.Fatalf("bogus type matched %d", len(got))
 	}
 }
@@ -240,7 +240,7 @@ func TestConcurrentRegisterLookup(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				lus.Lookup(ByType("SensorDataAccessor"), 10)
+				lus.Lookup(Template{Types: []string{"SensorDataAccessor"}}, 10)
 			}
 		}(g)
 	}

@@ -293,17 +293,6 @@ func (nm *NetworkManager) ProvisionComposite(name string, children []string, exp
 	return p.ProvisionComposite(name, children, expression, qos)
 }
 
-// UnprovisionComposite withdraws a provisioned composite.
-func (nm *NetworkManager) UnprovisionComposite(name string) error {
-	nm.mu.Lock()
-	p := nm.provisioner
-	nm.mu.Unlock()
-	if p == nil {
-		return errors.New("sensor: no provisioner attached")
-	}
-	return p.Unprovision(name)
-}
-
 // ScaleComposite rescales a provisioned composite to n instances.
 func (nm *NetworkManager) ScaleComposite(name string, n int) error {
 	nm.mu.Lock()

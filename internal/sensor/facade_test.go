@@ -232,7 +232,7 @@ func TestProvisionComposite(t *testing.T) {
 	if hosted != 1 {
 		t.Fatalf("hosted on %d nodes", hosted)
 	}
-	if err := nm.UnprovisionComposite("New-Composite"); err != nil {
+	if err := r.monitor.Undeploy(opStringName("New-Composite")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nm.GetValue("New-Composite"); !errors.Is(err, ErrUnknownService) {
@@ -289,9 +289,6 @@ func TestProvisionerWithoutAttachment(t *testing.T) {
 	nm := NewNetworkManager(clockwork.Real(), mgr)
 	if err := nm.ProvisionComposite("x", nil, "", QoSSpec{}); err == nil {
 		t.Fatal("provision without provisioner accepted")
-	}
-	if err := nm.UnprovisionComposite("x"); err == nil {
-		t.Fatal("unprovision without provisioner accepted")
 	}
 }
 

@@ -73,11 +73,6 @@ func (p *Provisioner) ProvisionComposite(name string, children []string, express
 	return p.monitor.Deploy(rio.OpString{Name: opStringName(name), Elements: []rio.ServiceElement{elem}})
 }
 
-// Unprovision withdraws a provisioned composite.
-func (p *Provisioner) Unprovision(name string) error {
-	return p.monitor.Undeploy(opStringName(name))
-}
-
 // Scale rescales a provisioned composite to n instances — the answer to
 // the paper's motivation #4 ("no efficient method of handling growing
 // number of sensors"): more requestors, more instances, same name.

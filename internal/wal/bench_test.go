@@ -29,14 +29,36 @@ func BenchmarkAppendNoSync(b *testing.B) { benchmarkAppend(b, false) }
 
 func BenchmarkAppendSyncEach(b *testing.B) { benchmarkAppend(b, true) }
 
-// benchmarkAppendConcurrent drives 8 appender goroutines against a synced
-// log. opts chooses the commit protocol: group commit (the default) shares
-// one fsync across the batch, while WithGroupCommit(1, 0) is the historical
-// one-fsync-per-append baseline. The acceptance bar for group commit is
-// >= 3x the baseline's throughput at 8 goroutines.
-func benchmarkAppendConcurrent(b *testing.B, opts ...Option) {
+// BenchmarkAppendBatch8SyncEach is a durable space job's commit: one
+// appender, a synced log, eight 80-byte records per AppendBatch — one write
+// and one fsync per batch.
+func BenchmarkAppendBatch8SyncEach(b *testing.B) {
+	l, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = make([]byte, 80)
+	}
+	b.SetBytes(8 * 80)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.AppendBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendGroupCommit8 drives 8 unserialized appender goroutines
+// against one synced log. The log has no group commit, so they take turns
+// under its lock and each append pays its own fsync; no product caller
+// appends in this shape (each owner serializes its appends under its own
+// lock). The name is kept so the checked-in baseline still judges it.
+func BenchmarkAppendGroupCommit8(b *testing.B) {
 	const workers = 8
-	l, err := Open(b.TempDir(), opts...)
+	l, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,14 +83,6 @@ func benchmarkAppendConcurrent(b *testing.B, opts ...Option) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func BenchmarkAppendGroupCommit8(b *testing.B) {
-	benchmarkAppendConcurrent(b)
-}
-
-func BenchmarkAppendPerAppendSync8(b *testing.B) {
-	benchmarkAppendConcurrent(b, WithGroupCommit(1, 0))
 }
 
 // BenchmarkRecovery measures Open+Replay time against log size.

@@ -6,10 +6,12 @@ package wal
 // primary's exact record stream — so it applies shipped records with
 // AppendAt (idempotent at explicit sequences), catches up after a restart
 // with ReplayFrom on the primary side, and resynchronizes past compaction
-// with InstallSnapshot. Because records are framed deterministically and
-// segments rotate at deterministic byte thresholds, a caught-up follower's
-// segment files are byte-identical to the primary's — the divergence tests
-// assert exactly that.
+// with InstallSnapshot. Records are framed deterministically, and a segment
+// rotates before the record that would carry it past the size limit — a
+// rule that reads only the record stream, not the batching nor the sync
+// setting. So a caught-up follower with the primary's segment
+// limit has segment files byte-identical to the primary's, whether either
+// log fsyncs each commit or not; the divergence tests assert exactly that.
 
 import (
 	"encoding/binary"
@@ -39,42 +41,26 @@ var (
 // same batch twice is harmless. A batch starting beyond the log's append
 // position is refused with ErrSeqGap; the caller must catch up first.
 //
-// Durability matches AppendBatch: with per-append sync the call returns
-// only after one group-commit fsync covers the whole batch, so a follower
-// acknowledging a shipped batch promises the same crash-survival as the
-// primary that sent it. Returns the log's next expected sequence.
+// Durability matches AppendBatch — the same commit: with per-append sync
+// the call returns only after one fsync covers the whole batch, so a
+// follower acknowledging a shipped batch promises the same crash-survival
+// as the primary that sent it. Returns the log's next expected sequence.
 func (l *Log) AppendAt(firstSeq uint64, payloads [][]byte) (uint64, error) {
-	l.arriving.Add(1)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if firstSeq > l.nextSeq {
-		l.arriving.Add(-1)
 		return 0, fmt.Errorf("%w: batch starts at %d, log expects %d", ErrSeqGap, firstSeq, l.nextSeq)
 	}
 	// Skip the prefix the log already holds.
-	if skip := l.nextSeq - firstSeq; skip >= uint64(len(payloads)) {
-		l.arriving.Add(-1)
+	skip := l.nextSeq - firstSeq
+	if skip >= uint64(len(payloads)) {
 		if err := l.usableLocked(); err != nil {
 			return 0, err
 		}
 		return l.nextSeq, nil
-	} else {
-		payloads = payloads[skip:]
 	}
-	var last uint64
-	for _, p := range payloads {
-		seq, err := l.appendLocked(p)
-		if err != nil {
-			l.arriving.Add(-1)
-			return 0, err
-		}
-		last = seq
-	}
-	l.arriving.Add(-1)
-	if l.syncEach {
-		if err := l.awaitDurableLocked(last); err != nil {
-			return 0, err
-		}
+	if err := l.commitLocked(payloads[skip:]); err != nil {
+		return 0, err
 	}
 	return l.nextSeq, nil
 }
@@ -119,12 +105,6 @@ func (l *Log) InstallSnapshot(seq uint64, data []byte) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	// Segment files are about to be unlinked; wait out any in-flight
-	// group-commit fsync against them.
-	l.waitSyncIdleLocked()
-	if err := l.usableLocked(); err != nil {
-		return err
-	}
 	if l.file != nil {
 		if err := l.file.Close(); err != nil {
 			l.failLocked()
@@ -166,7 +146,6 @@ func (l *Log) InstallSnapshot(seq uint64, data []byte) error {
 	l.snapTime = now.UTC()
 	l.snapData = append([]byte(nil), data...)
 	l.nextSeq = seq + 1
-	l.syncedSeq = seq
 	if err := l.startSegmentLocked(); err != nil {
 		l.failLocked()
 		return err

@@ -59,7 +59,7 @@ func segmentBytes(t *testing.T, l *Log) map[string][]byte {
 	if err := l.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	entries, err := os.ReadDir(l.Dir())
+	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func segmentBytes(t *testing.T, l *Log) map[string][]byte {
 		if !strings.HasPrefix(name, segPrefix) {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(l.Dir(), name))
+		raw, err := os.ReadFile(filepath.Join(l.dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,6 +309,45 @@ func TestFollowerDivergenceCrashMidBatchCatchUp(t *testing.T) {
 		}
 		if err := follower.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSegmentsIndependentOfSyncSetting ships a synced primary's batches to
+// an unsynced follower with the same segment limit: a segment rotates
+// before the record that would overflow it, whatever the sync setting, so
+// the two logs' segment files are byte-identical.
+func TestSegmentsIndependentOfSyncSetting(t *testing.T) {
+	primary, err := Open(t.TempDir(), WithSegmentLimit(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	follower, err := Open(t.TempDir(), WithSegmentLimit(256), WithSyncEveryAppend(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	for b := 0; b < 12; b++ {
+		payloads := make([][]byte, 5)
+		for i := range payloads {
+			payloads[i] = []byte(fmt.Sprintf("batch-%02d-record-%d", b, i))
+		}
+		first, err := primary.AppendBatch(payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := follower.AppendAt(first, payloads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pSegs, fSegs := segmentBytes(t, primary), segmentBytes(t, follower)
+	if len(pSegs) < 2 || len(pSegs) != len(fSegs) {
+		t.Fatalf("segment counts: primary %d, follower %d; want equal and > 1", len(pSegs), len(fSegs))
+	}
+	for name, want := range pSegs {
+		if got, ok := fSegs[name]; !ok || !bytes.Equal(got, want) {
+			t.Fatalf("segment %s differs: follower has %d bytes, primary %d", name, len(got), len(want))
 		}
 	}
 }

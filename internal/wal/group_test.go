@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"sensorcer/internal/clockwork"
 	"sensorcer/internal/faults"
@@ -74,12 +73,11 @@ func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchBoundsAck pins the batching window: with maxBatch 1
-// the log degenerates to one fsync per append (the benchmark baseline), and
-// every ack still implies durability.
+// TestGroupCommitBatchBoundsAck checks that appenders taking turns on one
+// synced log, one fsync each, replay exactly the records they were acked.
 func TestGroupCommitBatchBoundsAck(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithGroupCommit(1, 0))
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +99,12 @@ func TestGroupCommitBatchBoundsAck(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLingerStillAcksEverything exercises the leader's
-// groupWait delay path: sparse appenders pile onto a lingering leader and
-// every append is still acknowledged durable.
+// TestGroupCommitLingerStillAcksEverything checks that no append waits on
+// another: eight appenders on one synced log are all acknowledged, and
+// every acknowledged record replays.
 func TestGroupCommitLingerStillAcksEverything(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithGroupCommit(64, 200*time.Microsecond))
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +130,8 @@ func TestGroupCommitLingerStillAcksEverything(t *testing.T) {
 }
 
 // TestGroupCommitSyncFaultFailsWholeBatch injects an fsync failure while
-// concurrent appenders are coalescing: no append may be acknowledged by a
-// sync that never happened, and the log fails for everyone.
+// concurrent appenders take turns: no append may be acknowledged by a sync
+// that never happened, and the log fails for everyone.
 func TestGroupCommitSyncFaultFailsWholeBatch(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
@@ -178,7 +176,7 @@ func TestGroupCommitSyncFaultFailsWholeBatch(t *testing.T) {
 
 // TestGroupCommitSnapshotWaitsForInflightSync hammers WriteSnapshot against
 // concurrent durable appends: compaction rotates the active file, so it must
-// serialize with the leader's dropped-lock fsync instead of racing it.
+// serialize with each append's fsync under the log's lock.
 func TestGroupCommitSnapshotWaitsForInflightSync(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, WithSegmentLimit(1<<10))

@@ -23,6 +23,15 @@
 // ArmTornWrites makes an injected append failure leave a seeded-random
 // partial frame on disk — the chaos suite's "kill the process mid-write at
 // a randomized offset".
+//
+// A durable append is one commit: AppendBatch (and Append and AppendAt,
+// which are built on it) frames its records into one buffer under the
+// log's lock, writes them, and on a synced log fsyncs before it unlocks
+// and acknowledges. The log adds no commit protocol of its own: keeping
+// one appender at a time is its owners' job. The space journals under its
+// own mutex, the lookup service under its own, and a backup applies
+// shipped batches under its node's lock. Concurrent callers are still
+// safe; they take turns, one fsync each.
 package wal
 
 import (
@@ -33,11 +42,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sensorcer/internal/clockwork"
@@ -53,7 +60,7 @@ const (
 	// random prefix of the frame is left on disk first — a torn write.
 	// Either way the log is failed afterwards, like a process that died.
 	FaultSiteAppend = "/wal/append"
-	// FaultSiteSync is consulted by Sync (and the per-append sync).
+	// FaultSiteSync is consulted by Sync and by a synced log's append.
 	// Injected errors fail the log: an fsync whose outcome is unknown
 	// cannot be retried safely.
 	FaultSiteSync = "/wal/sync"
@@ -106,46 +113,13 @@ func WithSegmentLimit(bytes int64) Option {
 	}
 }
 
-// WithSyncEveryAppend controls whether each Append fsyncs before being
-// acknowledged (default true — an acked record survives a crash). Turning
+// WithSyncEveryAppend controls whether each commit — an Append, AppendBatch
+// or AppendAt — fsyncs before it is acknowledged (default true — an acked
+// record survives a crash). Turning
 // it off trades the post-crash durability of the unsynced suffix for
 // throughput; the torn-tail scan still recovers the longest valid prefix.
 func WithSyncEveryAppend(sync bool) Option {
 	return func(l *Log) { l.syncEach = sync }
-}
-
-// Group-commit defaults: how many records one leader's fsync may
-// acknowledge, and the longest a leader lingers for followers before its
-// fsync. The linger only happens when the workload looks concurrent
-// (appenders en route to the lock, or a previous batch that actually
-// coalesced), so a strictly sequential appender never pays it.
-const (
-	DefaultGroupBatch = 1024
-	DefaultGroupWait  = 50 * time.Microsecond
-)
-
-// WithGroupCommit tunes the durable-append batching. Synced appends
-// coalesce leader/follower style: the first appender needing durability
-// becomes the leader and fsyncs once for every record written so far
-// (bounded by maxBatch); appends arriving during that fsync form the next
-// batch. maxWait bounds how long the leader additionally lingers — on the
-// injected clock, and only when other appenders look imminent — so the
-// followers a batch just woke can land their next records in this one,
-// trading bounded ack latency for an fsync shared by the whole group.
-// Durability semantics are unchanged — no append is acknowledged before
-// the fsync covering it returns.
-//
-// WithGroupCommit(1, 0) degenerates to the historical one-fsync-per-append
-// behavior (the baseline the group-commit benchmarks compare against).
-func WithGroupCommit(maxBatch int, maxWait time.Duration) Option {
-	return func(l *Log) {
-		if maxBatch > 0 {
-			l.groupBatch = uint64(maxBatch)
-		}
-		if maxWait > 0 {
-			l.groupWait = maxWait
-		}
-	}
 }
 
 // segment is one on-disk log file.
@@ -158,12 +132,10 @@ type segment struct {
 // Log is a segmented write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
-	dir        string
-	clock      clockwork.Clock
-	segLimit   int64
-	syncEach   bool
-	groupBatch uint64
-	groupWait  time.Duration
+	dir      string
+	clock    clockwork.Clock
+	segLimit int64
+	syncEach bool
 
 	mu       sync.Mutex
 	segs     []segment
@@ -177,20 +149,6 @@ type Log struct {
 	closed   bool
 	failed   bool
 
-	// Group-commit state: syncedSeq is the highest sequence covered by a
-	// completed fsync; syncInFlight marks a leader mid-fsync (it drops mu
-	// for the syscall); syncDone is broadcast whenever either changes, and
-	// also gates rotation, snapshots and Close against an in-flight fsync.
-	// arriving counts appenders that have entered Append but not yet
-	// written their record — the leader's join window watches it without
-	// the mutex, so those appenders can actually take the lock and land in
-	// the current batch.
-	syncedSeq    uint64
-	syncInFlight bool
-	syncDone     *sync.Cond
-	arriving     atomic.Int64
-	lastBatch    uint64 // records acked by the most recent group fsync
-
 	inj     *faults.Injector
 	injSite string
 	tornRng *rand.Rand
@@ -201,17 +159,14 @@ type Log struct {
 // record.
 func Open(dir string, opts ...Option) (*Log, error) {
 	l := &Log{
-		dir:        dir,
-		clock:      clockwork.Real(),
-		segLimit:   DefaultSegmentLimit,
-		syncEach:   true,
-		groupBatch: DefaultGroupBatch,
-		groupWait:  DefaultGroupWait,
+		dir:      dir,
+		clock:    clockwork.Real(),
+		segLimit: DefaultSegmentLimit,
+		syncEach: true,
 	}
 	for _, o := range opts {
 		o(l)
 	}
-	l.syncDone = sync.NewCond(&l.mu)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
@@ -221,8 +176,6 @@ func Open(dir string, opts ...Option) (*Log, error) {
 	if err := l.loadSegments(); err != nil {
 		return nil, err
 	}
-	// Everything recovered from disk is as durable as it will ever be.
-	l.syncedSeq = l.nextSeq - 1
 	return l, nil
 }
 
@@ -407,40 +360,18 @@ func (l *Log) ArmTornWrites(seed int64) {
 	l.mu.Unlock()
 }
 
-// Append durably adds a record and returns its sequence number. The record
-// is acknowledged only after it (and, with per-append sync, the fsync of
-// the group-commit batch covering it) succeeded; any failure fails the
-// whole log, which must then be reopened.
-//
-// Durable appends coalesce: the record is written under the lock, then the
-// caller joins the group-commit protocol (awaitDurableLocked) — one leader
-// fsyncs for every record written so far, so concurrent appenders share a
-// single fsync instead of paying one each.
+// Append durably adds a record and returns its sequence number; it is a
+// one-record AppendBatch.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	// The arriving count covers the span from "wants to append" to "record
-	// framed in the file": a group-commit leader watches it (lock-free) to
-	// hold its batch open while appenders are still en route to the lock.
-	l.arriving.Add(1)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seq, err := l.appendLocked(payload)
-	l.arriving.Add(-1)
-	if err != nil {
-		return 0, err
-	}
-	if l.syncEach {
-		if err := l.awaitDurableLocked(seq); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	return l.AppendBatch([][]byte{payload})
 }
 
-// AppendBatch durably adds every payload as its own record under one
-// lock acquisition and — with per-append sync — one group-commit
-// acknowledgement covering the whole batch, so a caller with n records
-// in hand pays one fsync instead of n. Records receive consecutive
-// sequences; the first is returned. An empty batch is a no-op (0, nil).
+// AppendBatch durably adds every payload as its own record and returns the
+// first record's sequence; the rest follow consecutively. The records are
+// framed into one buffer and written together under the log's lock, and a
+// synced log fsyncs once before the call returns, so a caller with n
+// records in hand pays one write and one fsync instead of n. An empty
+// batch is a no-op (0, nil).
 //
 // The batch is atomic in the fail-stop sense of the log, not
 // transactionally: a failure mid-batch fails the whole log (it must be
@@ -452,38 +383,37 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	l.arriving.Add(1)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	first := uint64(0)
-	var last uint64
-	for i, p := range payloads {
-		seq, err := l.appendLocked(p)
-		if err != nil {
-			l.arriving.Add(-1)
-			return 0, err
-		}
-		if i == 0 {
-			first = seq
-		}
-		last = seq
-	}
-	l.arriving.Add(-1)
-	if l.syncEach {
-		if err := l.awaitDurableLocked(last); err != nil {
-			return 0, err
-		}
+	first := l.nextSeq
+	if err := l.commitLocked(payloads); err != nil {
+		return 0, err
 	}
 	return first, nil
 }
 
-// appendLocked frames and writes one record, returning its sequence.
-// Caller holds s.mu and is accounted in l.arriving.
+// commitLocked frames payloads as the next records and, on a synced log,
+// fsyncs them: the one commit path behind AppendBatch and AppendAt.
+// Caller holds l.mu.
 //
-//lint:blockok group commit: records are framed under l.mu by contract; the coalesced fsync and its waiters are the WAL's durable-before-ack design
-func (l *Log) appendLocked(payload []byte) (uint64, error) {
+//lint:blockok durable append: journal-before-ack means the record is written and, on a synced log, fsynced under l.mu before the caller acknowledges; the owners serialize their appends, so no other appender waits on this fsync
+func (l *Log) commitLocked(payloads [][]byte) error {
+	for _, p := range payloads {
+		if err := l.appendLocked(p); err != nil {
+			return err
+		}
+	}
+	if l.syncEach {
+		return l.syncLocked()
+	}
+	return nil
+}
+
+// appendLocked frames one record into the buffer, first rotating the
+// active segment if the record would overflow it. Caller holds l.mu.
+func (l *Log) appendLocked(payload []byte) error {
 	if err := l.usableLocked(); err != nil {
-		return 0, err
+		return err
 	}
 	if err := l.inj.Inject(l.injSite + FaultSiteAppend); err != nil {
 		// Simulated crash mid-write: push the buffered records out (they
@@ -501,35 +431,26 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 			}
 		}
 		l.failLocked()
-		return 0, err
+		return err
 	}
-	// Rotation closes the active file, so it must not race an in-flight
-	// group-commit fsync. A synced log therefore rotates in the leader,
-	// right after its fsync (when no sync can be in flight); only the
-	// no-sync configuration — where no fsync is ever in flight — rotates
-	// inline. An appender must never block on the sync condition here: it
-	// would park inside Append while new leaders keep re-claiming the sync
-	// slot, starving it (and holding l.arriving up) indefinitely.
-	if l.fileSize >= l.segLimit && !l.syncEach {
+	// A record that would carry a non-empty segment past the limit starts a
+	// new one, so segment boundaries depend only on the record stream,
+	// never on how it was batched or whether the log fsyncs each commit.
+	frameLen := int64(headerSize + len(payload))
+	if l.fileSize > 0 && l.fileSize+frameLen > l.segLimit {
 		if err := l.rotateLocked(); err != nil {
 			l.failLocked()
-			return 0, err
+			return err
 		}
 	}
-	// Frame the record straight into the buffer instead of writing it:
-	// the appender's critical section is then pure memory, so concurrent
-	// appenders can frame records while a group-commit leader is mid-fsync
-	// without stalling in a write syscall behind the filesystem journal.
-	// The buffer reaches the kernel in flushLocked — always before the
-	// fsync that would acknowledge its records, so durability semantics
-	// are unchanged.
+	// The frame goes into the buffer, which reaches the kernel in one write
+	// at the commit's fsync (or at the next flush of an unsynced log).
 	l.buf = appendFrame(l.buf, payload)
-	l.fileSize += int64(headerSize + len(payload))
-	seq := l.nextSeq
+	l.fileSize += frameLen
 	l.nextSeq++
 	seg, _ := l.segLast()
 	seg.count++
-	return seq, nil
+	return nil
 }
 
 // flushLocked hands the buffered frames to the kernel. Buffered records
@@ -548,123 +469,8 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// failLocked marks the log failed and wakes every group-commit waiter so
-// they observe the failure instead of sleeping forever.
-func (l *Log) failLocked() {
-	l.failed = true
-	l.syncDone.Broadcast()
-}
-
-// waitSyncIdleLocked blocks until no group-commit fsync is in flight.
-//
-//lint:blockok group commit: waiting out the in-flight fsync under l.mu (Cond.Wait releases it while parked) is the WAL's serialization point
-func (l *Log) waitSyncIdleLocked() {
-	for l.syncInFlight {
-		l.syncDone.Wait()
-	}
-}
-
-// awaitDurableLocked blocks until a completed fsync covers seq — the
-// group-commit protocol. The first waiter that finds no fsync in flight
-// becomes the leader: it (optionally, groupWait > 0) lingers for followers
-// on the injected clock, picks a batch target of at most groupBatch
-// records, releases the lock for the fsync syscall, and on return
-// acknowledges the whole batch by advancing syncedSeq and broadcasting.
-// Followers — and appenders that arrived while the fsync was in flight —
-// wait on the condition and either find their record covered or take the
-// leader role for the next batch. A sync failure fails the log; every
-// waiter whose record is not covered returns the error, so nothing is
-// acknowledged beyond what an fsync actually covered.
-//
-//lint:blockok group commit: the leader fsyncs (lock dropped at groupBatch > 1) and followers Cond.Wait under l.mu; durable-before-ack is the WAL's contract
-func (l *Log) awaitDurableLocked(seq uint64) error {
-	for l.syncedSeq < seq {
-		if err := l.usableLocked(); err != nil {
-			return err
-		}
-		if l.syncInFlight {
-			l.syncDone.Wait()
-			continue
-		}
-		// Leader. Linger for followers when the workload looks concurrent —
-		// appenders already en route to the lock (l.arriving), or a
-		// previous batch that coalesced more than one record. The linger
-		// releases the lock and spins on the injected clock (yielding the
-		// scheduler each turn) so followers can frame their records into
-		// this batch; a runtime timer would be too coarse for a
-		// tens-of-microseconds window. The spin cap bounds the linger even
-		// on a fake clock that never advances, and a strictly sequential
-		// appender (lastBatch <= 1, nobody arriving) skips it entirely.
-		l.syncInFlight = true
-		if l.groupBatch > 1 && l.groupWait > 0 &&
-			(l.arriving.Load() > 0 || l.lastBatch > 1) &&
-			l.nextSeq-1-l.syncedSeq < l.groupBatch {
-			const lingerSpinCap = 1024
-			deadline := l.clock.Now().Add(l.groupWait)
-			l.mu.Unlock()
-			for spins := 0; spins < lingerSpinCap; spins++ {
-				runtime.Gosched()
-				if !l.clock.Now().Before(deadline) {
-					break
-				}
-			}
-			l.mu.Lock()
-			if err := l.usableLocked(); err != nil {
-				l.syncInFlight = false
-				l.syncDone.Broadcast()
-				return err
-			}
-		}
-		target := l.nextSeq - 1
-		if max := l.syncedSeq + l.groupBatch; target > max {
-			target = max
-		}
-		if err := l.flushLocked(); err != nil {
-			l.syncInFlight = false
-			l.syncDone.Broadcast()
-			return err
-		}
-		if err := l.inj.Inject(l.injSite + FaultSiteSync); err != nil {
-			l.syncInFlight = false
-			l.failLocked()
-			return err
-		}
-		// The fsync syscall runs with the mutex dropped so followers can
-		// frame their records meanwhile — except at maxBatch 1, where the
-		// lock is held to faithfully reproduce the historical serialized
-		// one-fsync-per-append behavior the benchmarks baseline against.
-		var err error
-		if l.groupBatch > 1 {
-			file := l.file
-			l.mu.Unlock()
-			err = file.Sync()
-			l.mu.Lock()
-		} else {
-			err = l.file.Sync()
-		}
-		l.syncInFlight = false
-		if err != nil {
-			l.failLocked()
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		if target > l.syncedSeq {
-			l.lastBatch = target - l.syncedSeq
-			l.syncedSeq = target
-		}
-		l.syncDone.Broadcast()
-		// The leader just finished the only possible in-flight fsync, so the
-		// active file can be sealed without racing one; segments overshoot
-		// segLimit by at most the final batch. A log that failed meanwhile
-		// may hold a torn frame, which only a final segment may end with.
-		if l.fileSize >= l.segLimit && !l.failed {
-			if err := l.rotateLocked(); err != nil {
-				l.failLocked()
-				return err
-			}
-		}
-	}
-	return nil
-}
+// failLocked marks the log failed: it refuses every later write.
+func (l *Log) failLocked() { l.failed = true }
 
 // Sync flushes the active segment to stable storage. A sync failure fails
 // the log: after fsync reports an error the kernel may have dropped the
@@ -685,16 +491,12 @@ func (l *Log) syncLocked() error {
 		l.failLocked()
 		return err
 	}
-	target := l.nextSeq - 1
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	if err := l.file.Sync(); err != nil {
 		l.failLocked()
 		return fmt.Errorf("wal: sync: %w", err)
-	}
-	if target > l.syncedSeq {
-		l.syncedSeq = target
 	}
 	return nil
 }
@@ -755,12 +557,6 @@ func (l *Log) startSegmentLocked() error {
 func (l *Log) WriteSnapshot(data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
-		return err
-	}
-	// Compaction rotates the active segment; wait out any in-flight
-	// group-commit fsync first.
-	l.waitSyncIdleLocked()
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
@@ -915,16 +711,6 @@ func (l *Log) SnapshotSeq() uint64 {
 	return l.snapSeq
 }
 
-// Segments reports how many segment files the log currently spans.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close seals the log. A failed log closes without syncing (there is
 // nothing trustworthy left to flush).
 func (l *Log) Close() error {
@@ -933,11 +719,7 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	// Let any in-flight group-commit fsync finish before the file goes
-	// away; its waiters then observe closed and fail cleanly.
-	l.waitSyncIdleLocked()
 	l.closed = true
-	l.syncDone.Broadcast()
 	if l.file == nil {
 		return nil
 	}

@@ -28,6 +28,13 @@ func collect(t *testing.T, l *Log) (seqs []uint64, payloads [][]byte) {
 	return seqs, payloads
 }
 
+// segmentCount reports how many segment files l spans.
+func segmentCount(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
@@ -80,8 +87,8 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Segments() < 3 {
-		t.Fatalf("segments = %d, want >= 3", l.Segments())
+	if n := segmentCount(l); n < 3 {
+		t.Fatalf("segments = %d, want >= 3", n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -200,12 +207,12 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segsBefore := l.Segments()
+	segsBefore := segmentCount(l)
 	if err := l.WriteSnapshot([]byte("state@12")); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() >= segsBefore {
-		t.Fatalf("segments after compaction = %d, want < %d", l.Segments(), segsBefore)
+	if n := segmentCount(l); n >= segsBefore {
+		t.Fatalf("segments after compaction = %d, want < %d", n, segsBefore)
 	}
 	if _, err := l.Append([]byte("post-snap")); err != nil {
 		t.Fatal(err)
